@@ -23,8 +23,8 @@ from .measurement import (
     MeasurementSetting,
     PhotonSetting,
     apply_readout_confusion,
-    atom_projectors,
-    photon_projectors,
+    outcome_operators,
+    outcome_probabilities,
 )
 from .metrics import FringeScan, fidelity_to_target, fit_fringe
 from .states import NoiseModel, apply_noise, ideal_state
@@ -55,27 +55,13 @@ class CalibrationResult:
 
 
 _FRINGE_BETAS = np.arange(6) * np.pi / 6
-_SETTING_CACHE = None
-
-
-def _setting_cache():
-    """Fringe + canonical settings with their stacked projector tensors,
-    built once; the calibration objective is evaluated many times."""
-    global _SETTING_CACHE
-    if _SETTING_CACHE is None:
-        fringe = [
-            MeasurementSetting(atom, PhotonSetting(beta=float(b)))
-            for atom in (ATOM_SX, ATOM_SY)
-            for b in _FRINGE_BETAS
-        ]
-        canonical = canonical_settings()
-        ops = []
-        for s in fringe + canonical:
-            at, ar = atom_projectors(s.atom)
-            d1, d2 = photon_projectors(s.photon)
-            ops.extend(np.kron(a, d) for a in (at, ar) for d in (d1, d2))
-        _SETTING_CACHE = (fringe, canonical, np.array(ops))
-    return _SETTING_CACHE
+_CANONICAL = canonical_settings()
+# Fringe settings (sigma_x then sigma_y, six angles each), then the
+# canonical nine: built once, as the objective is evaluated many times.
+_OPERATORS = outcome_operators(
+    [MeasurementSetting(atom, PhotonSetting(beta=float(b)))
+     for atom in (ATOM_SX, ATOM_SY) for b in _FRINGE_BETAS] + _CANONICAL
+)
 
 
 def exact_observables(noise: NoiseModel):
@@ -86,11 +72,8 @@ def exact_observables(noise: NoiseModel):
     inversion, i.e. the same readout-dressed state the tomography
     pipeline reconstructs.
     """
-    fringe, canonical, ops = _setting_cache()
-    rho = apply_noise(ideal_state(), noise)
-    probs = np.einsum("kij,ji->k", ops, rho).real.reshape(-1, 4)
-    probs = np.array([apply_readout_confusion(p, noise.eps01, noise.eps10)
-                      for p in np.clip(probs, 0.0, None)])
+    probs = outcome_probabilities(apply_noise(ideal_state(), noise), _OPERATORS)
+    probs = np.array([apply_readout_confusion(p, noise.eps01, noise.eps10) for p in probs])
 
     def fringe_visibility(block):
         p = probs[block * 6:(block + 1) * 6]
@@ -100,7 +83,7 @@ def exact_observables(noise: NoiseModel):
 
     records = [
         CountRecord(setting=s, counts=probs[12 + k])
-        for k, s in enumerate(canonical)
+        for k, s in enumerate(_CANONICAL)
     ]
     ds = Dataset(records=records, metadata={"mode": "simulated", "exact": True})
     rho_rec = linear_inversion(extract_correlations(TomographySet.from_dataset(ds)))

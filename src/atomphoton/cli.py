@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import os
 import sys
 
 import numpy as np
 
+from .artifacts import write_json
 from .calibrate import CalibrationError, calibrate_noise
 from .measurement import (
     ATOM_SX,
@@ -110,12 +110,6 @@ class OutputTracker:
                     os.unlink(candidate)
 
 
-def _write_json(payload, path):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 _NOISE_KEYS = [
     ("depolarizing", float, DEFAULT_NOISE["depolarizing"]),
     ("dephasing", float, DEFAULT_NOISE["dephasing"]),
@@ -178,7 +172,7 @@ def cmd_scan(args, out: OutputTracker):
                     writer.writerow([b, scan.detector, f"{beta:.17g}",
                                      f"{p:.17g}", f"{err:.17g}"])
 
-    _write_json(
+    write_json(
         {
             "command": "scan",
             "seed": args.seed,
@@ -235,8 +229,8 @@ def cmd_tomo(args, out: OutputTracker):
             rho_hat, ts, n_replicas=params["bootstrap"], seed=args.seed,
             workers=args.workers,
         )
-    _write_json({"command": "tomo", "seed": args.seed, "exact": args.exact,
-                 **metrics}, metrics_path)
+    write_json({"command": "tomo", "seed": args.seed, "exact": args.exact,
+                **metrics}, metrics_path)
 
     print("reconstructed state, real part:")
     for row in np.real(rho_hat):
@@ -257,7 +251,7 @@ def cmd_calibrate(args, out: OutputTracker):
     result = calibrate_noise(params["vx"], params["vy"], params["fidelity"])
     noise_path = args.out + ".noise.json"
     out.register(noise_path)
-    _write_json(
+    write_json(
         {
             "command": "calibrate",
             "targets": params,

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qmath
+from .artifacts import write_json
 from .states import NoiseModel, apply_noise
 
 COUNT_COLUMNS = ("n_f2_apd1", "n_f2_apd2", "n_f1_apd1", "n_f1_apd2")
@@ -88,23 +89,27 @@ def photon_projectors(s: PhotonSetting):
     return p1, np.eye(2, dtype=complex) - p1
 
 
-def _joint_probabilities_unchecked(rho, setting: MeasurementSetting):
-    at, ar = atom_projectors(setting.atom)
-    d1, d2 = photon_projectors(setting.photon)
-    p = np.array(
-        [
-            np.trace(rho @ np.kron(a, d)).real
-            for a in (at, ar)
-            for d in (d1, d2)
-        ]
-    )
-    p = np.clip(p, 0.0, None)
-    return p / p.sum()
+def outcome_operators(settings):
+    """Stacked outcome operators Pi_a (x) Pi_d, four per setting in outcome
+    order: shape (4 * len(settings), 4, 4)."""
+    ops = []
+    for s in settings:
+        photon = photon_projectors(s.photon)
+        ops.extend(np.kron(a, d) for a in atom_projectors(s.atom) for d in photon)
+    return np.array(ops, dtype=complex).reshape(-1, 4, 4)
+
+
+def outcome_probabilities(rho, operators):
+    """tr(rho Pi) for stacked outcome operators, one row of four per setting,
+    clipped at zero and normalized per row. rho is not validated here."""
+    p = np.clip(np.einsum("kij,ji->k", operators, rho).real, 0.0, None).reshape(-1, 4)
+    return p / p.sum(axis=1, keepdims=True)
 
 
 def joint_probabilities(rho, setting: MeasurementSetting):
     """Exact outcome probabilities tr(rho Pi_a (x) Pi_d), in outcome order."""
-    return _joint_probabilities_unchecked(qmath.check_density_matrix(rho), setting)
+    rho = qmath.check_density_matrix(rho)
+    return outcome_probabilities(rho, outcome_operators([setting]))[0]
 
 
 def apply_readout_confusion(p, eps01, eps10):
@@ -133,8 +138,8 @@ class CountRecord:
 
     def __post_init__(self):
         self.counts = np.asarray(self.counts, dtype=float)
-        if self.counts.shape != (4,) or np.any(self.counts < 0):
-            raise ValueError("counts must be four non-negative cells")
+        if self.counts.shape != (4,) or not np.all(np.isfinite(self.counts) & (self.counts >= 0)):
+            raise ValueError("counts must be four finite non-negative cells")
         if self.counts.sum() < 1.0 - 1e-9:
             raise ValueError("total count must be at least 1")
 
@@ -193,24 +198,27 @@ def sample_counts(p, n, seed=None, rng=None, exact=False):
     return rng.multinomial(int(n), q / q.sum()).astype(float)
 
 
+def _records(rho, settings, n, noise, rngs, exact):
+    """Noise applied and rho validated once, then one CountRecord per setting."""
+    probs = outcome_probabilities(apply_noise(rho, noise), outcome_operators(settings))
+    return [
+        CountRecord(setting=s, counts=sample_counts(
+            apply_readout_confusion(p, noise.eps01, noise.eps10), n, rng=rng, exact=exact))
+        for s, p, rng in zip(settings, probs, rngs)
+    ]
+
+
 def simulate_setting(rho, setting, n, noise=None, rng=None, exact=False):
     """One CountRecord for a noisy state measured at one setting."""
-    noise = noise or NoiseModel()
-    noisy = apply_noise(rho, noise)
-    p = joint_probabilities(noisy, setting)
-    p = apply_readout_confusion(p, noise.eps01, noise.eps10)
-    counts = sample_counts(p, n, rng=rng, exact=exact)
-    return CountRecord(setting=setting, counts=counts)
+    return _records(rho, [setting], n, noise or NoiseModel(), [rng], exact)[0]
 
 
 def simulate_settings(rho, settings, n_per_setting, noise=None, seed=0, exact=False):
     """Dataset over a list of settings, one record each, substream-seeded."""
     noise = noise or NoiseModel()
-    records = [
-        simulate_setting(rho, s, n_per_setting, noise=noise,
-                         rng=record_rng(seed, i), exact=exact)
-        for i, s in enumerate(settings)
-    ]
+    settings = list(settings)
+    records = _records(rho, settings, n_per_setting, noise,
+                       (record_rng(seed, i) for i in range(len(settings))), exact)
     return Dataset(
         records=records,
         metadata={
@@ -260,28 +268,44 @@ def write_counts_csv(dataset: Dataset, path):
             row += [f"{c:.17g}" for c in rec.counts]
             row.append("circular" if s.photon.circular else "linear")
             w.writerow(row)
-    with open(sidecar_path(path), "w") as fh:
-        json.dump(dataset.metadata, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(dataset.metadata, sidecar_path(path))
+
+
+def _csv_number(path, row_no, row, name):
+    value = row.get(name)
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not math.isfinite(x):
+        raise ValueError(f"{path}: row {row_no}: field {name!r} must be a finite number, "
+                         f"got {value!r}")
+    return x
 
 
 def read_counts_csv(path):
+    """Dataset from a counts CSV (and its sidecar, if present). Rows are
+    numbered from 1 after the header; a malformed field is reported by file,
+    row and name."""
     records = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            setting = MeasurementSetting(
-                atom=AtomSetting(theta=float(row["theta"]), phi=float(row["phi"])),
-                photon=PhotonSetting(
-                    beta=float(row["beta"]),
-                    circular=row.get("photon_basis", "linear") == "circular",
-                ),
+        for row_no, row in enumerate(csv.DictReader(fh), 1):
+            theta, phi, beta, *counts = (
+                _csv_number(path, row_no, row, name)
+                for name in ("theta", "phi", "beta") + COUNT_COLUMNS
             )
-            counts = np.array([float(row[c]) for c in COUNT_COLUMNS])
+            basis = row.get("photon_basis", "linear")
+            if basis not in ("linear", "circular"):
+                raise ValueError(f"{path}: row {row_no}: field 'photon_basis' must be "
+                                 f"'linear' or 'circular', got {basis!r}")
+            setting = MeasurementSetting(
+                atom=AtomSetting(theta=theta, phi=phi),
+                photon=PhotonSetting(beta=beta, circular=basis == "circular"),
+            )
             try:
                 records.append(CountRecord(setting=setting, counts=counts))
             except ValueError as exc:
-                raise ValueError(f"{path}: {exc}") from exc
+                raise ValueError(f"{path}: row {row_no}: {exc}") from exc
     metadata = {"mode": "ingested"}
     try:
         with open(sidecar_path(path)) as fh:

@@ -31,12 +31,7 @@ def negativity(rho):
 def correlation_matrix(rho):
     """3x3 Pauli correlation matrix T_ij = tr(rho sigma_i (x) sigma_j)."""
     r = qmath.check_density_matrix(rho)
-    return np.array(
-        [
-            [np.trace(r @ np.kron(a, b)).real for b in qmath.PAULIS]
-            for a in qmath.PAULIS
-        ]
-    )
+    return np.einsum("ijkl,lk->ij", qmath.PAULI_PRODUCTS[1:, 1:], r).real
 
 
 def chsh_max(rho):

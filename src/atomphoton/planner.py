@@ -14,6 +14,8 @@ import json
 import math
 from dataclasses import dataclass, asdict
 
+from .artifacts import write_json
+
 SPEED_OF_LIGHT = 299_792_458.0   # m/s
 CHSH_QUANTUM_MAX = 2.0 * math.sqrt(2.0)
 CHSH_THRESHOLD_VISIBILITY = 1.0 / math.sqrt(2.0)
@@ -175,10 +177,7 @@ def build_plan(plan: ExperimentPlan) -> PlanReport:
 
 
 def write_plan_json(plan: ExperimentPlan, report: PlanReport, path):
-    with open(path, "w") as fh:
-        json.dump({"plan": plan.to_dict(), "report": report.to_dict()},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json({"plan": plan.to_dict(), "report": report.to_dict()}, path)
 
 
 def read_plan_json(path):

@@ -24,6 +24,13 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
+# PAULI_PRODUCTS[mu, nu] = sigma_mu (x) sigma_nu with sigma_0 = I: a two-qubit
+# state is sum_{mu,nu} r_{mu nu} PAULI_PRODUCTS[mu, nu] / 4 with the real
+# coefficients r_{mu nu} = tr(rho PAULI_PRODUCTS[mu, nu]).
+PAULI_PRODUCTS = np.array(
+    [[np.kron(a, b) for b in (np.eye(2), *PAULIS)] for a in (np.eye(2), *PAULIS)]
+)
+
 ATOM_MINUS = np.array([1, 0], dtype=complex)   # |mF=-1>
 ATOM_PLUS = np.array([0, 1], dtype=complex)    # |mF=+1>
 PHOTON_SIGMA_PLUS = np.array([1, 0], dtype=complex)

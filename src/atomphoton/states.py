@@ -129,7 +129,7 @@ class NoiseModel:
         )
 
 
-_SZ_I = np.kron(qmath.SIGMA_Z, np.eye(2, dtype=complex))
+_SZ_I = qmath.PAULI_PRODUCTS[3, 0]
 
 
 def apply_noise(rho, noise: NoiseModel):

@@ -19,6 +19,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import qmath
+from .artifacts import write_json
 from .measurement import (
     ATOM_SX,
     ATOM_SY,
@@ -28,6 +29,8 @@ from .measurement import (
     PHOTON_SZ,
     Dataset,
     MeasurementSetting,
+    outcome_operators,
+    outcome_probabilities,
     simulate_settings,
 )
 
@@ -48,6 +51,12 @@ def canonical_settings():
             out.append(MeasurementSetting(atom=atoms[ai], photon=photons[pj],
                                           label=ai + pj))
     return out
+
+
+# Four per setting, in the sorted key order (i, j) of TomographySet.counts;
+# in outcome order they are the Pauli eigenprojector products in sign order
+# (+,+), (+,-), (-,+), (-,-), the order of the counts.
+_CANONICAL_OPERATORS = outcome_operators(canonical_settings())
 
 
 def simulate_tomography(rho, n_per_setting, noise=None, seed=0, exact=False):
@@ -153,14 +162,9 @@ def linear_inversion(corr: CorrelationData):
     """Pauli expansion rho = (I + sum a_i s_i(x)I + sum b_j I(x)s_j
     + sum T_ij s_i(x)s_j)/4. Hermitian and trace 1; may be non-PSD on
     noisy data."""
-    rho = np.eye(4, dtype=complex)
-    eye = np.eye(2, dtype=complex)
-    for i, s in enumerate(qmath.PAULIS):
-        rho += corr.a[i] * np.kron(s, eye)
-        rho += corr.b[i] * np.kron(eye, s)
-        for j, sj in enumerate(qmath.PAULIS):
-            rho += corr.t[i, j] * np.kron(s, sj)
-    return rho / 4.0
+    r = np.ones((4, 4))
+    r[1:, 0], r[0, 1:], r[1:, 1:] = corr.a, corr.b, corr.t
+    return np.einsum("mn,mnij->ij", r, qmath.PAULI_PRODUCTS) / 4.0
 
 
 def project_physical(rho):
@@ -227,23 +231,6 @@ def _lower_factor(rho, floor=1e-8):
     return upper.conj().T                   # lower, T^dagger T = a
 
 
-_PAULI_EIG = {
-    +1: [(np.eye(2, dtype=complex) + s) / 2 for s in qmath.PAULIS],
-    -1: [(np.eye(2, dtype=complex) - s) / 2 for s in qmath.PAULIS],
-}
-
-
-def _measurement_operators(ts: TomographySet):
-    """Flattened projector list matching the flattened count vector."""
-    ops, counts = [], []
-    for (i, j), c in sorted(ts.counts.items()):
-        for sa, sp, cell in (((+1), (+1), c[0]), ((+1), (-1), c[1]),
-                             ((-1), (+1), c[2]), ((-1), (-1), c[3])):
-            ops.append(np.kron(_PAULI_EIG[sa][i], _PAULI_EIG[sp][j]))
-            counts.append(cell)
-    return np.array(ops), np.array(counts, dtype=float)
-
-
 @dataclass
 class FitReport:
     log_likelihood: float
@@ -278,17 +265,16 @@ def mle_reconstruct(ts: TomographySet, init=None):
     cells (keeps the optimum off the boundary); exact-mode data is used
     as-is, where zero-weight terms drop out of the likelihood.
     """
-    ops, counts = _measurement_operators(ts)
+    counts = np.concatenate([c for _, c in sorted(ts.counts.items())]).astype(float)
     regularization = "none"
     if not ts.exact:
         zero = counts == 0.0
         if np.any(zero):
-            counts = counts.copy()
             counts[zero] = 0.5
             regularization = f"half-count prior on {int(zero.sum())} empty cells"
 
     active = counts > 0
-    ops_a = ops[active]
+    ops_a = _CANONICAL_OPERATORS[active]
     counts_a = counts[active]
 
     def nll(t):
@@ -334,24 +320,11 @@ def mle_reconstruct(ts: TomographySet, init=None):
 # Parametric bootstrap error bars
 # ----------------------------------------------------------------------
 
-def _setting_probabilities(rho, i, j):
-    p = []
-    for sa in (+1, -1):
-        for sp in (+1, -1):
-            op = np.kron(_PAULI_EIG[sa][i], _PAULI_EIG[sp][j])
-            p.append(max(np.trace(rho @ op).real, 0.0))
-    p = np.array(p)
-    return p / p.sum()
-
-
 def _bootstrap_replica(args):
-    rho_list, totals, seed, replica = args
-    rho = np.array(rho_list, dtype=complex)
+    totals, probs, seed, replica = args
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(replica,)))
-    counts = {}
-    for (i, j), n in sorted(totals.items()):
-        p = _setting_probabilities(rho, i, j)
-        counts[(i, j)] = rng.multinomial(int(round(n)), p).astype(float)
+    counts = {k: rng.multinomial(int(round(n)), p).astype(float)
+              for (k, n), p in zip(totals, probs)}
     ts = TomographySet(counts=counts, exact=False)
     rho_hat, _ = mle_reconstruct(ts)
     from .metrics import fidelity_to_target, negativity, purity
@@ -368,8 +341,9 @@ def bootstrap_metrics(rho_hat, ts: TomographySet, n_replicas=250, seed=0, worker
     re-fit each replica, report spread per metric. Replicas run on
     independent substreams; aggregation sorts before reducing, so the
     result does not depend on completion order."""
-    totals = {k: v.sum() for k, v in ts.counts.items()}
-    jobs = [(rho_hat.tolist(), totals, int(seed), r) for r in range(n_replicas)]
+    totals = sorted((k, v.sum()) for k, v in ts.counts.items())
+    probs = outcome_probabilities(rho_hat, _CANONICAL_OPERATORS)
+    jobs = [(totals, probs, int(seed), r) for r in range(n_replicas)]
     results = [None] * n_replicas
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as ex:
@@ -411,9 +385,7 @@ def state_from_json(payload):
 
 
 def write_state_json(rho, path, fit_report=None):
-    with open(path, "w") as fh:
-        json.dump(state_to_json(rho, fit_report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(state_to_json(rho, fit_report), path)
 
 
 def read_state_json(path):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from atomphoton import qmath
 from atomphoton.measurement import (
@@ -16,6 +17,8 @@ from atomphoton.measurement import (
     atom_analysis_ket,
     atom_projectors,
     joint_probabilities,
+    outcome_operators,
+    outcome_probabilities,
     photon_projectors,
     read_counts_csv,
     record_rng,
@@ -169,6 +172,47 @@ class TestJointProbabilities:
         bad = np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex)
         with pytest.raises(ValueError):
             joint_probabilities(bad, SETTING_GRID[0])
+
+
+ORACLE_TOL = 1e-12
+ANGLES = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
+SETTINGS = st.builds(
+    lambda th, ph, b, circ: MeasurementSetting(AtomSetting(theta=th, phi=ph),
+                                               PhotonSetting(beta=b, circular=circ)),
+    ANGLES, ANGLES, ANGLES, st.booleans(),
+)
+
+
+def _state(entries):
+    g = np.reshape(entries[:16], (4, 4)) + 1j * np.reshape(entries[16:], (4, 4))
+    rho = g @ g.conj().T + 1e-3 * I4
+    return rho / np.trace(rho).real
+
+
+STATES = st.lists(st.floats(-1, 1), min_size=32, max_size=32).map(_state)
+
+
+def oracle_cells(rho, setting):
+    """tr(rho Pi_a (x) Pi_d), one cell at a time, in outcome order."""
+    at, ar = atom_projectors(setting.atom)
+    d1, d2 = photon_projectors(setting.photon)
+    return [np.trace(rho @ np.kron(a, d)).real for a in (at, ar) for d in (d1, d2)]
+
+
+class TestOutcomeOperators:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(STATES, st.lists(SETTINGS, min_size=1, max_size=5))
+    def test_matches_per_cell_oracle(self, rho, setting_list):
+        ops = outcome_operators(setting_list)
+        assert ops.shape == (4 * len(setting_list), 4, 4)
+        want = np.array([oracle_cells(rho, s) for s in setting_list])
+        got = outcome_probabilities(rho, ops)
+        assert np.max(np.abs(got - want)) <= ORACLE_TOL
+        for s, row in zip(setting_list, want):
+            assert np.max(np.abs(joint_probabilities(rho, s) - row)) <= ORACLE_TOL
+
+    def test_empty_setting_list(self):
+        assert outcome_operators([]).shape == (0, 4, 4)
 
 
 class TestReadoutConfusion:
@@ -353,3 +397,39 @@ class TestCsvRoundTrip:
         back = read_counts_csv(path)
         for ra, rb in zip(ds.records, back.records):
             assert np.array_equal(ra.counts, rb.counts)
+
+
+class TestCsvValidation:
+    HEADER = "theta,phi,beta,n_f2_apd1,n_f2_apd2,n_f1_apd1,n_f1_apd2,photon_basis\n"
+    GOOD = "0.7853981633974483,0,0,10,20,30,40,linear\n"
+
+    def _read_with_row(self, tmp_path, row):
+        path = tmp_path / "bad.counts.csv"
+        path.write_text(self.HEADER + self.GOOD + row)
+        with pytest.raises(ValueError) as exc:
+            read_counts_csv(path)
+        return str(path), str(exc.value)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_count_rejected(self, tmp_path, value):
+        path, msg = self._read_with_row(
+            tmp_path, f"0.7853981633974483,0,0,10,20,{value},40,linear\n")
+        assert path in msg and "row 2" in msg and "n_f1_apd1" in msg
+
+    def test_non_finite_angle_rejected(self, tmp_path):
+        path, msg = self._read_with_row(tmp_path, "0.7853981633974483,nan,0,10,20,30,40,linear\n")
+        assert path in msg and "row 2" in msg and "'phi'" in msg
+
+    @pytest.mark.parametrize("basis", ["circ", "Circular", ""])
+    def test_unknown_photon_basis_rejected(self, tmp_path, basis):
+        path, msg = self._read_with_row(
+            tmp_path, f"0.7853981633974483,0,0,10,20,30,40,{basis}\n")
+        assert path in msg and "row 2" in msg and "photon_basis" in msg
+
+    def test_absent_photon_basis_reads_linear(self, tmp_path):
+        path = tmp_path / "old.counts.csv"
+        path.write_text(self.HEADER.replace(",photon_basis", "")
+                        + self.GOOD.replace(",linear", ""))
+        (rec,) = read_counts_csv(path).records
+        assert not rec.setting.photon.circular
+        assert np.array_equal(rec.counts, [10, 20, 30, 40])
