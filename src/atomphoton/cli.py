@@ -66,8 +66,10 @@ def parse_config(path):
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, value = line.split("=", 1)
-            cfg[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key not in _CONFIG_KEYS:
+                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            cfg[key] = value
     return cfg
 
 
@@ -116,16 +118,27 @@ _NOISE_KEYS = [
     ("eps01", float, DEFAULT_NOISE["eps01"]),
     ("eps10", float, DEFAULT_NOISE["eps10"]),
 ]
+_SCAN_KEYS = _NOISE_KEYS + [
+    ("n_points", int, 18),
+    ("n_per_point", int, 300),
+    ("bases", str, "sx,sy"),
+]
+_TOMO_KEYS = _NOISE_KEYS + [
+    ("n_per_setting", int, 300),
+    ("bootstrap", int, 250),
+    ("input", str, None),
+]
+_CALIBRATE_KEYS = [
+    ("vx", float, 0.85),
+    ("vy", float, 0.87),
+    ("fidelity", float, 0.875),
+]
 
 
 def cmd_scan(args, out: OutputTracker):
     from .states import ideal_state
 
-    params = _merged(args, _NOISE_KEYS + [
-        ("n_points", int, 18),
-        ("n_per_point", int, 300),
-        ("bases", str, "sx,sy"),
-    ])
+    params = _merged(args, _SCAN_KEYS)
     noise = _noise_from(params)
     bases = [b.strip() for b in params["bases"].split(",") if b.strip()]
     unknown = [b for b in bases if b not in ATOM_BASES]
@@ -193,11 +206,9 @@ def cmd_scan(args, out: OutputTracker):
 def cmd_tomo(args, out: OutputTracker):
     from .states import ideal_state
 
-    params = _merged(args, _NOISE_KEYS + [
-        ("n_per_setting", int, 300),
-        ("bootstrap", int, 250),
-        ("input", str, None),
-    ])
+    params = _merged(args, _TOMO_KEYS)
+    if params["bootstrap"] < 0:
+        raise ValueError(f"bootstrap must be >= 0 (0 disables), got {params['bootstrap']}")
     if params["input"]:
         dataset = read_counts_csv(params["input"])
     else:
@@ -226,9 +237,7 @@ def cmd_tomo(args, out: OutputTracker):
     }
     if params["bootstrap"] > 0 and not args.exact:
         metrics["bootstrap"] = bootstrap_metrics(
-            rho_hat, ts, n_replicas=params["bootstrap"], seed=args.seed,
-            workers=args.workers,
-        )
+            rho_hat, ts, n_replicas=params["bootstrap"], seed=args.seed)
     write_json({"command": "tomo", "seed": args.seed, "exact": args.exact,
                 **metrics}, metrics_path)
 
@@ -243,11 +252,7 @@ def cmd_tomo(args, out: OutputTracker):
 
 
 def cmd_calibrate(args, out: OutputTracker):
-    params = _merged(args, [
-        ("vx", float, 0.85),
-        ("vy", float, 0.87),
-        ("fidelity", float, 0.875),
-    ])
+    params = _merged(args, _CALIBRATE_KEYS)
     result = calibrate_noise(params["vx"], params["vy"], params["fidelity"])
     noise_path = args.out + ".noise.json"
     out.register(noise_path)
@@ -273,6 +278,10 @@ _PLAN_KEYS = [(name, float, getattr(ExperimentPlan, name))
               for name in ("v_atph", "bsm_fidelity", "eta_ph", "transmission",
                            "rep_rate", "target_sigmas", "t_stirap", "n_lifetimes",
                            "lifetime_tau", "measurement_window", "p_bsm", "duty")]
+
+# One config file may serve every command, so a key is known if any command reads it.
+_CONFIG_KEYS = {key for keys in (_SCAN_KEYS, _TOMO_KEYS, _CALIBRATE_KEYS, _PLAN_KEYS)
+                for key, _, _ in keys}
 
 # Reference figures of the demonstrated experiment, for the echo table.
 _PLAN_REFERENCE = {
@@ -324,8 +333,6 @@ def build_parser():
                         help="expected counts instead of sampling")
     parser.add_argument("--out", type=str, default="run", help="output file prefix")
     parser.add_argument("--config", type=str, default=None, help="key=value config file")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="parallel workers for bootstrap replicas")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_scan = sub.add_parser("scan", help="simulate correlation-fringe scans")

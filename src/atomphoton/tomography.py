@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +32,7 @@ from .measurement import (
     outcome_probabilities,
     simulate_settings,
 )
+from .metrics import fidelity_to_target, negativity, purity
 
 PAULI_LABELS = "xyz"
 
@@ -190,23 +190,22 @@ def project_physical(rho):
 # Maximum-likelihood refinement
 # ----------------------------------------------------------------------
 
-_LOWER_OFFDIAG = [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]
+# Parameter layout: t[:4] the real diagonal, then (real, imag) pairs of the
+# lower off-diagonal entries in row-major order.
+_OFF_ROWS, _OFF_COLS = np.tril_indices(4, -1)
 
 
 def _factor_from_params(t):
-    m = np.zeros((4, 4), dtype=complex)
-    m[np.diag_indices(4)] = t[:4]
-    for k, (r, c) in enumerate(_LOWER_OFFDIAG):
-        m[r, c] = t[4 + 2 * k] + 1j * t[5 + 2 * k]
+    m = np.diag(t[:4].astype(complex))
+    m[_OFF_ROWS, _OFF_COLS] = t[4::2] + 1j * t[5::2]
     return m
 
 
 def _params_from_factor(m):
-    t = np.zeros(16)
+    t = np.empty(16)
     t[:4] = np.real(np.diag(m))
-    for k, (r, c) in enumerate(_LOWER_OFFDIAG):
-        t[4 + 2 * k] = m[r, c].real
-        t[5 + 2 * k] = m[r, c].imag
+    t[4::2] = m[_OFF_ROWS, _OFF_COLS].real
+    t[5::2] = m[_OFF_ROWS, _OFF_COLS].imag
     return t
 
 
@@ -253,6 +252,30 @@ MLE_MAX_ITER = 5000
 MLE_REL_TOL = 1e-10
 
 
+def _nll_and_grad(t, ops, counts):
+    """Negative log-likelihood -sum_k n_k log p_k of the state T^dagger T / s
+    (T the factor of parameters t, s its trace; p_k = tr(E_k rho) for the
+    rows E_k of ops, an (n, 16) stack of flattened 4x4 operators) and its
+    gradient over t. Probabilities are clipped at 1e-12; clipped cells
+    contribute no gradient."""
+    m = _factor_from_params(t)
+    a = m.conj().T @ m
+    s = np.real(np.trace(a))
+    if s < 1e-30:   # degenerate factor: read as the maximally mixed state
+        a, s = np.eye(4), 4.0
+    p = (ops @ a.T.ravel()).real / s      # tr(E a) = sum_ij E_ij a_ji
+    clipped = np.maximum(p, 1e-12)
+    w = np.where(p > 1e-12, counts, 0.0) / clipped
+    # df = tr(G dA) for dA = dT^dagger T + T^dagger dT, so df/dT = 2 T G
+    g = -((w @ ops).reshape(4, 4) - (w @ p) * np.eye(4)) / s
+    tg = m @ g
+    grad = np.empty(16)
+    grad[:4] = 2.0 * np.real(np.diag(tg))
+    grad[4::2] = 2.0 * tg[_OFF_ROWS, _OFF_COLS].real
+    grad[5::2] = 2.0 * tg[_OFF_ROWS, _OFF_COLS].imag
+    return -float(counts @ np.log(clipped)), grad
+
+
 def mle_reconstruct(ts: TomographySet, init=None):
     """Maximum-likelihood state estimate and fit report.
 
@@ -274,29 +297,26 @@ def mle_reconstruct(ts: TomographySet, init=None):
             regularization = f"half-count prior on {int(zero.sum())} empty cells"
 
     active = counts > 0
-    ops_a = _CANONICAL_OPERATORS[active]
+    ops_a = _CANONICAL_OPERATORS[active].reshape(-1, 16)
     counts_a = counts[active]
-
-    def nll(t):
-        rho = _rho_from_params(t)
-        p = np.einsum("kij,ji->k", ops_a, rho).real
-        p = np.clip(p, 1e-12, None)
-        return -float(counts_a @ np.log(p))
 
     if init is None:
         init_rho = project_physical(linear_inversion(extract_correlations(ts)))
     else:
         init_rho = qmath.check_density_matrix(init)
     t0 = _params_from_factor(_lower_factor(init_rho))
-    f0 = nll(t0)
+    f0, _ = _nll_and_grad(t0, ops_a, counts_a)
 
     res = minimize(
-        nll,
+        _nll_and_grad,
         t0,
+        args=(ops_a, counts_a),
+        jac=True,
         method="L-BFGS-B",
         options={"maxiter": MLE_MAX_ITER, "ftol": MLE_REL_TOL, "gtol": 1e-10},
     )
-    converged = res.nit < MLE_MAX_ITER   # hitting the cap is flagged, not raised
+    # hitting the cap or an abnormal stop is flagged, not raised
+    converged = bool(res.success) and res.nit < MLE_MAX_ITER
     if res.fun <= f0:
         rho_hat = _rho_from_params(res.x)
         final_nll = float(res.fun)
@@ -320,42 +340,26 @@ def mle_reconstruct(ts: TomographySet, init=None):
 # Parametric bootstrap error bars
 # ----------------------------------------------------------------------
 
-def _bootstrap_replica(args):
-    totals, probs, seed, replica = args
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(replica,)))
-    counts = {k: rng.multinomial(int(round(n)), p).astype(float)
-              for (k, n), p in zip(totals, probs)}
-    ts = TomographySet(counts=counts, exact=False)
-    rho_hat, _ = mle_reconstruct(ts)
-    from .metrics import fidelity_to_target, negativity, purity
-
-    return replica, {
-        "fidelity": fidelity_to_target(rho_hat),
-        "negativity": negativity(rho_hat),
-        "purity": purity(rho_hat),
-    }
-
-
-def bootstrap_metrics(rho_hat, ts: TomographySet, n_replicas=250, seed=0, workers=1):
+def bootstrap_metrics(rho_hat, ts: TomographySet, n_replicas=250, seed=0):
     """Parametric bootstrap: resample counts from the reconstructed state,
-    re-fit each replica, report spread per metric. Replicas run on
-    independent substreams; aggregation sorts before reducing, so the
-    result does not depend on completion order."""
-    totals = sorted((k, v.sum()) for k, v in ts.counts.items())
+    re-fit each replica, report spread per metric. Replica k draws its
+    counts from the substream keyed by (seed, k)."""
+    if n_replicas < 1:
+        raise ValueError(f"n_replicas must be at least 1, got {n_replicas}")
+    totals = sorted((k, int(round(v.sum()))) for k, v in ts.counts.items())
     probs = outcome_probabilities(rho_hat, _CANONICAL_OPERATORS)
-    jobs = [(totals, probs, int(seed), r) for r in range(n_replicas)]
-    results = [None] * n_replicas
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            for replica, vals in ex.map(_bootstrap_replica, jobs):
-                results[replica] = vals
-    else:
-        for job in jobs:
-            replica, vals = _bootstrap_replica(job)
-            results[replica] = vals
+    scalars = {"fidelity": fidelity_to_target, "negativity": negativity, "purity": purity}
+    values = {name: [] for name in scalars}
+    for replica in range(n_replicas):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed),
+                                                           spawn_key=(replica,)))
+        counts = {k: rng.multinomial(n, p).astype(float) for (k, n), p in zip(totals, probs)}
+        rho_r, _ = mle_reconstruct(TomographySet(counts=counts, exact=False))
+        for name, fn in scalars.items():
+            values[name].append(fn(rho_r))
     out = {}
-    for name in ("fidelity", "negativity", "purity"):
-        vals = np.sort(np.array([r[name] for r in results]))
+    for name, vals in values.items():
+        vals = np.array(vals)
         out[name] = {
             "mean": float(vals.mean()),
             "std": float(vals.std(ddof=1)) if n_replicas > 1 else 0.0,

@@ -96,6 +96,21 @@ class TestTomo:
         assert "bootstrap" in metrics
         assert metrics["bootstrap"]["fidelity"]["std"] > 0
 
+    def test_negative_bootstrap_flag_rejected(self, tmp_path, capsys):
+        out = str(tmp_path / "neg")
+        assert run_cli(["--out", out, "tomo", "--bootstrap", "-5"]) == 1
+        assert "bootstrap" in capsys.readouterr().err
+        assert not os.path.exists(out + ".metrics.json")
+        assert not os.path.exists(out + ".counts.csv")
+
+    def test_negative_bootstrap_config_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "neg.cfg"
+        cfg.write_text("bootstrap = -2\n")
+        out = str(tmp_path / "neg")
+        assert run_cli(["--config", str(cfg), "--out", out, "tomo"]) == 1
+        assert "bootstrap" in capsys.readouterr().err
+        assert not os.path.exists(out + ".metrics.json")
+
     def test_ingest_external_counts(self, tmp_path):
         src = str(tmp_path / "src")
         assert run_cli(["--seed", "3", "--out", src, "tomo", "--bootstrap", "0"]) == 0
@@ -190,3 +205,34 @@ class TestConfigFile:
         cfg.write_text("depolarizing 0.2\n")
         assert run_cli(["--config", str(cfg), "--out", str(tmp_path / "x"), "scan"]) == 1
         assert "key = value" in capsys.readouterr().err
+
+    def test_unknown_key_named_with_file_and_line(self, tmp_path, capsys):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("n_points = 9\ndepolarising = 0.3\n")
+        out = str(tmp_path / "typo")
+        assert run_cli(["--config", str(cfg), "--out", out, "scan"]) == 1
+        err = capsys.readouterr().err
+        assert f"{cfg}:2:" in err
+        assert "depolarising" in err
+        assert not os.path.exists(out + ".counts.csv")
+
+    def test_one_file_serves_every_command(self, tmp_path):
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text(
+            "depolarizing = 0.2\n"      # scan and tomo
+            "n_points = 6\n"            # scan
+            "n_per_setting = 50\n"      # tomo
+            "bootstrap = 0\n"           # tomo
+            "vx = 0.86\n"               # calibrate
+            "rep_rate = 5e5\n"          # plan
+        )
+        for command in ("scan", "tomo", "calibrate", "plan"):
+            out = str(tmp_path / command)
+            assert run_cli(["--config", str(cfg), "--out", out, command]) == 0
+        assert len(read_counts_csv(str(tmp_path / "scan.counts.csv")).records) == 12
+        tomo = read_counts_csv(str(tmp_path / "tomo.counts.csv"))
+        assert tomo.records[0].total == 50
+        assert tomo.metadata["noise"]["depolarizing"] == 0.2
+        assert "bootstrap" not in json.load(open(tmp_path / "tomo.metrics.json"))
+        assert json.load(open(tmp_path / "calibrate.noise.json"))["targets"]["vx"] == 0.86
+        assert json.load(open(tmp_path / "plan.plan.json"))["plan"]["rep_rate"] == 5e5

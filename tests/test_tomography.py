@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize
 
-from atomphoton import qmath
+from atomphoton import qmath, tomography
 from atomphoton.measurement import (
     ATOM_SX,
     AtomSetting,
@@ -12,10 +13,14 @@ from atomphoton.measurement import (
     Dataset,
     MeasurementSetting,
     PhotonSetting,
+    outcome_probabilities,
 )
+from atomphoton.metrics import fidelity_to_target, negativity, purity
 from atomphoton.states import NoiseModel, ideal_ket, ideal_state, werner
 from atomphoton.tomography import (
+    _CANONICAL_OPERATORS,
     TomographySet,
+    _nll_and_grad,
     bootstrap_metrics,
     canonical_settings,
     extract_correlations,
@@ -257,6 +262,56 @@ class TestMleReconstruct:
         assert np.linalg.norm(rho_default - rho_from_mixed) < 1e-3
 
 
+# Lower-triangular factors with the diagonal kept away from zero, so every
+# outcome probability stays far above the 1e-12 clip.
+FACTORS = st.tuples(
+    st.lists(st.floats(0.2, 2.0), min_size=4, max_size=4),
+    st.lists(st.floats(-2.0, 2.0), min_size=12, max_size=12),
+).map(lambda parts: np.array(parts[0] + parts[1]))
+CELL_COUNTS = st.one_of(st.just(0.0), st.just(0.5), st.integers(1, 500).map(float))
+
+
+def central_difference_gradient(f, t, h=1e-5):
+    return np.array([(f(t + h * e) - f(t - h * e)) / (2 * h) for e in np.eye(len(t))])
+
+
+class TestMleLikelihood:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(FACTORS, st.lists(CELL_COUNTS, min_size=36, max_size=36)
+           .map(np.array).filter(lambda c: c.sum() > 0))
+    def test_gradient_matches_central_differences(self, t, counts):
+        ops = _CANONICAL_OPERATORS.reshape(36, 16)
+        _, grad = _nll_and_grad(t, ops, counts)
+        numeric = central_difference_gradient(lambda x: _nll_and_grad(x, ops, counts)[0], t)
+        assert np.linalg.norm(grad - numeric) <= 1e-6 * np.linalg.norm(grad)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.lists(st.integers(0, 60), min_size=4, max_size=4)
+                    .filter(lambda c: sum(c) > 0), min_size=9, max_size=9))
+    def test_estimate_is_physical_and_no_worse_than_init(self, cells):
+        counts = {(i, j): np.array(cells[3 * i + j], dtype=float)
+                  for i in range(3) for j in range(3)}
+        rho, report = mle_reconstruct(TomographySet(counts=counts, exact=False))
+        assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
+        assert np.min(np.linalg.eigvalsh(rho)) >= -1e-10
+        assert abs(np.trace(rho).real - 1.0) <= 1e-10
+        assert report.log_likelihood >= report.init_log_likelihood
+
+    @pytest.mark.parametrize("depolarizing", np.linspace(0.0, 0.5, 11))
+    def test_exact_count_fit_reports_converged(self, depolarizing):
+        ds = simulate_tomography(ideal_state(), 30, noise=NoiseModel(depolarizing=depolarizing),
+                                 seed=0, exact=True)
+        _, report = mle_reconstruct(TomographySet.from_dataset(ds))
+        assert report.converged
+
+    def test_iteration_cap_reports_not_converged(self, monkeypatch):
+        monkeypatch.setattr(tomography, "MLE_MAX_ITER", 1)
+        ds = simulate_tomography(werner(5 / 6), 300, seed=7)
+        _, report = mle_reconstruct(TomographySet.from_dataset(ds))
+        assert report.iterations == 1
+        assert not report.converged
+
+
 class TestBootstrap:
     def test_deterministic_and_order_independent(self):
         ds = simulate_tomography(werner(5 / 6), 200, seed=5)
@@ -275,10 +330,33 @@ class TestBootstrap:
         assert 0.003 < out["fidelity"]["std"] < 0.04
         assert out["fidelity"]["ci95"][0] < out["fidelity"]["mean"] < out["fidelity"]["ci95"][1]
 
-    def test_parallel_workers_match_serial(self):
+    def test_replicas_are_standalone_refits_on_their_substreams(self):
         ds = simulate_tomography(werner(5 / 6), 200, seed=8)
         ts = TomographySet.from_dataset(ds)
         rho, _ = mle_reconstruct(ts)
-        serial = bootstrap_metrics(rho, ts, n_replicas=6, seed=4, workers=1)
-        parallel = bootstrap_metrics(rho, ts, n_replicas=6, seed=4, workers=2)
-        assert serial == parallel
+        probs = outcome_probabilities(rho, _CANONICAL_OPERATORS)
+        keys = sorted(ts.counts)
+        values = {"fidelity": [], "negativity": [], "purity": []}
+        for k in range(6):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=4, spawn_key=(k,)))
+            counts = {key: rng.multinomial(int(round(ts.counts[key].sum())), p).astype(float)
+                      for key, p in zip(keys, probs)}
+            rho_k, _ = mle_reconstruct(TomographySet(counts=counts, exact=False))
+            values["fidelity"].append(fidelity_to_target(rho_k))
+            values["negativity"].append(negativity(rho_k))
+            values["purity"].append(purity(rho_k))
+        expected = {
+            name: {
+                "mean": float(np.mean(v)),
+                "std": float(np.std(v, ddof=1)),
+                "ci95": [float(np.percentile(v, 2.5)), float(np.percentile(v, 97.5))],
+            }
+            for name, v in values.items()
+        }
+        assert bootstrap_metrics(rho, ts, n_replicas=6, seed=4) == expected
+
+    @pytest.mark.parametrize("n_replicas", [0, -3])
+    def test_replica_count_below_one_rejected(self, n_replicas):
+        ts = TomographySet.from_dataset(simulate_tomography(werner(5 / 6), 100, seed=2))
+        with pytest.raises(ValueError, match="n_replicas"):
+            bootstrap_metrics(werner(5 / 6), ts, n_replicas=n_replicas, seed=1)
