@@ -11,7 +11,6 @@ from .qmath import (
     overlap,
     partial_trace,
     partial_transpose,
-    tensor_product,
 )
 from .states import (
     DecayChannel,
@@ -40,11 +39,9 @@ from .measurement import (
     write_counts_csv,
 )
 from .tomography import (
-    CorrelationData,
     TomographySet,
     bootstrap_metrics,
     canonical_settings,
-    extract_correlations,
     linear_inversion,
     mle_reconstruct,
     project_physical,

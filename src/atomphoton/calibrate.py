@@ -18,8 +18,6 @@ from scipy.optimize import minimize
 from .measurement import (
     ATOM_SX,
     ATOM_SY,
-    CountRecord,
-    Dataset,
     MeasurementSetting,
     PhotonSetting,
     apply_readout_confusion,
@@ -28,12 +26,7 @@ from .measurement import (
 )
 from .metrics import FringeScan, fidelity_to_target, fit_fringe
 from .states import NoiseModel, apply_noise, ideal_state
-from .tomography import (
-    TomographySet,
-    canonical_settings,
-    extract_correlations,
-    linear_inversion,
-)
+from .tomography import TomographySet, canonical_settings, linear_inversion
 
 FIDELITY_WEIGHT = 1000.0     # fidelity-priority weighting in the fit objective
 TIE_BREAK_WEIGHT = 1e-6      # prefers the pure-depolarizing decomposition
@@ -55,12 +48,12 @@ class CalibrationResult:
 
 
 _FRINGE_BETAS = np.arange(6) * np.pi / 6
-_CANONICAL = canonical_settings()
 # Fringe settings (sigma_x then sigma_y, six angles each), then the
-# canonical nine: built once, as the objective is evaluated many times.
+# canonical nine in TomographySet row order: built once, as the objective
+# is evaluated many times.
 _OPERATORS = outcome_operators(
     [MeasurementSetting(atom, PhotonSetting(beta=float(b)))
-     for atom in (ATOM_SX, ATOM_SY) for b in _FRINGE_BETAS] + _CANONICAL
+     for atom in (ATOM_SX, ATOM_SY) for b in _FRINGE_BETAS] + canonical_settings()
 )
 
 
@@ -81,12 +74,7 @@ def exact_observables(noise: NoiseModel):
         fit = fit_fringe(FringeScan(_FRINGE_BETAS, cond, np.ones(6), detector=1))
         return fit.visibility
 
-    records = [
-        CountRecord(setting=s, counts=probs[12 + k])
-        for k, s in enumerate(_CANONICAL)
-    ]
-    ds = Dataset(records=records, metadata={"mode": "simulated", "exact": True})
-    rho_rec = linear_inversion(extract_correlations(TomographySet.from_dataset(ds)))
+    rho_rec = linear_inversion(TomographySet(counts=probs[12:], exact=True))
     return {
         "vx": fringe_visibility(0),
         "vy": fringe_visibility(1),

@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .artifacts import write_json
+from .artifacts import atomic_open, write_json
 from .calibrate import CalibrationError, calibrate_noise
 from .measurement import (
     ATOM_SX,
@@ -42,10 +42,7 @@ from .states import NoiseModel
 from .tomography import (
     TomographySet,
     bootstrap_metrics,
-    extract_correlations,
-    linear_inversion,
     mle_reconstruct,
-    project_physical,
     simulate_tomography,
     write_state_json,
 )
@@ -97,7 +94,7 @@ def _noise_from(params):
 
 
 class OutputTracker:
-    """Removes partially written artifacts when a command fails."""
+    """Removes the artifacts a command had written when it fails."""
 
     def __init__(self):
         self.paths = []
@@ -167,7 +164,7 @@ def cmd_scan(args, out: OutputTracker):
     write_counts_csv(dataset, counts_path)
 
     fits = {}
-    with open(fringes_path, "w", newline="") as fh:
+    with atomic_open(fringes_path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["basis", "detector", "beta", "p", "error"])
         for b in bases:
@@ -235,7 +232,10 @@ def cmd_tomo(args, out: OutputTracker):
         "chsh_max": chsh_value,
         "fit_report": report.to_dict(),
     }
-    if params["bootstrap"] > 0 and not args.exact:
+    if params["bootstrap"] > 0 and args.exact:
+        print(f"note: bootstrap = {params['bootstrap']} skipped: expected counts (--exact) "
+              "have no sampling spread", file=sys.stderr)
+    elif params["bootstrap"] > 0:
         metrics["bootstrap"] = bootstrap_metrics(
             rho_hat, ts, n_replicas=params["bootstrap"], seed=args.seed)
     write_json({"command": "tomo", "seed": args.seed, "exact": args.exact,

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qmath
-from .artifacts import write_json
+from .artifacts import atomic_open, write_json
 from .states import NoiseModel, apply_noise
 
 COUNT_COLUMNS = ("n_f2_apd1", "n_f2_apd2", "n_f1_apd1", "n_f1_apd2")
@@ -259,7 +259,7 @@ def sidecar_path(csv_path):
 
 
 def write_counts_csv(dataset: Dataset, path):
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(("theta", "phi", "beta") + COUNT_COLUMNS + ("photon_basis",))
         for rec in dataset.records:

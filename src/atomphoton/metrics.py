@@ -52,38 +52,6 @@ def chsh_max(rho):
     return value, detail
 
 
-def chsh_max_search(rho, n_grid=24):
-    """Numeric cross-check of chsh_max: coarse grid over the four Bloch
-    axes followed by local refinement. Validation tool only."""
-    from scipy.optimize import minimize
-
-    t = correlation_matrix(rho)
-
-    def axis(theta, phi):
-        return np.array(
-            [math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)]
-        )
-
-    def neg_s(x):
-        a, ap = axis(x[0], x[1]), axis(x[2], x[3])
-        b, bp = axis(x[4], x[5]), axis(x[6], x[7])
-        return -(a @ t @ b + a @ t @ bp + ap @ t @ b - ap @ t @ bp)
-
-    best = None
-    thetas = np.linspace(0, math.pi, n_grid // 4)
-    phis = np.linspace(0, 2 * math.pi, n_grid // 3, endpoint=False)
-    rng = np.random.default_rng(0)
-    starts = [rng.uniform(0, math.pi, 8) for _ in range(40)]
-    starts += [np.array([th, ph, th + 0.5, ph, th, ph + 0.5, th + 0.5, ph + 0.5])
-               for th in thetas[:3] for ph in phis[:3]]
-    for x0 in starts:
-        res = minimize(neg_s, x0, method="Nelder-Mead",
-                       options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000})
-        if best is None or res.fun < best:
-            best = res.fun
-    return -best
-
-
 def purity(rho):
     """tr(rho^2), between 1/dim (maximally mixed) and 1 (pure)."""
     r = qmath.check_density_matrix(rho)

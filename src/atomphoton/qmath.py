@@ -84,11 +84,6 @@ def projector(psi):
     return np.outer(v, v.conj())
 
 
-def tensor_product(a, b):
-    """Kronecker product of two 2x2 matrices in atom (x) photon order."""
-    return np.kron(as_matrix(a, 2), as_matrix(b, 2))
-
-
 def partial_trace(rho, keep):
     """Reduced 2x2 state of one subsystem of a two-qubit density matrix.
 

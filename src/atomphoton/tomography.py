@@ -1,18 +1,18 @@
 """Two-qubit state reconstruction from count data.
 
-Pipeline: Pauli expectation extraction -> linear inversion -> projection
-onto the physical set -> maximum-likelihood refinement over a PSD
-factorization. The canonical measurement set is the nine Pauli-Pauli
-combinations; the atomic sigma_z settings are realized as populations
-(no/full analysis transfer) and the photonic sigma_z as circular-basis
-analysis.
+Pipeline: counts -> linear inversion -> projection onto the physical set
+-> maximum-likelihood refinement over a PSD factorization. The canonical
+measurement set is the nine Pauli-Pauli combinations; the atomic sigma_z
+settings are realized as populations (no/full analysis transfer) and the
+photonic sigma_z as circular-basis analysis. Linear inversion and the
+likelihood read the same stack of outcome operators.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -53,10 +53,18 @@ def canonical_settings():
     return out
 
 
-# Four per setting, in the sorted key order (i, j) of TomographySet.counts;
-# in outcome order they are the Pauli eigenprojector products in sign order
-# (+,+), (+,-), (-,+), (-,-), the order of the counts.
+# Four per setting, in canonical_settings() order, which is the row order of
+# TomographySet.counts; in outcome order they are the Pauli eigenprojector
+# products in sign order (+,+), (+,-), (-,+), (-,-), the order of the counts.
 _CANONICAL_OPERATORS = outcome_operators(canonical_settings())
+
+# Design matrix of the linear model p = A r: A[k, mu nu] = tr(E_k s_mu (x) s_nu) / 4
+# for the 36 outcome operators E_k and the 16 Pauli coefficients r of rho.
+# Its columns are orthogonal, so the least-squares inverse reads T_ij from
+# setting ij and each marginal as the mean over its three partner settings.
+_PAULI_STACK = qmath.PAULI_PRODUCTS.reshape(16, 4, 4)
+_DESIGN = np.einsum("kij,mji->km", _CANONICAL_OPERATORS, _PAULI_STACK).real / 4.0
+_DESIGN_INVERSE = np.linalg.pinv(_DESIGN)
 
 
 def simulate_tomography(rho, n_per_setting, noise=None, seed=0, exact=False):
@@ -92,79 +100,63 @@ def _classify_photon(setting):
     return None
 
 
+def _setting_label(k):
+    return PAULI_LABELS[k // 3] + PAULI_LABELS[k % 3]
+
+
 @dataclass
 class TomographySet:
-    """Counts aggregated over the nine canonical settings.
+    """Counts of the nine canonical settings as one (9, 4) array.
 
-    `counts[(i, j)]` holds the four cells in eigenvalue-sign order
-    (+,+), (+,-), (-,+), (-,-) for atomic Pauli i and photonic Pauli j.
+    Row 3*i + j holds setting (i, j), atomic Pauli i and photonic Pauli j,
+    in canonical_settings() order; its four cells are in eigenvalue-sign
+    order (+,+), (+,-), (-,+), (-,-).
     """
 
-    counts: dict
+    counts: np.ndarray
     exact: bool = False
+
+    def __post_init__(self):
+        self.counts = np.asarray(self.counts, dtype=float)
+        if self.counts.shape != (9, 4):
+            raise ValueError(f"tomography counts must have shape (9, 4), got {self.counts.shape}")
 
     @classmethod
     def from_dataset(cls, dataset: Dataset):
-        agg = {}
-        for rec in dataset.records:
+        """Sum the records of each canonical setting. A record at any other
+        setting, e.g. a scan point, is an error naming the record (counted
+        from 1) and its angles."""
+        counts = np.zeros((9, 4))
+        for n, rec in enumerate(dataset.records, 1):
             atom = _classify_atom(rec.setting.atom)
             photon = _classify_photon(rec.setting.photon)
             if atom is None or photon is None:
-                continue   # not a canonical tomography setting, e.g. a scan point
+                a, p = rec.setting.atom, rec.setting.photon
+                raise ValueError(
+                    f"record {n} (theta={a.theta:.17g}, phi={a.phi:.17g}, beta={p.beta:.17g}, "
+                    f"{'circular' if p.circular else 'linear'}) is not a canonical "
+                    "tomography setting")
             i, sign = atom
-            c = np.asarray(rec.counts, dtype=float)
             # record order: (F2,APD1),(F2,APD2),(F1,APD1),(F1,APD2);
             # "+" atomic outcome is F2 when sign=+1, F1 when sign=-1.
-            cells = c if sign > 0 else c[[2, 3, 0, 1]]
-            key = (i, photon)
-            agg[key] = agg.get(key, 0.0) + cells
-        missing = [
-            PAULI_LABELS[i] + PAULI_LABELS[j]
-            for i in range(3)
-            for j in range(3)
-            if (i, j) not in agg
-        ]
+            counts[3 * i + photon] += rec.counts if sign > 0 else rec.counts[[2, 3, 0, 1]]
+        missing = [_setting_label(k) for k in np.flatnonzero(~counts.any(axis=1))]
         if missing:
             raise ValueError(f"tomography set is missing settings: {', '.join(missing)}")
-        return cls(counts=agg, exact=bool(dataset.metadata.get("exact", False)))
-
-    def totals(self):
-        return {k: float(v.sum()) for k, v in sorted(self.counts.items())}
+        return cls(counts=counts, exact=bool(dataset.metadata.get("exact", False)))
 
 
-@dataclass
-class CorrelationData:
-    t: np.ndarray        # 3x3, <sigma_i (x) sigma_j>
-    a: np.ndarray        # atomic marginal <sigma_i (x) I>
-    b: np.ndarray        # photonic marginal <I (x) sigma_j>
-    n_eff: dict = field(default_factory=dict)
-
-
-def extract_correlations(ts: TomographySet) -> CorrelationData:
-    """Pauli expectations from counts: T_ij = [n++ + n-- - n+- - n-+]/N,
-    marginals averaged over the partner settings using the same counts."""
-    t = np.zeros((3, 3))
-    a = np.zeros(3)
-    b = np.zeros(3)
-    n_eff = {}
-    for (i, j), c in sorted(ts.counts.items()):
-        n = c.sum()
-        if n <= 0:
-            raise ValueError(f"setting {PAULI_LABELS[i]}{PAULI_LABELS[j]} has no counts")
-        t[i, j] = (c[0] + c[3] - c[1] - c[2]) / n
-        a[i] += (c[0] + c[1] - c[2] - c[3]) / n / 3.0
-        b[j] += (c[0] + c[2] - c[1] - c[3]) / n / 3.0
-        n_eff[PAULI_LABELS[i] + PAULI_LABELS[j]] = float(n)
-    return CorrelationData(t=t, a=a, b=b, n_eff=n_eff)
-
-
-def linear_inversion(corr: CorrelationData):
-    """Pauli expansion rho = (I + sum a_i s_i(x)I + sum b_j I(x)s_j
-    + sum T_ij s_i(x)s_j)/4. Hermitian and trace 1; may be non-PSD on
-    noisy data."""
-    r = np.ones((4, 4))
-    r[1:, 0], r[0, 1:], r[1:, 1:] = corr.a, corr.b, corr.t
-    return np.einsum("mn,mnij->ij", r, qmath.PAULI_PRODUCTS) / 4.0
+def linear_inversion(ts: TomographySet):
+    """Least-squares state of the linear model p = A r (James, Kwiat, Munro
+    & White, PRA 64, 052312, 2001) from the per-setting frequencies:
+    rho = sum_{mu nu} r_{mu nu} s_mu (x) s_nu / 4. Hermitian and trace 1;
+    may be non-PSD on noisy data."""
+    totals = ts.counts.sum(axis=1, keepdims=True)
+    empty = np.flatnonzero(totals <= 0)
+    if empty.size:
+        raise ValueError(f"setting {_setting_label(empty[0])} has no counts")
+    r = _DESIGN_INVERSE @ (ts.counts / totals).ravel()
+    return np.einsum("m,mij->ij", r, _PAULI_STACK) / 4.0
 
 
 def project_physical(rho):
@@ -288,7 +280,7 @@ def mle_reconstruct(ts: TomographySet, init=None):
     cells (keeps the optimum off the boundary); exact-mode data is used
     as-is, where zero-weight terms drop out of the likelihood.
     """
-    counts = np.concatenate([c for _, c in sorted(ts.counts.items())]).astype(float)
+    counts = ts.counts.flatten()   # a copy: empty cells are filled in below
     regularization = "none"
     if not ts.exact:
         zero = counts == 0.0
@@ -301,7 +293,7 @@ def mle_reconstruct(ts: TomographySet, init=None):
     counts_a = counts[active]
 
     if init is None:
-        init_rho = project_physical(linear_inversion(extract_correlations(ts)))
+        init_rho = project_physical(linear_inversion(ts))
     else:
         init_rho = qmath.check_density_matrix(init)
     t0 = _params_from_factor(_lower_factor(init_rho))
@@ -346,15 +338,14 @@ def bootstrap_metrics(rho_hat, ts: TomographySet, n_replicas=250, seed=0):
     counts from the substream keyed by (seed, k)."""
     if n_replicas < 1:
         raise ValueError(f"n_replicas must be at least 1, got {n_replicas}")
-    totals = sorted((k, int(round(v.sum()))) for k, v in ts.counts.items())
+    totals = np.rint(ts.counts.sum(axis=1)).astype(np.int64)
     probs = outcome_probabilities(rho_hat, _CANONICAL_OPERATORS)
     scalars = {"fidelity": fidelity_to_target, "negativity": negativity, "purity": purity}
     values = {name: [] for name in scalars}
     for replica in range(n_replicas):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed),
                                                            spawn_key=(replica,)))
-        counts = {k: rng.multinomial(n, p).astype(float) for (k, n), p in zip(totals, probs)}
-        rho_r, _ = mle_reconstruct(TomographySet(counts=counts, exact=False))
+        rho_r, _ = mle_reconstruct(TomographySet(counts=rng.multinomial(totals, probs)))
         for name, fn in scalars.items():
             values[name].append(fn(rho_r))
     out = {}

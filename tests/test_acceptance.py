@@ -37,7 +37,6 @@ from atomphoton.states import NoiseModel, ideal_state, werner
 from atomphoton.tomography import (
     TomographySet,
     linear_inversion,
-    extract_correlations,
     mle_reconstruct,
     simulate_tomography,
 )
@@ -85,7 +84,7 @@ def test_criterion_2_tomography_round_trip():
     for rho_true in (ideal_state(), werner(0.86)):
         ds = simulate_tomography(rho_true, 300, seed=0, exact=True)
         ts = TomographySet.from_dataset(ds)
-        rho_lin = linear_inversion(extract_correlations(ts))
+        rho_lin = linear_inversion(ts)
         worst = max(worst, float(np.max(np.abs(rho_lin - rho_true))))
         rho_mle, _ = mle_reconstruct(ts)
         worst = max(worst, float(np.max(np.abs(rho_mle - rho_true))))
@@ -208,7 +207,7 @@ def test_criterion_8_property_suites():
         rho = g.conj().T @ g
         rho /= np.trace(rho)
         ds = simulate_tomography(rho, 10, seed=0, exact=True)
-        back = linear_inversion(extract_correlations(TomographySet.from_dataset(ds)))
+        back = linear_inversion(TomographySet.from_dataset(ds))
         assert np.max(np.abs(back - rho)) < 1e-10
 
     # determinism under fixed seeds

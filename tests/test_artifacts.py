@@ -1,10 +1,11 @@
-"""Atomic JSON artifact writer."""
+"""Atomic artifact writers."""
 
+import csv
 import json
 
 import pytest
 
-from atomphoton.artifacts import write_json
+from atomphoton.artifacts import atomic_open, write_json
 
 
 def test_bytes_match_sorted_indented_dump(tmp_path):
@@ -30,3 +31,32 @@ def test_failed_serialization_keeps_previous_target(tmp_path):
         write_json({"a": 1, "b": object()}, target)
     assert target.read_text() == "previous\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
+def test_atomic_open_writes_what_open_writes(tmp_path):
+    rows = [["theta", "beta"], ["0.5", "1e-17"]]
+    with open(tmp_path / "plain.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    with atomic_open(tmp_path / "atomic.csv", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    assert (tmp_path / "atomic.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["atomic.csv", "plain.csv"]
+
+
+def test_failure_inside_block_keeps_previous_target(tmp_path):
+    target = tmp_path / "out.csv"
+    target.write_text("previous\n")
+    with pytest.raises(RuntimeError):
+        with atomic_open(target, newline="") as fh:
+            fh.write("half a table\n" * 1000)
+            raise RuntimeError("interrupted")
+    assert target.read_text() == "previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+def test_failure_inside_block_leaves_no_file(tmp_path):
+    with pytest.raises(RuntimeError):
+        with atomic_open(tmp_path / "out.csv") as fh:
+            fh.write("partial")
+            raise RuntimeError("interrupted")
+    assert list(tmp_path.iterdir()) == []

@@ -96,6 +96,17 @@ class TestTomo:
         assert "bootstrap" in metrics
         assert metrics["bootstrap"]["fidelity"]["std"] > 0
 
+    def test_exact_mode_bootstrap_skip_reported(self, tmp_path, capsys):
+        plain, boot = str(tmp_path / "plain"), str(tmp_path / "boot")
+        assert run_cli(["--exact", "--out", plain, "tomo", "--bootstrap", "0"]) == 0
+        assert capsys.readouterr().err == ""
+        assert run_cli(["--exact", "--out", boot, "tomo", "--bootstrap", "5"]) == 0
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "bootstrap" in err and "sampling spread" in err
+        for suffix in (".counts.csv", ".state.json", ".metrics.json"):
+            assert open(plain + suffix, "rb").read() == open(boot + suffix, "rb").read()
+
     def test_negative_bootstrap_flag_rejected(self, tmp_path, capsys):
         out = str(tmp_path / "neg")
         assert run_cli(["--out", out, "tomo", "--bootstrap", "-5"]) == 1
@@ -134,6 +145,18 @@ class TestTomo:
         err = capsys.readouterr().err
         assert "missing settings" in err
         assert "yz" in err
+        assert not os.path.exists(out + ".state.json")
+
+
+    def test_scan_counts_rejected_by_record(self, tmp_path, capsys):
+        scan = str(tmp_path / "scan")
+        assert run_cli(["--seed", "1", "--out", scan, "scan"]) == 0
+        capsys.readouterr()
+        out = str(tmp_path / "tomo")
+        assert run_cli(["--out", out, "tomo", "--input", scan + ".counts.csv"]) == 1
+        # record 1 (sigma_x, beta = 0) is the canonical xx setting; record 2 is not
+        err = capsys.readouterr().err
+        assert "record 2 (theta=" in err and "is not a canonical tomography setting" in err
         assert not os.path.exists(out + ".state.json")
 
 

@@ -11,6 +11,8 @@ from atomphoton.measurement import (
     ATOM_SX,
     ATOM_SY,
     AtomSetting,
+    CountRecord,
+    Dataset,
     MeasurementSetting,
     PhotonSetting,
     apply_readout_confusion,
@@ -200,7 +202,7 @@ def oracle_cells(rho, setting):
 
 
 class TestOutcomeOperators:
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=200)
     @given(STATES, st.lists(SETTINGS, min_size=1, max_size=5))
     def test_matches_per_cell_oracle(self, rho, setting_list):
         ops = outcome_operators(setting_list)
@@ -354,7 +356,37 @@ class TestSimulateScan:
             simulate_scan(ideal_state(), ATOM_SX, [], 100, seed=0)
 
 
+ANGLES = st.floats(-10.0, 10.0)
+CSV_RECORDS = st.lists(
+    st.builds(
+        lambda theta, phi, beta, circular, cells: CountRecord(
+            setting=MeasurementSetting(AtomSetting(theta=theta, phi=phi),
+                                       PhotonSetting(beta=beta, circular=circular)),
+            counts=cells),
+        ANGLES, ANGLES, ANGLES, st.booleans(),
+        st.lists(st.one_of(st.integers(0, 10**6).map(float), st.floats(0.0, 1e6)),
+                 min_size=4, max_size=4).filter(lambda c: sum(c) >= 1.0)),
+    min_size=1, max_size=12)
+SIDECARS = st.dictionaries(
+    st.text(max_size=8),
+    st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=8),
+              st.floats(allow_nan=False, allow_infinity=False),
+              st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=3)),
+    max_size=5)
+
+
 class TestCsvRoundTrip:
+    @settings(max_examples=100)
+    @given(CSV_RECORDS, SIDECARS)
+    def test_write_read_round_trip(self, tmp_path_factory, records, metadata):
+        path = tmp_path_factory.mktemp("csv") / "rt.counts.csv"
+        write_counts_csv(Dataset(records=records, metadata=metadata), path)
+        back = read_counts_csv(path)
+        assert [r.setting for r in back.records] == [r.setting for r in records]
+        for ra, rb in zip(records, back.records):
+            assert np.array_equal(ra.counts, rb.counts)
+        assert back.metadata == metadata
+
     def test_lossless_round_trip(self, tmp_path):
         betas = [k * math.pi / 18 for k in range(18)]
         noise = NoiseModel(depolarizing=0.14, eps01=0.01, eps10=0.02)

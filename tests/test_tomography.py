@@ -1,4 +1,6 @@
-"""Reconstruction pipeline: correlations, inversion, projection, MLE."""
+"""Reconstruction pipeline: classification, inversion, projection, MLE."""
+
+import math
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from atomphoton.measurement import (
     MeasurementSetting,
     PhotonSetting,
     outcome_probabilities,
+    read_counts_csv,
+    write_counts_csv,
 )
 from atomphoton.metrics import fidelity_to_target, negativity, purity
 from atomphoton.states import NoiseModel, ideal_ket, ideal_state, werner
@@ -23,7 +27,6 @@ from atomphoton.tomography import (
     _nll_and_grad,
     bootstrap_metrics,
     canonical_settings,
-    extract_correlations,
     linear_inversion,
     mle_reconstruct,
     project_physical,
@@ -57,6 +60,32 @@ def simplex_projection_oracle(eigenvalues):
     return best.x
 
 
+def pauli_coefficients(rho):
+    """(T, a, b): correlations tr(rho s_i (x) s_j) and the atomic and photonic
+    marginals tr(rho s_i (x) I), tr(rho I (x) s_j)."""
+    r = np.einsum("mnij,ji->mn", qmath.PAULI_PRODUCTS, rho).real
+    return r[1:, 1:], r[1:, 0], r[0, 1:]
+
+
+def sign_pattern_coefficients(counts):
+    """Independent estimator from the eigenvalue signs of each setting's four
+    cells: T_ij = (n++ + n-- - n+- - n-+)/N, marginals averaged over the three
+    partner settings."""
+    t, a, b = np.zeros((3, 3)), np.zeros(3), np.zeros(3)
+    for i in range(3):
+        for j in range(3):
+            c = counts[3 * i + j]
+            n = c.sum()
+            t[i, j] = (c[0] + c[3] - c[1] - c[2]) / n
+            a[i] += (c[0] + c[1] - c[2] - c[3]) / n / 3.0
+            b[j] += (c[0] + c[2] - c[1] - c[3]) / n / 3.0
+    return t, a, b
+
+
+def inverted_coefficients(ds):
+    return pauli_coefficients(linear_inversion(TomographySet.from_dataset(ds)))
+
+
 class TestCanonicalSettings:
     def test_nine_labels(self):
         labels = [s.label for s in canonical_settings()]
@@ -65,7 +94,8 @@ class TestCanonicalSettings:
     def test_classification_of_simulated_data(self):
         ds = simulate_tomography(ideal_state(), 10, seed=0)
         ts = TomographySet.from_dataset(ds)
-        assert sorted(ts.counts) == [(i, j) for i in range(3) for j in range(3)]
+        # simulated records come in canonical order, one per row
+        assert np.array_equal(ts.counts, np.array([r.counts for r in ds.records]))
 
     def test_missing_setting_reported_by_name(self):
         ds = simulate_tomography(ideal_state(), 10, seed=0)
@@ -89,50 +119,111 @@ class TestCanonicalSettings:
             else:
                 swapped.append(rec)
         ds2 = Dataset(records=swapped, metadata=dict(base.metadata))
-        c1 = extract_correlations(TomographySet.from_dataset(base))
-        c2 = extract_correlations(TomographySet.from_dataset(ds2))
-        assert np.allclose(c1.t, c2.t, atol=1e-12)
-        assert np.allclose(c1.a, c2.a, atol=1e-12)
+        assert np.array_equal(TomographySet.from_dataset(base).counts,
+                              TomographySet.from_dataset(ds2).counts)
+        t1, a1, _ = inverted_coefficients(base)
+        t2, a2, _ = inverted_coefficients(ds2)
+        assert np.allclose(t1, t2, atol=1e-12)
+        assert np.allclose(a1, a2, atol=1e-12)
+
+    def test_counts_shape_checked(self):
+        with pytest.raises(ValueError, match=r"shape \(9, 4\)"):
+            TomographySet(counts=np.ones((8, 4)))
+
+
+# A tomography dataset with one fringe-scan point (atomic sigma_x, a linear
+# analyzer angle strictly between the canonical 0 and pi/4) inserted.
+SCAN_BETAS = st.floats(0.01, math.pi / 4 - 0.01)
+
+
+class TestNonCanonicalRecords:
+    @settings(max_examples=25)
+    @given(SCAN_BETAS, st.integers(0, 9))
+    def test_scan_point_in_tomography_csv_rejected(self, tmp_path_factory, beta, position):
+        ds = simulate_tomography(werner(0.8), 50, seed=1)
+        scan_point = CountRecord(
+            setting=MeasurementSetting(atom=ATOM_SX, photon=PhotonSetting(beta=beta)),
+            counts=[10.0, 20.0, 15.0, 5.0])
+        ds.records.insert(position, scan_point)
+        path = tmp_path_factory.mktemp("mixed") / "mixed.counts.csv"
+        write_counts_csv(ds, path)
+        with pytest.raises(ValueError, match=rf"record {position + 1} \(theta=.*, "
+                                             rf"beta={beta:.17g}, linear\) is not a canonical"):
+            TomographySet.from_dataset(read_counts_csv(path))
+
+    def test_circular_photon_with_tilted_atom_rejected(self):
+        ds = simulate_tomography(werner(0.8), 50, seed=1)
+        ds.records.append(CountRecord(
+            setting=MeasurementSetting(atom=AtomSetting(theta=0.3, phi=0.0),
+                                       photon=PhotonSetting(circular=True)),
+            counts=[1.0, 2.0, 3.0, 4.0]))
+        with pytest.raises(ValueError, match=r"record 10 \(theta=0.2999.*, circular\)"):
+            TomographySet.from_dataset(ds)
+
+
+# Nine settings of four cells, zero cells included; no setting is empty.
+SETTING_COUNTS = st.lists(
+    st.lists(st.one_of(st.just(0.0), st.integers(1, 1000).map(float), st.floats(0.0, 1000.0)),
+             min_size=4, max_size=4).filter(lambda c: sum(c) > 0),
+    min_size=9, max_size=9).map(np.array)
 
 
 class TestExtractCorrelations:
+    """Pauli coefficients of the linear-inversion estimate."""
+
     def test_ideal_exact(self):
         ds = simulate_tomography(ideal_state(), 300, seed=0, exact=True)
-        corr = extract_correlations(TomographySet.from_dataset(ds))
-        assert np.allclose(corr.t, np.diag([1.0, -1.0, 1.0]), atol=1e-12)
-        assert np.allclose(corr.a, 0.0, atol=1e-12)
-        assert np.allclose(corr.b, 0.0, atol=1e-12)
+        t, a, b = inverted_coefficients(ds)
+        assert np.allclose(t, np.diag([1.0, -1.0, 1.0]), atol=1e-12)
+        assert np.allclose(a, 0.0, atol=1e-12)
+        assert np.allclose(b, 0.0, atol=1e-12)
 
     def test_maximally_mixed_exact(self):
         ds = simulate_tomography(np.eye(4, dtype=complex) / 4, 300, seed=0, exact=True)
-        corr = extract_correlations(TomographySet.from_dataset(ds))
-        assert np.allclose(corr.t, 0.0, atol=1e-12)
-        assert np.allclose(corr.a, 0.0, atol=1e-12)
-        assert np.allclose(corr.b, 0.0, atol=1e-12)
+        t, a, b = inverted_coefficients(ds)
+        assert np.allclose(t, 0.0, atol=1e-12)
+        assert np.allclose(a, 0.0, atol=1e-12)
+        assert np.allclose(b, 0.0, atol=1e-12)
 
     @pytest.mark.parametrize("v", [0.25, 0.86])
     def test_werner_linearity(self, v):
         ds = simulate_tomography(werner(v), 300, seed=0, exact=True)
-        corr = extract_correlations(TomographySet.from_dataset(ds))
-        assert np.allclose(corr.t, v * np.diag([1.0, -1.0, 1.0]), atol=1e-12)
+        t, _, _ = inverted_coefficients(ds)
+        assert np.allclose(t, v * np.diag([1.0, -1.0, 1.0]), atol=1e-12)
 
     def test_entries_bounded(self):
         ds = simulate_tomography(werner(0.9), 200, seed=12)
-        corr = extract_correlations(TomographySet.from_dataset(ds))
-        assert np.all(np.abs(corr.t) <= 1.0 + 1e-12)
-        assert np.all(np.abs(corr.a) <= 1.0 + 1e-12)
-        assert np.all(np.abs(corr.b) <= 1.0 + 1e-12)
+        t, a, b = inverted_coefficients(ds)
+        assert np.all(np.abs(t) <= 1.0 + 1e-12)
+        assert np.all(np.abs(a) <= 1.0 + 1e-12)
+        assert np.all(np.abs(b) <= 1.0 + 1e-12)
+
+    @settings(max_examples=200)
+    @given(SETTING_COUNTS)
+    def test_matches_sign_pattern_estimator(self, counts):
+        rho = linear_inversion(TomographySet(counts=counts))
+        assert np.max(np.abs(rho - rho.conj().T)) == 0.0
+        got = pauli_coefficients(rho)
+        for g, want in zip(got, sign_pattern_coefficients(counts)):
+            assert np.max(np.abs(g - want)) <= 1e-12
+        assert abs(np.trace(rho).real - 1.0) <= 1e-12
+
+    def test_empty_setting_named(self):
+        counts = np.ones((9, 4))
+        counts[5] = 0.0
+        with pytest.raises(ValueError, match="setting yz has no counts"):
+            linear_inversion(TomographySet(counts=counts))
 
 
 class TestLinearInversion:
     def test_ideal_round_trip(self):
         ds = simulate_tomography(ideal_state(), 300, seed=0, exact=True)
-        rho = linear_inversion(extract_correlations(TomographySet.from_dataset(ds)))
+        rho = linear_inversion(TomographySet.from_dataset(ds))
         assert np.max(np.abs(rho - ideal_state())) < 1e-12
 
     def test_werner_round_trip(self):
         ds = simulate_tomography(werner(0.86), 300, seed=0, exact=True)
-        rho = linear_inversion(extract_correlations(TomographySet.from_dataset(ds)))
+        rho = linear_inversion(TomographySet.from_dataset(ds))
         assert np.max(np.abs(rho - werner(0.86))) < 1e-12
 
     def test_random_state_round_trip_family(self):
@@ -140,7 +231,7 @@ class TestLinearInversion:
         for _ in range(50):
             rho = random_physical_state(rng)
             ds = simulate_tomography(rho, 100, seed=0, exact=True)
-            back = linear_inversion(extract_correlations(TomographySet.from_dataset(ds)))
+            back = linear_inversion(TomographySet.from_dataset(ds))
             assert np.max(np.abs(back - rho)) < 1e-10
 
     def test_finite_counts_trace_one_possibly_nonpsd(self):
@@ -148,14 +239,36 @@ class TestLinearInversion:
         # may dip below PSD, which the projection step must handle
         ds = simulate_tomography(ideal_state(), 300,
                                  noise=NoiseModel(depolarizing=0.05), seed=123)
-        rho = linear_inversion(extract_correlations(TomographySet.from_dataset(ds)))
+        rho = linear_inversion(TomographySet.from_dataset(ds))
         assert abs(np.trace(rho).real - 1.0) < 1e-12
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
         fixed = project_physical(rho)
         assert np.min(np.linalg.eigvalsh(fixed)) >= -1e-12
 
 
+# Hermitian trace-1 matrices sum_{mu nu} r_{mu nu} s_mu (x) s_nu / 4 with
+# r_00 = 1, most of them outside the physical set.
+TRACE_ONE_MATRICES = st.lists(st.floats(-1.5, 1.5), min_size=15, max_size=15).map(
+    lambda r: np.einsum("m,mij->ij", np.array([1.0, *r]),
+                        qmath.PAULI_PRODUCTS.reshape(16, 4, 4)) / 4.0)
+# Physical states G^dagger G / tr(G^dagger G).
+PHYSICAL_STATES = st.lists(st.floats(-2.0, 2.0), min_size=32, max_size=32).map(
+    lambda x: (np.array(x[:16]) + 1j * np.array(x[16:])).reshape(4, 4)).map(
+    lambda g: g.conj().T @ g).filter(lambda a: np.trace(a).real > 1e-3).map(
+    lambda a: a / np.trace(a).real)
+
+
 class TestProjectPhysical:
+    @settings(max_examples=200)
+    @given(TRACE_ONE_MATRICES, PHYSICAL_STATES)
+    def test_physical_idempotent_and_closest(self, h, sigma):
+        out = project_physical(h)
+        assert np.max(np.abs(out - out.conj().T)) <= 1e-12
+        assert np.min(np.linalg.eigvalsh(out)) >= -1e-12
+        assert abs(np.trace(out).real - 1.0) <= 1e-12
+        assert np.max(np.abs(project_physical(out) - out)) <= 1e-12
+        assert np.linalg.norm(out - h) <= np.linalg.norm(sigma - h) + 1e-12
+
     def test_idempotent_on_physical(self):
         rng = np.random.default_rng(31)
         for _ in range(5):
@@ -206,14 +319,8 @@ class TestMleReconstruct:
     def test_always_physical_on_adversarial_counts(self):
         rng = np.random.default_rng(41)
         for trial in range(5):
-            counts = {
-                (i, j): rng.integers(0, 40, size=4).astype(float)
-                for i in range(3)
-                for j in range(3)
-            }
-            for key in counts:   # make sure no setting is entirely empty
-                if counts[key].sum() == 0:
-                    counts[key][0] = 1.0
+            counts = np.array([rng.integers(0, 40, size=4) for _ in range(9)], dtype=float)
+            counts[counts.sum(axis=1) == 0, 0] = 1.0   # no setting entirely empty
             ts = TomographySet(counts=counts, exact=False)
             rho, _ = mle_reconstruct(ts)
             assert np.min(np.linalg.eigvalsh(rho)) >= -1e-10
@@ -276,7 +383,7 @@ def central_difference_gradient(f, t, h=1e-5):
 
 
 class TestMleLikelihood:
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=200)
     @given(FACTORS, st.lists(CELL_COUNTS, min_size=36, max_size=36)
            .map(np.array).filter(lambda c: c.sum() > 0))
     def test_gradient_matches_central_differences(self, t, counts):
@@ -285,13 +392,11 @@ class TestMleLikelihood:
         numeric = central_difference_gradient(lambda x: _nll_and_grad(x, ops, counts)[0], t)
         assert np.linalg.norm(grad - numeric) <= 1e-6 * np.linalg.norm(grad)
 
-    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=40)
     @given(st.lists(st.lists(st.integers(0, 60), min_size=4, max_size=4)
                     .filter(lambda c: sum(c) > 0), min_size=9, max_size=9))
     def test_estimate_is_physical_and_no_worse_than_init(self, cells):
-        counts = {(i, j): np.array(cells[3 * i + j], dtype=float)
-                  for i in range(3) for j in range(3)}
-        rho, report = mle_reconstruct(TomographySet(counts=counts, exact=False))
+        rho, report = mle_reconstruct(TomographySet(counts=cells, exact=False))
         assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
         assert np.min(np.linalg.eigvalsh(rho)) >= -1e-10
         assert abs(np.trace(rho).real - 1.0) <= 1e-10
@@ -335,12 +440,11 @@ class TestBootstrap:
         ts = TomographySet.from_dataset(ds)
         rho, _ = mle_reconstruct(ts)
         probs = outcome_probabilities(rho, _CANONICAL_OPERATORS)
-        keys = sorted(ts.counts)
         values = {"fidelity": [], "negativity": [], "purity": []}
         for k in range(6):
             rng = np.random.default_rng(np.random.SeedSequence(entropy=4, spawn_key=(k,)))
-            counts = {key: rng.multinomial(int(round(ts.counts[key].sum())), p).astype(float)
-                      for key, p in zip(keys, probs)}
+            # one draw per setting, in row order
+            counts = [rng.multinomial(int(round(row.sum())), p) for row, p in zip(ts.counts, probs)]
             rho_k, _ = mle_reconstruct(TomographySet(counts=counts, exact=False))
             values["fidelity"].append(fidelity_to_target(rho_k))
             values["negativity"].append(negativity(rho_k))
