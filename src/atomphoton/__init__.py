@@ -12,16 +12,7 @@ from .qmath import (
     partial_trace,
     partial_transpose,
 )
-from .states import (
-    DecayChannel,
-    NoiseModel,
-    apply_noise,
-    ideal_ket,
-    ideal_state,
-    standard_decay_channels,
-    state_from_channels,
-    werner,
-)
+from .states import NoiseModel, apply_noise, ideal_ket, ideal_state, werner
 from .measurement import (
     AtomSetting,
     CountRecord,

@@ -84,6 +84,11 @@ def _merged(args, keys):
     return out
 
 
+def _require_at_least(params, key, low):
+    if params[key] < low:
+        raise ValueError(f"{key} must be >= {low}, got {params[key]}")
+
+
 def _noise_from(params):
     return NoiseModel(
         depolarizing=params["depolarizing"],
@@ -141,9 +146,12 @@ def cmd_scan(args, out: OutputTracker):
     unknown = [b for b in bases if b not in ATOM_BASES]
     if unknown:
         raise ValueError(f"unknown atomic bases: {unknown}; choose from sx, sy")
+    if not bases or len(set(bases)) != len(bases):
+        raise ValueError(f"bases must list distinct atomic bases (sx, sy), "
+                         f"got {params['bases']!r}")
+    _require_at_least(params, "n_points", 4)
+    _require_at_least(params, "n_per_point", 1)
     n_points = params["n_points"]
-    if n_points < 4:
-        raise ValueError("need at least 4 scan points")
     betas = [k * math.pi / n_points for k in range(n_points)]
 
     settings = [
@@ -204,8 +212,8 @@ def cmd_tomo(args, out: OutputTracker):
     from .states import ideal_state
 
     params = _merged(args, _TOMO_KEYS)
-    if params["bootstrap"] < 0:
-        raise ValueError(f"bootstrap must be >= 0 (0 disables), got {params['bootstrap']}")
+    _require_at_least(params, "bootstrap", 0)
+    _require_at_least(params, "n_per_setting", 1)
     if params["input"]:
         dataset = read_counts_csv(params["input"])
     else:
@@ -370,11 +378,16 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     tracker = OutputTracker()
     try:
+        if args.seed < 0:
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args, tracker)
     except (ValueError, OSError, CalibrationError) as exc:
         tracker.cleanup()
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BaseException:   # an interrupt or a bug: no partial artifacts either
+        tracker.cleanup()
+        raise
 
 
 if __name__ == "__main__":

@@ -208,11 +208,6 @@ def _records(rho, settings, n, noise, rngs, exact):
     ]
 
 
-def simulate_setting(rho, setting, n, noise=None, rng=None, exact=False):
-    """One CountRecord for a noisy state measured at one setting."""
-    return _records(rho, [setting], n, noise or NoiseModel(), [rng], exact)[0]
-
-
 def simulate_settings(rho, settings, n_per_setting, noise=None, seed=0, exact=False):
     """Dataset over a list of settings, one record each, substream-seeded."""
     noise = noise or NoiseModel()
@@ -271,11 +266,14 @@ def write_counts_csv(dataset: Dataset, path):
     write_json(dataset.metadata, sidecar_path(path))
 
 
+_CSV_NUMBERS = ("theta", "phi", "beta") + COUNT_COLUMNS
+
+
 def _csv_number(path, row_no, row, name):
-    value = row.get(name)
+    value = row[name]
     try:
         x = float(value)
-    except (TypeError, ValueError):
+    except ValueError:
         x = math.nan
     if not math.isfinite(x):
         raise ValueError(f"{path}: row {row_no}: field {name!r} must be a finite number, "
@@ -283,33 +281,59 @@ def _csv_number(path, row_no, row, name):
     return x
 
 
+def _csv_header(path, header):
+    """Every numeric column once, photon_basis at most once, nothing else."""
+    if header is None:
+        raise ValueError(f"{path}: empty file, expected a header row")
+    missing = [name for name in _CSV_NUMBERS if name not in header]
+    unknown = [name for name in header if name not in _CSV_NUMBERS + ("photon_basis",)]
+    if missing or unknown or len(set(header)) != len(header):
+        raise ValueError(f"{path}: header {','.join(header)!r}: missing columns {missing}, "
+                         f"unknown columns {unknown}, each column at most once")
+
+
+def _csv_record(path, row_no, header, cells):
+    if len(cells) != len(header):
+        raise ValueError(f"{path}: row {row_no}: {len(cells)} fields, "
+                         f"the header has {len(header)}")
+    row = dict(zip(header, cells))
+    theta, phi, beta, *counts = (_csv_number(path, row_no, row, name) for name in _CSV_NUMBERS)
+    basis = row.get("photon_basis", "linear")
+    if basis not in ("linear", "circular"):
+        raise ValueError(f"{path}: row {row_no}: field 'photon_basis' must be "
+                         f"'linear' or 'circular', got {basis!r}")
+    setting = MeasurementSetting(
+        atom=AtomSetting(theta=theta, phi=phi),
+        photon=PhotonSetting(beta=beta, circular=basis == "circular"),
+    )
+    try:
+        return CountRecord(setting=setting, counts=counts)
+    except ValueError as exc:
+        raise ValueError(f"{path}: row {row_no}: {exc}") from exc
+
+
 def read_counts_csv(path):
     """Dataset from a counts CSV (and its sidecar, if present). Rows are
-    numbered from 1 after the header; a malformed field is reported by file,
-    row and name."""
-    records = []
-    with open(path, newline="") as fh:
-        for row_no, row in enumerate(csv.DictReader(fh), 1):
-            theta, phi, beta, *counts = (
-                _csv_number(path, row_no, row, name)
-                for name in ("theta", "phi", "beta") + COUNT_COLUMNS
-            )
-            basis = row.get("photon_basis", "linear")
-            if basis not in ("linear", "circular"):
-                raise ValueError(f"{path}: row {row_no}: field 'photon_basis' must be "
-                                 f"'linear' or 'circular', got {basis!r}")
-            setting = MeasurementSetting(
-                atom=AtomSetting(theta=theta, phi=phi),
-                photon=PhotonSetting(beta=beta, circular=basis == "circular"),
-            )
-            try:
-                records.append(CountRecord(setting=setting, counts=counts))
-            except ValueError as exc:
-                raise ValueError(f"{path}: row {row_no}: {exc}") from exc
+    numbered from 1 after the header, blank lines skipped; a malformed row or
+    field is reported by file, row and name. A UTF-8 byte-order mark is
+    allowed."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            _csv_header(path, header)
+            records = [_csv_record(path, row_no, header, cells)
+                       for row_no, cells in enumerate((c for c in reader if c), 1)]
+    except (csv.Error, UnicodeDecodeError) as exc:   # not readable as CSV text
+        raise ValueError(f"{path}: {exc}") from exc
+    if not records:
+        raise ValueError(f"{path}: no records after the header")
     metadata = {"mode": "ingested"}
     try:
         with open(sidecar_path(path)) as fh:
             metadata = json.load(fh)
     except FileNotFoundError:
         pass
+    except ValueError as exc:   # not JSON, or not UTF-8
+        raise ValueError(f"{sidecar_path(path)}: {exc}") from exc
     return Dataset(records=records, metadata=metadata)

@@ -10,7 +10,6 @@ are SI (seconds, meters, s^-1).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, asdict
 
@@ -179,8 +178,3 @@ def build_plan(plan: ExperimentPlan) -> PlanReport:
 def write_plan_json(plan: ExperimentPlan, report: PlanReport, path):
     write_json({"plan": plan.to_dict(), "report": report.to_dict()}, path)
 
-
-def read_plan_json(path):
-    with open(path) as fh:
-        payload = json.load(fh)
-    return ExperimentPlan.from_dict(payload["plan"]), payload["report"]

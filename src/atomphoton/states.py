@@ -16,44 +16,6 @@ import numpy as np
 
 from . import qmath
 
-SQRT3 = math.sqrt(3.0)
-
-
-@dataclass(frozen=True)
-class DecayChannel:
-    """One spontaneous-decay branch of the F'=0 -> F=1 transition."""
-
-    m_f: int                 # final Zeeman sublevel, -1 / 0 / +1
-    polarization: str        # "sigma+", "pi" or "sigma-"
-    amplitude: complex       # Clebsch-Gordan weight
-    collected: bool          # photon reaches the analyzer
-
-    def __post_init__(self):
-        if self.m_f not in (-1, 0, 1):
-            raise ValueError(f"m_f must be -1, 0 or +1, got {self.m_f}")
-        if self.polarization not in ("sigma+", "pi", "sigma-"):
-            raise ValueError(f"unknown polarization {self.polarization!r}")
-        if (self.polarization == "pi") == self.collected:
-            raise ValueError("collected must be False exactly for pi light")
-
-
-def standard_decay_channels():
-    """The three decay branches with equal-weight amplitudes.
-
-    Relative phase between the collected branches is +1; with these
-    amplitudes :func:`state_from_channels` reproduces the ideal state.
-    """
-    return [
-        DecayChannel(m_f=-1, polarization="sigma+", amplitude=1 / SQRT3, collected=True),
-        DecayChannel(m_f=0, polarization="pi", amplitude=1 / SQRT3, collected=False),
-        DecayChannel(m_f=+1, polarization="sigma-", amplitude=1 / SQRT3, collected=True),
-    ]
-
-
-_ATOM_KETS = {-1: qmath.ATOM_MINUS, +1: qmath.ATOM_PLUS}
-_PHOTON_KETS = {"sigma+": qmath.PHOTON_SIGMA_PLUS, "sigma-": qmath.PHOTON_SIGMA_MINUS}
-
-
 def ideal_ket():
     """(|-1>|s+> + |+1>|s->)/sqrt(2) in the fixed basis: (1,0,0,1)/sqrt(2)."""
     return np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
@@ -62,29 +24,6 @@ def ideal_ket():
 def ideal_state():
     """Density matrix of the ideal entangled atom-photon state."""
     return qmath.projector(ideal_ket())
-
-
-def state_from_channels(channels):
-    """Coherent superposition over the collected decay branches.
-
-    The joint ket sums amplitude * |m_f> (x) |polarization> over channels
-    with collected=True and is then renormalized. All channels
-    uncollected means no photon ever reaches the analyzer.
-    """
-    total = sum(abs(c.amplitude) ** 2 for c in channels)
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"squared channel amplitudes sum to {total:.12g}, expected 1")
-    psi = np.zeros(4, dtype=complex)
-    any_collected = False
-    for c in channels:
-        if not c.collected:
-            continue
-        any_collected = True
-        psi += c.amplitude * np.kron(_ATOM_KETS[c.m_f], _PHOTON_KETS[c.polarization])
-    if not any_collected:
-        raise ValueError("no collected channel: no photon reaches the analyzer")
-    psi /= np.linalg.norm(psi)
-    return qmath.projector(psi)
 
 
 @dataclass(frozen=True)

@@ -1,21 +1,20 @@
 """Two-qubit state reconstruction from count data.
 
 Pipeline: counts -> linear inversion -> projection onto the physical set
--> maximum-likelihood refinement over a PSD factorization. The canonical
-measurement set is the nine Pauli-Pauli combinations; the atomic sigma_z
-settings are realized as populations (no/full analysis transfer) and the
-photonic sigma_z as circular-basis analysis. Linear inversion and the
-likelihood read the same stack of outcome operators.
+-> maximum-likelihood refinement by accelerated projected gradient, which
+fits a whole stack of datasets at once. The canonical measurement set is
+the nine Pauli-Pauli combinations; the atomic sigma_z settings are realized
+as populations (no/full analysis transfer) and the photonic sigma_z as
+circular-basis analysis. Linear inversion and the likelihood read the same
+stack of outcome operators.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import qmath
 from .artifacts import write_json
@@ -65,6 +64,8 @@ _CANONICAL_OPERATORS = outcome_operators(canonical_settings())
 _PAULI_STACK = qmath.PAULI_PRODUCTS.reshape(16, 4, 4)
 _DESIGN = np.einsum("kij,mji->km", _CANONICAL_OPERATORS, _PAULI_STACK).real / 4.0
 _DESIGN_INVERSE = np.linalg.pinv(_DESIGN)
+_PAULI_QUARTERS = _PAULI_STACK / 4.0
+_RANKS = np.arange(1.0, 5.0)
 
 
 def simulate_tomography(rho, n_per_setting, noise=None, seed=0, exact=False):
@@ -146,186 +147,230 @@ class TomographySet:
         return cls(counts=counts, exact=bool(dataset.metadata.get("exact", False)))
 
 
+# Stacks go through np.einsum rather than BLAS matmul: einsum computes each
+# row with the same arithmetic whatever the stack height, so a fit in a stack
+# equals the same fit alone bit for bit.
+
+def _states(r):
+    """(R, 16) Pauli coefficients -> (R, 4, 4) sum_m r_m P_m / 4, exactly Hermitian."""
+    return np.einsum("rm,mij->rij", r, _PAULI_QUARTERS)
+
+
+def _coefficients(rho):
+    """(R, 4, 4) Hermitian matrices -> (R, 16) coefficients tr(rho P_m)."""
+    return np.einsum("rij,mji->rm", rho, _PAULI_STACK).real
+
+
+def _inverted_coefficients(counts):
+    """Pauli coefficients of the linear inversion of an (R, 9, 4) count stack."""
+    totals = counts.sum(axis=2, keepdims=True)
+    empty = np.flatnonzero(totals <= 0)
+    if empty.size:
+        raise ValueError(f"setting {_setting_label(empty[0] % 9)} has no counts")
+    return np.einsum("mk,rk->rm", _DESIGN_INVERSE, (counts / totals).reshape(-1, 36))
+
+
 def linear_inversion(ts: TomographySet):
     """Least-squares state of the linear model p = A r (James, Kwiat, Munro
     & White, PRA 64, 052312, 2001) from the per-setting frequencies:
     rho = sum_{mu nu} r_{mu nu} s_mu (x) s_nu / 4. Hermitian and trace 1;
     may be non-PSD on noisy data."""
-    totals = ts.counts.sum(axis=1, keepdims=True)
-    empty = np.flatnonzero(totals <= 0)
-    if empty.size:
-        raise ValueError(f"setting {_setting_label(empty[0])} has no counts")
-    r = _DESIGN_INVERSE @ (ts.counts / totals).ravel()
-    return np.einsum("m,mij->ij", r, _PAULI_STACK) / 4.0
+    return _states(_inverted_coefficients(ts.counts[None]))[0]
+
+
+def _project_stack(h):
+    """Closest PSD trace-1 matrix in Frobenius norm to each matrix of an
+    (R, 4, 4) Hermitian stack: eigenvalues projected onto the probability
+    simplex, eigenvectors kept. The water-filling threshold is the largest
+    of (sum of the j largest eigenvalues - 1) / j over j."""
+    w, u = np.linalg.eigh(h)
+    tau = ((np.cumsum(w[:, ::-1], axis=1) - 1.0) / _RANKS).max(axis=1)
+    lam = np.maximum(w - tau[:, None], 0.0)
+    return np.einsum("rij,rj,rkj->rik", u, lam, u.conj())
 
 
 def project_physical(rho):
-    """Closest PSD trace-1 matrix in Frobenius norm.
-
-    Eigenvalues are projected onto the probability simplex (water-filling
-    threshold), eigenvectors kept. Idempotent on physical inputs.
-    """
+    """Closest PSD trace-1 matrix in Frobenius norm. Idempotent on physical
+    inputs."""
     a = qmath.check_hermitian(rho)
     if abs(np.real(np.trace(a)) - 1.0) > 1e-9:
         raise ValueError("project_physical expects a trace-1 matrix")
-    w, u = np.linalg.eigh(a)
-    x = np.sort(w)[::-1]
-    csum = np.cumsum(x)
-    ks = np.arange(1, len(x) + 1)
-    k = ks[x - (csum - 1.0) / ks > 0][-1]
-    tau = (csum[k - 1] - 1.0) / k
-    lam = np.maximum(w - tau, 0.0)
-    return (u * lam) @ u.conj().T
+    return _project_stack(a[None])[0]
 
 
 # ----------------------------------------------------------------------
 # Maximum-likelihood refinement
 # ----------------------------------------------------------------------
 
-# Parameter layout: t[:4] the real diagonal, then (real, imag) pairs of the
-# lower off-diagonal entries in row-major order.
-_OFF_ROWS, _OFF_COLS = np.tril_indices(4, -1)
-
-
-def _factor_from_params(t):
-    m = np.diag(t[:4].astype(complex))
-    m[_OFF_ROWS, _OFF_COLS] = t[4::2] + 1j * t[5::2]
-    return m
-
-
-def _params_from_factor(m):
-    t = np.empty(16)
-    t[:4] = np.real(np.diag(m))
-    t[4::2] = m[_OFF_ROWS, _OFF_COLS].real
-    t[5::2] = m[_OFF_ROWS, _OFF_COLS].imag
-    return t
-
-
-def _rho_from_params(t):
-    m = _factor_from_params(t)
-    a = m.conj().T @ m
-    tr = np.real(np.trace(a))
-    if tr < 1e-30:
-        return np.eye(4, dtype=complex) / 4.0
-    return a / tr
-
-
-def _lower_factor(rho, floor=1e-8):
-    """Lower-triangular T with T^dagger T = rho (eigenvalue-floored)."""
-    w, u = np.linalg.eigh(rho)
-    w = np.maximum(w, floor)
-    a = (u * w) @ u.conj().T
-    a /= np.real(np.trace(a))
-    rev = np.flip(np.flip(a, 0), 1)
-    m = np.linalg.cholesky(rev)
-    upper = np.flip(np.flip(m, 0), 1)       # a = upper @ upper^dagger
-    return upper.conj().T                   # lower, T^dagger T = a
-
-
 @dataclass
 class FitReport:
+    """`gap_bound` certifies the fit: the log-likelihood of the returned
+    state is within gap_bound of the maximum. `converged` says that the stop
+    rule fired before MLE_MAX_ITER iterations."""
+
     log_likelihood: float
     init_log_likelihood: float
     iterations: int
     converged: bool
+    gap_bound: float
     regularization: str = "none"
 
     def to_dict(self):
-        return {
-            "log_likelihood": self.log_likelihood,
-            "init_log_likelihood": self.init_log_likelihood,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "regularization": self.regularization,
-        }
+        return asdict(self)
 
 
 MLE_MAX_ITER = 5000
-MLE_REL_TOL = 1e-10
+# A fit stops once MLE_STALL_STEPS iterations in a row have lowered its
+# negative log-likelihood f by at most MLE_REL_TOL * |f| and its gap bound
+# agrees: near the optimum f curves on the scale of N = sum_k n_k, so
+# gap_bound**2 / N estimates the excess, and it must be at most
+# MLE_GAP_TOL * |f|. A fit that crawls along an ill-conditioned valley stalls
+# with a bound orders of magnitude larger, and goes on.
+MLE_REL_TOL = 1e-12
+MLE_STALL_STEPS = 3
+MLE_GAP_TOL = 1e-11
+_PROB_FLOOR = 1e-12
+_STEP_GROWTH = 1.2
+_STEP_START = 3.0
 
 
-def _nll_and_grad(t, ops, counts):
-    """Negative log-likelihood -sum_k n_k log p_k of the state T^dagger T / s
-    (T the factor of parameters t, s its trace; p_k = tr(E_k rho) for the
-    rows E_k of ops, an (n, 16) stack of flattened 4x4 operators) and its
-    gradient over t. Probabilities are clipped at 1e-12; clipped cells
-    contribute no gradient."""
-    m = _factor_from_params(t)
-    a = m.conj().T @ m
-    s = np.real(np.trace(a))
-    if s < 1e-30:   # degenerate factor: read as the maximally mixed state
-        a, s = np.eye(4), 4.0
-    p = (ops @ a.T.ravel()).real / s      # tr(E a) = sum_ij E_ij a_ji
-    clipped = np.maximum(p, 1e-12)
-    w = np.where(p > 1e-12, counts, 0.0) / clipped
-    # df = tr(G dA) for dA = dT^dagger T + T^dagger dT, so df/dT = 2 T G
-    g = -((w @ ops).reshape(4, 4) - (w @ p) * np.eye(4)) / s
-    tg = m @ g
-    grad = np.empty(16)
-    grad[:4] = 2.0 * np.real(np.diag(tg))
-    grad[4::2] = 2.0 * tg[_OFF_ROWS, _OFF_COLS].real
-    grad[5::2] = 2.0 * tg[_OFF_ROWS, _OFF_COLS].imag
-    return -float(counts @ np.log(clipped)), grad
+def _nll(counts, p):
+    return -np.einsum("rk,rk->r", counts, np.log(np.maximum(p, _PROB_FLOOR)))
+
+
+def _weights(counts, p):
+    """n_k / p_k with p clipped at _PROB_FLOOR; clipped cells weigh 0."""
+    return np.where(p > _PROB_FLOOR, counts, 0.0) / np.maximum(p, _PROB_FLOOR)
+
+
+def _probabilities(r):
+    return np.einsum("km,rm->rk", _DESIGN, r)
+
+
+def _ascent(counts, p):
+    """-grad f over the Pauli coefficients: c_m = sum_k (n_k/p_k) A_km =
+    tr(G P_m) / 4 for the density-matrix gradient -G of f."""
+    return np.einsum("rk,km->rm", _weights(counts, p), _DESIGN)
+
+
+def _gap_bound(counts, r):
+    """Glancy, Knill & Girard (NJP 14, 095017, 2012): f is convex with
+    gradient -G, G = sum_k (n_k/p_k) E_k, and tr(G rho) = N, so
+    f(rho) - min f <= lambda_max(G) - N."""
+    p = _probabilities(r)
+    w = _weights(counts, p)
+    g = np.einsum("rk,kij->rij", w, _CANONICAL_OPERATORS)
+    return np.linalg.eigvalsh(g)[:, -1] - np.einsum("rk,rk->r", w, p)
+
+
+def _fit_stack(counts, x):
+    """Minimize f(rho) = -sum_k n_k log tr(E_k rho) over physical states for
+    each row of an (R, 36) count stack, from physical starting states with
+    (R, 16) Pauli coefficients x, by accelerated projected gradient (Shang,
+    Zhang & Ng, PRA 95, 062336, 2017): x <- Pi(y + t c(y)) for c = -grad f,
+    Nesterov momentum restarted and the step refused when f would rise, and a
+    step t per fit. A fit leaves the stack when its stop rule fires
+    (converged), or unconverged when it stalls without progress or reaches
+    MLE_MAX_ITER iterations. Returns (x, f, f0, iterations, converged)."""
+    f = f0 = _nll(counts, _probabilities(x))
+    out_x, out_f = x.copy(), f.copy()
+    iterations, converged = np.zeros(len(x), dtype=int), np.zeros(len(x), dtype=bool)
+    rows, n, y, x_prev = np.arange(len(x)), counts, x, x
+    steps, stalls = np.zeros(len(x)), np.zeros(len(x), dtype=int)
+    f_checked = np.full(len(x), np.inf)   # f at the fit's last failed bound test
+    t = _STEP_START / counts.sum(axis=1)
+    for it in range(1, MLE_MAX_ITER + 1):
+        py = _probabilities(y)
+        x_new, f_new = _backtracked_step(n, y, _nll(n, py), _ascent(n, py), t)
+        # a refused step (f_new > f) counts as a stall too
+        stalls = np.where(f - f_new <= MLE_REL_TOL * np.abs(f), stalls + 1, 0)
+        accept = f_new <= f
+        x_prev = np.where(accept[:, None], x, x_prev)
+        x = np.where(accept[:, None], x_new, x)
+        f = np.where(accept, f_new, f)
+        steps = np.where(accept, steps + 1.0, 0.0)   # accepted steps since the last restart
+        t = t * _STEP_GROWTH
+
+        stalled = stalls >= MLE_STALL_STEPS
+        stop, stuck = stalled.copy(), np.zeros(len(rows), dtype=bool)
+        if stalled.any():
+            nb, fs = n[stalled], f[stalled]
+            bound = _gap_bound(nb, x[stalled])
+            stop[stalled] = bound ** 2 <= MLE_GAP_TOL * nb.sum(axis=1) * np.abs(fs)
+            # no decrease at all since the last failed test: the projected step no
+            # longer moves x, and the bound cannot be brought down
+            stuck[stalled] = ~stop[stalled] & (fs >= f_checked[stalled])
+            f_checked[stalled] = fs
+            stalls = np.where(stalled & ~stop, 0, stalls)
+        finished = stop | stuck if it < MLE_MAX_ITER else np.ones(len(rows), dtype=bool)
+        if finished.any():
+            idx = rows[finished]
+            out_x[idx], out_f[idx] = x[finished], f[finished]
+            iterations[idx], converged[idx] = it, stop[finished]
+            keep = ~finished
+            if not keep.any():
+                break
+            rows, n, x, f, x_prev, steps, t, stalls, f_checked = (
+                a[keep] for a in (rows, n, x, f, x_prev, steps, t, stalls, f_checked))
+        # momentum (k - 1) / (k + 2) after k accepted steps since the last restart
+        y = x + (np.maximum(steps - 1.0, 0.0) / (steps + 2.0))[:, None] * (x - x_prev)
+    return out_x, out_f, f0, iterations, converged
+
+
+def _backtracked_step(n, y, fy, c, t):
+    """x = Pi(y + t c) and f(x) for each row, halving t in place until
+    f(x) <= fy - c.(x - y) + |x - y|^2 / (2 t)."""
+    x, f = np.empty_like(y), np.empty_like(fy)
+    todo = slice(None)
+    while True:
+        yt, tt = y[todo], t[todo]
+        xt = _coefficients(_project_stack(_states(yt + tt[:, None] * c[todo])))
+        ft = _nll(n[todo], _probabilities(xt))
+        d = xt - yt
+        ok = ft <= fy[todo] + np.einsum("rm,rm->r", d, d / (2 * tt[:, None]) - c[todo])
+        if ok.all():
+            x[todo], f[todo] = xt, ft
+            return x, f
+        idx = np.arange(len(y))[todo]
+        x[idx[ok]], f[idx[ok]] = xt[ok], ft[ok]
+        todo = idx[~ok]
+        t[todo] *= 0.5
+
+
+def _with_prior(counts, exact):
+    """(R, 36) counts for the likelihood. Sampled data gets a half-count
+    weight in each empty cell, which keeps the optimum off the boundary;
+    exact-mode data is used as-is, where zero-weight terms drop out."""
+    counts = counts.reshape(len(counts), 36).astype(float)
+    if not exact:
+        counts[counts == 0.0] = 0.5
+    return counts
+
+
+def _projected_inversion(counts):
+    return _coefficients(_project_stack(_states(_inverted_coefficients(counts))))
 
 
 def mle_reconstruct(ts: TomographySet, init=None):
-    """Maximum-likelihood state estimate and fit report.
-
-    The state is parameterized as T^dagger T / tr(T^dagger T) over the 16
-    real entries of a lower-triangular factor, so the output is PSD with
-    unit trace by construction. Maximizes the multinomial log-likelihood
-    of the counts; the result never falls below the initialization.
-
-    Sampled datasets with empty cells get a half-count weight in those
-    cells (keeps the optimum off the boundary); exact-mode data is used
-    as-is, where zero-weight terms drop out of the likelihood.
-    """
-    counts = ts.counts.flatten()   # a copy: empty cells are filled in below
-    regularization = "none"
-    if not ts.exact:
-        zero = counts == 0.0
-        if np.any(zero):
-            counts[zero] = 0.5
-            regularization = f"half-count prior on {int(zero.sum())} empty cells"
-
-    active = counts > 0
-    ops_a = _CANONICAL_OPERATORS[active].reshape(-1, 16)
-    counts_a = counts[active]
-
+    """Maximum-likelihood state and fit report: `_fit_stack` on a stack of
+    one, from the projected linear inversion or from `init`. The result never
+    falls below the initialization."""
+    counts = _with_prior(ts.counts[None], ts.exact)
     if init is None:
-        init_rho = project_physical(linear_inversion(ts))
+        x0 = _projected_inversion(ts.counts[None])
     else:
-        init_rho = qmath.check_density_matrix(init)
-    t0 = _params_from_factor(_lower_factor(init_rho))
-    f0, _ = _nll_and_grad(t0, ops_a, counts_a)
-
-    res = minimize(
-        _nll_and_grad,
-        t0,
-        args=(ops_a, counts_a),
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": MLE_MAX_ITER, "ftol": MLE_REL_TOL, "gtol": 1e-10},
-    )
-    # hitting the cap or an abnormal stop is flagged, not raised
-    converged = bool(res.success) and res.nit < MLE_MAX_ITER
-    if res.fun <= f0:
-        rho_hat = _rho_from_params(res.x)
-        final_nll = float(res.fun)
-    else:
-        rho_hat = _rho_from_params(t0)   # optimizer failed to improve; keep init
-        final_nll = f0
-        converged = False
-    # strip numerically negative eigenvalues from roundoff
-    rho_hat = project_physical((rho_hat + rho_hat.conj().T) / 2)
+        x0 = _coefficients(qmath.check_density_matrix(init)[None])
+    x, f, f0, iterations, converged = _fit_stack(counts, x0)
+    filled = int(np.sum(ts.counts == 0)) if not ts.exact else 0
     report = FitReport(
-        log_likelihood=-final_nll,
-        init_log_likelihood=-f0,
-        iterations=int(res.nit),
-        converged=converged,
-        regularization=regularization,
+        log_likelihood=-float(f[0]),
+        init_log_likelihood=-float(f0[0]),
+        iterations=int(iterations[0]),
+        converged=bool(converged[0]),
+        regularization=f"half-count prior on {filled} empty cells" if filled else "none",
+        gap_bound=float(_gap_bound(counts, x)[0]),
     )
-    return rho_hat, report
+    return _states(x)[0], report
 
 
 # ----------------------------------------------------------------------
@@ -334,23 +379,23 @@ def mle_reconstruct(ts: TomographySet, init=None):
 
 def bootstrap_metrics(rho_hat, ts: TomographySet, n_replicas=250, seed=0):
     """Parametric bootstrap: resample counts from the reconstructed state,
-    re-fit each replica, report spread per metric. Replica k draws its
-    counts from the substream keyed by (seed, k)."""
+    re-fit every replica in one stack, report spread per metric. Replica k
+    draws its counts from the substream keyed by (seed, k), and its fit is
+    the one mle_reconstruct gives for its counts alone."""
     if n_replicas < 1:
         raise ValueError(f"n_replicas must be at least 1, got {n_replicas}")
     totals = np.rint(ts.counts.sum(axis=1)).astype(np.int64)
     probs = outcome_probabilities(rho_hat, _CANONICAL_OPERATORS)
-    scalars = {"fidelity": fidelity_to_target, "negativity": negativity, "purity": purity}
-    values = {name: [] for name in scalars}
-    for replica in range(n_replicas):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed),
-                                                           spawn_key=(replica,)))
-        rho_r, _ = mle_reconstruct(TomographySet(counts=rng.multinomial(totals, probs)))
-        for name, fn in scalars.items():
-            values[name].append(fn(rho_r))
+    draws = np.array([
+        np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(k,)))
+        .multinomial(totals, probs)
+        for k in range(n_replicas)], dtype=float)
+    x, *_ = _fit_stack(_with_prior(draws, False), _projected_inversion(draws))
+    rhos = _states(x)
     out = {}
-    for name, vals in values.items():
-        vals = np.array(vals)
+    for name, fn in (("fidelity", fidelity_to_target), ("negativity", negativity),
+                     ("purity", purity)):
+        vals = np.array([fn(rho) for rho in rhos])
         out[name] = {
             "mean": float(vals.mean()),
             "std": float(vals.std(ddof=1)) if n_replicas > 1 else 0.0,
@@ -374,15 +419,5 @@ def state_to_json(rho, fit_report=None):
     return payload
 
 
-def state_from_json(payload):
-    rho = np.array(payload["real"], dtype=float) + 1j * np.array(payload["imag"], dtype=float)
-    return rho
-
-
 def write_state_json(rho, path, fit_report=None):
     write_json(state_to_json(rho, fit_report), path)
-
-
-def read_state_json(path):
-    with open(path) as fh:
-        return state_from_json(json.load(fh))

@@ -4,14 +4,21 @@ import json
 import os
 
 import numpy as np
+import pytest
 
+from atomphoton import cli
 from atomphoton.cli import main
 from atomphoton.measurement import read_counts_csv
-from atomphoton.tomography import read_state_json
 
 
 def run_cli(args):
     return main(args)
+
+
+def read_state_json(path):
+    with open(path) as fh:
+        payload = json.load(fh)
+    return np.array(payload["real"]) + 1j * np.array(payload["imag"])
 
 
 class TestScan:
@@ -259,3 +266,55 @@ class TestConfigFile:
         assert "bootstrap" not in json.load(open(tmp_path / "tomo.metrics.json"))
         assert json.load(open(tmp_path / "calibrate.noise.json"))["targets"]["vx"] == 0.86
         assert json.load(open(tmp_path / "plan.plan.json"))["plan"]["rep_rate"] == 5e5
+
+
+class TestFlagValidation:
+    """Each bad flag fails with exit 1, an error that names it, and no artifact."""
+
+    @pytest.mark.parametrize("argv, name", [
+        (["--seed", "-1", "scan"], "--seed"),
+        (["--seed", "-1", "tomo", "--bootstrap", "0"], "--seed"),
+        (["tomo", "--n-per-setting", "0"], "n_per_setting"),
+        (["scan", "--n-per-point", "0"], "n_per_point"),
+        (["scan", "--bases", ""], "bases"),
+        (["scan", "--bases", "sx,sx"], "bases"),
+        (["scan", "--bases", "sx, sy,sx"], "bases"),
+    ])
+    def test_rejected_and_named(self, tmp_path, capsys, argv, name):
+        out = str(tmp_path / "bad")
+        assert run_cli(["--out", out, *argv]) == 1
+        assert name in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestInterruptedRun:
+    def test_interrupt_in_bootstrap_leaves_no_artifact(self, tmp_path, monkeypatch):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+        monkeypatch.setattr(cli, "bootstrap_metrics", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_cli(["--seed", "7", "--out", str(tmp_path / "run"), "tomo", "--bootstrap", "5"])
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestCountsCsvIngest:
+    def test_byte_order_mark_accepted(self, tmp_path):
+        src = str(tmp_path / "src")
+        assert run_cli(["--seed", "3", "--out", src, "tomo", "--bootstrap", "0"]) == 0
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + open(src + ".counts.csv", "rb").read())
+        out = str(tmp_path / "bom")
+        assert run_cli(["--out", out, "tomo", "--bootstrap", "0", "--input", str(bom)]) == 0
+        assert open(out + ".state.json").read() == open(src + ".state.json").read()
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty file"),
+        ("theta,phi,beta,n_f2_apd1,n_f2_apd2,n_f1_apd1,n_f1_apd2,photon_basis\n",
+         "no records"),
+    ])
+    def test_empty_csv_names_file(self, tmp_path, capsys, text, message):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        assert run_cli(["--out", str(tmp_path / "o"), "tomo", "--input", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and message in err

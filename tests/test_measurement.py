@@ -1,5 +1,6 @@
 """Projectors, joint probabilities, readout confusion, sampling, scans, CSV."""
 
+import csv
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from atomphoton import qmath
 from atomphoton.measurement import (
     ATOM_SX,
+    _records,
     ATOM_SY,
     AtomSetting,
     CountRecord,
@@ -329,11 +331,8 @@ class TestSimulateScan:
         betas = [0.1, 0.5, 0.9]
         noise = NoiseModel(depolarizing=0.14)
         full = simulate_scan(ideal_state(), ATOM_SX, betas, 200, noise=noise, seed=9)
-        from atomphoton.measurement import simulate_setting
-
-        lone = simulate_setting(ideal_state(),
-                                full.records[2].setting, 200, noise=noise,
-                                rng=record_rng(9, 2))
+        (lone,) = _records(ideal_state(), [full.records[2].setting], 200, noise,
+                           [record_rng(9, 2)], False)
         assert np.array_equal(full.records[2].counts, lone.counts)
 
     def test_calibrated_visibility_distribution(self):
@@ -465,3 +464,80 @@ class TestCsvValidation:
         (rec,) = read_counts_csv(path).records
         assert not rec.setting.photon.circular
         assert np.array_equal(rec.counts, [10, 20, 30, 40])
+
+    def test_malformed_sidecar_named(self, tmp_path):
+        path = tmp_path / "x.counts.csv"
+        path.write_text(self.HEADER + self.GOOD)
+        (tmp_path / "x.counts.meta.json").write_text("{seed: 1")
+        with pytest.raises(ValueError, match=r"x.counts.meta.json: Expecting"):
+            read_counts_csv(path)
+
+    def test_byte_order_mark_read(self, tmp_path):
+        path = tmp_path / "bom.counts.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + (self.HEADER + self.GOOD).encode())
+        (rec,) = read_counts_csv(path).records
+        assert rec.setting.atom.theta == math.pi / 4
+        assert np.array_equal(rec.counts, [10, 20, 30, 40])
+
+    def test_missing_columns_named(self, tmp_path):
+        path = tmp_path / "short.counts.csv"
+        path.write_text(self.HEADER.replace("phi,", "").replace(",n_f1_apd2", "")
+                        + "0.7853981633974483,0,10,20,30,linear\n")
+        with pytest.raises(ValueError, match=r"short.counts.csv: header .*: missing columns "
+                                             r"\['phi', 'n_f1_apd2'\], unknown columns \[\]"):
+            read_counts_csv(path)
+
+    @pytest.mark.parametrize("extra, unknown", [("note", "['note']"), ("theta", "[]")])
+    def test_extra_columns_rejected(self, tmp_path, extra, unknown):
+        path = tmp_path / "wide.counts.csv"
+        path.write_text(self.HEADER.replace("\n", f",{extra}\n") + self.GOOD.replace("\n", ",1\n"))
+        with pytest.raises(ValueError) as exc:
+            read_counts_csv(path)
+        assert f"wide.counts.csv: header '{self.HEADER.strip()},{extra}'" in str(exc.value)
+        assert f"unknown columns {unknown}, each column at most once" in str(exc.value)
+
+
+FIELDS = ("theta", "phi", "beta", "n_f2_apd1", "n_f2_apd2", "n_f1_apd1", "n_f1_apd2",
+          "photon_basis")
+GOOD_ROW = ["0.7853981633974483", "0", "0", "10", "20", "30", "40", "linear"]
+NOT_NUMBERS = st.one_of(st.sampled_from(["", "nan", "inf", "-inf", "1e999", "0x10", "1..5", "one"]),
+                        st.text(alphabet="abcxyz ;:-_", max_size=6))
+
+
+def _corrupt(row, kind, col, token):
+    """One malformed row: a field that is not a finite number, a negative or
+    all-zero count, an unknown basis, or a missing or extra field."""
+    row = list(row)
+    if kind == "number":
+        row[col % 7] = token
+    elif kind == "negative":
+        row[3 + col % 4] = "-1"
+    elif kind == "zero":
+        row[3:7] = ["0"] * 4
+    elif kind == "basis":
+        row[7] = token if token not in ("linear", "circular") else "circ"
+    elif kind == "short":
+        del row[col % 8]
+    else:
+        row.append(token or "1")
+    return row
+
+
+class TestCsvFuzz:
+    @settings(max_examples=200)
+    @given(st.integers(1, 6), st.data(),
+           st.sampled_from(["number", "negative", "zero", "basis", "short", "long"]),
+           st.integers(0, 7), NOT_NUMBERS)
+    def test_every_error_names_file_and_row(self, tmp_path_factory, n_rows, data, kind, col,
+                                            token):
+        bad = data.draw(st.integers(1, n_rows))
+        rows = [GOOD_ROW] * n_rows
+        rows[bad - 1] = _corrupt(GOOD_ROW, kind, col, token)
+        path = tmp_path_factory.mktemp("fuzz") / "fuzz.counts.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(FIELDS)
+            writer.writerows(rows)
+        with pytest.raises(ValueError) as exc:
+            read_counts_csv(path)
+        assert str(path) in str(exc.value) and f"row {bad}:" in str(exc.value)

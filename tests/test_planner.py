@@ -1,5 +1,6 @@
 """Bell-test feasibility arithmetic."""
 
+import json
 import math
 
 import numpy as np
@@ -13,7 +14,6 @@ from atomphoton.planner import (
     min_separation,
     pair_rate,
     pairs_for_sigmas,
-    read_plan_json,
     single_pair_rate,
     swapped_visibility,
     violation_sigmas,
@@ -21,6 +21,12 @@ from atomphoton.planner import (
 )
 
 SQRT2 = math.sqrt(2.0)
+
+
+def read_plan_json(path):
+    with open(path) as fh:
+        payload = json.load(fh)
+    return ExperimentPlan.from_dict(payload["plan"]), payload["report"]
 
 
 class TestSwappedVisibility:

@@ -1,24 +1,77 @@
 """State preparation from decay channels and the noise channels."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from atomphoton import qmath
 from atomphoton.measurement import ATOM_SX, MeasurementSetting, PhotonSetting, joint_probabilities
-from atomphoton.states import (
-    DecayChannel,
-    NoiseModel,
-    apply_noise,
-    ideal_ket,
-    ideal_state,
-    standard_decay_channels,
-    state_from_channels,
-    werner,
-)
+from atomphoton.states import NoiseModel, apply_noise, ideal_ket, ideal_state, werner
 
 I4 = np.eye(4, dtype=complex)
+
+
+# The ideal state derived from the decay branches of F'=0 -> F=1: an oracle
+# for ideal_state.
+
+@dataclass(frozen=True)
+class DecayChannel:
+    """One spontaneous-decay branch of the F'=0 -> F=1 transition."""
+
+    m_f: int                 # final Zeeman sublevel, -1 / 0 / +1
+    polarization: str        # "sigma+", "pi" or "sigma-"
+    amplitude: complex       # Clebsch-Gordan weight
+    collected: bool          # photon reaches the analyzer
+
+    def __post_init__(self):
+        if self.m_f not in (-1, 0, 1):
+            raise ValueError(f"m_f must be -1, 0 or +1, got {self.m_f}")
+        if self.polarization not in ("sigma+", "pi", "sigma-"):
+            raise ValueError(f"unknown polarization {self.polarization!r}")
+        if (self.polarization == "pi") == self.collected:
+            raise ValueError("collected must be False exactly for pi light")
+
+
+def standard_decay_channels():
+    """The three decay branches with equal-weight amplitudes.
+
+    Relative phase between the collected branches is +1; with these
+    amplitudes :func:`state_from_channels` reproduces the ideal state.
+    """
+    return [
+        DecayChannel(m_f=-1, polarization="sigma+", amplitude=1 / math.sqrt(3.0), collected=True),
+        DecayChannel(m_f=0, polarization="pi", amplitude=1 / math.sqrt(3.0), collected=False),
+        DecayChannel(m_f=+1, polarization="sigma-", amplitude=1 / math.sqrt(3.0), collected=True),
+    ]
+
+
+_ATOM_KETS = {-1: qmath.ATOM_MINUS, +1: qmath.ATOM_PLUS}
+_PHOTON_KETS = {"sigma+": qmath.PHOTON_SIGMA_PLUS, "sigma-": qmath.PHOTON_SIGMA_MINUS}
+
+
+def state_from_channels(channels):
+    """Coherent superposition over the collected decay branches.
+
+    The joint ket sums amplitude * |m_f> (x) |polarization> over channels
+    with collected=True and is then renormalized. All channels
+    uncollected means no photon ever reaches the analyzer.
+    """
+    total = sum(abs(c.amplitude) ** 2 for c in channels)
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(f"squared channel amplitudes sum to {total:.12g}, expected 1")
+    psi = np.zeros(4, dtype=complex)
+    any_collected = False
+    for c in channels:
+        if not c.collected:
+            continue
+        any_collected = True
+        psi += c.amplitude * np.kron(_ATOM_KETS[c.m_f], _PHOTON_KETS[c.polarization])
+    if not any_collected:
+        raise ValueError("no collected channel: no photon reaches the analyzer")
+    psi /= np.linalg.norm(psi)
+    return qmath.projector(psi)
 
 
 def exact_fringe_visibility(rho, atom=ATOM_SX, n_beta=12):

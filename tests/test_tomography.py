@@ -23,8 +23,16 @@ from atomphoton.metrics import fidelity_to_target, negativity, purity
 from atomphoton.states import NoiseModel, ideal_ket, ideal_state, werner
 from atomphoton.tomography import (
     _CANONICAL_OPERATORS,
+    _PAULI_STACK,
     TomographySet,
-    _nll_and_grad,
+    _ascent,
+    _coefficients,
+    _fit_stack,
+    _nll,
+    _probabilities,
+    _projected_inversion,
+    _weights,
+    _with_prior,
     bootstrap_metrics,
     canonical_settings,
     linear_inversion,
@@ -369,28 +377,36 @@ class TestMleReconstruct:
         assert np.linalg.norm(rho_default - rho_from_mixed) < 1e-3
 
 
-# Lower-triangular factors with the diagonal kept away from zero, so every
-# outcome probability stays far above the 1e-12 clip.
-FACTORS = st.tuples(
-    st.lists(st.floats(0.2, 2.0), min_size=4, max_size=4),
-    st.lists(st.floats(-2.0, 2.0), min_size=12, max_size=12),
-).map(lambda parts: np.array(parts[0] + parts[1]))
+# Full-rank states (1/2) sigma + I/8: every outcome probability is at least
+# 1/8, far above the 1e-12 clip.
+MIXED_STATES = PHYSICAL_STATES.map(lambda s: s / 2 + np.eye(4) / 8)
 CELL_COUNTS = st.one_of(st.just(0.0), st.just(0.5), st.integers(1, 500).map(float))
+HERMITIAN_DIRECTIONS = st.lists(st.floats(-1.0, 1.0), min_size=16, max_size=16).map(
+    lambda r: np.einsum("m,mij->ij", np.array(r), qmath.PAULI_PRODUCTS.reshape(16, 4, 4)))
 
 
-def central_difference_gradient(f, t, h=1e-5):
-    return np.array([(f(t + h * e) - f(t - h * e)) / (2 * h) for e in np.eye(len(t))])
+def nll_of_state(counts, rho):
+    return _nll(counts[None], _probabilities(_coefficients(rho[None])))[0]
 
 
 class TestMleLikelihood:
     @settings(max_examples=200)
-    @given(FACTORS, st.lists(CELL_COUNTS, min_size=36, max_size=36)
-           .map(np.array).filter(lambda c: c.sum() > 0))
-    def test_gradient_matches_central_differences(self, t, counts):
-        ops = _CANONICAL_OPERATORS.reshape(36, 16)
-        _, grad = _nll_and_grad(t, ops, counts)
-        numeric = central_difference_gradient(lambda x: _nll_and_grad(x, ops, counts)[0], t)
-        assert np.linalg.norm(grad - numeric) <= 1e-6 * np.linalg.norm(grad)
+    @given(MIXED_STATES, HERMITIAN_DIRECTIONS,
+           st.lists(CELL_COUNTS, min_size=36, max_size=36).map(np.array))
+    def test_gradient_matches_central_differences(self, rho, h, counts):
+        """The density-matrix gradient -sum_k (n_k/p_k) E_k, and its Pauli
+        coefficients that the fit steps along, against central differences
+        of the negative log-likelihood."""
+        p = _probabilities(_coefficients(rho[None]))
+        grad = -np.einsum("k,kij->ij", _weights(counts[None], p)[0], _CANONICAL_OPERATORS)
+        step = 1e-6
+        numeric = (nll_of_state(counts, rho + step * h)
+                   - nll_of_state(counts, rho - step * h)) / (2 * step)
+        scale = np.sum(counts) * np.linalg.norm(h) + 1.0
+        assert abs(np.trace(grad @ h).real - numeric) <= 1e-7 * scale
+        # d rho / d r_m = P_m / 4, so -tr(grad P_m) / 4 is the ascent direction
+        ascent = -np.einsum("ij,mji->m", grad, _PAULI_STACK).real / 4.0
+        assert np.max(np.abs(_ascent(counts[None], p)[0] - ascent)) <= 1e-12 * scale
 
     @settings(max_examples=40)
     @given(st.lists(st.lists(st.integers(0, 60), min_size=4, max_size=4)
@@ -415,6 +431,155 @@ class TestMleLikelihood:
         _, report = mle_reconstruct(TomographySet.from_dataset(ds))
         assert report.iterations == 1
         assert not report.converged
+
+    def test_converged_only_when_stop_rule_fires(self, monkeypatch):
+        ts = TomographySet.from_dataset(simulate_tomography(werner(5 / 6), 300, seed=7))
+        _, report = mle_reconstruct(ts)
+        assert report.converged and report.iterations < tomography.MLE_MAX_ITER
+        monkeypatch.setattr(tomography, "MLE_STALL_STEPS", 10 ** 9)
+        monkeypatch.setattr(tomography, "MLE_MAX_ITER", 200)
+        _, capped = mle_reconstruct(ts)
+        assert capped.iterations == 200 and not capped.converged
+        assert capped.log_likelihood >= report.log_likelihood - 1e-9 * abs(report.log_likelihood)
+
+
+# ----------------------------------------------------------------------
+# Reference fit: L-BFGS-B over the Cholesky factor of rho, the method this
+# package used before accelerated projected gradient.
+# ----------------------------------------------------------------------
+
+_OFF_ROWS, _OFF_COLS = np.tril_indices(4, -1)
+
+
+def _factor(t):
+    """Lower-triangular T from t: the real diagonal, then (real, imag) pairs
+    of the entries below it in row-major order."""
+    m = np.diag(t[:4].astype(complex))
+    m[_OFF_ROWS, _OFF_COLS] = t[4::2] + 1j * t[5::2]
+    return m
+
+
+def _cholesky_nll_and_grad(t, ops, counts):
+    m = _factor(t)
+    a = m.conj().T @ m
+    s = np.real(np.trace(a))
+    p = (ops @ a.T.ravel()).real / s
+    clipped = np.maximum(p, 1e-12)
+    w = np.where(p > 1e-12, counts, 0.0) / clipped
+    tg = m @ (-((w @ ops).reshape(4, 4) - (w @ p) * np.eye(4)) / s)
+    grad = np.empty(16)
+    grad[:4] = 2.0 * np.real(np.diag(tg))
+    grad[4::2] = 2.0 * tg[_OFF_ROWS, _OFF_COLS].real
+    grad[5::2] = 2.0 * tg[_OFF_ROWS, _OFF_COLS].imag
+    return -float(counts @ np.log(clipped)), grad
+
+
+def lbfgs_reference_nll(counts, exact=False):
+    """Negative log-likelihood that L-BFGS-B reaches from the projected
+    linear inversion, with the same half-count prior."""
+    n = _with_prior(np.asarray(counts, dtype=float).reshape(1, 9, 4), exact)[0]
+    w, u = np.linalg.eigh(project_physical(linear_inversion(TomographySet(counts=counts))))
+    a = (u * np.maximum(w, 1e-8)) @ u.conj().T
+    a /= np.real(np.trace(a))
+    upper = np.flip(np.linalg.cholesky(np.flip(a)))        # a = upper upper^dagger
+    lower = upper.conj().T
+    t0 = np.concatenate([np.real(np.diag(lower)),
+                         np.column_stack([lower[_OFF_ROWS, _OFF_COLS].real,
+                                          lower[_OFF_ROWS, _OFF_COLS].imag]).ravel()])
+    active = n > 0
+    args = (_CANONICAL_OPERATORS[active].reshape(-1, 16), n[active])
+    res = minimize(_cholesky_nll_and_grad, t0, args=args, jac=True, method="L-BFGS-B",
+                   options={"maxiter": 5000, "ftol": 1e-10, "gtol": 1e-10})
+    return min(float(res.fun), _cholesky_nll_and_grad(t0, *args)[0])
+
+
+def tomo_seed7():
+    """`tomo --seed 7`: the data, its fit and the 250 bootstrap replicas'
+    counts, drawn as bootstrap_metrics draws them."""
+    ts = TomographySet.from_dataset(simulate_tomography(
+        ideal_state(), 300, noise=NoiseModel(depolarizing=0.14), seed=7))
+    rho, report = mle_reconstruct(ts)
+    totals = np.rint(ts.counts.sum(axis=1)).astype(np.int64)
+    probs = outcome_probabilities(rho, _CANONICAL_OPERATORS)
+    draws = np.array([
+        np.random.default_rng(np.random.SeedSequence(entropy=7, spawn_key=(k,)))
+        .multinomial(totals, probs) for k in range(250)], dtype=float)
+    return ts, report, draws
+
+
+def frozen_datasets():
+    """(counts, exact) of sampled, empty-cell and expected-count datasets."""
+    out = []
+    for seed, (v, n, eps) in enumerate([(0.86, 300, 0.0), (0.95, 100, 0.02), (0.6, 1000, 0.0),
+                                        (0.99, 300, 0.05), (0.86, 3000, 0.01), (0.3, 30, 0.0)]):
+        noise = NoiseModel(eps01=eps, eps10=eps / 2)
+        out.append((simulate_tomography(werner(v), n, noise=noise, seed=seed), False))
+    for seed in range(4):                       # empty cells at low counts
+        out.append((simulate_tomography(ideal_state(), 20 + 20 * (seed % 2), seed=seed), False))
+    # empty cells at 10^6 counts: the half-count cells make the fit crawl, and a
+    # stall there is no optimum (the stall rule alone stopped 0.27 above L-BFGS-B)
+    out.append((simulate_tomography(ideal_state(), 10**6, seed=1), False))
+    rng = np.random.default_rng(5)
+    for k in range(4):                          # expected counts
+        out.append((simulate_tomography(random_physical_state(rng) / 2 + np.eye(4) / 8, 300,
+                                        noise=NoiseModel(eps01=0.01 * k), exact=True), True))
+    return [(TomographySet.from_dataset(ds).counts, exact) for ds, exact in out]
+
+
+def at_or_below(f, reference):
+    return f <= reference + 1e-9 * abs(reference)
+
+
+class TestAgainstLbfgsReference:
+    def test_tomo_seed7_fits_at_or_below_reference(self):
+        ts, report, draws = tomo_seed7()
+        assert report.converged
+        assert at_or_below(-report.log_likelihood, lbfgs_reference_nll(ts.counts))
+        _, f, _, _, converged = _fit_stack(_with_prior(draws, False), _projected_inversion(draws))
+        assert converged.all()
+        reference = np.array([lbfgs_reference_nll(c) for c in draws])
+        assert at_or_below(f, reference).all()
+
+    @pytest.mark.parametrize("k", range(15))
+    def test_frozen_dataset_at_or_below_reference(self, k):
+        counts, exact = frozen_datasets()[k]
+        _, report = mle_reconstruct(TomographySet(counts=counts, exact=exact))
+        assert report.converged
+        assert at_or_below(-report.log_likelihood, lbfgs_reference_nll(counts, exact))
+
+
+    def test_stationary_uncertified_fit_stops_unconverged(self):
+        """The ideal state at 10^6 counts, seed 2: f stops falling after about
+        1,400 iterations while the bound stays near 3e3. The fit stops there,
+        reports that it did not converge, and is still at or below L-BFGS-B."""
+        ts = TomographySet.from_dataset(simulate_tomography(ideal_state(), 10**6, seed=2))
+        _, report = mle_reconstruct(ts)
+        assert not report.converged and report.iterations < tomography.MLE_MAX_ITER
+        assert report.gap_bound > 1.0
+        assert at_or_below(-report.log_likelihood, lbfgs_reference_nll(ts.counts))
+
+
+class TestGapBound:
+    def test_bound_covers_excess_over_long_run(self, monkeypatch):
+        ts, _, draws = tomo_seed7()
+        stack = np.concatenate([ts.counts[None], draws[:9]]
+                               + [c[None] for c, exact in frozen_datasets() if not exact])
+        fits = [mle_reconstruct(TomographySet(counts=c)) for c in stack]
+        monkeypatch.setattr(tomography, "MLE_STALL_STEPS", 10 ** 9)
+        monkeypatch.setattr(tomography, "MLE_MAX_ITER", 3000)
+        _, best, _, _, converged = _fit_stack(_with_prior(stack, False), _projected_inversion(stack))
+        assert not converged.any()
+        for (_, report), f_best, n in zip(fits, best, _with_prior(stack, False).sum(axis=1)):
+            excess = -report.log_likelihood - f_best
+            assert -1e-9 * abs(f_best) <= excess <= report.gap_bound
+            # a converged fit passed the stop rule's check on its bound
+            assert report.converged
+            assert report.gap_bound ** 2 <= tomography.MLE_GAP_TOL * n * abs(report.log_likelihood)
+
+    def test_bound_vanishes_at_exact_optimum(self):
+        ds = simulate_tomography(werner(0.8), 300, seed=0, exact=True)
+        _, report = mle_reconstruct(TomographySet.from_dataset(ds))
+        assert 0.0 <= report.gap_bound <= 1e-9
 
 
 class TestBootstrap:
@@ -458,6 +623,17 @@ class TestBootstrap:
             for name, v in values.items()
         }
         assert bootstrap_metrics(rho, ts, n_replicas=6, seed=4) == expected
+
+    def test_stack_rows_equal_standalone_fits(self):
+        """Rows that stop at different iterations leave the stack at
+        different times; each still equals its fit alone, bit for bit."""
+        _, _, draws = tomo_seed7()
+        x, f, _, iterations, _ = _fit_stack(_with_prior(draws, False), _projected_inversion(draws))
+        assert len(set(iterations)) > 10
+        for k in range(0, 250, 25):
+            xk, fk, _, ik, _ = _fit_stack(_with_prior(draws[k:k + 1], False),
+                                          _projected_inversion(draws[k:k + 1]))
+            assert np.array_equal(xk[0], x[k]) and fk[0] == f[k] and ik[0] == iterations[k]
 
     @pytest.mark.parametrize("n_replicas", [0, -3])
     def test_replica_count_below_one_rejected(self, n_replicas):
