@@ -19,7 +19,6 @@ from .measurement import (
     Dataset,
     MeasurementSetting,
     PhotonSetting,
-    apply_readout_confusion,
     atom_projectors,
     joint_probabilities,
     photon_projectors,

@@ -20,17 +20,17 @@ from .measurement import (
     ATOM_SY,
     MeasurementSetting,
     PhotonSetting,
-    apply_readout_confusion,
+    noisy_probabilities,
     outcome_operators,
-    outcome_probabilities,
 )
 from .metrics import FringeScan, fidelity_to_target, fit_fringe
-from .states import NoiseModel, apply_noise, ideal_state
+from .states import NoiseModel, ideal_state
 from .tomography import TomographySet, canonical_settings, linear_inversion
 
 FIDELITY_WEIGHT = 1000.0     # fidelity-priority weighting in the fit objective
 TIE_BREAK_WEIGHT = 1e-6      # prefers the pure-depolarizing decomposition
 RESIDUAL_LIMIT = 0.05        # beyond this the targets are rejected as infeasible
+GRID_POINTS = 11             # coarse-grid values per parameter before the refinement
 
 
 class CalibrationError(ValueError):
@@ -65,8 +65,7 @@ def exact_observables(noise: NoiseModel):
     inversion, i.e. the same readout-dressed state the tomography
     pipeline reconstructs.
     """
-    probs = outcome_probabilities(apply_noise(ideal_state(), noise), _OPERATORS)
-    probs = np.array([apply_readout_confusion(p, noise.eps01, noise.eps10) for p in probs])
+    probs = noisy_probabilities(ideal_state(), _OPERATORS, noise)
 
     def fringe_visibility(block):
         p = probs[block * 6:(block + 1) * 6]
@@ -95,7 +94,7 @@ def _objective(params, targets):
     return err + TIE_BREAK_WEIGHT * (q * q + eps * eps)
 
 
-def calibrate_noise(vx, vy, fidelity, grid_points=11) -> CalibrationResult:
+def calibrate_noise(vx, vy, fidelity) -> CalibrationResult:
     """Noise parameters whose exact-mode observables reach the targets.
 
     Deterministic coarse grid over (depolarizing, dephasing, symmetric
@@ -109,11 +108,11 @@ def calibrate_noise(vx, vy, fidelity, grid_points=11) -> CalibrationResult:
             raise CalibrationError(f"target {name} must lie in [0, 1], got {v}")
     targets = {"vx": float(vx), "vy": float(vy), "fidelity": float(fidelity)}
 
-    grid = np.linspace(0.0, 1.0, grid_points)
+    grid = np.linspace(0.0, 1.0, GRID_POINTS)
     best, best_x = np.inf, None
     for p in grid:
         for q in grid:
-            for eps in grid[: (grid_points + 1) // 2]:   # eps > 0.5 flips fringes
+            for eps in grid[: (GRID_POINTS + 1) // 2]:   # eps > 0.5 flips fringes
                 val = _objective((p, q, eps), targets)
                 if val < best:
                     best, best_x = val, (p, q, eps)

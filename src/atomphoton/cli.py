@@ -55,6 +55,7 @@ ATOM_BASES = {"sx": ATOM_SX, "sy": ATOM_SY}
 
 
 def parse_config(path):
+    """{key: (line number, raw value)}; each known key at most once."""
     cfg = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -66,7 +67,10 @@ def parse_config(path):
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            cfg[key] = value
+            if key in cfg:
+                raise ValueError(f"{path}:{lineno}: config key {key!r} repeated, "
+                                 f"first set on line {cfg[key][0]}")
+            cfg[key] = (lineno, value)
     return cfg
 
 
@@ -78,7 +82,12 @@ def _merged(args, keys):
         if getattr(args, key, None) is not None:
             out[key] = getattr(args, key)
         elif key in cfg:
-            out[key] = caster(cfg[key])
+            lineno, value = cfg[key]
+            try:
+                out[key] = caster(value)
+            except ValueError:
+                raise ValueError(f"{args.config}:{lineno}: {key} = {value!r} is not "
+                                 f"a valid {caster.__name__}") from None
         else:
             out[key] = default
     return out
@@ -87,15 +96,6 @@ def _merged(args, keys):
 def _require_at_least(params, key, low):
     if params[key] < low:
         raise ValueError(f"{key} must be >= {low}, got {params[key]}")
-
-
-def _noise_from(params):
-    return NoiseModel(
-        depolarizing=params["depolarizing"],
-        dephasing=params["dephasing"],
-        eps01=params["eps01"],
-        eps10=params["eps10"],
-    )
 
 
 class OutputTracker:
@@ -141,7 +141,7 @@ def cmd_scan(args, out: OutputTracker):
     from .states import ideal_state
 
     params = _merged(args, _SCAN_KEYS)
-    noise = _noise_from(params)
+    noise = NoiseModel.from_dict(params)
     bases = [b.strip() for b in params["bases"].split(",") if b.strip()]
     unknown = [b for b in bases if b not in ATOM_BASES]
     if unknown:
@@ -217,7 +217,7 @@ def cmd_tomo(args, out: OutputTracker):
     if params["input"]:
         dataset = read_counts_csv(params["input"])
     else:
-        noise = _noise_from(params)
+        noise = NoiseModel.from_dict(params)
         dataset = simulate_tomography(ideal_state(), params["n_per_setting"],
                                       noise=noise, seed=args.seed, exact=args.exact)
         counts_path = args.out + ".counts.csv"

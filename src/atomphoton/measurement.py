@@ -8,7 +8,8 @@ carries the "+" projector; in circular mode it detects |sigma+>.
 The atomic analysis transfers |psi> = sin(theta)|-1> + e^{i phi} cos(theta)|+1>
 to F=2 ("transferred"); the orthogonal state remains in F=1 ("remained").
 Implemented as an ideal projector pair; transfer imperfections are folded
-into the readout-confusion probabilities of the noise model.
+into the readout-confusion probabilities of the noise model, which
+`noisy_probabilities` applies to the outcome rows.
 
 Outcome order in all four-vectors of counts/probabilities:
     [(F2, APD1), (F2, APD2), (F1, APD1), (F1, APD2)]
@@ -106,29 +107,21 @@ def outcome_probabilities(rho, operators):
     return p / p.sum(axis=1, keepdims=True)
 
 
+def noisy_probabilities(rho, operators, noise: NoiseModel):
+    """Outcome probabilities under the whole noise model, one row of four per
+    setting: the channels act on rho once, then the readout confusion
+    (eps01 = P(reported F=1 | true transferred), eps10 = the reverse) maps
+    every row's atomic labels at once."""
+    p = outcome_probabilities(apply_noise(rho, noise), operators)
+    f2, f1 = p[:, :2], p[:, 2:]
+    return np.hstack([(1 - noise.eps01) * f2 + noise.eps10 * f1,
+                      noise.eps01 * f2 + (1 - noise.eps10) * f1])
+
+
 def joint_probabilities(rho, setting: MeasurementSetting):
     """Exact outcome probabilities tr(rho Pi_a (x) Pi_d), in outcome order."""
     rho = qmath.check_density_matrix(rho)
     return outcome_probabilities(rho, outcome_operators([setting]))[0]
-
-
-def apply_readout_confusion(p, eps01, eps10):
-    """Flip atomic outcome labels with asymmetric probabilities.
-
-    eps01 = P(reported F=1 | true transferred), eps10 = the reverse.
-    """
-    for name, eps in (("eps01", eps01), ("eps10", eps10)):
-        if not 0.0 <= eps <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1], got {eps}")
-    p = np.asarray(p, dtype=float)
-    if p.shape != (4,) or np.any(p < -1e-12) or abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError("input must be a probability 4-vector")
-    out = np.empty(4)
-    for d in range(2):
-        f2, f1 = p[d], p[2 + d]
-        out[d] = (1 - eps01) * f2 + eps10 * f1
-        out[2 + d] = eps01 * f2 + (1 - eps10) * f1
-    return out
 
 
 @dataclass
@@ -200,12 +193,9 @@ def sample_counts(p, n, seed=None, rng=None, exact=False):
 
 def _records(rho, settings, n, noise, rngs, exact):
     """Noise applied and rho validated once, then one CountRecord per setting."""
-    probs = outcome_probabilities(apply_noise(rho, noise), outcome_operators(settings))
-    return [
-        CountRecord(setting=s, counts=sample_counts(
-            apply_readout_confusion(p, noise.eps01, noise.eps10), n, rng=rng, exact=exact))
-        for s, p, rng in zip(settings, probs, rngs)
-    ]
+    probs = noisy_probabilities(rho, outcome_operators(settings), noise)
+    return [CountRecord(setting=s, counts=sample_counts(p, n, rng=rng, exact=exact))
+            for s, p, rng in zip(settings, probs, rngs)]
 
 
 def simulate_settings(rho, settings, n_per_setting, noise=None, seed=0, exact=False):

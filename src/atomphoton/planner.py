@@ -38,6 +38,9 @@ class ExperimentPlan:
     duty: float = 1.0                # duty cycle applied to the pair rate
 
     def __post_init__(self):
+        for name, v in self.to_dict().items():
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be a finite number, got {v}")
         for name in ("v_atph", "bsm_fidelity", "eta_ph", "transmission", "p_bsm", "duty"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:

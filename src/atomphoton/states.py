@@ -35,8 +35,8 @@ class NoiseModel:
         rho -> (1-q) rho + q (sz (x) I) rho (sz (x) I)
     eps01 / eps10: probability that a true atomic outcome
         (0 = transferred to F=2, 1 = remained in F=1) is reported flipped.
-        Applied to outcome probabilities in the measurement layer, never
-        to the state.
+        Applied to outcome probabilities by
+        `measurement.noisy_probabilities`, never to the state.
     """
 
     depolarizing: float = 0.0

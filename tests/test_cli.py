@@ -207,6 +207,14 @@ class TestPlanCmd:
         assert "no violation" in capsys.readouterr().err
         assert not os.path.exists(out + ".plan.json")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", [key for key, _, _ in cli._PLAN_KEYS])
+    def test_non_finite_field_named(self, tmp_path, capsys, field, value):
+        out = str(tmp_path / "nf")
+        assert run_cli(["--out", out, "plan", f"--{field.replace('_', '-')}={value}"]) == 1
+        assert f"{field} must be a finite number" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestConfigFile:
     def test_config_and_override(self, tmp_path):
@@ -244,6 +252,31 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert f"{cfg}:2:" in err
         assert "depolarising" in err
+        assert not os.path.exists(out + ".counts.csv")
+
+    @pytest.mark.parametrize("line, command", [
+        ("bootstrap = 2.5", "tomo"),
+        ("n_points = ten", "scan"),
+        ("vx = 0.9.1", "calibrate"),
+        ("rep_rate = fast", "plan"),
+    ])
+    def test_unparsable_value_named_with_file_key_and_value(self, tmp_path, capsys, line,
+                                                            command):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"# values\n{line}\n")
+        out = str(tmp_path / "bad")
+        assert run_cli(["--config", str(cfg), "--out", out, command]) == 1
+        key, value = (part.strip() for part in line.split("="))
+        assert f"{cfg}:2: {key} = {value!r} is not a valid" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg"]
+
+    def test_repeated_key_named_with_both_lines(self, tmp_path, capsys):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("depolarizing = 0.1\nn_points = 9\ndepolarizing = 0.3\n")
+        out = str(tmp_path / "twice")
+        assert run_cli(["--config", str(cfg), "--out", out, "scan"]) == 1
+        err = capsys.readouterr().err
+        assert f"{cfg}:3: config key 'depolarizing' repeated, first set on line 1" in err
         assert not os.path.exists(out + ".counts.csv")
 
     def test_one_file_serves_every_command(self, tmp_path):

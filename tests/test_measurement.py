@@ -17,10 +17,10 @@ from atomphoton.measurement import (
     Dataset,
     MeasurementSetting,
     PhotonSetting,
-    apply_readout_confusion,
     atom_analysis_ket,
     atom_projectors,
     joint_probabilities,
+    noisy_probabilities,
     outcome_operators,
     outcome_probabilities,
     photon_projectors,
@@ -32,7 +32,7 @@ from atomphoton.measurement import (
     write_counts_csv,
 )
 from atomphoton.metrics import fit_fringe, fringe_scans_from_dataset
-from atomphoton.states import NoiseModel, ideal_state, werner
+from atomphoton.states import NoiseModel, apply_noise, ideal_state, werner
 
 I2 = np.eye(2, dtype=complex)
 I4 = np.eye(4, dtype=complex)
@@ -219,45 +219,80 @@ class TestOutcomeOperators:
         assert outcome_operators([]).shape == (0, 4, 4)
 
 
+def old_loop_confusion(p, eps01, eps10):
+    """The per-row loop that readout confusion used to be, kept as the
+    bit-exact reference for the one map over all rows."""
+    out = np.empty(4)
+    for d in range(2):
+        f2, f1 = p[d], p[2 + d]
+        out[d] = (1 - eps01) * f2 + eps10 * f1
+        out[2 + d] = eps01 * f2 + (1 - eps10) * f1
+    return out
+
+
+def oracle_noisy_cells(rho, setting, noise):
+    """Every cell on its own: channels written out on rho, then
+    P(reported a, d) = sum over true a' of P(a | a') tr(rho' Pi_a' (x) Pi_d)."""
+    p, q = noise.depolarizing, noise.dephasing
+    zi = np.kron(qmath.SIGMA_Z, I2)
+    rho = (1 - p) * rho + p * I4 / 4
+    rho = (1 - q) * rho + q * zi @ rho @ zi
+    raw = np.reshape(oracle_cells(rho, setting), (2, 2))   # [true atom, detector]
+    report = np.array([[1 - noise.eps01, noise.eps10],     # [reported, true]
+                       [noise.eps01, 1 - noise.eps10]])
+    return [sum(report[a, t] * raw[t, d] for t in range(2)) for a in range(2) for d in range(2)]
+
+
+UNIT = st.floats(0.0, 1.0)
+NOISE = st.builds(NoiseModel, UNIT, UNIT, UNIT, UNIT)
+
+
 class TestReadoutConfusion:
+    """Readout confusion through `noisy_probabilities`, the one place the
+    noise model meets the outcome rows."""
+
+    @settings(max_examples=200)
+    @given(STATES, st.lists(SETTINGS, min_size=1, max_size=5), NOISE)
+    def test_matches_per_cell_oracle_and_old_loop(self, rho, setting_list, noise):
+        ops = outcome_operators(setting_list)
+        got = noisy_probabilities(rho, ops, noise)
+        want = np.array([oracle_noisy_cells(rho, s, noise) for s in setting_list])
+        assert got.shape == (len(setting_list), 4)
+        assert np.max(np.abs(got - want)) <= ORACLE_TOL
+        rows = outcome_probabilities(apply_noise(rho, noise), ops)
+        old = np.array([old_loop_confusion(p, noise.eps01, noise.eps10) for p in rows])
+        assert np.array_equal(got, old)
+
     def test_identity(self):
-        p = np.array([0.4, 0.1, 0.3, 0.2])
-        assert np.allclose(apply_readout_confusion(p, 0.0, 0.0), p)
+        ops = outcome_operators(SETTING_GRID)
+        rho = werner(0.7)
+        assert np.array_equal(noisy_probabilities(rho, ops, NoiseModel()),
+                              outcome_probabilities(rho, ops))
 
     def test_full_scrambling(self):
-        for p in (np.array([0.4, 0.1, 0.3, 0.2]), np.array([1.0, 0, 0, 0])):
-            out = apply_readout_confusion(p, 0.5, 0.5)
-            f2 = out[0] + out[1]
-            f1 = out[2] + out[3]
-            assert abs(f2 - 0.5) < 1e-12
-            assert abs(f1 - 0.5) < 1e-12
+        ops = outcome_operators(SETTING_GRID)
+        for rho in (werner(0.86), qmath.projector(np.array([1, 0, 0, 0], dtype=complex))):
+            out = noisy_probabilities(rho, ops, NoiseModel(eps01=0.5, eps10=0.5))
+            assert np.max(np.abs(out[:, :2].sum(axis=1) - 0.5)) < 1e-12
+            assert np.max(np.abs(out[:, 2:].sum(axis=1) - 0.5)) < 1e-12
 
     @pytest.mark.parametrize("eps", [0.02, 0.1])
     def test_symmetric_confusion_scales_visibility(self, eps):
         # fringe of visibility V -> (1-2 eps) V, checked numerically
         v = 0.86
         betas = np.linspace(0, math.pi, 19)
-        cond = []
-        for b in betas:
-            p = joint_probabilities(werner(v),
-                                    MeasurementSetting(ATOM_SX, PhotonSetting(beta=b)))
-            pc = apply_readout_confusion(p, eps, eps)
-            cond.append(pc[2] / (pc[0] + pc[2]))
+        ops = outcome_operators([MeasurementSetting(ATOM_SX, PhotonSetting(beta=b))
+                                 for b in betas])
+        pc = noisy_probabilities(werner(v), ops, NoiseModel(eps01=eps, eps10=eps))
+        cond = pc[:, 2] / (pc[:, 0] + pc[:, 2])
         got = max(cond) - min(cond)
         assert abs(got - (1 - 2 * eps) * v) < 1e-9
 
     def test_preserves_probability_vector(self):
-        p = np.array([0.4, 0.1, 0.3, 0.2])
-        out = apply_readout_confusion(p, 0.13, 0.27)
-        assert abs(out.sum() - 1.0) < 1e-12
+        ops = outcome_operators(SETTING_GRID)
+        out = noisy_probabilities(werner(0.6), ops, NoiseModel(eps01=0.13, eps10=0.27))
+        assert np.max(np.abs(out.sum(axis=1) - 1.0)) < 1e-12
         assert np.all(out >= 0)
-
-    def test_eps_out_of_range(self):
-        p = np.array([0.25, 0.25, 0.25, 0.25])
-        with pytest.raises(ValueError):
-            apply_readout_confusion(p, 1.2, 0.0)
-        with pytest.raises(ValueError):
-            apply_readout_confusion(p, 0.0, -0.1)
 
 
 class TestSampleCounts:
