@@ -9,7 +9,6 @@ feasibility arithmetic for an event-ready loophole-free Bell test.
 from .qmath import (
     hermitian_eigenvalues,
     overlap,
-    partial_trace,
     partial_transpose,
 )
 from .states import NoiseModel, apply_noise, ideal_ket, ideal_state, werner
@@ -24,7 +23,6 @@ from .measurement import (
     photon_projectors,
     read_counts_csv,
     sample_counts,
-    simulate_scan,
     simulate_settings,
     write_counts_csv,
 )
@@ -43,7 +41,7 @@ from .metrics import (
     chsh_max,
     fidelity_to_target,
     fit_fringe,
-    fringe_scans_from_dataset,
+    fringe_scans,
     negativity,
     purity,
 )
@@ -56,7 +54,6 @@ from .planner import (
     min_separation,
     pair_rate,
     pairs_for_sigmas,
-    single_pair_rate,
     swapped_visibility,
     violation_sigmas,
 )

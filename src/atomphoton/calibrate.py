@@ -23,7 +23,7 @@ from .measurement import (
     noisy_probabilities,
     outcome_operators,
 )
-from .metrics import FringeScan, fidelity_to_target, fit_fringe
+from .metrics import fidelity_to_target, fit_fringe, fringe_scans
 from .states import NoiseModel, ideal_state
 from .tomography import TomographySet, canonical_settings, linear_inversion
 
@@ -68,10 +68,8 @@ def exact_observables(noise: NoiseModel):
     probs = noisy_probabilities(ideal_state(), _OPERATORS, noise)
 
     def fringe_visibility(block):
-        p = probs[block * 6:(block + 1) * 6]
-        cond = p[:, 2] / (p[:, 0] + p[:, 2])   # exact P(F=1 | APD1)
-        fit = fit_fringe(FringeScan(_FRINGE_BETAS, cond, np.ones(6), detector=1))
-        return fit.visibility
+        apd1, _ = fringe_scans(_FRINGE_BETAS, probs[block * 6:(block + 1) * 6])
+        return fit_fringe(apd1).visibility
 
     rho_rec = linear_inversion(TomographySet(counts=probs[12:], exact=True))
     return {

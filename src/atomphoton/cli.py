@@ -22,10 +22,10 @@ from .calibrate import CalibrationError, calibrate_noise
 from .measurement import (
     ATOM_SX,
     ATOM_SY,
-    Dataset,
     MeasurementSetting,
     PhotonSetting,
     read_counts_csv,
+    sidecar_path,
     simulate_settings,
     write_counts_csv,
 )
@@ -33,7 +33,7 @@ from .metrics import (
     chsh_max,
     fidelity_to_target,
     fit_fringe,
-    fringe_scans_from_dataset,
+    fringe_scans,
     negativity,
     purity,
 )
@@ -109,9 +109,8 @@ class OutputTracker:
 
     def cleanup(self):
         for p in self.paths:
-            for candidate in (p, p[:-4] + ".meta.json" if p.endswith(".csv") else None):
-                if candidate and os.path.exists(candidate):
-                    os.unlink(candidate)
+            if os.path.exists(p):
+                os.unlink(p)
 
 
 _NOISE_KEYS = [
@@ -167,28 +166,25 @@ def cmd_scan(args, out: OutputTracker):
     counts_path = args.out + ".counts.csv"
     fringes_path = args.out + ".fringes.csv"
     metrics_path = args.out + ".metrics.json"
-    out.register(counts_path, fringes_path, metrics_path)
+    out.register(counts_path, sidecar_path(counts_path), fringes_path, metrics_path)
 
     write_counts_csv(dataset, counts_path)
 
+    # records are basis-major, as the settings were listed
+    counts = np.array([r.counts for r in dataset.records]).reshape(len(bases), n_points, 4)
     fits = {}
     with atomic_open(fringes_path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["basis", "detector", "beta", "p", "error"])
-        for b in bases:
-            subset = Dataset(
-                records=[r for r in dataset.records if r.setting.label == b],
-                metadata=dataset.metadata,
-            )
-            scans = fringe_scans_from_dataset(subset, atom_label=b)
+        for b, rows in zip(bases, counts):
             fits[b] = {}
-            for scan in scans:
-                fit = fit_fringe(scan)
-                fits[b][f"apd{scan.detector}"] = fit.to_dict()
-                for beta, p, n in zip(scan.betas, scan.probabilities, scan.counts):
-                    err = math.sqrt(max(p * (1 - p), 0.0) / n) if n > 0 else 0.0
+            for scan in fringe_scans(betas, rows, atom_label=b):
+                fits[b][f"apd{scan.detector}"] = fit_fringe(scan).to_dict()
+                p = scan.probabilities
+                errors = np.sqrt(p * (1 - p) / scan.counts)
+                for beta, p_k, err in zip(scan.betas, p, errors):
                     writer.writerow([b, scan.detector, f"{beta:.17g}",
-                                     f"{p:.17g}", f"{err:.17g}"])
+                                     f"{p_k:.17g}", f"{err:.17g}"])
 
     write_json(
         {
@@ -221,7 +217,7 @@ def cmd_tomo(args, out: OutputTracker):
         dataset = simulate_tomography(ideal_state(), params["n_per_setting"],
                                       noise=noise, seed=args.seed, exact=args.exact)
         counts_path = args.out + ".counts.csv"
-        out.register(counts_path)
+        out.register(counts_path, sidecar_path(counts_path))
         write_counts_csv(dataset, counts_path)
 
     ts = TomographySet.from_dataset(dataset)

@@ -92,12 +92,14 @@ def photon_projectors(s: PhotonSetting):
 
 def outcome_operators(settings):
     """Stacked outcome operators Pi_a (x) Pi_d, four per setting in outcome
-    order: shape (4 * len(settings), 4, 4)."""
-    ops = []
-    for s in settings:
-        photon = photon_projectors(s.photon)
-        ops.extend(np.kron(a, d) for a in atom_projectors(s.atom) for d in photon)
-    return np.array(ops, dtype=complex).reshape(-1, 4, 4)
+    order: shape (4 * len(settings), 4, 4). This is the only place a setting
+    is interpreted; tomography identifies records by these operators."""
+    a = np.array([atom_projectors(s.atom) for s in settings], dtype=complex)
+    d = np.array([photon_projectors(s.photon) for s in settings], dtype=complex)
+    a, d = a.reshape(-1, 2, 2, 2), d.reshape(-1, 2, 2, 2)   # (0, 2, 2, 2) when empty
+    # axes (setting, atom outcome, detector, atom row, photon row, atom column,
+    # photon column): entry a_ij * d_kl, the one product np.kron takes
+    return (a[:, :, None, :, None, :, None] * d[:, None, :, None, :, None, :]).reshape(-1, 4, 4)
 
 
 def outcome_probabilities(rho, operators):
@@ -139,16 +141,6 @@ class CountRecord:
     @property
     def total(self):
         return float(np.sum(self.counts))
-
-    def conditional_f1(self, detector):
-        """P(F=1 | APDdetector) estimated from this record's counts."""
-        if detector not in (1, 2):
-            raise ValueError("detector must be 1 or 2")
-        d = detector - 1
-        denom = self.counts[d] + self.counts[2 + d]
-        if denom <= 0:
-            raise ValueError(f"no events on APD{detector} in this record")
-        return float(self.counts[2 + d] / denom), float(denom)
 
 
 @dataclass
@@ -214,20 +206,6 @@ def simulate_settings(rho, settings, n_per_setting, noise=None, seed=0, exact=Fa
             "n_per_setting": n_per_setting,
         },
     )
-
-
-def simulate_scan(rho, atom, betas, n_per_point, noise=None, seed=0, exact=False):
-    """Correlation-fringe scan: one record per analyzer angle beta."""
-    betas = list(betas)
-    if not betas:
-        raise ValueError("betas must be non-empty")
-    settings = [
-        MeasurementSetting(atom=atom, photon=PhotonSetting(beta=float(b)))
-        for b in betas
-    ]
-    ds = simulate_settings(rho, settings, n_per_point, noise=noise, seed=seed, exact=exact)
-    ds.metadata["betas"] = [float(b) for b in betas]
-    return ds
 
 
 # ----------------------------------------------------------------------

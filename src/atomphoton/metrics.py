@@ -119,18 +119,16 @@ def fit_fringe(scan: FringeScan) -> VisibilityFit:
                          phase=float(phase), rms_residual=rms, clipped=clipped)
 
 
-def fringe_scans_from_dataset(dataset, atom_label=""):
-    """Split a beta-scan dataset into the two detector-conditional fringes."""
-    betas, p1, p2, n1, n2 = [], [], [], [], []
-    for rec in dataset.records:
-        betas.append(rec.setting.photon.beta)
-        prob1, den1 = rec.conditional_f1(1)
-        prob2, den2 = rec.conditional_f1(2)
-        p1.append(prob1)
-        p2.append(prob2)
-        n1.append(den1)
-        n2.append(den2)
-    return (
-        FringeScan(betas, p1, n1, detector=1, atom_label=atom_label),
-        FringeScan(betas, p2, n2, detector=2, atom_label=atom_label),
-    )
+def fringe_scans(betas, rows, atom_label=""):
+    """The two detector-conditional fringes P(F=1 | APDd) of a beta scan,
+    from its (S, 4) count or probability rows in outcome order; a point's
+    conditioning events are its (F2, d) and (F1, d) cells."""
+    rows = np.asarray(rows, dtype=float)
+    events = rows[:, :2] + rows[:, 2:]   # columns APD1, APD2
+    if not (events > 0).all():
+        k, d = np.argwhere(~(events > 0))[0]
+        raise ValueError(f"no events on APD{d + 1} at {atom_label + ' ' if atom_label else ''}"
+                         f"scan point {k + 1} (beta={betas[k]:.17g})")
+    p = rows[:, 2:] / events
+    return (FringeScan(betas, p[:, 0], events[:, 0], detector=1, atom_label=atom_label),
+            FringeScan(betas, p[:, 1], events[:, 1], detector=2, atom_label=atom_label))

@@ -71,6 +71,11 @@ class PlanReport:
     collapse_probability: float
     min_separation: float     # m
 
+    def __post_init__(self):
+        for name, v in self.to_dict().items():
+            if not math.isfinite(v):
+                raise ValueError(f"{name} overflows to {v}: the plan's inputs are out of range")
+
     def to_dict(self):
         return asdict(self)
 
@@ -114,13 +119,10 @@ def pairs_for_sigmas(v, k):
         raise ValueError("sigma target must be positive")
     s = CHSH_QUANTUM_MAX * v
     e = v / math.sqrt(2.0)
-    n = (4.0 * k * math.sqrt(1.0 - e * e) / (s - 2.0)) ** 2
-    return max(4, math.ceil(n))
-
-
-def single_pair_rate(rep_rate, eta_ph):
-    """Rate of observed atom-photon coincidences for one source."""
-    return rep_rate * eta_ph
+    try:
+        return max(4, math.ceil((4.0 * k * math.sqrt(1.0 - e * e) / (s - 2.0)) ** 2))
+    except OverflowError:
+        raise ValueError(f"pairs_needed overflows for a {k:g}-sigma target") from None
 
 
 def pair_rate(plan: ExperimentPlan, p_bsm=None):

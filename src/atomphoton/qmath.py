@@ -84,23 +84,6 @@ def projector(psi):
     return np.outer(v, v.conj())
 
 
-def partial_trace(rho, keep):
-    """Reduced 2x2 state of one subsystem of a two-qubit density matrix.
-
-    `keep` selects the surviving subsystem: "atom" (first factor) or
-    "photon" (second factor). Input must be Hermitian with unit trace.
-    """
-    a = check_hermitian(as_matrix(rho, 4))
-    if abs(np.real(np.trace(a)) - 1.0) > NORM_TOL:
-        raise ValueError("partial_trace expects a trace-1 matrix")
-    r = a.reshape(2, 2, 2, 2)
-    if keep == "atom":
-        return np.einsum("ikjk->ij", r)
-    if keep == "photon":
-        return np.einsum("kikj->ij", r)
-    raise ValueError(f"keep must be 'atom' or 'photon', got {keep!r}")
-
-
 def partial_transpose(rho, subsystem):
     """Transpose one subsystem's indices of a 4x4 Hermitian matrix."""
     a = check_hermitian(as_matrix(rho, 4))

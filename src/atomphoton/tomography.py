@@ -11,7 +11,6 @@ stack of outcome operators.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -37,8 +36,6 @@ PAULI_LABELS = "xyz"
 
 BASIS_CONVENTION = "atom (|mF=-1>,|mF=+1>) x photon (|sigma+>,|sigma->)"
 
-_ANGLE_TOL = 1e-9
-
 
 def canonical_settings():
     """The nine Pauli-Pauli measurement settings, labelled 'xx' .. 'zz'."""
@@ -57,6 +54,17 @@ def canonical_settings():
 # products in sign order (+,+), (+,-), (-,+), (-,-), the order of the counts.
 _CANONICAL_OPERATORS = outcome_operators(canonical_settings())
 
+# A record is at canonical setting k when its four outcome operators equal
+# row k's within _OPERATOR_TOL per entry, as given or with the atomic
+# outcomes swapped: an atomic ket orthogonal to the canonical one, such as
+# theta = 0 for sigma_z, reports the "-" eigenvalue as F2. Candidate c, a
+# row of 64 entries, is setting c % 9, swapped when c >= 9.
+_ATOM_SWAP = [2, 3, 0, 1]
+_OPERATOR_TOL = 1e-9
+_SETTING_OPERATORS = _CANONICAL_OPERATORS.reshape(9, 4, 16)
+_CANDIDATES = np.concatenate([_SETTING_OPERATORS,
+                              _SETTING_OPERATORS[:, _ATOM_SWAP]]).reshape(18, 64)
+
 # Design matrix of the linear model p = A r: A[k, mu nu] = tr(E_k s_mu (x) s_nu) / 4
 # for the 36 outcome operators E_k and the 16 Pauli coefficients r of rho.
 # Its columns are orthogonal, so the least-squares inverse reads T_ij from
@@ -72,33 +80,6 @@ def simulate_tomography(rho, n_per_setting, noise=None, seed=0, exact=False):
     """Dataset over the canonical nine settings."""
     return simulate_settings(rho, canonical_settings(), n_per_setting,
                              noise=noise, seed=seed, exact=exact)
-
-
-def _classify_atom(setting):
-    """Map an AtomSetting onto (pauli index, sign of the transferred outcome)."""
-    th, ph = setting.theta, setting.phi % (2 * math.pi)
-    if abs(th - math.pi / 4) < _ANGLE_TOL:
-        if min(ph, 2 * math.pi - ph) < _ANGLE_TOL:
-            return 0, +1        # sigma_x, transferred = +1 eigenstate
-        if abs(ph - math.pi / 2) < _ANGLE_TOL:
-            return 1, +1        # sigma_y
-        return None
-    if abs(th - math.pi / 2) < _ANGLE_TOL:
-        return 2, +1            # transfers |-1>, the sigma_z = +1 state
-    if abs(th) < _ANGLE_TOL:
-        return 2, -1            # transfers |+1>, the sigma_z = -1 state
-    return None
-
-
-def _classify_photon(setting):
-    if setting.circular:
-        return 2
-    b = setting.beta % math.pi
-    if min(b, math.pi - b) < _ANGLE_TOL:
-        return 0
-    if abs(b - math.pi / 4) < _ANGLE_TOL:
-        return 1
-    return None
 
 
 def _setting_label(k):
@@ -124,23 +105,24 @@ class TomographySet:
 
     @classmethod
     def from_dataset(cls, dataset: Dataset):
-        """Sum the records of each canonical setting. A record at any other
-        setting, e.g. a scan point, is an error naming the record (counted
-        from 1) and its angles."""
+        """Sum the records of each canonical setting, identified by their
+        outcome operators. A record at any other setting, e.g. a scan point,
+        is an error naming the record (counted from 1) and its angles."""
+        ops = outcome_operators([rec.setting for rec in dataset.records]).reshape(-1, 64)
+        # Every candidate has Frobenius norm 2, so the nearest one has the
+        # largest Re <candidate, ops> and is the only one that can match.
+        # The comparison is written so that a NaN entry matches nothing.
+        nearest = np.argmax((ops @ _CANDIDATES.conj().T).real, axis=1)
+        matched = np.abs(ops - _CANDIDATES[nearest]).max(axis=1) <= _OPERATOR_TOL
         counts = np.zeros((9, 4))
-        for n, rec in enumerate(dataset.records, 1):
-            atom = _classify_atom(rec.setting.atom)
-            photon = _classify_photon(rec.setting.photon)
-            if atom is None or photon is None:
+        for n, (rec, c, ok) in enumerate(zip(dataset.records, nearest, matched), 1):
+            if not ok:
                 a, p = rec.setting.atom, rec.setting.photon
                 raise ValueError(
                     f"record {n} (theta={a.theta:.17g}, phi={a.phi:.17g}, beta={p.beta:.17g}, "
                     f"{'circular' if p.circular else 'linear'}) is not a canonical "
                     "tomography setting")
-            i, sign = atom
-            # record order: (F2,APD1),(F2,APD2),(F1,APD1),(F1,APD2);
-            # "+" atomic outcome is F2 when sign=+1, F1 when sign=-1.
-            counts[3 * i + photon] += rec.counts if sign > 0 else rec.counts[[2, 3, 0, 1]]
+            counts[c % 9] += rec.counts[_ATOM_SWAP] if c >= 9 else rec.counts
         missing = [_setting_label(k) for k in np.flatnonzero(~counts.any(axis=1))]
         if missing:
             raise ValueError(f"tomography set is missing settings: {', '.join(missing)}")

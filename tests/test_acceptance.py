@@ -20,10 +20,10 @@ from atomphoton.measurement import (
     PhotonSetting,
     atom_projectors,
     photon_projectors,
-    simulate_scan,
+    simulate_settings,
 )
-from atomphoton.metrics import chsh_max, fidelity_to_target, fit_fringe, \
-    fringe_scans_from_dataset, negativity
+from atomphoton.metrics import chsh_max, fidelity_to_target, fit_fringe, fringe_scans, \
+    negativity
 from atomphoton.planner import (
     ExperimentPlan,
     collapse_probability,
@@ -44,6 +44,13 @@ from atomphoton.tomography import (
 BETAS_18 = [k * math.pi / 18 for k in range(18)]
 
 
+def scan_counts(atom, n_per_point, noise, seed):
+    """(18, 4) counts of an 18-point beta scan of the ideal state."""
+    settings = [MeasurementSetting(atom, PhotonSetting(beta=b)) for b in BETAS_18]
+    ds = simulate_settings(ideal_state(), settings, n_per_point, noise=noise, seed=seed)
+    return np.array([r.counts for r in ds.records])
+
+
 def report(criterion, ok, detail):
     print(f"CRITERION {criterion}: {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, f"criterion {criterion}: {detail}"
@@ -61,9 +68,8 @@ def test_criterion_1_fringe_reproduction():
     hits = {("sx", 1): 0, ("sx", 2): 0, ("sy", 1): 0, ("sy", 2): 0}
     for seed in range(n_seeds):
         for name, atom in (("sx", ATOM_SX), ("sy", ATOM_SY)):
-            ds = simulate_scan(ideal_state(), atom, BETAS_18, 600, noise=noise,
-                               seed=2 * seed + (name == "sy"))
-            for scan in fringe_scans_from_dataset(ds, atom_label=name):
+            counts = scan_counts(atom, 600, noise, seed=2 * seed + (name == "sy"))
+            for scan in fringe_scans(BETAS_18, counts, atom_label=name):
                 fit = fit_fringe(scan)
                 hits[(name, scan.detector)] += abs(fit.visibility - target) <= 0.03
     elapsed = time.perf_counter() - t0
@@ -212,9 +218,8 @@ def test_criterion_8_property_suites():
 
     # determinism under fixed seeds
     noise = NoiseModel(depolarizing=0.14)
-    a = simulate_scan(ideal_state(), ATOM_SX, BETAS_18, 300, noise=noise, seed=11)
-    b = simulate_scan(ideal_state(), ATOM_SX, BETAS_18, 300, noise=noise, seed=11)
-    assert all(np.array_equal(ra.counts, rb.counts) for ra, rb in zip(a.records, b.records))
+    assert np.array_equal(scan_counts(ATOM_SX, 300, noise, seed=11),
+                          scan_counts(ATOM_SX, 300, noise, seed=11))
     da = simulate_tomography(ideal_state(), 300, noise=noise, seed=13)
     db = simulate_tomography(ideal_state(), 300, noise=noise, seed=13)
     assert all(np.array_equal(ra.counts, rb.counts) for ra, rb in zip(da.records, db.records))

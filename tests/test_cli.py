@@ -215,6 +215,17 @@ class TestPlanCmd:
         assert f"{field} must be a finite number" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flags, field", [
+        (["--n-lifetimes", "1e308", "--lifetime-tau", "10"], "min_separation"),
+        (["--rep-rate", "1e-300"], "duration"),
+        (["--target-sigmas", "1e200"], "pairs_needed"),
+    ])
+    def test_overflowing_report_field_named(self, tmp_path, capsys, flags, field):
+        out = str(tmp_path / "of")
+        assert run_cli(["--out", out, "plan", *flags]) == 1
+        assert f"{field} overflows" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestConfigFile:
     def test_config_and_override(self, tmp_path):

@@ -27,11 +27,10 @@ from atomphoton.measurement import (
     read_counts_csv,
     record_rng,
     sample_counts,
-    simulate_scan,
     simulate_settings,
     write_counts_csv,
 )
-from atomphoton.metrics import fit_fringe, fringe_scans_from_dataset
+from atomphoton.metrics import fit_fringe, fringe_scans
 from atomphoton.states import NoiseModel, apply_noise, ideal_state, werner
 
 I2 = np.eye(2, dtype=complex)
@@ -42,6 +41,18 @@ SETTING_GRID = [
     for ph in (0.0, math.pi / 3, math.pi / 2)
     for b in (0.0, 0.2, math.pi / 4, 1.1)
 ]
+
+
+def simulate_scan(rho, atom, betas, n_per_point, noise=None, seed=0, exact=False):
+    """Correlation-fringe scan: one record per analyzer angle beta."""
+    settings = [MeasurementSetting(atom, PhotonSetting(beta=float(b))) for b in betas]
+    return simulate_settings(rho, settings, n_per_point, noise=noise, seed=seed, exact=exact)
+
+
+def scan_fringes(ds):
+    """The two detector fringes of a simulated scan."""
+    return fringe_scans([r.setting.photon.beta for r in ds.records],
+                        [r.counts for r in ds.records])
 
 
 class TestPhotonProjectors:
@@ -203,6 +214,14 @@ def oracle_cells(rho, setting):
     return [np.trace(rho @ np.kron(a, d)).real for a in (at, ar) for d in (d1, d2)]
 
 
+def kron_loop_operators(setting_list):
+    """Four np.kron calls per setting, the way the stack used to be built:
+    the bit-exact reference for its one broadcast product."""
+    ops = [np.kron(a, d) for s in setting_list
+           for a in atom_projectors(s.atom) for d in photon_projectors(s.photon)]
+    return np.array(ops, dtype=complex).reshape(-1, 4, 4)
+
+
 class TestOutcomeOperators:
     @settings(max_examples=200)
     @given(STATES, st.lists(SETTINGS, min_size=1, max_size=5))
@@ -214,6 +233,14 @@ class TestOutcomeOperators:
         assert np.max(np.abs(got - want)) <= ORACLE_TOL
         for s, row in zip(setting_list, want):
             assert np.max(np.abs(joint_probabilities(rho, s) - row)) <= ORACLE_TOL
+
+    @settings(max_examples=200)
+    @given(st.lists(SETTINGS, max_size=6))
+    def test_bit_identical_to_kron_loop(self, setting_list):
+        got = outcome_operators(setting_list + SETTING_GRID)
+        want = kron_loop_operators(setting_list + SETTING_GRID)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()   # signed zeros included
 
     def test_empty_setting_list(self):
         assert outcome_operators([]).shape == (0, 4, 4)
@@ -347,7 +374,7 @@ class TestSimulateScan:
     def test_exact_mode_unit_visibility(self):
         betas = [k * math.pi / 12 for k in range(12)]
         ds = simulate_scan(ideal_state(), ATOM_SX, betas, 100, seed=0, exact=True)
-        for scan in fringe_scans_from_dataset(ds):
+        for scan in scan_fringes(ds):
             fit = fit_fringe(scan)
             assert abs(fit.visibility - 1.0) < 1e-9
             assert fit.rms_residual < 1e-9
@@ -379,7 +406,7 @@ class TestSimulateScan:
         n_seeds = 200
         for seed in range(n_seeds):
             ds = simulate_scan(ideal_state(), ATOM_SX, betas, 600, noise=noise, seed=seed)
-            for scan in fringe_scans_from_dataset(ds):
+            for scan in scan_fringes(ds):
                 fit = fit_fringe(scan)
                 in_band[scan.detector] += abs(fit.visibility - 0.86) <= 0.03
         assert in_band[1] >= 0.95 * n_seeds

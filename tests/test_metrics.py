@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize
 
 from atomphoton.measurement import ATOM_SX, MeasurementSetting, PhotonSetting, joint_probabilities
@@ -13,6 +14,7 @@ from atomphoton.metrics import (
     correlation_matrix,
     fidelity_to_target,
     fit_fringe,
+    fringe_scans,
     negativity,
     purity,
 )
@@ -155,9 +157,7 @@ class TestPurity:
         assert abs(purity(np.eye(2, dtype=complex) / 2) - 0.5) < 1e-12
 
     def test_werner_marginal(self):
-        from atomphoton.qmath import partial_trace
-
-        marg = partial_trace(werner(0.86), "atom")
+        marg = np.einsum("ikjk->ij", werner(0.86).reshape(2, 2, 2, 2))   # atomic marginal
         assert abs(purity(marg) - 0.5) < 1e-12
 
 
@@ -215,3 +215,39 @@ class TestFitFringe:
             fit = fit_fringe(FringeScan(betas, p, np.full(18, 300)))
             hits += abs(fit.visibility - 0.86) <= 0.03
         assert hits >= 45
+
+
+def conditional_f1_loop(counts, detector):
+    """P(F=1 | APDd) and its conditioning events, one record at a time as
+    records used to compute them: the exact reference for the row-wise form."""
+    d = detector - 1
+    denom = counts[d] + counts[2 + d]
+    return float(counts[2 + d] / denom), float(denom)
+
+
+# Scan rows of four cells, zero cells included, with events on both APDs.
+SCAN_ROWS = st.lists(
+    st.lists(st.one_of(st.just(0.0), st.floats(0.5, 1e6)), min_size=4, max_size=4)
+    .filter(lambda c: c[0] + c[2] > 0 and c[1] + c[3] > 0),
+    min_size=4, max_size=12)
+
+
+class TestFringeScans:
+    @settings(max_examples=200)
+    @given(SCAN_ROWS)
+    def test_equals_per_record_conditionals(self, rows):
+        betas = np.arange(len(rows)) * math.pi / len(rows)
+        for scan in fringe_scans(betas, rows, atom_label="sx"):
+            want = [conditional_f1_loop(np.array(c), scan.detector) for c in rows]
+            assert scan.probabilities.tolist() == [p for p, _ in want]
+            assert scan.counts.tolist() == [n for _, n in want]
+            assert scan.atom_label == "sx"
+
+    @pytest.mark.parametrize("detector, label, where", [(1, "", "at scan point 4"),
+                                                        (2, "sy", "at sy scan point 4")])
+    def test_zero_apd_events_named(self, detector, label, where):
+        rows = np.full((5, 4), 10.0)
+        rows[3, [detector - 1, detector + 1]] = 0.0
+        with pytest.raises(ValueError,
+                           match=rf"no events on APD{detector} {where} \(beta=0\.3"):
+            fringe_scans(np.arange(5) * 0.1, rows, atom_label=label)

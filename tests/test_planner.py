@@ -14,13 +14,17 @@ from atomphoton.planner import (
     min_separation,
     pair_rate,
     pairs_for_sigmas,
-    single_pair_rate,
     swapped_visibility,
     violation_sigmas,
     write_plan_json,
 )
 
 SQRT2 = math.sqrt(2.0)
+
+
+def single_pair_rate(rep_rate, eta_ph):
+    """Rate of observed atom-photon coincidences for one source."""
+    return rep_rate * eta_ph
 
 
 def read_plan_json(path):

@@ -10,6 +10,7 @@ from scipy.optimize import minimize
 from atomphoton import qmath, tomography
 from atomphoton.measurement import (
     ATOM_SX,
+    ATOM_SZ,
     AtomSetting,
     CountRecord,
     Dataset,
@@ -94,6 +95,39 @@ def inverted_coefficients(ds):
     return pauli_coefficients(linear_inversion(TomographySet.from_dataset(ds)))
 
 
+def _variant(rec, atom=None, photon=None, counts=None):
+    s = rec.setting
+    return CountRecord(setting=MeasurementSetting(atom or s.atom, photon or s.photon),
+                       counts=rec.counts if counts is None else counts)
+
+
+def _orthogonal_atom(rec):
+    """The same record taken with the orthogonal atomic ket transferred
+    (theta = 0 for sigma_z, phi + pi otherwise): F2 and F1 trade places, so
+    the counts swap with them."""
+    a = rec.setting.atom
+    atom = (AtomSetting(0.0, 0.0) if a == ATOM_SZ
+            else AtomSetting(a.theta, a.phi + math.pi))
+    return [_variant(rec, atom=atom, counts=rec.counts[[2, 3, 0, 1]])]
+
+
+def _split(rec):
+    first = np.floor(rec.counts / 3)
+    return [_variant(rec, counts=first), _variant(rec, counts=rec.counts - first)]
+
+
+# Other angle forms of each canonical record that measure the same outcomes:
+# each maps one record to the records that replace it.
+EQUIVALENT_FORMS = {
+    "phi_plus_2pi": lambda rec: [_variant(rec, atom=AtomSetting(
+        rec.setting.atom.theta, rec.setting.atom.phi + 2 * math.pi))],
+    "beta_plus_pi": lambda rec: [_variant(rec, photon=PhotonSetting(
+        rec.setting.photon.beta + math.pi, rec.setting.photon.circular))],
+    "orthogonal_atomic_ket": _orthogonal_atom,
+    "split": _split,
+}
+
+
 class TestCanonicalSettings:
     def test_nine_labels(self):
         labels = [s.label for s in canonical_settings()]
@@ -134,6 +168,39 @@ class TestCanonicalSettings:
         assert np.allclose(t1, t2, atol=1e-12)
         assert np.allclose(a1, a2, atol=1e-12)
 
+    @pytest.mark.parametrize("form", sorted(EQUIVALENT_FORMS))
+    def test_equivalent_forms_give_identical_counts(self, form):
+        base = simulate_tomography(werner(0.8), 300, seed=4)
+        records = [r for rec in base.records for r in EQUIVALENT_FORMS[form](rec)]
+        assert len(records) == (18 if form == "split" else 9)
+        assert np.array_equal(
+            TomographySet.from_dataset(Dataset(records=records)).counts,
+            TomographySet.from_dataset(base).counts)
+
+    @pytest.mark.parametrize("angle", ["theta", "phi", "beta"])
+    def test_setting_off_by_a_microradian_rejected(self, angle):
+        ds = simulate_tomography(werner(0.8), 50, seed=1)
+        rec = ds.records[4]   # yy: every angle matters
+        a, p = rec.setting.atom, rec.setting.photon
+        shifted = {
+            "theta": (AtomSetting(a.theta + 1e-6, a.phi), p),
+            "phi": (AtomSetting(a.theta, a.phi + 1e-6), p),
+            "beta": (a, PhotonSetting(beta=p.beta + 1e-6)),
+        }[angle]
+        ds.records[4] = CountRecord(setting=MeasurementSetting(*shifted), counts=rec.counts)
+        with pytest.raises(ValueError, match=r"record 5 \(theta=.*\) is not a canonical "
+                                             "tomography setting"):
+            TomographySet.from_dataset(ds)
+
+    def test_photon_flipped_form_rejected(self):
+        # beta = pi/2 measures photonic sigma_x with APD1 and APD2 swapped;
+        # only atomic outcomes are matched swapped
+        ds = simulate_tomography(werner(0.8), 50, seed=1)
+        ds.records[0] = _variant(ds.records[0], photon=PhotonSetting(beta=math.pi / 2),
+                               counts=ds.records[0].counts[[1, 0, 3, 2]])
+        with pytest.raises(ValueError, match=r"record 1 \(.*beta=1.57.*\) is not a canonical"):
+            TomographySet.from_dataset(ds)
+
     def test_counts_shape_checked(self):
         with pytest.raises(ValueError, match=r"shape \(9, 4\)"):
             TomographySet(counts=np.ones((8, 4)))
@@ -158,6 +225,19 @@ class TestNonCanonicalRecords:
         with pytest.raises(ValueError, match=rf"record {position + 1} \(theta=.*, "
                                              rf"beta={beta:.17g}, linear\) is not a canonical"):
             TomographySet.from_dataset(read_counts_csv(path))
+
+    @pytest.mark.parametrize("angle", ["theta", "phi", "beta"])
+    def test_nan_angle_rejected(self, angle):
+        ds = simulate_tomography(werner(0.8), 50, seed=1)
+        a, p = ds.records[0].setting.atom, ds.records[0].setting.photon
+        setting = {
+            "theta": MeasurementSetting(AtomSetting(math.nan, a.phi), p),
+            "phi": MeasurementSetting(AtomSetting(a.theta, math.nan), p),
+            "beta": MeasurementSetting(a, PhotonSetting(beta=math.nan)),
+        }[angle]
+        ds.records.append(CountRecord(setting=setting, counts=[1.0, 2.0, 3.0, 4.0]))
+        with pytest.raises(ValueError, match=r"record 10 \(.*nan.*\) is not a canonical"):
+            TomographySet.from_dataset(ds)
 
     def test_circular_photon_with_tilted_atom_rejected(self):
         ds = simulate_tomography(werner(0.8), 50, seed=1)
