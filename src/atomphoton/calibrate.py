@@ -1,11 +1,15 @@
 """Invert the noise model to target fringe visibilities and fidelity.
 
 The three-channel model cannot split the sigma_x and sigma_y fringe
-visibilities (both equal (1-2*eps01-...) * (1-p) * (1-2q)), and its
-tomographic fidelity at observed visibility V is bounded below by
-(1+3V)/4. Targets outside the reachable set are fit on the frontier with
-fidelity matched first (it is the headline tomography scalar), then the
-mean visibility; residuals are reported. Deeply infeasible targets raise.
+visibilities. With symmetric readout confusion eps both equal
+V = (1-2eps)(1-p)(1-2q), and the tomographic fidelity is
+F = (1 + (1-2eps)(1-p)(3-4q))/4, so at mean target visibility vbar the
+reachable fidelities form the band (1+3vbar)/4 <= F <= (1+vbar)/2. The
+model's exact inverse on each branch is the start of a Nelder-Mead
+refinement through the tomography pipeline. Targets outside the band are
+fit on the frontier with fidelity matched first (it is the headline
+tomography scalar), then the mean visibility; residuals are reported.
+Deeply infeasible targets raise.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .measurement import (
     ATOM_SX,
@@ -30,7 +33,6 @@ from .tomography import TomographySet, canonical_settings, linear_inversion
 FIDELITY_WEIGHT = 1000.0     # fidelity-priority weighting in the fit objective
 TIE_BREAK_WEIGHT = 1e-6      # prefers the pure-depolarizing decomposition
 RESIDUAL_LIMIT = 0.05        # beyond this the targets are rejected as infeasible
-GRID_POINTS = 11             # coarse-grid values per parameter before the refinement
 
 
 class CalibrationError(ValueError):
@@ -42,6 +44,7 @@ class CalibrationResult:
     noise: NoiseModel
     achieved: dict      # exact-mode observables of the returned model
     residuals: dict     # achieved minus target, per observable
+    branch: str         # "in_band", "below" or "above" the reachable fidelity band
 
     def max_residual(self):
         return max(abs(v) for v in self.residuals.values())
@@ -92,31 +95,48 @@ def _objective(params, targets):
     return err + TIE_BREAK_WEIGHT * (q * q + eps * eps)
 
 
+def closed_form_start(vx, vy, fidelity):
+    """(branch, (p, q, eps)): the model's exact inverse at mean visibility vbar.
+
+    In the band eps = 0 and s = (1-p) = 4F-1-2vbar, with (1-2q) = vbar/s;
+    below it q = eps = 0 and p matches fidelity on the frontier V = (4F-1)/3;
+    above it p = eps = 0 and q = 1-F, on the frontier V = 2F-1.
+    """
+    vbar = (vx + vy) / 2
+    if fidelity < (1 + 3 * vbar) / 4:
+        branch, p, q = "below", 1 - (4 * fidelity - 1) / 3, 0.0
+    elif fidelity > (1 + vbar) / 2:
+        branch, p, q = "above", 0.0, 1 - fidelity
+    else:
+        s = 4 * fidelity - 1 - 2 * vbar
+        branch, p, q = "in_band", 1 - s, (1 - vbar / s) / 2 if s > 0 else 0.0
+    return branch, np.clip((p, q, 0.0), 0.0, 1.0)
+
+
 def calibrate_noise(vx, vy, fidelity) -> CalibrationResult:
     """Noise parameters whose exact-mode observables reach the targets.
 
-    Deterministic coarse grid over (depolarizing, dephasing, symmetric
-    readout confusion) followed by Nelder-Mead refinement. Feasible
-    targets are matched to better than 1e-3; near-frontier targets return
-    the best fit with residuals; targets further than 0.05 from the
-    reachable set raise CalibrationError describing the frontier.
+    Starts from the model's closed-form inverse (`closed_form_start`) and
+    refines (depolarizing, dephasing, symmetric readout confusion) with
+    Nelder-Mead on the observables measured through the tomography
+    pipeline, so the result is never worse than the start under the
+    objective. Feasible targets are matched to better than 1e-3;
+    near-frontier targets return the best fit with residuals; targets
+    further than 0.05 from the reachable set raise CalibrationError
+    describing the frontier.
     """
     for name, v in (("vx", vx), ("vy", vy), ("fidelity", fidelity)):
         if not 0.0 <= v <= 1.0:
             raise CalibrationError(f"target {name} must lie in [0, 1], got {v}")
     targets = {"vx": float(vx), "vy": float(vy), "fidelity": float(fidelity)}
 
-    grid = np.linspace(0.0, 1.0, GRID_POINTS)
-    best, best_x = np.inf, None
-    for p in grid:
-        for q in grid:
-            for eps in grid[: (GRID_POINTS + 1) // 2]:   # eps > 0.5 flips fringes
-                val = _objective((p, q, eps), targets)
-                if val < best:
-                    best, best_x = val, (p, q, eps)
+    # scipy is only needed here; importing it at module level would load it
+    # for every command.
+    from scipy.optimize import minimize
 
+    branch, start = closed_form_start(vx, vy, fidelity)
     res = minimize(
-        _objective, best_x, args=(targets,), method="Nelder-Mead",
+        _objective, start, args=(targets,), method="Nelder-Mead",
         options={"xatol": 1e-9, "fatol": 1e-13, "maxiter": 2000},
     )
     p, q, eps = np.clip(res.x, 0.0, 1.0)
@@ -124,7 +144,8 @@ def calibrate_noise(vx, vy, fidelity) -> CalibrationResult:
                        eps01=float(eps), eps10=float(eps))
     achieved = exact_observables(noise)
     residuals = {k: achieved[k] - targets[k] for k in targets}
-    result = CalibrationResult(noise=noise, achieved=achieved, residuals=residuals)
+    result = CalibrationResult(noise=noise, achieved=achieved, residuals=residuals,
+                               branch=branch)
 
     if result.max_residual() > RESIDUAL_LIMIT:
         vbar = (targets["vx"] + targets["vy"]) / 2

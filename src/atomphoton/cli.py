@@ -275,6 +275,7 @@ def cmd_calibrate(args, out: OutputTracker):
         print(f"{key} = {value:.12g}")
     for key in ("vx", "vy", "fidelity"):
         print(f"# {key}: target {params[key]:.4f}, achieved {result.achieved[key]:.4f}")
+    print(f"# branch: {result.branch}")
     return 0
 
 

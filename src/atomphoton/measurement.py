@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random import SeedSequence, default_rng
 
 from . import qmath
 from .artifacts import atomic_open, write_json
@@ -159,8 +160,7 @@ def record_rng(master_seed, index):
     Records can therefore be produced in any order, or in parallel, with
     identical results.
     """
-    ss = np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(index),))
-    return np.random.default_rng(ss)
+    return default_rng(SeedSequence(entropy=int(master_seed), spawn_key=(int(index),)))
 
 
 def sample_counts(p, n, seed=None, rng=None, exact=False):
@@ -178,7 +178,7 @@ def sample_counts(p, n, seed=None, rng=None, exact=False):
     if exact:
         return n * p
     if rng is None:
-        rng = np.random.default_rng(seed)
+        rng = default_rng(seed)
     q = np.clip(p, 0.0, None)
     return rng.multinomial(int(n), q / q.sum()).astype(float)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
+import numpy.ma  # noqa: F401  np.percentile imports it on first use; load it with the package
 
 from . import qmath
 from .artifacts import write_json
@@ -28,6 +29,7 @@ from .measurement import (
     MeasurementSetting,
     outcome_operators,
     outcome_probabilities,
+    record_rng,
     simulate_settings,
 )
 from .metrics import fidelity_to_target, negativity, purity
@@ -368,10 +370,8 @@ def bootstrap_metrics(rho_hat, ts: TomographySet, n_replicas=250, seed=0):
         raise ValueError(f"n_replicas must be at least 1, got {n_replicas}")
     totals = np.rint(ts.counts.sum(axis=1)).astype(np.int64)
     probs = outcome_probabilities(rho_hat, _CANONICAL_OPERATORS)
-    draws = np.array([
-        np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(k,)))
-        .multinomial(totals, probs)
-        for k in range(n_replicas)], dtype=float)
+    draws = np.array([record_rng(seed, k).multinomial(totals, probs)
+                      for k in range(n_replicas)], dtype=float)
     x, *_ = _fit_stack(_with_prior(draws, False), _projected_inversion(draws))
     rhos = _states(x)
     out = {}

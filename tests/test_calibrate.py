@@ -1,9 +1,36 @@
 """Noise-model calibration against target observables."""
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
-from atomphoton.calibrate import CalibrationError, calibrate_noise, exact_observables
+from atomphoton.calibrate import (
+    CalibrationError,
+    calibrate_noise,
+    closed_form_start,
+    exact_observables,
+)
 from atomphoton.states import NoiseModel
+
+UNIT = st.floats(0.0, 1.0)
+
+
+@st.composite
+def in_band_targets(draw):
+    """(vx, vy, F) with F inside the reachable band at the mean visibility.
+
+    vx and vy differ by at most 0.09: the model cannot split them, so a
+    wider gap leaves a visibility residual above the 0.05 rejection limit.
+    """
+    vx = draw(UNIT)
+    vy = draw(st.floats(max(0.0, vx - 0.09), min(1.0, vx + 0.09)))
+    vbar = (vx + vy) / 2
+    lo, hi = (1 + 3 * vbar) / 4, (1 + vbar) / 2
+    return vx, vy, min(max(lo + draw(UNIT) * (hi - lo), lo), hi)
+
+
+def _noise(start):
+    p, q, eps = start
+    return NoiseModel(depolarizing=p, dephasing=q, eps01=eps, eps10=eps)
 
 
 class TestExactObservables:
@@ -31,7 +58,62 @@ class TestExactObservables:
         assert abs(obs["fidelity"] - (1 + 2 * 0.9 + 1.0) / 4) < 1e-9
 
 
+class TestClosedFormStart:
+    @settings(max_examples=200)
+    @given(in_band_targets())
+    def test_in_band_start_is_exact(self, targets):
+        vx, vy, f = targets
+        branch, start = closed_form_start(vx, vy, f)
+        obs = exact_observables(_noise(start))
+        assert branch == "in_band"
+        assert start[2] == 0.0
+        vbar = (vx + vy) / 2
+        assert abs(obs["vx"] - vbar) < 1e-12
+        assert abs(obs["vy"] - vbar) < 1e-12
+        assert abs(obs["fidelity"] - f) < 1e-12
+
+    @settings(max_examples=200)
+    @given(UNIT, UNIT, UNIT)
+    def test_off_band_start_lies_on_frontier(self, vx, vy, f):
+        branch, start = closed_form_start(vx, vy, f)
+        assume(branch != "in_band")
+        obs = exact_observables(_noise(start))
+        assert start[2] == 0.0
+        if branch == "below":
+            # p is clipped at 1 below F = 1/4, where the state is fully mixed
+            assert abs(obs["fidelity"] - max(f, 0.25)) < 1e-12
+            frontier = (4 * obs["fidelity"] - 1) / 3
+        else:
+            assert abs(obs["fidelity"] - f) < 1e-12
+            frontier = 2 * obs["fidelity"] - 1
+        assert abs(obs["vx"] - frontier) < 1e-12
+        assert abs(obs["vy"] - frontier) < 1e-12
+
+    def test_branches(self):
+        assert closed_form_start(0.85, 0.87, 0.875)[0] == "below"
+        assert closed_form_start(0.78, 0.78, 0.9)[0] == "above"
+        assert closed_form_start(0.9, 0.9, 0.93)[0] == "in_band"
+
+
 class TestCalibrateNoise:
+    @settings(max_examples=40)
+    @given(in_band_targets())
+    @example((0.95, 0.93, 0.96))
+    def test_in_band_targets_matched(self, targets):
+        vx, vy, f = targets
+        res = calibrate_noise(vx, vy, f)
+        assert res.branch == "in_band"
+        assert abs(res.residuals["fidelity"]) < 1e-3
+        assert abs((res.achieved["vx"] + res.achieved["vy"]) / 2 - (vx + vy) / 2) < 1e-3
+
+    def test_fully_mixed_target_without_division_by_zero(self):
+        # s = 4F - 1 - 2vbar is 0 here: the in-band start must not divide by it
+        branch, start = closed_form_start(0.0, 0.0, 0.25)
+        assert branch == "in_band" and tuple(start) == (1.0, 0.0, 0.0)
+        res = calibrate_noise(0.0, 0.0, 0.25)
+        assert res.noise.depolarizing == 1.0
+        assert res.max_residual() < 1e-12
+
     def test_perfect_targets_zero_noise(self):
         res = calibrate_noise(1.0, 1.0, 1.0)
         assert res.noise.depolarizing < 1e-6

@@ -2,10 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import atomphoton
 from atomphoton import cli
 from atomphoton.cli import main
 from atomphoton.measurement import read_counts_csv
@@ -362,3 +365,27 @@ class TestCountsCsvIngest:
         assert run_cli(["--out", str(tmp_path / "o"), "tomo", "--input", str(path)]) == 1
         err = capsys.readouterr().err
         assert str(path) in err and message in err
+
+
+class TestImports:
+    def test_scipy_and_lazy_numpy_modules_stay_off_the_command_path(self, tmp_path):
+        # scipy is for calibrate alone; numpy modules that the first tomo or scan
+        # would import lazily are loaded with the package instead
+        code = f"""
+import contextlib, io, sys
+import atomphoton.cli as cli
+loaded = set(sys.modules)
+assert not [m for m in loaded if m.startswith("scipy")], "scipy loaded on import"
+for argv in (["tomo", "--bootstrap", "3"], ["scan"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["--out", {str(tmp_path / "run")!r}, *argv]) == 0
+    new = sorted(m for m in set(sys.modules) - loaded
+                 if m.startswith(("numpy.", "scipy")))
+    assert not new, (argv[0], new)
+"""
+        src = os.path.dirname(os.path.dirname(atomphoton.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
