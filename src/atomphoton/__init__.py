@@ -14,7 +14,6 @@ from .qmath import (
 from .states import NoiseModel, apply_noise, ideal_ket, ideal_state, werner
 from .measurement import (
     AtomSetting,
-    CountRecord,
     Dataset,
     MeasurementSetting,
     PhotonSetting,
@@ -22,7 +21,6 @@ from .measurement import (
     joint_probabilities,
     photon_projectors,
     read_counts_csv,
-    sample_counts,
     simulate_settings,
     write_counts_csv,
 )
@@ -36,7 +34,6 @@ from .tomography import (
     simulate_tomography,
 )
 from .metrics import (
-    FringeScan,
     VisibilityFit,
     chsh_max,
     fidelity_to_target,

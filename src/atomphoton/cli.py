@@ -38,7 +38,7 @@ from .metrics import (
     purity,
 )
 from .planner import ExperimentPlan, build_plan, write_plan_json
-from .states import NoiseModel
+from .states import NoiseModel, ideal_state
 from .tomography import (
     TomographySet,
     bootstrap_metrics,
@@ -137,8 +137,6 @@ _CALIBRATE_KEYS = [
 
 
 def cmd_scan(args, out: OutputTracker):
-    from .states import ideal_state
-
     params = _merged(args, _SCAN_KEYS)
     noise = NoiseModel.from_dict(params)
     bases = [b.strip() for b in params["bases"].split(",") if b.strip()]
@@ -171,20 +169,18 @@ def cmd_scan(args, out: OutputTracker):
     write_counts_csv(dataset, counts_path)
 
     # records are basis-major, as the settings were listed
-    counts = np.array([r.counts for r in dataset.records]).reshape(len(bases), n_points, 4)
+    counts = dataset.records.reshape(len(bases), n_points, 4)
     fits = {}
     with atomic_open(fringes_path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["basis", "detector", "beta", "p", "error"])
         for b, rows in zip(bases, counts):
-            fits[b] = {}
-            for scan in fringe_scans(betas, rows, atom_label=b):
-                fits[b][f"apd{scan.detector}"] = fit_fringe(scan).to_dict()
-                p = scan.probabilities
-                errors = np.sqrt(p * (1 - p) / scan.counts)
-                for beta, p_k, err in zip(scan.betas, p, errors):
-                    writer.writerow([b, scan.detector, f"{beta:.17g}",
-                                     f"{p_k:.17g}", f"{err:.17g}"])
+            p, events = fringe_scans(betas, rows, atom_label=b)
+            errors = np.sqrt(p * (1 - p) / events)
+            fits[b] = {f"apd{d + 1}": fit_fringe(betas, p[:, d]).to_dict() for d in range(2)}
+            for d in range(2):
+                for beta, p_k, err in zip(betas, p[:, d], errors[:, d]):
+                    writer.writerow([b, d + 1, f"{beta:.17g}", f"{p_k:.17g}", f"{err:.17g}"])
 
     write_json(
         {
@@ -205,8 +201,6 @@ def cmd_scan(args, out: OutputTracker):
 
 
 def cmd_tomo(args, out: OutputTracker):
-    from .states import ideal_state
-
     params = _merged(args, _TOMO_KEYS)
     _require_at_least(params, "bootstrap", 0)
     _require_at_least(params, "n_per_setting", 1)

@@ -128,30 +128,29 @@ def joint_probabilities(rho, setting: MeasurementSetting):
 
 
 @dataclass
-class CountRecord:
-    setting: MeasurementSetting
-    counts: np.ndarray   # four cells in outcome order; floats in exact mode
-
-    def __post_init__(self):
-        self.counts = np.asarray(self.counts, dtype=float)
-        if self.counts.shape != (4,) or not np.all(np.isfinite(self.counts) & (self.counts >= 0)):
-            raise ValueError("counts must be four finite non-negative cells")
-        if self.counts.sum() < 1.0 - 1e-9:
-            raise ValueError("total count must be at least 1")
-
-    @property
-    def total(self):
-        return float(np.sum(self.counts))
-
-
-@dataclass
 class Dataset:
-    records: list
+    """Count records: S settings and one (S, 4) array of their counts in
+    outcome order (floats in exact mode), validated as a whole."""
+
+    settings: list
+    records: np.ndarray
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.records:
+        self.settings = list(self.settings)
+        if not self.settings:
             raise ValueError("a dataset needs at least one record")
+        self.records = np.asarray(self.records, dtype=float)
+        if self.records.shape != (len(self.settings), 4):
+            raise ValueError(f"records must have shape ({len(self.settings)}, 4) to match "
+                             f"the settings, got {self.records.shape}")
+        cells_ok = (np.isfinite(self.records) & (self.records >= 0)).all(axis=1)
+        bad = ~cells_ok | (self.records.sum(axis=1) < 1.0 - 1e-9)
+        if bad.any():
+            k = int(np.argmax(bad))
+            problem = ("counts must be four finite non-negative cells" if not cells_ok[k]
+                       else "total count must be at least 1")
+            raise ValueError(f"row {k + 1}: {problem}")
 
 
 def record_rng(master_seed, index):
@@ -163,40 +162,24 @@ def record_rng(master_seed, index):
     return default_rng(SeedSequence(entropy=int(master_seed), spawn_key=(int(index),)))
 
 
-def sample_counts(p, n, seed=None, rng=None, exact=False):
-    """Multinomial draw of n trials from probability vector p.
-
-    With `exact` the expected counts n*p are returned instead (the
-    infinite-statistics mode used to separate systematic from statistical
-    checks). Deterministic for fixed (p, n, seed).
-    """
-    p = np.asarray(p, dtype=float)
-    if p.shape != (4,) or np.any(p < -1e-12) or abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError("p must be a probability 4-vector")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if exact:
-        return n * p
-    if rng is None:
-        rng = default_rng(seed)
-    q = np.clip(p, 0.0, None)
-    return rng.multinomial(int(n), q / q.sum()).astype(float)
-
-
-def _records(rho, settings, n, noise, rngs, exact):
-    """Noise applied and rho validated once, then one CountRecord per setting."""
-    probs = noisy_probabilities(rho, outcome_operators(settings), noise)
-    return [CountRecord(setting=s, counts=sample_counts(p, n, rng=rng, exact=exact))
-            for s, p, rng in zip(settings, probs, rngs)]
-
-
 def simulate_settings(rho, settings, n_per_setting, noise=None, seed=0, exact=False):
-    """Dataset over a list of settings, one record each, substream-seeded."""
+    """Dataset over a list of settings, one record each. Record k is a
+    multinomial draw of n_per_setting trials from substream record_rng(seed, k);
+    with `exact` the records are the expected counts n_per_setting * p instead
+    (the infinite-statistics mode used to separate systematic from statistical
+    checks)."""
+    if n_per_setting < 1:
+        raise ValueError(f"n_per_setting must be >= 1, got {n_per_setting}")
     noise = noise or NoiseModel()
     settings = list(settings)
-    records = _records(rho, settings, n_per_setting, noise,
-                       (record_rng(seed, i) for i in range(len(settings))), exact)
+    probs = noisy_probabilities(rho, outcome_operators(settings), noise)
+    if exact:
+        records = n_per_setting * probs
+    else:
+        records = [record_rng(seed, k).multinomial(int(n_per_setting), p / p.sum())
+                   for k, p in enumerate(probs)]
     return Dataset(
+        settings=settings,
         records=records,
         metadata={
             "seed": int(seed),
@@ -225,10 +208,9 @@ def write_counts_csv(dataset: Dataset, path):
     with atomic_open(path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(("theta", "phi", "beta") + COUNT_COLUMNS + ("photon_basis",))
-        for rec in dataset.records:
-            s = rec.setting
+        for s, counts in zip(dataset.settings, dataset.records):
             row = [f"{s.atom.theta:.17g}", f"{s.atom.phi:.17g}", f"{s.photon.beta:.17g}"]
-            row += [f"{c:.17g}" for c in rec.counts]
+            row += [f"{c:.17g}" for c in counts]
             row.append("circular" if s.photon.circular else "linear")
             w.writerow(row)
     write_json(dataset.metadata, sidecar_path(path))
@@ -274,10 +256,7 @@ def _csv_record(path, row_no, header, cells):
         atom=AtomSetting(theta=theta, phi=phi),
         photon=PhotonSetting(beta=beta, circular=basis == "circular"),
     )
-    try:
-        return CountRecord(setting=setting, counts=counts)
-    except ValueError as exc:
-        raise ValueError(f"{path}: row {row_no}: {exc}") from exc
+    return setting, counts
 
 
 def read_counts_csv(path):
@@ -290,18 +269,22 @@ def read_counts_csv(path):
             reader = csv.reader(fh)
             header = next(reader, None)
             _csv_header(path, header)
-            records = [_csv_record(path, row_no, header, cells)
-                       for row_no, cells in enumerate((c for c in reader if c), 1)]
+            rows = [_csv_record(path, row_no, header, cells)
+                    for row_no, cells in enumerate((c for c in reader if c), 1)]
     except (csv.Error, UnicodeDecodeError) as exc:   # not readable as CSV text
         raise ValueError(f"{path}: {exc}") from exc
-    if not records:
+    if not rows:
         raise ValueError(f"{path}: no records after the header")
-    metadata = {"mode": "ingested"}
+    settings, counts = zip(*rows)
+    try:
+        dataset = Dataset(settings=settings, records=counts, metadata={"mode": "ingested"})
+    except ValueError as exc:   # names the row, numbered as in the file
+        raise ValueError(f"{path}: {exc}") from exc
     try:
         with open(sidecar_path(path)) as fh:
-            metadata = json.load(fh)
+            dataset.metadata = json.load(fh)
     except FileNotFoundError:
         pass
     except ValueError as exc:   # not JSON, or not UTF-8
         raise ValueError(f"{sidecar_path(path)}: {exc}") from exc
-    return Dataset(records=records, metadata=metadata)
+    return dataset

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -59,26 +59,6 @@ def purity(rho):
 
 
 @dataclass
-class FringeScan:
-    """Conditional-probability fringe versus analyzer angle."""
-
-    betas: np.ndarray          # radians
-    probabilities: np.ndarray  # conditional P(F=1 | detector) per point
-    counts: np.ndarray         # conditioned events per point
-    detector: int = 1
-    atom_label: str = ""
-
-    def __post_init__(self):
-        self.betas = np.asarray(self.betas, dtype=float)
-        self.probabilities = np.asarray(self.probabilities, dtype=float)
-        self.counts = np.asarray(self.counts, dtype=float)
-        if not (len(self.betas) == len(self.probabilities) == len(self.counts)):
-            raise ValueError("betas, probabilities, counts must have equal length")
-        if len(self.betas) < 4:
-            raise ValueError("need at least 4 points to fit 3 parameters")
-
-
-@dataclass
 class VisibilityFit:
     visibility: float     # peak-to-peak amplitude of the fitted curve
     offset: float
@@ -87,28 +67,27 @@ class VisibilityFit:
     clipped: bool = False  # fitted curve exits [0, 1]
 
     def to_dict(self):
-        return {
-            "visibility": self.visibility,
-            "offset": self.offset,
-            "phase": self.phase,
-            "rms_residual": self.rms_residual,
-            "clipped": self.clipped,
-        }
+        return asdict(self)
 
 
-def fit_fringe(scan: FringeScan) -> VisibilityFit:
-    """Least-squares fit of p(beta) = offset + (V/2) cos(2 beta - phase).
+def fit_fringe(betas, p) -> VisibilityFit:
+    """Least-squares fit of p(beta) = offset + (V/2) cos(2 beta - phase) to
+    conditional probabilities p at analyzer angles betas (radians).
 
     The angular frequency is fixed at 2 (period pi); the fit is linear in
     (offset, c1, c2) with V = 2 sqrt(c1^2 + c2^2), so it is closed-form
     and deterministic.
     """
-    b, p = scan.betas, scan.probabilities
+    b, p = np.asarray(betas, dtype=float), np.asarray(p, dtype=float)
+    if len(b) != len(p):
+        raise ValueError("betas and probabilities must have equal length")
+    if len(b) < 4:
+        raise ValueError("need at least 4 points to fit 3 parameters")
     design = np.column_stack([np.ones_like(b), np.cos(2 * b), np.sin(2 * b)])
-    if np.linalg.matrix_rank(design, tol=1e-9) < 3:
+    coef, _, _, sv = np.linalg.lstsq(design, p, rcond=None)
+    if np.count_nonzero(sv > 1e-9) < 3:
         raise ValueError("degenerate design: beta values do not resolve the fringe"
                          " (all equal mod pi/2)")
-    coef, *_ = np.linalg.lstsq(design, p, rcond=None)
     c0, c1, c2 = coef
     visibility = 2.0 * math.hypot(c1, c2)
     phase = math.atan2(c2, c1)
@@ -120,15 +99,14 @@ def fit_fringe(scan: FringeScan) -> VisibilityFit:
 
 
 def fringe_scans(betas, rows, atom_label=""):
-    """The two detector-conditional fringes P(F=1 | APDd) of a beta scan,
-    from its (S, 4) count or probability rows in outcome order; a point's
-    conditioning events are its (F2, d) and (F1, d) cells."""
+    """(p, events) of a beta scan, each (S, 2) with columns APD1 and APD2:
+    the detector-conditional fringes P(F=1 | APDd) and their conditioning
+    events, read from the scan's (S, 4) count or probability rows in outcome
+    order; a point's events on detector d are its (F2, d) and (F1, d) cells."""
     rows = np.asarray(rows, dtype=float)
     events = rows[:, :2] + rows[:, 2:]   # columns APD1, APD2
     if not (events > 0).all():
         k, d = np.argwhere(~(events > 0))[0]
         raise ValueError(f"no events on APD{d + 1} at {atom_label + ' ' if atom_label else ''}"
                          f"scan point {k + 1} (beta={betas[k]:.17g})")
-    p = rows[:, 2:] / events
-    return (FringeScan(betas, p[:, 0], events[:, 0], detector=1, atom_label=atom_label),
-            FringeScan(betas, p[:, 1], events[:, 1], detector=2, atom_label=atom_label))
+    return rows[:, 2:] / events, events

@@ -10,7 +10,7 @@ end up in the maximally entangled superposition built by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -51,12 +51,7 @@ class NoiseModel:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
 
     def to_dict(self):
-        return {
-            "depolarizing": self.depolarizing,
-            "dephasing": self.dephasing,
-            "eps01": self.eps01,
-            "eps10": self.eps10,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):

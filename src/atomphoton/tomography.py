@@ -110,21 +110,22 @@ class TomographySet:
         """Sum the records of each canonical setting, identified by their
         outcome operators. A record at any other setting, e.g. a scan point,
         is an error naming the record (counted from 1) and its angles."""
-        ops = outcome_operators([rec.setting for rec in dataset.records]).reshape(-1, 64)
+        ops = outcome_operators(dataset.settings).reshape(-1, 64)
         # Every candidate has Frobenius norm 2, so the nearest one has the
         # largest Re <candidate, ops> and is the only one that can match.
         # The comparison is written so that a NaN entry matches nothing.
         nearest = np.argmax((ops @ _CANDIDATES.conj().T).real, axis=1)
         matched = np.abs(ops - _CANDIDATES[nearest]).max(axis=1) <= _OPERATOR_TOL
+        if not matched.all():
+            n = int(np.argmin(matched))
+            a, p = dataset.settings[n].atom, dataset.settings[n].photon
+            raise ValueError(
+                f"record {n + 1} (theta={a.theta:.17g}, phi={a.phi:.17g}, beta={p.beta:.17g}, "
+                f"{'circular' if p.circular else 'linear'}) is not a canonical "
+                "tomography setting")
+        rows = np.where((nearest >= 9)[:, None], dataset.records[:, _ATOM_SWAP], dataset.records)
         counts = np.zeros((9, 4))
-        for n, (rec, c, ok) in enumerate(zip(dataset.records, nearest, matched), 1):
-            if not ok:
-                a, p = rec.setting.atom, rec.setting.photon
-                raise ValueError(
-                    f"record {n} (theta={a.theta:.17g}, phi={a.phi:.17g}, beta={p.beta:.17g}, "
-                    f"{'circular' if p.circular else 'linear'}) is not a canonical "
-                    "tomography setting")
-            counts[c % 9] += rec.counts[_ATOM_SWAP] if c >= 9 else rec.counts
+        np.add.at(counts, nearest % 9, rows)   # row by row in record order: the loop's sums
         missing = [_setting_label(k) for k in np.flatnonzero(~counts.any(axis=1))]
         if missing:
             raise ValueError(f"tomography set is missing settings: {', '.join(missing)}")

@@ -48,7 +48,7 @@ def scan_counts(atom, n_per_point, noise, seed):
     """(18, 4) counts of an 18-point beta scan of the ideal state."""
     settings = [MeasurementSetting(atom, PhotonSetting(beta=b)) for b in BETAS_18]
     ds = simulate_settings(ideal_state(), settings, n_per_point, noise=noise, seed=seed)
-    return np.array([r.counts for r in ds.records])
+    return ds.records
 
 
 def report(criterion, ok, detail):
@@ -69,9 +69,10 @@ def test_criterion_1_fringe_reproduction():
     for seed in range(n_seeds):
         for name, atom in (("sx", ATOM_SX), ("sy", ATOM_SY)):
             counts = scan_counts(atom, 600, noise, seed=2 * seed + (name == "sy"))
-            for scan in fringe_scans(BETAS_18, counts, atom_label=name):
-                fit = fit_fringe(scan)
-                hits[(name, scan.detector)] += abs(fit.visibility - target) <= 0.03
+            p, _ = fringe_scans(BETAS_18, counts, atom_label=name)
+            for detector in (1, 2):
+                fit = fit_fringe(BETAS_18, p[:, detector - 1])
+                hits[(name, detector)] += abs(fit.visibility - target) <= 0.03
     elapsed = time.perf_counter() - t0
 
     fractions = {k: v / n_seeds for k, v in hits.items()}
@@ -222,7 +223,7 @@ def test_criterion_8_property_suites():
                           scan_counts(ATOM_SX, 300, noise, seed=11))
     da = simulate_tomography(ideal_state(), 300, noise=noise, seed=13)
     db = simulate_tomography(ideal_state(), 300, noise=noise, seed=13)
-    assert all(np.array_equal(ra.counts, rb.counts) for ra, rb in zip(da.records, db.records))
+    assert np.array_equal(da.records, db.records)
     ra, _ = mle_reconstruct(TomographySet.from_dataset(da))
     rb, _ = mle_reconstruct(TomographySet.from_dataset(db))
     assert np.array_equal(ra, rb)

@@ -244,7 +244,7 @@ class TestConfigFile:
         assert run_cli(["--config", str(cfg), "--seed", "8", "--out", out, "scan"]) == 0
         ds = read_counts_csv(out + ".counts.csv")
         assert len(ds.records) == 9
-        assert ds.records[0].total == 120
+        assert ds.records[0].sum() == 120
         assert ds.metadata["noise"]["depolarizing"] == 0.2
         # flag overrides the file value
         out2 = str(tmp_path / "cfg2")
@@ -308,7 +308,7 @@ class TestConfigFile:
             assert run_cli(["--config", str(cfg), "--out", out, command]) == 0
         assert len(read_counts_csv(str(tmp_path / "scan.counts.csv")).records) == 12
         tomo = read_counts_csv(str(tmp_path / "tomo.counts.csv"))
-        assert tomo.records[0].total == 50
+        assert tomo.records[0].sum() == 50
         assert tomo.metadata["noise"]["depolarizing"] == 0.2
         assert "bootstrap" not in json.load(open(tmp_path / "tomo.metrics.json"))
         assert json.load(open(tmp_path / "calibrate.noise.json"))["targets"]["vx"] == 0.86

@@ -10,10 +10,10 @@ from hypothesis import given, settings, strategies as st
 from atomphoton import qmath
 from atomphoton.measurement import (
     ATOM_SX,
-    _records,
     ATOM_SY,
+    ATOM_SZ,
+    PHOTON_SZ,
     AtomSetting,
-    CountRecord,
     Dataset,
     MeasurementSetting,
     PhotonSetting,
@@ -26,7 +26,6 @@ from atomphoton.measurement import (
     photon_projectors,
     read_counts_csv,
     record_rng,
-    sample_counts,
     simulate_settings,
     write_counts_csv,
 )
@@ -49,10 +48,11 @@ def simulate_scan(rho, atom, betas, n_per_point, noise=None, seed=0, exact=False
     return simulate_settings(rho, settings, n_per_point, noise=noise, seed=seed, exact=exact)
 
 
-def scan_fringes(ds):
-    """The two detector fringes of a simulated scan."""
-    return fringe_scans([r.setting.photon.beta for r in ds.records],
-                        [r.counts for r in ds.records])
+def scan_fits(ds):
+    """{detector: fringe fit} of a simulated scan."""
+    betas = [s.photon.beta for s in ds.settings]
+    p, _ = fringe_scans(betas, ds.records)
+    return {d + 1: fit_fringe(betas, p[:, d]) for d in range(2)}
 
 
 class TestPhotonProjectors:
@@ -322,60 +322,92 @@ class TestReadoutConfusion:
         assert np.all(out >= 0)
 
 
+class TestDataset:
+    SETTINGS = [MeasurementSetting(ATOM_SX, PhotonSetting(beta=b)) for b in (0.0, 0.4, 0.8)]
+
+    def test_records_become_one_float_array(self):
+        ds = Dataset(self.SETTINGS, [[1, 2, 3, 4], [0, 0, 0, 1], [5, 5, 5, 5]])
+        assert ds.records.dtype == float and ds.records.shape == (3, 4)
+
+    @pytest.mark.parametrize("records", [np.ones((2, 4)), np.ones((3, 3)), np.ones(12)])
+    def test_shape_must_match_settings(self, records):
+        with pytest.raises(ValueError, match=r"records must have shape \(3, 4\)"):
+            Dataset(self.SETTINGS, records)
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="at least one record"):
+            Dataset([], np.zeros((0, 4)))
+
+    @pytest.mark.parametrize("cell, message", [
+        (math.nan, "counts must be four finite non-negative cells"),
+        (math.inf, "counts must be four finite non-negative cells"),
+        (-1.0, "counts must be four finite non-negative cells"),
+        (None, "total count must be at least 1"),
+    ])
+    def test_bad_row_named(self, cell, message):
+        records = np.full((3, 4), 10.0)
+        records[2] = [0.0, 0.5, 0.25, 0.0]   # a later row that is also bad
+        if cell is None:
+            records[1] = 0.0
+        else:
+            records[1, 2] = cell
+        with pytest.raises(ValueError, match=rf"^row 2: {message}$"):
+            Dataset(self.SETTINGS, records)
+
+
 class TestSampleCounts:
+    """The multinomial draws of simulate_settings."""
+
     def test_degenerate_distribution(self):
-        counts = sample_counts(np.array([1.0, 0, 0, 0]), 37, seed=0)
-        assert np.array_equal(counts, [37, 0, 0, 0])
+        # |-1> x |sigma+> at (sigma_z, sigma_z) lands on (F2, APD1) every time
+        rho = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+        ds = simulate_settings(rho, [MeasurementSetting(ATOM_SZ, PHOTON_SZ)], 37, seed=0)
+        assert np.array_equal(ds.records, [[37, 0, 0, 0]])
 
     def test_exact_mode(self):
-        p = np.array([0.4, 0.1, 0.3, 0.2])
-        assert np.allclose(sample_counts(p, 300, exact=True), 300 * p)
+        noise = NoiseModel(depolarizing=0.2, eps01=0.03)
+        ds = simulate_settings(ideal_state(), SETTING_GRID, 300, noise=noise, exact=True)
+        want = 300 * noisy_probabilities(ideal_state(), outcome_operators(SETTING_GRID), noise)
+        assert np.array_equal(ds.records, want)
 
     def test_deterministic_for_seed(self):
-        p = np.array([0.4, 0.1, 0.3, 0.2])
-        a = sample_counts(p, 300, seed=42)
-        b = sample_counts(p, 300, seed=42)
-        assert np.array_equal(a, b)
+        a = simulate_settings(werner(0.6), SETTING_GRID, 300, seed=42)
+        b = simulate_settings(werner(0.6), SETTING_GRID, 300, seed=42)
+        assert np.array_equal(a.records, b.records)
 
     def test_conditional_standard_error_matches_binomial(self):
-        # SD over many seeds of the conditional F=1 frequency vs the
+        # SD over many records of the conditional F=1 frequency vs the
         # binomial prediction at the conditioned sample size
         n = 300
-        beta = 0.6
-        p = joint_probabilities(werner(0.86),
-                                MeasurementSetting(ATOM_SX, PhotonSetting(beta=beta)))
+        setting = MeasurementSetting(ATOM_SX, PhotonSetting(beta=0.6))
+        p = joint_probabilities(werner(0.86), setting)
         cond_true = p[2] / (p[0] + p[2])
-        freqs = []
-        for s in range(1000):
-            c = sample_counts(p, n, rng=record_rng(2024, s))
-            denom = c[0] + c[2]
-            if denom > 0:
-                freqs.append(c[2] / denom)
-        sd = np.std(freqs)
+        c = simulate_settings(werner(0.86), [setting] * 1000, n, seed=2024).records
+        denom = c[:, 0] + c[:, 2]
+        sd = np.std(c[denom > 0, 2] / denom[denom > 0])
         expected = math.sqrt(cond_true * (1 - cond_true) / (n * (p[0] + p[2])))
         assert abs(sd - expected) / expected < 0.20
 
     def test_mean_within_three_standard_errors(self):
-        p = np.array([0.35, 0.15, 0.15, 0.35])
+        setting = MeasurementSetting(ATOM_SX, PhotonSetting(beta=0.0))
+        p = joint_probabilities(werner(0.4), setting)   # (0.35, 0.15, 0.15, 0.35)
         n = 300
-        draws = np.array([sample_counts(p, n, rng=record_rng(77, s)) for s in range(1000)])
+        draws = simulate_settings(werner(0.4), [setting] * 1000, n, seed=77).records
         mean_freq = draws.mean(axis=0) / n
         se = np.sqrt(p * (1 - p) / n / 1000)
         assert np.all(np.abs(mean_freq - p) <= 3 * se)
 
     def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            sample_counts(np.array([0.5, 0.5, 0.2, -0.2]), 10, seed=0)
-        with pytest.raises(ValueError):
-            sample_counts(np.array([0.25] * 4), 0, seed=0)
+        for exact in (False, True):
+            with pytest.raises(ValueError, match="n_per_setting must be >= 1"):
+                simulate_settings(ideal_state(), SETTING_GRID[:1], 0, seed=0, exact=exact)
 
 
 class TestSimulateScan:
     def test_exact_mode_unit_visibility(self):
         betas = [k * math.pi / 12 for k in range(12)]
         ds = simulate_scan(ideal_state(), ATOM_SX, betas, 100, seed=0, exact=True)
-        for scan in scan_fringes(ds):
-            fit = fit_fringe(scan)
+        for fit in scan_fits(ds).values():
             assert abs(fit.visibility - 1.0) < 1e-9
             assert fit.rms_residual < 1e-9
 
@@ -384,18 +416,17 @@ class TestSimulateScan:
         noise = NoiseModel(depolarizing=0.14)
         a = simulate_scan(ideal_state(), ATOM_SX, betas, 300, noise=noise, seed=5)
         b = simulate_scan(ideal_state(), ATOM_SX, betas, 300, noise=noise, seed=5)
-        for ra, rb in zip(a.records, b.records):
-            assert np.array_equal(ra.counts, rb.counts)
+        assert np.array_equal(a.records, b.records)
 
     def test_records_independent_of_evaluation_order(self):
-        # substream per (seed, index): a record's draw does not depend on
-        # whether the others were generated
-        betas = [0.1, 0.5, 0.9]
-        noise = NoiseModel(depolarizing=0.14)
-        full = simulate_scan(ideal_state(), ATOM_SX, betas, 200, noise=noise, seed=9)
-        (lone,) = _records(ideal_state(), [full.records[2].setting], 200, noise,
-                           [record_rng(9, 2)], False)
-        assert np.array_equal(full.records[2].counts, lone.counts)
+        # substream per (seed, index): record k is the draw from
+        # record_rng(seed, k) alone, whether or not the others were generated
+        noise = NoiseModel(depolarizing=0.14, dephasing=0.05, eps01=0.02, eps10=0.04)
+        grid = SETTING_GRID[::5]
+        ds = simulate_settings(werner(0.8), grid, 200, noise=noise, seed=9)
+        probs = noisy_probabilities(werner(0.8), outcome_operators(grid), noise)
+        for k, p in enumerate(probs):
+            assert np.array_equal(ds.records[k], record_rng(9, k).multinomial(200, p / p.sum()))
 
     def test_calibrated_visibility_distribution(self):
         # 18 points at ~300 conditioned events per fringe point; the
@@ -406,9 +437,8 @@ class TestSimulateScan:
         n_seeds = 200
         for seed in range(n_seeds):
             ds = simulate_scan(ideal_state(), ATOM_SX, betas, 600, noise=noise, seed=seed)
-            for scan in scan_fringes(ds):
-                fit = fit_fringe(scan)
-                in_band[scan.detector] += abs(fit.visibility - 0.86) <= 0.03
+            for detector, fit in scan_fits(ds).items():
+                in_band[detector] += abs(fit.visibility - 0.86) <= 0.03
         assert in_band[1] >= 0.95 * n_seeds
         assert in_band[2] >= 0.95 * n_seeds
 
@@ -418,13 +448,11 @@ class TestSimulateScan:
 
 
 ANGLES = st.floats(-10.0, 10.0)
-CSV_RECORDS = st.lists(
-    st.builds(
-        lambda theta, phi, beta, circular, cells: CountRecord(
-            setting=MeasurementSetting(AtomSetting(theta=theta, phi=phi),
-                                       PhotonSetting(beta=beta, circular=circular)),
-            counts=cells),
-        ANGLES, ANGLES, ANGLES, st.booleans(),
+CSV_RECORDS = st.lists(   # (setting, counts) pairs
+    st.tuples(
+        st.builds(lambda theta, phi, beta, circular: MeasurementSetting(
+            AtomSetting(theta=theta, phi=phi), PhotonSetting(beta=beta, circular=circular)),
+            ANGLES, ANGLES, ANGLES, st.booleans()),
         st.lists(st.one_of(st.integers(0, 10**6).map(float), st.floats(0.0, 1e6)),
                  min_size=4, max_size=4).filter(lambda c: sum(c) >= 1.0)),
     min_size=1, max_size=12)
@@ -441,11 +469,11 @@ class TestCsvRoundTrip:
     @given(CSV_RECORDS, SIDECARS)
     def test_write_read_round_trip(self, tmp_path_factory, records, metadata):
         path = tmp_path_factory.mktemp("csv") / "rt.counts.csv"
-        write_counts_csv(Dataset(records=records, metadata=metadata), path)
+        setting_list, counts = zip(*records)
+        write_counts_csv(Dataset(setting_list, counts, metadata=metadata), path)
         back = read_counts_csv(path)
-        assert [r.setting for r in back.records] == [r.setting for r in records]
-        for ra, rb in zip(records, back.records):
-            assert np.array_equal(ra.counts, rb.counts)
+        assert back.settings == list(setting_list)
+        assert np.array_equal(back.records, counts)
         assert back.metadata == metadata
 
     def test_lossless_round_trip(self, tmp_path):
@@ -455,12 +483,12 @@ class TestCsvRoundTrip:
         path = tmp_path / "scan.counts.csv"
         write_counts_csv(ds, path)
         back = read_counts_csv(path)
-        assert len(back.records) == len(ds.records)
-        for ra, rb in zip(ds.records, back.records):
-            assert ra.setting.atom == rb.setting.atom
-            assert ra.setting.photon.beta == rb.setting.photon.beta
-            assert ra.setting.photon.circular == rb.setting.photon.circular
-            assert np.array_equal(ra.counts, rb.counts)
+        assert len(back.settings) == len(ds.settings)
+        for sa, sb in zip(ds.settings, back.settings):
+            assert sa.atom == sb.atom
+            assert sa.photon.beta == sb.photon.beta
+            assert sa.photon.circular == sb.photon.circular
+        assert np.array_equal(ds.records, back.records)
         assert back.metadata["seed"] == 3
         assert back.metadata["noise"] == noise.to_dict()
 
@@ -471,7 +499,7 @@ class TestCsvRoundTrip:
         path = tmp_path / "tomo.counts.csv"
         write_counts_csv(ds, path)
         back = read_counts_csv(path)
-        circ = [r.setting.photon.circular for r in back.records]
+        circ = [s.photon.circular for s in back.settings]
         assert sum(circ) == 3   # the three photonic sigma_z settings
 
     def test_missing_sidecar_marks_ingested(self, tmp_path):
@@ -488,8 +516,7 @@ class TestCsvRoundTrip:
         path = tmp_path / "exact.counts.csv"
         write_counts_csv(ds, path)
         back = read_counts_csv(path)
-        for ra, rb in zip(ds.records, back.records):
-            assert np.array_equal(ra.counts, rb.counts)
+        assert np.array_equal(ds.records, back.records)
 
 
 class TestCsvValidation:
@@ -523,9 +550,9 @@ class TestCsvValidation:
         path = tmp_path / "old.counts.csv"
         path.write_text(self.HEADER.replace(",photon_basis", "")
                         + self.GOOD.replace(",linear", ""))
-        (rec,) = read_counts_csv(path).records
-        assert not rec.setting.photon.circular
-        assert np.array_equal(rec.counts, [10, 20, 30, 40])
+        ds = read_counts_csv(path)
+        assert not ds.settings[0].photon.circular
+        assert np.array_equal(ds.records, [[10, 20, 30, 40]])
 
     def test_malformed_sidecar_named(self, tmp_path):
         path = tmp_path / "x.counts.csv"
@@ -537,9 +564,9 @@ class TestCsvValidation:
     def test_byte_order_mark_read(self, tmp_path):
         path = tmp_path / "bom.counts.csv"
         path.write_bytes(b"\xef\xbb\xbf" + (self.HEADER + self.GOOD).encode())
-        (rec,) = read_counts_csv(path).records
-        assert rec.setting.atom.theta == math.pi / 4
-        assert np.array_equal(rec.counts, [10, 20, 30, 40])
+        ds = read_counts_csv(path)
+        assert ds.settings[0].atom.theta == math.pi / 4
+        assert np.array_equal(ds.records, [[10, 20, 30, 40]])
 
     def test_missing_columns_named(self, tmp_path):
         path = tmp_path / "short.counts.csv"

@@ -9,7 +9,6 @@ from scipy.optimize import minimize
 
 from atomphoton.measurement import ATOM_SX, MeasurementSetting, PhotonSetting, joint_probabilities
 from atomphoton.metrics import (
-    FringeScan,
     chsh_max,
     correlation_matrix,
     fidelity_to_target,
@@ -165,7 +164,7 @@ class TestFitFringe:
     def test_exact_model_recovery(self):
         betas = np.arange(18) * math.pi / 18
         p = 0.5 + 0.5 * np.cos(2 * betas - 0.7)
-        fit = fit_fringe(FringeScan(betas, p, np.full(18, 300)))
+        fit = fit_fringe(betas, p)
         assert abs(fit.visibility - 1.0) < 1e-9
         assert abs(fit.offset - 0.5) < 1e-9
         assert abs(fit.phase - 0.7) < 1e-9
@@ -174,7 +173,7 @@ class TestFitFringe:
 
     def test_flat_scan_zero_visibility(self):
         betas = np.arange(12) * math.pi / 12
-        fit = fit_fringe(FringeScan(betas, np.full(12, 0.5), np.full(12, 300)))
+        fit = fit_fringe(betas, np.full(12, 0.5))
         assert fit.visibility < 1e-9
 
     def test_consistency_with_exact_probabilities(self):
@@ -186,22 +185,26 @@ class TestFitFringe:
                 p = joint_probabilities(werner(v),
                                         MeasurementSetting(ATOM_SX, PhotonSetting(beta=b)))
                 cond.append(p[2] / (p[0] + p[2]))
-            fit = fit_fringe(FringeScan(betas, cond, np.full(10, 1.0)))
+            fit = fit_fringe(betas, cond)
             assert abs(fit.visibility - v) < 1e-6
 
     def test_degenerate_design_rejected(self):
         betas = np.array([0.3, 0.3 + math.pi / 2, 0.3 + math.pi, 0.3 + 3 * math.pi / 2])
         with pytest.raises(ValueError, match="degenerate"):
-            fit_fringe(FringeScan(betas, np.full(4, 0.5), np.full(4, 100)))
+            fit_fringe(betas, np.full(4, 0.5))
 
     def test_too_few_points_rejected(self):
-        with pytest.raises(ValueError):
-            FringeScan([0.0, 0.5, 1.0], [0.1, 0.2, 0.3], [10, 10, 10])
+        with pytest.raises(ValueError, match="at least 4 points"):
+            fit_fringe([0.0, 0.5, 1.0], [0.1, 0.2, 0.3])
+
+    def test_mismatched_lengths_rejected(self):
+        with pytest.raises(ValueError, match="equal length"):
+            fit_fringe(np.arange(6) * 0.3, np.full(5, 0.5))
 
     def test_clipped_flagged_not_errored(self):
         betas = np.arange(8) * math.pi / 8
         p = 0.5 + 0.6 * np.cos(2 * betas)   # exits [0, 1]
-        fit = fit_fringe(FringeScan(betas, p, np.full(8, 100)))
+        fit = fit_fringe(betas, p)
         assert fit.clipped
         assert fit.visibility > 1.0
 
@@ -212,7 +215,7 @@ class TestFitFringe:
         hits = 0
         for _ in range(50):
             p = rng.binomial(300, truth) / 300
-            fit = fit_fringe(FringeScan(betas, p, np.full(18, 300)))
+            fit = fit_fringe(betas, p)
             hits += abs(fit.visibility - 0.86) <= 0.03
         assert hits >= 45
 
@@ -237,11 +240,11 @@ class TestFringeScans:
     @given(SCAN_ROWS)
     def test_equals_per_record_conditionals(self, rows):
         betas = np.arange(len(rows)) * math.pi / len(rows)
-        for scan in fringe_scans(betas, rows, atom_label="sx"):
-            want = [conditional_f1_loop(np.array(c), scan.detector) for c in rows]
-            assert scan.probabilities.tolist() == [p for p, _ in want]
-            assert scan.counts.tolist() == [n for _, n in want]
-            assert scan.atom_label == "sx"
+        p, events = fringe_scans(betas, rows, atom_label="sx")
+        for detector in (1, 2):
+            want = [conditional_f1_loop(np.array(c), detector) for c in rows]
+            assert p[:, detector - 1].tolist() == [p_k for p_k, _ in want]
+            assert events[:, detector - 1].tolist() == [n for _, n in want]
 
     @pytest.mark.parametrize("detector, label, where", [(1, "", "at scan point 4"),
                                                         (2, "sy", "at sy scan point 4")])

@@ -12,7 +12,6 @@ from atomphoton.measurement import (
     ATOM_SX,
     ATOM_SZ,
     AtomSetting,
-    CountRecord,
     Dataset,
     MeasurementSetting,
     PhotonSetting,
@@ -95,34 +94,45 @@ def inverted_coefficients(ds):
     return pauli_coefficients(linear_inversion(TomographySet.from_dataset(ds)))
 
 
+# In these helpers a record is a (setting, counts) pair.
+
+def _records(ds):
+    return list(zip(ds.settings, ds.records))
+
+
+def _dataset(records, metadata=None):
+    setting_list, counts = zip(*records)
+    return Dataset(setting_list, counts, metadata=metadata or {})
+
+
 def _variant(rec, atom=None, photon=None, counts=None):
-    s = rec.setting
-    return CountRecord(setting=MeasurementSetting(atom or s.atom, photon or s.photon),
-                       counts=rec.counts if counts is None else counts)
+    s, c = rec
+    return (MeasurementSetting(atom or s.atom, photon or s.photon),
+            c if counts is None else counts)
 
 
 def _orthogonal_atom(rec):
     """The same record taken with the orthogonal atomic ket transferred
     (theta = 0 for sigma_z, phi + pi otherwise): F2 and F1 trade places, so
     the counts swap with them."""
-    a = rec.setting.atom
+    a = rec[0].atom
     atom = (AtomSetting(0.0, 0.0) if a == ATOM_SZ
             else AtomSetting(a.theta, a.phi + math.pi))
-    return [_variant(rec, atom=atom, counts=rec.counts[[2, 3, 0, 1]])]
+    return [_variant(rec, atom=atom, counts=rec[1][[2, 3, 0, 1]])]
 
 
 def _split(rec):
-    first = np.floor(rec.counts / 3)
-    return [_variant(rec, counts=first), _variant(rec, counts=rec.counts - first)]
+    first = np.floor(rec[1] / 3)
+    return [_variant(rec, counts=first), _variant(rec, counts=rec[1] - first)]
 
 
 # Other angle forms of each canonical record that measure the same outcomes:
 # each maps one record to the records that replace it.
 EQUIVALENT_FORMS = {
     "phi_plus_2pi": lambda rec: [_variant(rec, atom=AtomSetting(
-        rec.setting.atom.theta, rec.setting.atom.phi + 2 * math.pi))],
+        rec[0].atom.theta, rec[0].atom.phi + 2 * math.pi))],
     "beta_plus_pi": lambda rec: [_variant(rec, photon=PhotonSetting(
-        rec.setting.photon.beta + math.pi, rec.setting.photon.circular))],
+        rec[0].photon.beta + math.pi, rec[0].photon.circular))],
     "orthogonal_atomic_ket": _orthogonal_atom,
     "split": _split,
 }
@@ -137,11 +147,11 @@ class TestCanonicalSettings:
         ds = simulate_tomography(ideal_state(), 10, seed=0)
         ts = TomographySet.from_dataset(ds)
         # simulated records come in canonical order, one per row
-        assert np.array_equal(ts.counts, np.array([r.counts for r in ds.records]))
+        assert np.array_equal(ts.counts, ds.records)
 
     def test_missing_setting_reported_by_name(self):
         ds = simulate_tomography(ideal_state(), 10, seed=0)
-        ds.records = [r for r in ds.records if r.setting.label != "yz"]
+        ds = _dataset([(s, c) for s, c in _records(ds) if s.label != "yz"])
         with pytest.raises(ValueError, match="missing settings: yz"):
             TomographySet.from_dataset(ds)
 
@@ -150,17 +160,15 @@ class TestCanonicalSettings:
         # land on the same correlations as the canonical theta=pi/2 row
         base = simulate_tomography(werner(0.8), 300, seed=4, exact=True)
         swapped = []
-        for rec in base.records:
-            if rec.setting.label and rec.setting.label.startswith("z"):
+        for setting, counts in _records(base):
+            if setting.label and setting.label.startswith("z"):
                 setting = MeasurementSetting(
                     atom=AtomSetting(theta=0.0, phi=0.0),
-                    photon=rec.setting.photon,
+                    photon=setting.photon,
                 )
-                counts = rec.counts[[2, 3, 0, 1]]   # F2 <-> F1 roles swap
-                swapped.append(CountRecord(setting=setting, counts=counts))
-            else:
-                swapped.append(rec)
-        ds2 = Dataset(records=swapped, metadata=dict(base.metadata))
+                counts = counts[[2, 3, 0, 1]]   # F2 <-> F1 roles swap
+            swapped.append((setting, counts))
+        ds2 = _dataset(swapped, metadata=dict(base.metadata))
         assert np.array_equal(TomographySet.from_dataset(base).counts,
                               TomographySet.from_dataset(ds2).counts)
         t1, a1, _ = inverted_coefficients(base)
@@ -171,23 +179,22 @@ class TestCanonicalSettings:
     @pytest.mark.parametrize("form", sorted(EQUIVALENT_FORMS))
     def test_equivalent_forms_give_identical_counts(self, form):
         base = simulate_tomography(werner(0.8), 300, seed=4)
-        records = [r for rec in base.records for r in EQUIVALENT_FORMS[form](rec)]
+        records = [r for rec in _records(base) for r in EQUIVALENT_FORMS[form](rec)]
         assert len(records) == (18 if form == "split" else 9)
         assert np.array_equal(
-            TomographySet.from_dataset(Dataset(records=records)).counts,
+            TomographySet.from_dataset(_dataset(records)).counts,
             TomographySet.from_dataset(base).counts)
 
     @pytest.mark.parametrize("angle", ["theta", "phi", "beta"])
     def test_setting_off_by_a_microradian_rejected(self, angle):
         ds = simulate_tomography(werner(0.8), 50, seed=1)
-        rec = ds.records[4]   # yy: every angle matters
-        a, p = rec.setting.atom, rec.setting.photon
+        a, p = ds.settings[4].atom, ds.settings[4].photon   # yy: every angle matters
         shifted = {
             "theta": (AtomSetting(a.theta + 1e-6, a.phi), p),
             "phi": (AtomSetting(a.theta, a.phi + 1e-6), p),
             "beta": (a, PhotonSetting(beta=p.beta + 1e-6)),
         }[angle]
-        ds.records[4] = CountRecord(setting=MeasurementSetting(*shifted), counts=rec.counts)
+        ds.settings[4] = MeasurementSetting(*shifted)
         with pytest.raises(ValueError, match=r"record 5 \(theta=.*\) is not a canonical "
                                              "tomography setting"):
             TomographySet.from_dataset(ds)
@@ -196,8 +203,8 @@ class TestCanonicalSettings:
         # beta = pi/2 measures photonic sigma_x with APD1 and APD2 swapped;
         # only atomic outcomes are matched swapped
         ds = simulate_tomography(werner(0.8), 50, seed=1)
-        ds.records[0] = _variant(ds.records[0], photon=PhotonSetting(beta=math.pi / 2),
-                               counts=ds.records[0].counts[[1, 0, 3, 2]])
+        ds.settings[0] = MeasurementSetting(ds.settings[0].atom, PhotonSetting(beta=math.pi / 2))
+        ds.records[0] = ds.records[0, [1, 0, 3, 2]]
         with pytest.raises(ValueError, match=r"record 1 \(.*beta=1.57.*\) is not a canonical"):
             TomographySet.from_dataset(ds)
 
@@ -216,10 +223,10 @@ class TestNonCanonicalRecords:
     @given(SCAN_BETAS, st.integers(0, 9))
     def test_scan_point_in_tomography_csv_rejected(self, tmp_path_factory, beta, position):
         ds = simulate_tomography(werner(0.8), 50, seed=1)
-        scan_point = CountRecord(
-            setting=MeasurementSetting(atom=ATOM_SX, photon=PhotonSetting(beta=beta)),
-            counts=[10.0, 20.0, 15.0, 5.0])
-        ds.records.insert(position, scan_point)
+        records = _records(ds)
+        records.insert(position, (MeasurementSetting(atom=ATOM_SX, photon=PhotonSetting(beta=beta)),
+                                  [10.0, 20.0, 15.0, 5.0]))
+        ds = _dataset(records)
         path = tmp_path_factory.mktemp("mixed") / "mixed.counts.csv"
         write_counts_csv(ds, path)
         with pytest.raises(ValueError, match=rf"record {position + 1} \(theta=.*, "
@@ -229,22 +236,22 @@ class TestNonCanonicalRecords:
     @pytest.mark.parametrize("angle", ["theta", "phi", "beta"])
     def test_nan_angle_rejected(self, angle):
         ds = simulate_tomography(werner(0.8), 50, seed=1)
-        a, p = ds.records[0].setting.atom, ds.records[0].setting.photon
+        a, p = ds.settings[0].atom, ds.settings[0].photon
         setting = {
             "theta": MeasurementSetting(AtomSetting(math.nan, a.phi), p),
             "phi": MeasurementSetting(AtomSetting(a.theta, math.nan), p),
             "beta": MeasurementSetting(a, PhotonSetting(beta=math.nan)),
         }[angle]
-        ds.records.append(CountRecord(setting=setting, counts=[1.0, 2.0, 3.0, 4.0]))
+        ds = _dataset(_records(ds) + [(setting, [1.0, 2.0, 3.0, 4.0])])
         with pytest.raises(ValueError, match=r"record 10 \(.*nan.*\) is not a canonical"):
             TomographySet.from_dataset(ds)
 
     def test_circular_photon_with_tilted_atom_rejected(self):
         ds = simulate_tomography(werner(0.8), 50, seed=1)
-        ds.records.append(CountRecord(
-            setting=MeasurementSetting(atom=AtomSetting(theta=0.3, phi=0.0),
-                                       photon=PhotonSetting(circular=True)),
-            counts=[1.0, 2.0, 3.0, 4.0]))
+        ds = _dataset(_records(ds) + [(
+            MeasurementSetting(atom=AtomSetting(theta=0.3, phi=0.0),
+                               photon=PhotonSetting(circular=True)),
+            [1.0, 2.0, 3.0, 4.0])])
         with pytest.raises(ValueError, match=r"record 10 \(theta=0.2999.*, circular\)"):
             TomographySet.from_dataset(ds)
 
@@ -425,9 +432,9 @@ class TestMleReconstruct:
         ds = simulate_tomography(werner(0.8), 200, seed=17)
         rho_a, _ = mle_reconstruct(TomographySet.from_dataset(ds))
         rng = np.random.default_rng(0)
-        shuffled = list(ds.records)
-        rng.shuffle(shuffled)
-        ds_b = Dataset(records=shuffled, metadata=dict(ds.metadata))
+        order = rng.permutation(len(ds.settings))
+        ds_b = Dataset([ds.settings[k] for k in order], ds.records[order],
+                       metadata=dict(ds.metadata))
         rho_b, _ = mle_reconstruct(TomographySet.from_dataset(ds_b))
         assert np.linalg.norm(rho_a - rho_b) < 1e-8
 
