@@ -6,11 +6,7 @@ tomography with maximum-likelihood refinement, entanglement metrics, and
 feasibility arithmetic for an event-ready loophole-free Bell test.
 """
 
-from .qmath import (
-    hermitian_eigenvalues,
-    overlap,
-    partial_transpose,
-)
+from .qmath import partial_transpose
 from .states import NoiseModel, apply_noise, ideal_ket, ideal_state, werner
 from .measurement import (
     AtomSetting,
@@ -18,7 +14,6 @@ from .measurement import (
     MeasurementSetting,
     PhotonSetting,
     atom_projectors,
-    joint_probabilities,
     photon_projectors,
     read_counts_csv,
     simulate_settings,
@@ -52,7 +47,6 @@ from .planner import (
     pair_rate,
     pairs_for_sigmas,
     swapped_visibility,
-    violation_sigmas,
 )
 from .calibrate import CalibrationError, CalibrationResult, calibrate_noise, exact_observables
 

@@ -71,7 +71,7 @@ def exact_observables(noise: NoiseModel):
     probs = noisy_probabilities(ideal_state(), _OPERATORS, noise)
 
     def fringe_visibility(block):
-        p, _ = fringe_scans(_FRINGE_BETAS, probs[block * 6:(block + 1) * 6])
+        p, _ = fringe_scans(probs[block * 6:(block + 1) * 6])
         return fit_fringe(_FRINGE_BETAS, p[:, 0]).visibility
 
     rho_rec = linear_inversion(TomographySet(counts=probs[12:], exact=True))

@@ -175,12 +175,20 @@ def cmd_scan(args, out: OutputTracker):
         writer = csv.writer(fh)
         writer.writerow(["basis", "detector", "beta", "p", "error"])
         for b, rows in zip(bases, counts):
-            p, events = fringe_scans(betas, rows, atom_label=b)
-            errors = np.sqrt(p * (1 - p) / events)
-            fits[b] = {f"apd{d + 1}": fit_fringe(betas, p[:, d]).to_dict() for d in range(2)}
+            p, events = fringe_scans(rows)
+            errors = np.sqrt(p * (1 - p) / events)   # NaN, like p, where there are no events
+            fits[b] = {}
             for d in range(2):
+                seen = events[:, d] > 0   # a point without events drops out of the fit
+                try:
+                    fit = fit_fringe(np.asarray(betas)[seen], p[seen, d])
+                except ValueError as exc:
+                    raise ValueError(f"{b} APD{d + 1} fringe, events at {np.count_nonzero(seen)} "
+                                     f"of {n_points} scan points: {exc}") from None
+                fits[b][f"apd{d + 1}"] = fit.to_dict()
                 for beta, p_k, err in zip(betas, p[:, d], errors[:, d]):
-                    writer.writerow([b, d + 1, f"{beta:.17g}", f"{p_k:.17g}", f"{err:.17g}"])
+                    cells = ["", ""] if math.isnan(p_k) else [f"{p_k:.17g}", f"{err:.17g}"]
+                    writer.writerow([b, d + 1, f"{beta:.17g}", *cells])
 
     write_json(
         {

@@ -121,12 +121,6 @@ def noisy_probabilities(rho, operators, noise: NoiseModel):
                       noise.eps01 * f2 + (1 - noise.eps10) * f1])
 
 
-def joint_probabilities(rho, setting: MeasurementSetting):
-    """Exact outcome probabilities tr(rho Pi_a (x) Pi_d), in outcome order."""
-    rho = qmath.check_density_matrix(rho)
-    return outcome_probabilities(rho, outcome_operators([setting]))[0]
-
-
 @dataclass
 class Dataset:
     """Count records: S settings and one (S, 4) array of their counts in

@@ -55,11 +55,6 @@ class ExperimentPlan:
     def to_dict(self):
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d):
-        fields = {k: float(v) for k, v in d.items() if k in cls.__dataclass_fields__}
-        return cls(**fields)
-
 
 @dataclass(frozen=True)
 class PlanReport:
@@ -87,24 +82,6 @@ def swapped_visibility(v1, v2, kappa_bsm=1.0):
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"{name} must lie in [0, 1], got {v}")
     return min(max(v1 * v2 * kappa_bsm, 0.0), 1.0)
-
-
-def _chsh_sigma(v, n_pairs):
-    # pairs split equally over the 4 CHSH settings; each correlation
-    # estimator E = v/sqrt(2) carries variance (1 - E^2)/(n/4)
-    e = v / math.sqrt(2.0)
-    return math.sqrt(4.0 * (1.0 - e * e) / (n_pairs / 4.0))
-
-
-def violation_sigmas(v, n_pairs):
-    """Standard deviations by which S = 2 sqrt(2) v exceeds the classical
-    bound 2 with n_pairs events."""
-    if not 0.0 <= v <= 1.0:
-        raise ValueError(f"visibility must lie in [0, 1], got {v}")
-    if n_pairs < 4:
-        raise ValueError("need at least 4 pairs (one per setting)")
-    s = CHSH_QUANTUM_MAX * v
-    return (s - 2.0) / _chsh_sigma(v, n_pairs)
 
 
 def pairs_for_sigmas(v, k):

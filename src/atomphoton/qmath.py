@@ -85,31 +85,8 @@ def projector(psi):
 
 
 def partial_transpose(rho, subsystem):
-    """Transpose one subsystem's indices of a 4x4 Hermitian matrix."""
-    a = check_hermitian(as_matrix(rho, 4))
-    r = a.reshape(2, 2, 2, 2)
-    if subsystem == "atom":
-        out = r.transpose(2, 1, 0, 3)
-    elif subsystem == "photon":
-        out = r.transpose(0, 3, 2, 1)
-    else:
-        raise ValueError(f"subsystem must be 'atom' or 'photon', got {subsystem!r}")
-    return out.reshape(4, 4)
-
-
-def hermitian_eigenvalues(m, tol=HERMITIAN_TOL):
-    """Real eigenvalues of a Hermitian matrix, sorted ascending."""
-    a = check_hermitian(m, tol=tol)
-    return np.sort(np.linalg.eigvalsh(a))
-
-
-def overlap(psi, rho):
-    """Expectation <psi|rho|psi> as a real number.
-
-    psi must be a normalized ket of the same dimension as rho.
-    """
-    v = ket(psi)
-    a = check_hermitian(rho)
-    if a.shape[0] != v.size:
-        raise ValueError(f"dimension mismatch: ket {v.size}, matrix {a.shape[0]}")
-    return float(np.real(v.conj() @ a @ v))
+    """Transpose one subsystem's indices of a 4x4 matrix, or of each matrix
+    of an (..., 4, 4) stack."""
+    r = rho.reshape(*rho.shape[:-2], 2, 2, 2, 2)   # (..., atom, photon, atom, photon)
+    row = {"atom": -4, "photon": -3}[subsystem]
+    return np.swapaxes(r, row, row + 2).reshape(rho.shape)

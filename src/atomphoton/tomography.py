@@ -336,16 +336,12 @@ def _projected_inversion(counts):
     return _coefficients(_project_stack(_states(_inverted_coefficients(counts))))
 
 
-def mle_reconstruct(ts: TomographySet, init=None):
+def mle_reconstruct(ts: TomographySet):
     """Maximum-likelihood state and fit report: `_fit_stack` on a stack of
-    one, from the projected linear inversion or from `init`. The result never
-    falls below the initialization."""
+    one, from the projected linear inversion. The result never falls below
+    that start."""
     counts = _with_prior(ts.counts[None], ts.exact)
-    if init is None:
-        x0 = _projected_inversion(ts.counts[None])
-    else:
-        x0 = _coefficients(qmath.check_density_matrix(init)[None])
-    x, f, f0, iterations, converged = _fit_stack(counts, x0)
+    x, f, f0, iterations, converged = _fit_stack(counts, _projected_inversion(ts.counts[None]))
     filled = int(np.sum(ts.counts == 0)) if not ts.exact else 0
     report = FitReport(
         log_likelihood=-float(f[0]),
@@ -378,7 +374,7 @@ def bootstrap_metrics(rho_hat, ts: TomographySet, n_replicas=250, seed=0):
     out = {}
     for name, fn in (("fidelity", fidelity_to_target), ("negativity", negativity),
                      ("purity", purity)):
-        vals = np.array([fn(rho) for rho in rhos])
+        vals = fn(rhos)
         out[name] = {
             "mean": float(vals.mean()),
             "std": float(vals.std(ddof=1)) if n_replicas > 1 else 0.0,
@@ -391,7 +387,7 @@ def bootstrap_metrics(rho_hat, ts: TomographySet, n_replicas=250, seed=0):
 # Reconstructed-state JSON
 # ----------------------------------------------------------------------
 
-def state_to_json(rho, fit_report=None):
+def write_state_json(rho, path, fit_report=None):
     payload = {
         "real": np.real(rho).tolist(),
         "imag": np.imag(rho).tolist(),
@@ -399,8 +395,4 @@ def state_to_json(rho, fit_report=None):
     }
     if fit_report is not None:
         payload["fit_report"] = fit_report.to_dict()
-    return payload
-
-
-def write_state_json(rho, path, fit_report=None):
-    write_json(state_to_json(rho, fit_report), path)
+    write_json(payload, path)

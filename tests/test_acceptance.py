@@ -69,7 +69,7 @@ def test_criterion_1_fringe_reproduction():
     for seed in range(n_seeds):
         for name, atom in (("sx", ATOM_SX), ("sy", ATOM_SY)):
             counts = scan_counts(atom, 600, noise, seed=2 * seed + (name == "sy"))
-            p, _ = fringe_scans(BETAS_18, counts, atom_label=name)
+            p, _ = fringe_scans(counts)
             for detector in (1, 2):
                 fit = fit_fringe(BETAS_18, p[:, detector - 1])
                 hits[(name, detector)] += abs(fit.visibility - target) <= 0.03

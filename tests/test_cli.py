@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: artifacts, determinism, error handling."""
 
+import csv
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ import atomphoton
 from atomphoton import cli
 from atomphoton.cli import main
 from atomphoton.measurement import read_counts_csv
+from atomphoton.metrics import fit_fringe
 
 
 def run_cli(args):
@@ -57,6 +59,36 @@ class TestScan:
         ds = read_counts_csv(out + ".counts.csv")
         assert len(ds.records) == 36   # 18 points x 2 bases
         assert ds.metadata["seed"] == 2
+
+    def test_low_count_points_drop_out(self, tmp_path):
+        out = str(tmp_path / "low")
+        assert run_cli(["--seed", "0", "--out", out, "scan", "--n-per-point", "1"]) == 0
+        records = read_counts_csv(out + ".counts.csv").records.reshape(2, 18, 4)
+        with open(out + ".fringes.csv", newline="") as fh:
+            table = list(csv.DictReader(fh))
+        fits = json.load(open(out + ".metrics.json"))["fits"]
+        empty = 0
+        for b, rows in zip(("sx", "sy"), records):
+            for d in (1, 2):
+                lines = [r for r in table if r["basis"] == b and r["detector"] == str(d)]
+                assert len(lines) == 18
+                events = rows[:, d - 1] + rows[:, d + 1]
+                for line, n in zip(lines, events):
+                    assert (line["p"] == "" and line["error"] == "") == (n == 0)
+                kept = [(float(r["beta"]), float(r["p"])) for r in lines if r["p"]]
+                empty += 18 - len(kept)
+                assert fits[b][f"apd{d}"] == fit_fringe(*zip(*kept)).to_dict()
+        assert empty == 36   # one trial per point: an event on exactly one detector
+
+    def test_too_few_points_with_events_named(self, tmp_path, capsys):
+        out = str(tmp_path / "few")
+        assert run_cli(["--seed", "0", "--out", out, "scan", "--n-per-point", "1",
+                        "--n-points", "5"]) == 1
+        err = capsys.readouterr().err
+        assert "sx APD1 fringe, events at 3 of 5 scan points" in err
+        assert "at least 4 points" in err
+        for suffix in (".counts.csv", ".fringes.csv", ".metrics.json"):
+            assert not os.path.exists(out + suffix)
 
     def test_invalid_basis_rejected(self, tmp_path, capsys):
         out = str(tmp_path / "bad")

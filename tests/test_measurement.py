@@ -19,7 +19,6 @@ from atomphoton.measurement import (
     PhotonSetting,
     atom_analysis_ket,
     atom_projectors,
-    joint_probabilities,
     noisy_probabilities,
     outcome_operators,
     outcome_probabilities,
@@ -48,10 +47,15 @@ def simulate_scan(rho, atom, betas, n_per_point, noise=None, seed=0, exact=False
     return simulate_settings(rho, settings, n_per_point, noise=noise, seed=seed, exact=exact)
 
 
+def joint_probabilities(rho, setting):
+    """Exact outcome probabilities tr(rho Pi_a (x) Pi_d) of one setting, in outcome order."""
+    return outcome_probabilities(rho, outcome_operators([setting]))[0]
+
+
 def scan_fits(ds):
     """{detector: fringe fit} of a simulated scan."""
     betas = [s.photon.beta for s in ds.settings]
-    p, _ = fringe_scans(betas, ds.records)
+    p, _ = fringe_scans(ds.records)
     return {d + 1: fit_fringe(betas, p[:, d]) for d in range(2)}
 
 
@@ -184,9 +188,10 @@ class TestJointProbabilities:
             assert np.max(np.abs(p1 - p2)) < 1e-12
 
     def test_unphysical_state_rejected(self):
+        # the noise model is where a state enters simulation, and it validates it
         bad = np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex)
-        with pytest.raises(ValueError):
-            joint_probabilities(bad, SETTING_GRID[0])
+        with pytest.raises(ValueError, match="not PSD"):
+            noisy_probabilities(bad, outcome_operators([SETTING_GRID[0]]), NoiseModel())
 
 
 ORACLE_TOL = 1e-12

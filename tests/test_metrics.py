@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize
 
-from atomphoton.measurement import ATOM_SX, MeasurementSetting, PhotonSetting, joint_probabilities
+from atomphoton.measurement import (
+    ATOM_SX,
+    MeasurementSetting,
+    PhotonSetting,
+    outcome_operators,
+    outcome_probabilities,
+)
 from atomphoton.metrics import (
     chsh_max,
     correlation_matrix,
@@ -104,6 +110,34 @@ class TestNegativity:
             assert negativity(np.kron(r1, r2)) < 1e-10
 
 
+class TestStacks:
+    """The metrics of an (R, 4, 4) stack: one value per state, the
+    closed forms of the Werner family and zero negativity for product states."""
+
+    V = np.linspace(0.0, 1.0, 11)
+
+    def test_werner_family(self):
+        stack = np.array([werner(v) for v in self.V])
+        assert np.allclose(fidelity_to_target(stack), (3 * self.V + 1) / 4, atol=1e-12)
+        assert np.allclose(negativity(stack), np.maximum(0.0, (3 * self.V - 1) / 4), atol=1e-12)
+        assert np.allclose(purity(stack), (1 + 3 * self.V ** 2) / 4, atol=1e-12)
+
+    def test_product_states_ppt(self):
+        rng = np.random.default_rng(12)
+        g = rng.standard_normal((2, 20, 2, 2)) + 1j * rng.standard_normal((2, 20, 2, 2))
+        r = g @ g.conj().swapaxes(-1, -2)
+        r /= np.trace(r, axis1=-2, axis2=-1)[..., None, None]
+        stack = np.einsum("rij,rkl->rikjl", r[0], r[1]).reshape(20, 4, 4)   # r0 (x) r1
+        assert negativity(stack).shape == (20,)
+        assert np.all(negativity(stack) < 1e-10)
+
+    def test_nested_stack_shape(self):
+        stack = np.array([werner(v) for v in self.V[:6]]).reshape(2, 3, 4, 4)
+        for fn in (fidelity_to_target, negativity, purity):
+            assert fn(stack).shape == (2, 3)
+            assert np.array_equal(fn(stack).ravel(), fn(stack.reshape(6, 4, 4)))
+
+
 class TestChsh:
     def test_ideal_tsirelson(self):
         # oracle: singular values of T = diag(1, -1, 1) are all 1
@@ -178,14 +212,11 @@ class TestFitFringe:
 
     def test_consistency_with_exact_probabilities(self):
         # fitting the exact conditionals recovers the analytic visibility
+        betas = np.arange(10) * math.pi / 10
+        ops = outcome_operators([MeasurementSetting(ATOM_SX, PhotonSetting(beta=b)) for b in betas])
         for v in (0.3, 0.86, 1.0):
-            betas = np.arange(10) * math.pi / 10
-            cond = []
-            for b in betas:
-                p = joint_probabilities(werner(v),
-                                        MeasurementSetting(ATOM_SX, PhotonSetting(beta=b)))
-                cond.append(p[2] / (p[0] + p[2]))
-            fit = fit_fringe(betas, cond)
+            p = outcome_probabilities(werner(v), ops)
+            fit = fit_fringe(betas, p[:, 2] / (p[:, 0] + p[:, 2]))
             assert abs(fit.visibility - v) < 1e-6
 
     def test_degenerate_design_rejected(self):
@@ -239,18 +270,19 @@ class TestFringeScans:
     @settings(max_examples=200)
     @given(SCAN_ROWS)
     def test_equals_per_record_conditionals(self, rows):
-        betas = np.arange(len(rows)) * math.pi / len(rows)
-        p, events = fringe_scans(betas, rows, atom_label="sx")
+        p, events = fringe_scans(rows)
         for detector in (1, 2):
             want = [conditional_f1_loop(np.array(c), detector) for c in rows]
             assert p[:, detector - 1].tolist() == [p_k for p_k, _ in want]
             assert events[:, detector - 1].tolist() == [n for _, n in want]
 
-    @pytest.mark.parametrize("detector, label, where", [(1, "", "at scan point 4"),
-                                                        (2, "sy", "at sy scan point 4")])
-    def test_zero_apd_events_named(self, detector, label, where):
+    @pytest.mark.parametrize("detector", [1, 2])
+    def test_point_without_events_is_nan(self, detector):
         rows = np.full((5, 4), 10.0)
         rows[3, [detector - 1, detector + 1]] = 0.0
-        with pytest.raises(ValueError,
-                           match=rf"no events on APD{detector} {where} \(beta=0\.3"):
-            fringe_scans(np.arange(5) * 0.1, rows, atom_label=label)
+        with np.errstate(all="raise"):
+            p, events = fringe_scans(rows)
+        d = detector - 1
+        assert np.isnan(p[3, d]) and events[3, d] == 0.0
+        assert np.count_nonzero(np.isnan(p)) == 1
+        assert p[3, 1 - d] == 0.5 and events[3, 1 - d] == 20.0

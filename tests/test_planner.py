@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from atomphoton.planner import (
+    CHSH_QUANTUM_MAX,
     ExperimentPlan,
     build_plan,
     collapse_probability,
@@ -15,7 +16,6 @@ from atomphoton.planner import (
     pair_rate,
     pairs_for_sigmas,
     swapped_visibility,
-    violation_sigmas,
     write_plan_json,
 )
 
@@ -27,10 +27,23 @@ def single_pair_rate(rep_rate, eta_ph):
     return rep_rate * eta_ph
 
 
+def violation_sigmas(v, n_pairs):
+    """Standard deviations by which S = 2 sqrt(2) v exceeds the classical
+    bound 2 with n_pairs events, split equally over the 4 CHSH settings; each
+    correlation estimator E = v/sqrt(2) carries variance (1 - E^2)/(n/4).
+    pairs_for_sigmas inverts it."""
+    if not 0.0 <= v <= 1.0:
+        raise ValueError(f"visibility must lie in [0, 1], got {v}")
+    if n_pairs < 4:
+        raise ValueError("need at least 4 pairs (one per setting)")
+    e = v / SQRT2
+    return (CHSH_QUANTUM_MAX * v - 2.0) / math.sqrt(4.0 * (1.0 - e * e) / (n_pairs / 4.0))
+
+
 def read_plan_json(path):
     with open(path) as fh:
         payload = json.load(fh)
-    return ExperimentPlan.from_dict(payload["plan"]), payload["report"]
+    return ExperimentPlan(**payload["plan"]), payload["report"]
 
 
 class TestSwappedVisibility:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from atomphoton import qmath
+from atomphoton.metrics import fidelity_to_target
 from atomphoton.states import ideal_ket, ideal_state, werner
 
 SX, SY, SZ = qmath.PAULIS
@@ -134,7 +135,7 @@ class TestPartialTranspose:
 
     def test_bell_spectrum(self):
         pt = qmath.partial_transpose(ideal_state(), "photon")
-        eig = qmath.hermitian_eigenvalues(pt)
+        eig = np.linalg.eigvalsh(pt)
         assert np.allclose(eig, [-0.5, 0.5, 0.5, 0.5], atol=1e-12)
 
     @pytest.mark.parametrize("v", [0.0, 0.5, 1.0])
@@ -162,39 +163,24 @@ class TestPartialTranspose:
                 assert np.allclose(qmath.partial_transpose(rho, sub),
                                    partial_transpose_oracle(rho, sub), atol=1e-14)
 
-
-class TestHermitianEigenvalues:
-    def test_diagonal(self):
-        eig = qmath.hermitian_eigenvalues(np.diag([0.1, 0.2, 0.3, 0.4]))
-        assert np.allclose(eig, [0.1, 0.2, 0.3, 0.4])
-
-    def test_pauli_spectrum(self):
-        assert np.allclose(qmath.hermitian_eigenvalues(SX), [-1, 1])
-
-    def test_bell_pt_spectrum(self):
-        eig = qmath.hermitian_eigenvalues(qmath.partial_transpose(ideal_state(), "photon"))
-        assert np.allclose(eig, [-0.5, 0.5, 0.5, 0.5])
-
-    def test_sum_equals_trace_and_sorted(self):
-        rng = np.random.default_rng(9)
-        for _ in range(10):
-            rho = random_density_matrix(rng)
-            eig = qmath.hermitian_eigenvalues(rho)
-            assert np.all(np.diff(eig) >= -1e-15)
-            assert abs(eig.sum() - np.real(np.trace(rho))) < 1e-9
-
-    def test_non_hermitian_rejected(self):
-        m = np.array([[0, 1], [0, 0]], dtype=complex)
-        with pytest.raises(ValueError):
-            qmath.hermitian_eigenvalues(m)
+    def test_stack_rows_transposed_alone(self):
+        rng = np.random.default_rng(7)
+        stack = np.array([random_density_matrix(rng) for _ in range(6)]).reshape(2, 3, 4, 4)
+        for sub in ("atom", "photon"):
+            got = qmath.partial_transpose(stack, sub)
+            assert got.shape == stack.shape
+            for idx in np.ndindex(2, 3):
+                assert np.array_equal(got[idx], partial_transpose_oracle(stack[idx], sub))
 
 
 class TestOverlap:
+    """<psi|rho|psi> with the ideal ket, as metrics.fidelity_to_target takes it."""
+
     def test_self_overlap(self):
-        assert abs(qmath.overlap(ideal_ket(), ideal_state()) - 1.0) < 1e-12
+        assert abs(fidelity_to_target(ideal_state()) - 1.0) < 1e-12
 
     def test_maximally_mixed(self):
-        assert abs(qmath.overlap(ideal_ket(), I4 / 4) - 0.25) < 1e-12
+        assert abs(fidelity_to_target(I4 / 4) - 0.25) < 1e-12
 
     def test_werner_contraction(self):
         # oracle: direct <psi|rho|psi> contraction with explicit loops
@@ -205,8 +191,4 @@ class TestOverlap:
         )
         assert abs(val.imag) < 1e-14
         assert abs(val.real - 0.895) < 1e-12
-        assert abs(qmath.overlap(psi, rho) - 0.895) < 1e-9
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            qmath.overlap(np.array([1, 0]), I4 / 4)
+        assert abs(fidelity_to_target(rho) - val.real) < 1e-15

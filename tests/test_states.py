@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from atomphoton import qmath
-from atomphoton.measurement import ATOM_SX, MeasurementSetting, PhotonSetting, joint_probabilities
+from atomphoton.measurement import (
+    ATOM_SX,
+    MeasurementSetting,
+    PhotonSetting,
+    outcome_operators,
+    outcome_probabilities,
+)
+from atomphoton.metrics import fidelity_to_target, negativity
 from atomphoton.states import NoiseModel, apply_noise, ideal_ket, ideal_state, werner
 
 I4 = np.eye(4, dtype=complex)
@@ -77,11 +84,10 @@ def state_from_channels(channels):
 def exact_fringe_visibility(rho, atom=ATOM_SX, n_beta=12):
     """Peak-to-peak of the exact conditional P(F=1 | APD1) over a beta grid."""
     betas = np.arange(n_beta) * math.pi / n_beta
-    cond = []
-    for b in betas:
-        p = joint_probabilities(rho, MeasurementSetting(atom, PhotonSetting(beta=b)))
-        cond.append(p[2] / (p[0] + p[2]))
-    return max(cond) - min(cond)
+    ops = outcome_operators([MeasurementSetting(atom, PhotonSetting(beta=b)) for b in betas])
+    p = outcome_probabilities(rho, ops)
+    cond = p[:, 2] / (p[:, 0] + p[:, 2])
+    return cond.max() - cond.min()
 
 
 class TestIdealState:
@@ -97,11 +103,10 @@ class TestIdealState:
         assert abs(np.trace(rho @ rho) - 1) < 1e-12
 
     def test_self_overlap(self):
-        assert abs(qmath.overlap(ideal_ket(), ideal_state()) - 1) < 1e-12
+        assert abs(fidelity_to_target(ideal_state()) - 1) < 1e-12
 
     def test_negativity_half(self):
-        eig = qmath.hermitian_eigenvalues(qmath.partial_transpose(ideal_state(), "photon"))
-        assert abs(-eig[eig < 0].sum() - 0.5) < 1e-12
+        assert abs(negativity(ideal_state()) - 0.5) < 1e-12
 
 
 class TestDecayChannels:
@@ -135,7 +140,7 @@ class TestDecayChannels:
                          collected=True),
         ]
         rho = state_from_channels(chans)
-        assert abs(qmath.overlap(ideal_ket(), rho)) < 1e-12
+        assert abs(fidelity_to_target(rho)) < 1e-12
 
     def test_all_uncollected_rejected(self):
         chans = [DecayChannel(m_f=0, polarization="pi", amplitude=1.0, collected=False)]
@@ -199,12 +204,11 @@ class TestWerner:
 
     @pytest.mark.parametrize("v", [0.0, 0.3, 0.86, 1.0])
     def test_fidelity_formula(self, v):
-        assert abs(qmath.overlap(ideal_ket(), werner(v)) - (3 * v + 1) / 4) < 1e-12
+        assert abs(fidelity_to_target(werner(v)) - (3 * v + 1) / 4) < 1e-12
 
     @pytest.mark.parametrize("v,expected", [(0.86, 0.395), (0.844, 0.383)])
     def test_negativity_formula(self, v, expected):
-        eig = qmath.hermitian_eigenvalues(qmath.partial_transpose(werner(v), "photon"))
-        neg = -eig[eig < 0].sum()
+        neg = negativity(werner(v))
         assert abs(neg - max(0.0, (3 * v - 1) / 4)) < 1e-12
         assert abs(neg - expected) < 1e-9
 

@@ -31,6 +31,7 @@ from atomphoton.tomography import (
     _nll,
     _probabilities,
     _projected_inversion,
+    _states,
     _weights,
     _with_prior,
     bootstrap_metrics,
@@ -401,7 +402,7 @@ class TestMleReconstruct:
     def test_exact_ideal_recovery(self):
         ds = simulate_tomography(ideal_state(), 300, seed=0, exact=True)
         rho, report = mle_reconstruct(TomographySet.from_dataset(ds))
-        assert qmath.overlap(ideal_ket(), rho) >= 1 - 1e-6
+        assert fidelity_to_target(rho) >= 1 - 1e-6
         assert np.max(np.abs(rho - ideal_state())) < 1e-4
         assert report.converged
 
@@ -452,16 +453,20 @@ class TestMleReconstruct:
             ds = simulate_tomography(ideal_state(), 300,
                                      noise=NoiseModel(depolarizing=1 / 6), seed=seed)
             rho, _ = mle_reconstruct(TomographySet.from_dataset(ds))
-            f = qmath.overlap(ideal_ket(), rho)
+            f = fidelity_to_target(rho)
             hits += 0.82 <= f <= 0.93
         assert hits >= 9
 
     def test_explicit_init_is_respected(self):
+        """The same optimum from the maximally mixed state as from the
+        projected linear inversion."""
         ds = simulate_tomography(werner(0.8), 300, seed=2)
         ts = TomographySet.from_dataset(ds)
         rho_default, _ = mle_reconstruct(ts)
-        rho_from_mixed, _ = mle_reconstruct(ts, init=np.eye(4, dtype=complex) / 4)
-        assert np.linalg.norm(rho_default - rho_from_mixed) < 1e-3
+        mixed = _coefficients(np.eye(4, dtype=complex)[None] / 4)
+        x, f, f0, _, converged = _fit_stack(_with_prior(ts.counts[None], False), mixed)
+        assert converged[0] and f[0] < f0[0]
+        assert np.linalg.norm(rho_default - _states(x)[0]) < 1e-3
 
 
 # Full-rank states (1/2) sigma + I/8: every outcome probability is at least
@@ -721,6 +726,34 @@ class TestBootstrap:
             xk, fk, _, ik, _ = _fit_stack(_with_prior(draws[k:k + 1], False),
                                           _projected_inversion(draws[k:k + 1]))
             assert np.array_equal(xk[0], x[k]) and fk[0] == f[k] and ik[0] == iterations[k]
+
+    def test_stacked_metrics_equal_rows_alone(self):
+        """Each metric of an (R, 4, 4) stack equals, bit for bit, the metric of
+        each row alone, as a stack of one and as one 4x4 state, and the
+        per-state formulas the metrics replaced, kept here as the reference."""
+        _, _, draws = tomo_seed7()
+        x, *_ = _fit_stack(_with_prior(draws, False), _projected_inversion(draws))
+        rhos = _states(x)
+        psi = ideal_ket()
+
+        def reference_negativity(rho):
+            eig = np.sort(np.linalg.eigvalsh(
+                rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)))
+            return float(-eig[eig < 0].sum())
+
+        reference = {
+            fidelity_to_target: lambda rho: float(np.real(psi.conj() @ rho @ psi)),
+            negativity: reference_negativity,
+            purity: lambda rho: float(np.real(np.trace(rho @ rho))),
+        }
+        for fn, ref in reference.items():
+            stack = fn(rhos)
+            assert stack.shape == (250,)
+            alone = [fn(rho) for rho in rhos]
+            assert all(type(v) is np.float64 for v in alone)
+            assert np.array(alone).tobytes() == stack.tobytes()
+            assert np.array([ref(rho) for rho in rhos]).tobytes() == stack.tobytes()
+            assert np.array([fn(rhos[k:k + 1])[0] for k in range(250)]).tobytes() == stack.tobytes()
 
     @pytest.mark.parametrize("n_replicas", [0, -3])
     def test_replica_count_below_one_rejected(self, n_replicas):
