@@ -25,7 +25,6 @@ from .tomography import (
     canonical_settings,
     linear_inversion,
     mle_reconstruct,
-    project_physical,
     simulate_tomography,
 )
 from .metrics import (

@@ -10,7 +10,9 @@ bit-identical for a fixed config and seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import functools
 import math
 import os
 import sys
@@ -18,7 +20,7 @@ import sys
 import numpy as np
 
 from .artifacts import atomic_open, write_json
-from .calibrate import CalibrationError, calibrate_noise
+from .calibrate import calibrate_noise
 from .measurement import (
     ATOM_SX,
     ATOM_SY,
@@ -98,46 +100,37 @@ def _require_at_least(params, key, low):
         raise ValueError(f"{key} must be >= {low}, got {params[key]}")
 
 
-class OutputTracker:
-    """Removes the artifacts a command had written when it fails."""
-
-    def __init__(self):
-        self.paths = []
-
-    def register(self, *paths):
-        self.paths.extend(str(p) for p in paths)
-
-    def cleanup(self):
-        for p in self.paths:
-            if os.path.exists(p):
-                os.unlink(p)
-
-
-_NOISE_KEYS = [
-    ("depolarizing", float, DEFAULT_NOISE["depolarizing"]),
-    ("dephasing", float, DEFAULT_NOISE["dephasing"]),
-    ("eps01", float, DEFAULT_NOISE["eps01"]),
-    ("eps10", float, DEFAULT_NOISE["eps10"]),
-]
-_SCAN_KEYS = _NOISE_KEYS + [
+# (key, type, default) of each command. A key is both the flag
+# --<key with dashes> and the config key <key>.
+_NOISE_KEYS = tuple((key, float, value) for key, value in DEFAULT_NOISE.items())
+_SCAN_KEYS = _NOISE_KEYS + (
     ("n_points", int, 18),
     ("n_per_point", int, 300),
     ("bases", str, "sx,sy"),
-]
-_TOMO_KEYS = _NOISE_KEYS + [
+)
+_TOMO_KEYS = _NOISE_KEYS + (
     ("n_per_setting", int, 300),
     ("bootstrap", int, 250),
     ("input", str, None),
-]
-_CALIBRATE_KEYS = [
+)
+_CALIBRATE_KEYS = (
     ("vx", float, 0.85),
     ("vy", float, 0.87),
     ("fidelity", float, 0.875),
-]
+)
+_PLAN_KEYS = tuple((name, float, getattr(ExperimentPlan, name))
+                   for name in ("v_atph", "bsm_fidelity", "eta_ph", "transmission",
+                                "rep_rate", "target_sigmas", "t_stirap", "n_lifetimes",
+                                "lifetime_tau", "measurement_window", "p_bsm", "duty"))
+# help text of the flags that have one
+_FLAG_HELP = {
+    "bases": "e.g. sx,sy",
+    "bootstrap": "bootstrap replicas (0 disables)",
+    "input": "ingest a counts CSV",
+}
 
 
-def cmd_scan(args, out: OutputTracker):
-    params = _merged(args, _SCAN_KEYS)
+def cmd_scan(args, params, written):
     noise = NoiseModel.from_dict(params)
     bases = [b.strip() for b in params["bases"].split(",") if b.strip()]
     unknown = [b for b in bases if b not in ATOM_BASES]
@@ -164,7 +157,7 @@ def cmd_scan(args, out: OutputTracker):
     counts_path = args.out + ".counts.csv"
     fringes_path = args.out + ".fringes.csv"
     metrics_path = args.out + ".metrics.json"
-    out.register(counts_path, sidecar_path(counts_path), fringes_path, metrics_path)
+    written += [counts_path, sidecar_path(counts_path), fringes_path, metrics_path]
 
     write_counts_csv(dataset, counts_path)
 
@@ -208,8 +201,7 @@ def cmd_scan(args, out: OutputTracker):
     return 0
 
 
-def cmd_tomo(args, out: OutputTracker):
-    params = _merged(args, _TOMO_KEYS)
+def cmd_tomo(args, params, written):
     _require_at_least(params, "bootstrap", 0)
     _require_at_least(params, "n_per_setting", 1)
     if params["input"]:
@@ -219,7 +211,7 @@ def cmd_tomo(args, out: OutputTracker):
         dataset = simulate_tomography(ideal_state(), params["n_per_setting"],
                                       noise=noise, seed=args.seed, exact=args.exact)
         counts_path = args.out + ".counts.csv"
-        out.register(counts_path, sidecar_path(counts_path))
+        written += [counts_path, sidecar_path(counts_path)]
         write_counts_csv(dataset, counts_path)
 
     ts = TomographySet.from_dataset(dataset)
@@ -227,7 +219,7 @@ def cmd_tomo(args, out: OutputTracker):
 
     state_path = args.out + ".state.json"
     metrics_path = args.out + ".metrics.json"
-    out.register(state_path, metrics_path)
+    written += [state_path, metrics_path]
     write_state_json(rho_hat, state_path, fit_report=report)
 
     chsh_value, _ = chsh_max(rho_hat)
@@ -257,11 +249,10 @@ def cmd_tomo(args, out: OutputTracker):
     return 0
 
 
-def cmd_calibrate(args, out: OutputTracker):
-    params = _merged(args, _CALIBRATE_KEYS)
+def cmd_calibrate(args, params, written):
     result = calibrate_noise(params["vx"], params["vy"], params["fidelity"])
     noise_path = args.out + ".noise.json"
-    out.register(noise_path)
+    written.append(noise_path)
     write_json(
         {
             "command": "calibrate",
@@ -281,15 +272,6 @@ def cmd_calibrate(args, out: OutputTracker):
     return 0
 
 
-_PLAN_KEYS = [(name, float, getattr(ExperimentPlan, name))
-              for name in ("v_atph", "bsm_fidelity", "eta_ph", "transmission",
-                           "rep_rate", "target_sigmas", "t_stirap", "n_lifetimes",
-                           "lifetime_tau", "measurement_window", "p_bsm", "duty")]
-
-# One config file may serve every command, so a key is known if any command reads it.
-_CONFIG_KEYS = {key for keys in (_SCAN_KEYS, _TOMO_KEYS, _CALIBRATE_KEYS, _PLAN_KEYS)
-                for key, _, _ in keys}
-
 # Reference figures of the demonstrated experiment, for the echo table.
 _PLAN_REFERENCE = {
     "v_atat": 0.74,
@@ -301,13 +283,12 @@ _PLAN_REFERENCE = {
 }
 
 
-def cmd_plan(args, out: OutputTracker):
-    params = _merged(args, _PLAN_KEYS)
+def cmd_plan(args, params, written):
     plan = ExperimentPlan(**params)
     report = build_plan(plan)
 
     plan_path = args.out + ".plan.json"
-    out.register(plan_path)
+    written.append(plan_path)
     write_plan_json(plan, report, plan_path)
 
     rows = [
@@ -330,7 +311,21 @@ def cmd_plan(args, out: OutputTracker):
     return 0
 
 
+# command -> (function, help line, keys)
+_COMMANDS = {
+    "scan": (cmd_scan, "simulate correlation-fringe scans", _SCAN_KEYS),
+    "tomo": (cmd_tomo, "simulate or ingest tomography data and reconstruct", _TOMO_KEYS),
+    "calibrate": (cmd_calibrate, "fit noise parameters to target observables", _CALIBRATE_KEYS),
+    "plan": (cmd_plan, "Bell-test feasibility report", _PLAN_KEYS),
+}
+# One config file may serve every command, so a key is known if any command reads it.
+_CONFIG_KEYS = {key for _, _, keys in _COMMANDS.values() for key, _, _ in keys}
+
+
+@functools.cache
 def build_parser():
+    """The argparse tree of every command, built once per process at first use;
+    every caller gets the same parser, so none may change it."""
     parser = argparse.ArgumentParser(
         prog="atomphoton",
         description="Atom-photon entanglement simulation and analysis pipeline.",
@@ -341,52 +336,30 @@ def build_parser():
     parser.add_argument("--out", type=str, default="run", help="output file prefix")
     parser.add_argument("--config", type=str, default=None, help="key=value config file")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_scan = sub.add_parser("scan", help="simulate correlation-fringe scans")
-    for key, caster, _ in _NOISE_KEYS:
-        p_scan.add_argument(f"--{key}", type=caster, default=None)
-    p_scan.add_argument("--n-points", dest="n_points", type=int, default=None)
-    p_scan.add_argument("--n-per-point", dest="n_per_point", type=int, default=None)
-    p_scan.add_argument("--bases", type=str, default=None, help="e.g. sx,sy")
-    p_scan.set_defaults(func=cmd_scan)
-
-    p_tomo = sub.add_parser("tomo", help="simulate or ingest tomography data and reconstruct")
-    for key, caster, _ in _NOISE_KEYS:
-        p_tomo.add_argument(f"--{key}", type=caster, default=None)
-    p_tomo.add_argument("--n-per-setting", dest="n_per_setting", type=int, default=None)
-    p_tomo.add_argument("--bootstrap", type=int, default=None,
-                        help="bootstrap replicas (0 disables)")
-    p_tomo.add_argument("--input", type=str, default=None, help="ingest a counts CSV")
-    p_tomo.set_defaults(func=cmd_tomo)
-
-    p_cal = sub.add_parser("calibrate", help="fit noise parameters to target observables")
-    p_cal.add_argument("--vx", type=float, default=None)
-    p_cal.add_argument("--vy", type=float, default=None)
-    p_cal.add_argument("--fidelity", type=float, default=None)
-    p_cal.set_defaults(func=cmd_calibrate)
-
-    p_plan = sub.add_parser("plan", help="Bell-test feasibility report")
-    for key, caster, _ in _PLAN_KEYS:
-        p_plan.add_argument(f"--{key.replace('_', '-')}", dest=key, type=caster, default=None)
-    p_plan.set_defaults(func=cmd_plan)
-
+    for name, (_, help_line, keys) in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=help_line)
+        for key, caster, _ in keys:
+            cmd.add_argument(f"--{key.replace('_', '-')}", dest=key, type=caster, default=None,
+                             help=_FLAG_HELP.get(key))
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    tracker = OutputTracker()
+    written = []   # artifact paths the command may have written
     try:
         if args.seed < 0:
             raise ValueError(f"--seed must be >= 0, got {args.seed}")
-        return args.func(args, tracker)
-    except (ValueError, OSError, CalibrationError) as exc:
-        tracker.cleanup()
+        func, _, keys = _COMMANDS[args.command]
+        return func(args, _merged(args, keys), written)
+    except BaseException as exc:   # no partial artifacts, whatever stopped the command
+        for path in written:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(path)
+        if not isinstance(exc, (ValueError, OSError)):
+            raise   # an interrupt or a bug
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except BaseException:   # an interrupt or a bug: no partial artifacts either
-        tracker.cleanup()
-        raise
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ def negativity(rho):
     maximally entangled two-qubit state.
     """
     eig = np.linalg.eigvalsh(qmath.partial_transpose(rho, "photon"))
-    return -np.minimum(eig, 0.0).sum(axis=-1)
+    return -np.minimum(eig, 0.0).sum(axis=-1) + 0.0   # a PPT state scores 0.0, not -0.0
 
 
 def correlation_matrix(rho):

@@ -174,15 +174,6 @@ def _project_stack(h):
     return np.einsum("rij,rj,rkj->rik", u, lam, u.conj())
 
 
-def project_physical(rho):
-    """Closest PSD trace-1 matrix in Frobenius norm. Idempotent on physical
-    inputs."""
-    a = qmath.check_hermitian(rho)
-    if abs(np.real(np.trace(a)) - 1.0) > 1e-9:
-        raise ValueError("project_physical expects a trace-1 matrix")
-    return _project_stack(a[None])[0]
-
-
 # ----------------------------------------------------------------------
 # Maximum-likelihood refinement
 # ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: artifacts, determinism, error handling."""
 
+import argparse
 import csv
 import json
 import os
@@ -345,6 +346,46 @@ class TestConfigFile:
         assert "bootstrap" not in json.load(open(tmp_path / "tomo.metrics.json"))
         assert json.load(open(tmp_path / "calibrate.noise.json"))["targets"]["vx"] == 0.86
         assert json.load(open(tmp_path / "plan.plan.json"))["plan"]["rep_rate"] == 5e5
+
+
+# every (command, key, type, default) of the command table
+TABLE = [(command, key, caster, default) for command, (_, _, keys) in cli._COMMANDS.items()
+         for key, caster, default in keys]
+SAMPLE = {int: "3", float: "0.25", str: "sy"}
+
+
+def flag(key):
+    return "--" + key.replace("_", "-")
+
+
+class TestCommandTable:
+    """A command's key table is the one place its options are declared: each
+    key is the flag --<key with dashes> and the config key <key>."""
+
+    @pytest.mark.parametrize("command, key, caster, default", TABLE,
+                             ids=[f"{command}-{key}" for command, key, _, _ in TABLE])
+    def test_flag_and_config_key_agree(self, tmp_path, command, key, caster, default):
+        parser = cli.build_parser()
+        keys = cli._COMMANDS[command][2]
+        value = SAMPLE[caster]
+        flagged = parser.parse_args([command, flag(key), value])
+        assert getattr(flagged, key) == caster(value)
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        from_file = parser.parse_args(["--config", str(cfg), command])
+        params = cli._merged(flagged, keys)
+        assert cli._merged(from_file, keys) == params
+        assert params == {**{k: d for k, _, d in keys}, key: caster(value)}
+        assert cli._merged(parser.parse_args([command]), keys)[key] == default
+        assert cli.build_parser() is parser
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_no_flag_outside_the_table(self, command):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        flags = {s for a in sub.choices[command]._actions for s in a.option_strings}
+        assert flags == {"-h", "--help"} | {flag(k) for k, _, _ in cli._COMMANDS[command][2]}
+        assert cli._CONFIG_KEYS == {key for _, key, _, _ in TABLE}
 
 
 class TestFlagValidation:

@@ -109,6 +109,14 @@ class TestNegativity:
             r2 /= np.trace(r2)
             assert negativity(np.kron(r1, r2)) < 1e-10
 
+    def test_ppt_state_scores_positive_zero(self):
+        # a separable Werner state has no negative eigenvalue: -(empty sum) must not be -0.0
+        assert negativity(werner(0.2)) == 0.0
+        assert math.copysign(1.0, negativity(werner(0.2))) == 1.0
+        values = negativity(np.array([werner(v) for v in (0.0, 0.2, 0.9, 1.0)]))
+        assert [math.copysign(1.0, x) for x in values] == [1.0] * 4
+        assert values[0] == values[1] == 0.0 and values[2] > 0.0 and values[3] > 0.0
+
 
 class TestStacks:
     """The metrics of an (R, 4, 4) stack: one value per state, the

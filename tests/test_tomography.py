@@ -30,6 +30,7 @@ from atomphoton.tomography import (
     _fit_stack,
     _nll,
     _probabilities,
+    _project_stack,
     _projected_inversion,
     _states,
     _weights,
@@ -38,7 +39,6 @@ from atomphoton.tomography import (
     canonical_settings,
     linear_inversion,
     mle_reconstruct,
-    project_physical,
     simulate_tomography,
 )
 
@@ -48,6 +48,11 @@ def random_physical_state(rng):
     t = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     a = t.conj().T @ t
     return a / np.trace(a)
+
+
+def project_one(h):
+    """The APG projection of one Hermitian trace-1 matrix."""
+    return _project_stack(np.asarray(h)[None])[0]
 
 
 def simplex_projection_oracle(eigenvalues):
@@ -338,7 +343,7 @@ class TestLinearInversion:
         rho = linear_inversion(TomographySet.from_dataset(ds))
         assert abs(np.trace(rho).real - 1.0) < 1e-12
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
-        fixed = project_physical(rho)
+        fixed = project_one(rho)
         assert np.min(np.linalg.eigvalsh(fixed)) >= -1e-12
 
 
@@ -355,25 +360,27 @@ PHYSICAL_STATES = st.lists(st.floats(-2.0, 2.0), min_size=32, max_size=32).map(
 
 
 class TestProjectPhysical:
+    """The projection onto physical states (`_project_stack`) that APG applies."""
+
     @settings(max_examples=200)
     @given(TRACE_ONE_MATRICES, PHYSICAL_STATES)
     def test_physical_idempotent_and_closest(self, h, sigma):
-        out = project_physical(h)
+        out = project_one(h)
         assert np.max(np.abs(out - out.conj().T)) <= 1e-12
         assert np.min(np.linalg.eigvalsh(out)) >= -1e-12
         assert abs(np.trace(out).real - 1.0) <= 1e-12
-        assert np.max(np.abs(project_physical(out) - out)) <= 1e-12
+        assert np.max(np.abs(project_one(out) - out)) <= 1e-12
         assert np.linalg.norm(out - h) <= np.linalg.norm(sigma - h) + 1e-12
 
     def test_idempotent_on_physical(self):
         rng = np.random.default_rng(31)
         for _ in range(5):
             rho = random_physical_state(rng)
-            assert np.max(np.abs(project_physical(rho) - rho)) < 1e-12
+            assert np.max(np.abs(project_one(rho) - rho)) < 1e-12
 
     def test_frozen_diagonal_example(self):
         rho = np.diag([1.1, 0.2, -0.1, -0.2]).astype(complex)
-        out = project_physical(rho)
+        out = project_one(rho)
         assert np.allclose(np.diag(out).real, [0.95, 0.05, 0.0, 0.0], atol=1e-12)
 
     def test_matches_brute_force_oracle(self):
@@ -382,7 +389,7 @@ class TestProjectPhysical:
             eigs = rng.normal(0.25, 0.35, size=4)
             eigs += (1.0 - eigs.sum()) / 4   # trace 1
             rho = np.diag(eigs).astype(complex)
-            out = np.sort(np.diag(project_physical(rho)).real)
+            out = np.sort(np.diag(project_one(rho)).real)
             oracle = np.sort(simplex_projection_oracle(eigs))
             assert np.max(np.abs(out - oracle)) < 1e-6
 
@@ -393,7 +400,7 @@ class TestProjectPhysical:
             h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             h = (h + h.conj().T) / 2
             h -= np.eye(4) * np.trace(h) / 4   # keep trace 1
-            out = project_physical(rho + 0.2 * h)
+            out = project_one(rho + 0.2 * h)
             assert np.min(np.linalg.eigvalsh(out)) >= -1e-12
             assert abs(np.trace(out).real - 1.0) < 1e-12
 
@@ -570,7 +577,7 @@ def lbfgs_reference_nll(counts, exact=False):
     """Negative log-likelihood that L-BFGS-B reaches from the projected
     linear inversion, with the same half-count prior."""
     n = _with_prior(np.asarray(counts, dtype=float).reshape(1, 9, 4), exact)[0]
-    w, u = np.linalg.eigh(project_physical(linear_inversion(TomographySet(counts=counts))))
+    w, u = np.linalg.eigh(project_one(linear_inversion(TomographySet(counts=counts))))
     a = (u * np.maximum(w, 1e-8)) @ u.conj().T
     a /= np.real(np.trace(a))
     upper = np.flip(np.linalg.cholesky(np.flip(a)))        # a = upper upper^dagger
