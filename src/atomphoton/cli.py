@@ -230,13 +230,14 @@ def cmd_tomo(args, params, written):
         "chsh_max": chsh_value,
         "fit_report": report.to_dict(),
     }
-    if params["bootstrap"] > 0 and args.exact:
-        print(f"note: bootstrap = {params['bootstrap']} skipped: expected counts (--exact) "
+    # the data decide: `--input` counts carry their own mode, whatever --exact says
+    if params["bootstrap"] > 0 and ts.exact:
+        print(f"note: bootstrap = {params['bootstrap']} skipped: expected counts "
               "have no sampling spread", file=sys.stderr)
     elif params["bootstrap"] > 0:
         metrics["bootstrap"] = bootstrap_metrics(
             rho_hat, ts, n_replicas=params["bootstrap"], seed=args.seed)
-    write_json({"command": "tomo", "seed": args.seed, "exact": args.exact,
+    write_json({"command": "tomo", "seed": args.seed, "exact": ts.exact,
                 **metrics}, metrics_path)
 
     print("reconstructed state, real part:")

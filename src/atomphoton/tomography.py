@@ -71,10 +71,17 @@ _CANDIDATES = np.concatenate([_SETTING_OPERATORS,
 # for the 36 outcome operators E_k and the 16 Pauli coefficients r of rho.
 # Its columns are orthogonal, so the least-squares inverse reads T_ij from
 # setting ij and each marginal as the mean over its three partner settings.
-_PAULI_STACK = qmath.PAULI_PRODUCTS.reshape(16, 4, 4)
-_DESIGN = np.einsum("kij,mji->km", _CANONICAL_OPERATORS, _PAULI_STACK).real / 4.0
+_DESIGN = np.einsum("kij,mji->km", _CANONICAL_OPERATORS,
+                    qmath.PAULI_PRODUCTS.reshape(16, 4, 4)).real / 4.0
 _DESIGN_INVERSE = np.linalg.pinv(_DESIGN)
-_PAULI_QUARTERS = _PAULI_STACK / 4.0
+# The real Pauli basis: row m holds the real and imaginary parts of the 16
+# entries of P_m, so a Hermitian matrix and its coefficients map to each other
+# through real products; tr(rho P_m) is the dot product of the two rows.
+# The transposes are C-contiguous copies: the layout fixes the order in which
+# BLAS adds, and with it the last bits of every fit.
+_BASIS = qmath.PAULI_PRODUCTS.reshape(16, 16).view(float)
+_BASIS_T = _BASIS.T.copy()
+_DESIGN_T = _DESIGN.T.copy()
 _RANKS = np.arange(1.0, 5.0)
 
 
@@ -132,18 +139,26 @@ class TomographySet:
         return cls(counts=counts, exact=bool(dataset.metadata.get("exact", False)))
 
 
-# Stacks go through np.einsum rather than BLAS matmul: einsum computes each
-# row with the same arithmetic whatever the stack height, so a fit in a stack
-# equals the same fit alone bit for bit.
+# Every product of a stack is taken row by row, as a batch of (1, K) @ (K, L)
+# products: each row then gets the same arithmetic whatever the stack height,
+# so a fit in a stack equals the same fit alone bit for bit. A 2-D (R, K) @
+# (K, L) matmul breaks this: numpy hands a single row to BLAS gemv and a
+# stack to gemm, and the two add in different orders.
+
+def _rows(a, m):
+    """(R, K) @ (K, L), one row at a time."""
+    return np.matmul(a[:, None, :], m)[:, 0]
+
 
 def _states(r):
     """(R, 16) Pauli coefficients -> (R, 4, 4) sum_m r_m P_m / 4, exactly Hermitian."""
-    return np.einsum("rm,mij->rij", r, _PAULI_QUARTERS)
+    return (_rows(r, _BASIS) * 0.25).view(complex).reshape(len(r), 4, 4)
 
 
 def _coefficients(rho):
     """(R, 4, 4) Hermitian matrices -> (R, 16) coefficients tr(rho P_m)."""
-    return np.einsum("rij,mji->rm", rho, _PAULI_STACK).real
+    flat = np.ascontiguousarray(rho, dtype=complex).reshape(len(rho), 16).view(float)
+    return _rows(flat, _BASIS_T)
 
 
 def _inverted_coefficients(counts):
@@ -220,22 +235,23 @@ def _weights(counts, p):
 
 
 def _probabilities(r):
-    return np.einsum("km,rm->rk", _DESIGN, r)
+    return _rows(r, _DESIGN_T)
 
 
 def _ascent(counts, p):
     """-grad f over the Pauli coefficients: c_m = sum_k (n_k/p_k) A_km =
     tr(G P_m) / 4 for the density-matrix gradient -G of f."""
-    return np.einsum("rk,km->rm", _weights(counts, p), _DESIGN)
+    return _rows(_weights(counts, p), _DESIGN)
 
 
 def _gap_bound(counts, r):
     """Glancy, Knill & Girard (NJP 14, 095017, 2012): f is convex with
     gradient -G, G = sum_k (n_k/p_k) E_k, and tr(G rho) = N, so
-    f(rho) - min f <= lambda_max(G) - N."""
+    f(rho) - min f <= lambda_max(G) - N. With the ascent c = _ascent,
+    G = sum_m c_m P_m = 4 _states(c)."""
     p = _probabilities(r)
     w = _weights(counts, p)
-    g = np.einsum("rk,kij->rij", w, _CANONICAL_OPERATORS)
+    g = 4.0 * _states(_rows(w, _DESIGN))
     return np.linalg.eigvalsh(g)[:, -1] - np.einsum("rk,rk->r", w, p)
 
 

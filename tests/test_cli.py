@@ -150,6 +150,30 @@ class TestTomo:
         for suffix in (".counts.csv", ".state.json", ".metrics.json"):
             assert open(plain + suffix, "rb").read() == open(boot + suffix, "rb").read()
 
+    def test_bootstrap_skip_follows_the_data_not_the_flag(self, tmp_path, capsys):
+        """`tomo --input` reads the data's mode from the counts sidecar:
+        expected counts skip the bootstrap without --exact, sampled counts
+        get it with --exact, and metrics.json records the data's mode."""
+        exact_src, sampled_src = str(tmp_path / "exact_src"), str(tmp_path / "sampled_src")
+        assert run_cli(["--exact", "--out", exact_src, "tomo", "--bootstrap", "0"]) == 0
+        assert run_cli(["--seed", "3", "--out", sampled_src, "tomo", "--bootstrap", "0"]) == 0
+        capsys.readouterr()
+
+        out = str(tmp_path / "exact_in")
+        assert run_cli(["--out", out, "tomo", "--bootstrap", "4",
+                        "--input", exact_src + ".counts.csv"]) == 0
+        assert "sampling spread" in capsys.readouterr().err
+        metrics = json.load(open(out + ".metrics.json"))
+        assert metrics["exact"] is True and "bootstrap" not in metrics
+
+        out = str(tmp_path / "sampled_in")
+        assert run_cli(["--exact", "--out", out, "tomo", "--bootstrap", "4",
+                        "--input", sampled_src + ".counts.csv"]) == 0
+        assert capsys.readouterr().err == ""
+        metrics = json.load(open(out + ".metrics.json"))
+        assert metrics["exact"] is False
+        assert metrics["bootstrap"]["fidelity"]["std"] > 0
+
     def test_negative_bootstrap_flag_rejected(self, tmp_path, capsys):
         out = str(tmp_path / "neg")
         assert run_cli(["--out", out, "tomo", "--bootstrap", "-5"]) == 1

@@ -23,11 +23,12 @@ from atomphoton.metrics import fidelity_to_target, negativity, purity
 from atomphoton.states import NoiseModel, ideal_ket, ideal_state, werner
 from atomphoton.tomography import (
     _CANONICAL_OPERATORS,
-    _PAULI_STACK,
+    _DESIGN,
     TomographySet,
     _ascent,
     _coefficients,
     _fit_stack,
+    _gap_bound,
     _nll,
     _probabilities,
     _project_stack,
@@ -41,6 +42,9 @@ from atomphoton.tomography import (
     mle_reconstruct,
     simulate_tomography,
 )
+
+
+_PAULI_STACK = qmath.PAULI_PRODUCTS.reshape(16, 4, 4)
 
 
 def random_physical_state(rng):
@@ -679,6 +683,95 @@ class TestGapBound:
         ds = simulate_tomography(werner(0.8), 300, seed=0, exact=True)
         _, report = mle_reconstruct(TomographySet.from_dataset(ds))
         assert 0.0 <= report.gap_bound <= 1e-9
+
+
+# ----------------------------------------------------------------------
+# The fit's kernels against their definitions: the complex np.einsum
+# contractions they replaced, kept here as oracles.
+# ----------------------------------------------------------------------
+
+
+def oracle_gap_bound(counts, r):
+    """lambda_max(sum_k w_k E_k) - w.p, the sum built from the outcome operators."""
+    p = np.einsum("km,rm->rk", _DESIGN, r)
+    w = _weights(counts, p)
+    g = np.einsum("rk,kij->rij", w, _CANONICAL_OPERATORS)
+    return np.linalg.eigvalsh(g)[:, -1] - np.einsum("rk,rk->r", w, p)
+
+
+ORACLES = {
+    "states": (_states, lambda r: np.einsum("rm,mij->rij", r, _PAULI_STACK / 4.0)),
+    "coefficients": (_coefficients, lambda rho: np.einsum("rij,mji->rm", rho, _PAULI_STACK).real),
+    "probabilities": (_probabilities, lambda r: np.einsum("km,rm->rk", _DESIGN, r)),
+    "ascent": (_ascent, lambda n, p: np.einsum("rk,km->rm", _weights(n, p), _DESIGN)),
+    "gap_bound": (_gap_bound, oracle_gap_bound),
+}
+
+
+def kernel_inputs(name, height=250):
+    """A stack of inputs for one kernel: Pauli coefficients of random states
+    and of non-PSD trace-1 matrices, Hermitian matrices, and count rows with
+    empty cells and half-count cells."""
+    rng = np.random.default_rng(11)
+    states = np.array([random_physical_state(rng) for _ in range(height)])
+    r = _coefficients(states) + 0.3 * rng.standard_normal((height, 16)) * (np.arange(16) > 0)
+    counts = rng.choice([0.0, 0.5, 3.0, 40.0, 300.0], size=(height, 36))
+    mixed = _coefficients(states / 2 + np.eye(4) / 8)
+    return {
+        "states": (r,),
+        "coefficients": (_states(r) + 1e-3 * _states(rng.standard_normal((height, 16))),),
+        "probabilities": (r,),
+        "ascent": (counts, _probabilities(mixed)),
+        "gap_bound": (counts, mixed),
+    }[name]
+
+
+class TestKernels:
+    @pytest.mark.parametrize("name", ORACLES)
+    def test_matches_oracle(self, name):
+        kernel, oracle = ORACLES[name]
+        args = kernel_inputs(name)
+        got, want = kernel(*args), oracle(*args)
+        assert got.shape == want.shape
+        scale = np.max(np.abs(want))
+        if name == "gap_bound":
+            # lambda_max(G) and w.p are both of the order of N = sum_k n_k
+            scale = np.sum(args[0], axis=1)
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+    def test_states_exactly_hermitian(self):
+        rho = _states(kernel_inputs("states")[0])
+        assert np.array_equal(rho, rho.conj().transpose(0, 2, 1))
+
+    @pytest.mark.parametrize("height", [1, 2, 7, 250])
+    @pytest.mark.parametrize("name", ORACLES)
+    def test_rows_equal_rows_alone(self, name, height):
+        kernel, _ = ORACLES[name]
+        args = kernel_inputs(name, height)
+        stack = kernel(*args)
+        for k in range(height):
+            alone = kernel(*(a[k:k + 1] for a in args))
+            assert alone.tobytes() == stack[k:k + 1].tobytes()
+
+    @pytest.mark.parametrize("kind", ["sampled", "half-count", "exact"])
+    def test_gap_bound_is_lambda_max_minus_n(self, kind):
+        """The bound through the Pauli basis, G = 4 _states(c), equals
+        lambda_max(sum_k w_k E_k) - w.p at the fit's start and at its end."""
+        ds = {
+            "sampled": simulate_tomography(werner(0.86), 300, seed=7),
+            "half-count": simulate_tomography(ideal_state(), 20, seed=1),
+            # expected counts of the ideal state: empty cells, whose terms drop out
+            "exact": simulate_tomography(ideal_state(), 300, exact=True),
+        }[kind]
+        ts = TomographySet.from_dataset(ds)
+        counts = _with_prior(ts.counts[None], ts.exact)
+        assert (kind == "half-count") == bool(np.any(counts == 0.5))
+        assert (kind == "exact") == bool(np.any(counts == 0.0))
+        start = _projected_inversion(ts.counts[None])
+        end, *_ = _fit_stack(counts, start)
+        for r in (start, end):
+            n = counts.sum()
+            assert abs(_gap_bound(counts, r)[0] - oracle_gap_bound(counts, r)[0]) <= 1e-13 * n
 
 
 class TestBootstrap:
