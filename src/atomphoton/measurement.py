@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random import SeedSequence, default_rng
 
-from . import qmath
 from .artifacts import atomic_open, write_json
 from .states import NoiseModel, apply_noise
 
@@ -84,7 +83,7 @@ def atom_projectors(s: AtomSetting):
 def photon_projectors(s: PhotonSetting):
     """(APD1, APD2) projector pair; APD1 carries the '+' superposition."""
     if s.circular:
-        plus = qmath.PHOTON_SIGMA_PLUS
+        plus = np.array([1, 0], dtype=complex)   # |sigma+>
     else:
         plus = np.array([1.0, np.exp(2j * s.beta)], dtype=complex) / math.sqrt(2)
     p1 = np.outer(plus, plus.conj())
@@ -254,10 +253,10 @@ def _csv_record(path, row_no, header, cells):
 
 
 def read_counts_csv(path):
-    """Dataset from a counts CSV (and its sidecar, if present). Rows are
-    numbered from 1 after the header, blank lines skipped; a malformed row or
-    field is reported by file, row and name. A UTF-8 byte-order mark is
-    allowed."""
+    """Dataset from a counts CSV and its sidecar, if present: a JSON object
+    whose `exact`, if given, is true or false. Rows are numbered from 1 after
+    the header, blank lines skipped; a malformed row or field is reported by
+    file, row and name. A UTF-8 byte-order mark is allowed."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
@@ -274,11 +273,18 @@ def read_counts_csv(path):
         dataset = Dataset(settings=settings, records=counts, metadata={"mode": "ingested"})
     except ValueError as exc:   # names the row, numbered as in the file
         raise ValueError(f"{path}: {exc}") from exc
+    sidecar = sidecar_path(path)
     try:
-        with open(sidecar_path(path)) as fh:
-            dataset.metadata = json.load(fh)
+        with open(sidecar) as fh:
+            meta = json.load(fh)
     except FileNotFoundError:
-        pass
+        return dataset
     except ValueError as exc:   # not JSON, or not UTF-8
-        raise ValueError(f"{sidecar_path(path)}: {exc}") from exc
+        raise ValueError(f"{sidecar}: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise ValueError(f"{sidecar}: expected a JSON object, got {json.dumps(meta):.40}")
+    if not isinstance(meta.get("exact", False), bool):   # it decides how the counts are read
+        raise ValueError(f"{sidecar}: field 'exact' must be true or false, "
+                         f"got {json.dumps(meta['exact'])}")
+    dataset.metadata = meta
     return dataset

@@ -39,21 +39,15 @@ def correlation_matrix(rho):
 
 
 def chsh_max(rho):
-    """Maximal CHSH expectation over analyzer settings, with the optimum.
+    """Maximal CHSH expectation over analyzer settings.
 
     Closed form from the correlation matrix: 2 sqrt(s1^2 + s2^2) with
-    s1 >= s2 the two largest singular values of T. Returns
-    (value, description dict). Always <= 2 sqrt(2); > 2 signals violation.
+    s1 >= s2 the two largest singular values of T. Always <= 2 sqrt(2);
+    > 2 signals violation.
     """
-    t = correlation_matrix(rho)
-    u, s, vt = np.linalg.svd(t)
-    value = 2.0 * math.hypot(s[0], s[1])
-    detail = {
-        "singular_values": [float(x) for x in s],
-        "atom_axes": [u[:, 0].tolist(), u[:, 1].tolist()],
-        "photon_axes": [vt[0].tolist(), vt[1].tolist()],
-    }
-    return value, detail
+    # the full SVD: compute_uv=False moves the value's last bit on some states
+    _, s, _ = np.linalg.svd(correlation_matrix(rho))
+    return 2.0 * math.hypot(s[0], s[1])
 
 
 def purity(rho):

@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, asdict
 
-from .artifacts import write_json
-
 SPEED_OF_LIGHT = 299_792_458.0   # m/s
 CHSH_QUANTUM_MAX = 2.0 * math.sqrt(2.0)
 CHSH_THRESHOLD_VISIBILITY = 1.0 / math.sqrt(2.0)
@@ -102,12 +100,9 @@ def pairs_for_sigmas(v, k):
         raise ValueError(f"pairs_needed overflows for a {k:g}-sigma target") from None
 
 
-def pair_rate(plan: ExperimentPlan, p_bsm=None):
+def pair_rate(plan: ExperimentPlan):
     """Entangled atom-atom pair rate: rep * eta^2 * T^2 * p_bsm."""
-    p = plan.p_bsm if p_bsm is None else p_bsm
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p_bsm must lie in [0, 1], got {p}")
-    return plan.rep_rate * plan.eta_ph**2 * plan.transmission * p
+    return plan.rep_rate * plan.eta_ph**2 * plan.transmission * plan.p_bsm
 
 
 def measurement_duration(n_pairs, rate, duty=1.0):
@@ -155,8 +150,3 @@ def build_plan(plan: ExperimentPlan) -> PlanReport:
         collapse_probability=collapse_probability(plan.n_lifetimes),
         min_separation=min_separation(t_meas),
     )
-
-
-def write_plan_json(plan: ExperimentPlan, report: PlanReport, path):
-    write_json({"plan": plan.to_dict(), "report": report.to_dict()}, path)
-

@@ -31,57 +31,27 @@ PAULI_PRODUCTS = np.array(
     [[np.kron(a, b) for b in (np.eye(2), *PAULIS)] for a in (np.eye(2), *PAULIS)]
 )
 
-ATOM_MINUS = np.array([1, 0], dtype=complex)   # |mF=-1>
-ATOM_PLUS = np.array([0, 1], dtype=complex)    # |mF=+1>
-PHOTON_SIGMA_PLUS = np.array([1, 0], dtype=complex)
-PHOTON_SIGMA_MINUS = np.array([0, 1], dtype=complex)
 
-
-def as_matrix(m, dim=None):
-    """Coerce to a square complex ndarray, optionally checking its dimension."""
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if dim is not None and a.shape[0] != dim:
-        raise ValueError(f"expected a {dim}x{dim} matrix, got {a.shape[0]}x{a.shape[0]}")
-    return a
-
-
-def check_hermitian(m, tol=HERMITIAN_TOL):
-    """Return m as an ndarray, raising if it deviates from M = M^dagger."""
-    a = as_matrix(m)
+def check_density_matrix(rho):
+    """Gate for a state from outside the package: a finite 4x4 matrix that
+    is Hermitian, of unit trace and PSD within tolerance, returned as a
+    complex ndarray."""
+    a = np.asarray(rho, dtype=complex)
+    if a.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 density matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():   # NaN would pass every test below
+        raise ValueError("density matrix has non-finite entries")
     dev = np.max(np.abs(a - a.conj().T))
-    if dev > tol:
-        raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e} > {tol:.1e})")
-    return a
-
-
-def check_density_matrix(rho, tol=NORM_TOL):
-    """Validate a physical state: Hermitian, unit trace, PSD within tolerance."""
-    a = check_hermitian(rho)
+    if dev > HERMITIAN_TOL:
+        raise ValueError(f"matrix is not Hermitian "
+                         f"(max deviation {dev:.3e} > {HERMITIAN_TOL:.1e})")
     tr = np.real(np.trace(a))
-    if abs(tr - 1.0) > tol:
-        raise ValueError(f"trace is {tr:.12g}, expected 1 within {tol:.1e}")
+    if abs(tr - 1.0) > NORM_TOL:
+        raise ValueError(f"trace is {tr:.12g}, expected 1 within {NORM_TOL:.1e}")
     lo = np.min(np.linalg.eigvalsh(a))
-    if lo < -max(tol, 1e-10):
+    if lo < -NORM_TOL:
         raise ValueError(f"matrix is not PSD (min eigenvalue {lo:.3e})")
     return a
-
-
-def ket(amplitudes, normalized=True):
-    """Build a state vector; checks unit norm when `normalized` is set."""
-    v = np.asarray(amplitudes, dtype=complex).reshape(-1)
-    if v.size not in (2, 4):
-        raise ValueError(f"ket dimension must be 2 or 4, got {v.size}")
-    if normalized and abs(np.linalg.norm(v) - 1.0) > NORM_TOL:
-        raise ValueError("ket is not normalized")
-    return v
-
-
-def projector(psi):
-    """Rank-1 projector |psi><psi| from a normalized ket."""
-    v = ket(psi)
-    return np.outer(v, v.conj())
 
 
 def partial_transpose(rho, subsystem):

@@ -23,7 +23,8 @@ def ideal_ket():
 
 def ideal_state():
     """Density matrix of the ideal entangled atom-photon state."""
-    return qmath.projector(ideal_ket())
+    psi = ideal_ket()
+    return np.outer(psi, psi.conj())
 
 
 @dataclass(frozen=True)
@@ -52,15 +53,6 @@ class NoiseModel:
 
     def to_dict(self):
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(
-            depolarizing=float(d.get("depolarizing", 0.0)),
-            dephasing=float(d.get("dephasing", 0.0)),
-            eps01=float(d.get("eps01", 0.0)),
-            eps10=float(d.get("eps10", 0.0)),
-        )
 
 
 _SZ_I = qmath.PAULI_PRODUCTS[3, 0]

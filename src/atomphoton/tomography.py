@@ -394,12 +394,10 @@ def bootstrap_metrics(rho_hat, ts: TomographySet, n_replicas=250, seed=0):
 # Reconstructed-state JSON
 # ----------------------------------------------------------------------
 
-def write_state_json(rho, path, fit_report=None):
-    payload = {
+def write_state_json(rho, path, fit_report):
+    write_json({
         "real": np.real(rho).tolist(),
         "imag": np.imag(rho).tolist(),
         "basis": BASIS_CONVENTION,
-    }
-    if fit_report is not None:
-        payload["fit_report"] = fit_report.to_dict()
-    write_json(payload, path)
+        "fit_report": fit_report.to_dict(),
+    }, path)

@@ -131,8 +131,8 @@ def test_criterion_4_swapping_law():
 
 
 def test_criterion_5_chsh_threshold_and_value():
-    s_threshold, _ = chsh_max(werner(1 / math.sqrt(2)))
-    s_expected, _ = chsh_max(werner(0.74))
+    s_threshold = chsh_max(werner(1 / math.sqrt(2)))
+    s_expected = chsh_max(werner(0.74))
     ok = abs(s_threshold - 2.0) < 1e-9 and abs(s_expected - 2.0930) < 1e-4
     report(5, ok, f"S(werner(1/sqrt2)) = {s_threshold:.12f} (=2 within 1e-9), "
                   f"S(werner(0.74)) = {s_expected:.6f} (=2.0930 within 1e-4)")
@@ -153,8 +153,8 @@ def test_criterion_7_rate_and_sample_size_feasibility():
     # The quoted 7000-pair / 12-day figures are not exactly reproducible:
     # the underlying statistical and duty-cycle models are unstated.
     # Factor bands absorb the model differences; assumptions logged below.
-    plan = ExperimentPlan(eta_ph=5e-4, transmission=0.9, rep_rate=5e5)
-    rate = pair_rate(plan, p_bsm=0.5)
+    plan = ExperimentPlan(eta_ph=5e-4, transmission=0.9, rep_rate=5e5, p_bsm=0.5)
+    rate = pair_rate(plan)
     quoted_rate = 1 / 60.0
     rate_ok = quoted_rate / 4 <= rate <= quoted_rate * 4
 

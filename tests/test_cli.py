@@ -463,6 +463,20 @@ class TestCountsCsvIngest:
         err = capsys.readouterr().err
         assert str(path) in err and message in err
 
+    @pytest.mark.parametrize("sidecar, message", [
+        ('{"exact": "false"}', "field 'exact' must be true or false, got \"false\""),
+        ("[1, 2]", "expected a JSON object, got [1, 2]"),
+    ], ids=["string-exact", "array"])
+    def test_bad_sidecar_refused(self, tmp_path, capsys, sidecar, message):
+        src = str(tmp_path / "src")
+        assert run_cli(["--out", src, "tomo", "--bootstrap", "0"]) == 0
+        meta = tmp_path / "src.counts.meta.json"
+        meta.write_text(sidecar)
+        out = str(tmp_path / "o")
+        assert run_cli(["--out", out, "tomo", "--input", src + ".counts.csv"]) == 1
+        assert capsys.readouterr().err == f"error: {meta}: {message}\n"
+        assert not os.path.exists(out + ".state.json")
+
 
 class TestImports:
     def test_scipy_and_lazy_numpy_modules_stay_off_the_command_path(self, tmp_path):

@@ -193,6 +193,18 @@ class TestJointProbabilities:
         with pytest.raises(ValueError, match="not PSD"):
             noisy_probabilities(bad, outcome_operators([SETTING_GRID[0]]), NoiseModel())
 
+    @pytest.mark.parametrize("rho, message", [
+        (np.eye(2) / 2, r"expected a 4x4 density matrix, got shape \(2, 2\)"),
+        (np.eye(8) / 8, r"expected a 4x4 density matrix, got shape \(8, 8\)"),
+        (np.diag([np.nan, 1, 0, 0]), "non-finite entries"),
+        (np.eye(4) / 4 + np.diag([0.1] * 3, k=1), r"not Hermitian \(max deviation 1.000e-01"),
+        (np.eye(4) / 2, r"trace is 2, expected 1"),
+        (np.diag([1.2, -0.2, 0.0, 0.0]), r"not PSD \(min eigenvalue -2.000e-01\)"),
+    ], ids=["2x2", "8x8", "nan", "non-hermitian", "trace", "non-psd"])
+    def test_state_gate_names_the_fault(self, rho, message):
+        with pytest.raises(ValueError, match=message):
+            simulate_settings(rho, SETTING_GRID[:1], 10)
+
 
 ORACLE_TOL = 1e-12
 ANGLES = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
@@ -303,7 +315,7 @@ class TestReadoutConfusion:
 
     def test_full_scrambling(self):
         ops = outcome_operators(SETTING_GRID)
-        for rho in (werner(0.86), qmath.projector(np.array([1, 0, 0, 0], dtype=complex))):
+        for rho in (werner(0.86), np.diag([1, 0, 0, 0]).astype(complex)):
             out = noisy_probabilities(rho, ops, NoiseModel(eps01=0.5, eps10=0.5))
             assert np.max(np.abs(out[:, :2].sum(axis=1) - 0.5)) < 1e-12
             assert np.max(np.abs(out[:, 2:].sum(axis=1) - 0.5)) < 1e-12

@@ -153,21 +153,19 @@ class TestChsh:
         assert np.allclose(t, np.diag([1.0, -1.0, 1.0]), atol=1e-12)
         s = np.linalg.svd(t, compute_uv=False)
         assert np.allclose(s, 1.0, atol=1e-12)
-        value, detail = chsh_max(ideal_state())
-        assert abs(value - 2 * SQRT2) < 1e-12
-        assert len(detail["singular_values"]) == 3
+        assert abs(chsh_max(ideal_state()) - 2 * SQRT2) < 1e-12
 
     def test_threshold_visibility(self):
-        value, _ = chsh_max(werner(1 / SQRT2))
+        value = chsh_max(werner(1 / SQRT2))
         assert abs(value - 2.0) < 1e-9
 
     def test_expected_swapped_visibility_value(self):
-        value, _ = chsh_max(werner(0.74))
+        value = chsh_max(werner(0.74))
         assert abs(value - 2.0930) < 1e-4
 
     @pytest.mark.parametrize("v", np.linspace(0.0, 1.0, 11))
     def test_werner_linearity(self, v):
-        value, _ = chsh_max(werner(v))
+        value = chsh_max(werner(v))
         assert abs(value - 2 * SQRT2 * v) < 1e-9
 
     @pytest.mark.parametrize("rho_fn", [
@@ -177,7 +175,7 @@ class TestChsh:
     ])
     def test_numeric_search_cross_check(self, rho_fn):
         rho = rho_fn()
-        closed, _ = chsh_max(rho)
+        closed = chsh_max(rho)
         searched = chsh_max_search(rho)
         assert searched <= closed + 1e-6
         assert closed - searched < 5e-3
@@ -188,7 +186,7 @@ class TestChsh:
             g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             rho = g @ g.conj().T
             rho /= np.trace(rho)
-            value, _ = chsh_max(rho)
+            value = chsh_max(rho)
             assert value <= 2 * SQRT2 + 1e-9
 
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from atomphoton.cli import main
 from atomphoton.planner import (
     CHSH_QUANTUM_MAX,
     ExperimentPlan,
@@ -16,7 +17,6 @@ from atomphoton.planner import (
     pair_rate,
     pairs_for_sigmas,
     swapped_visibility,
-    write_plan_json,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -121,14 +121,14 @@ class TestPairsForSigmas:
 
 class TestRates:
     def test_pair_rate_demonstrated_inputs(self):
-        plan = ExperimentPlan(eta_ph=5e-4, transmission=0.9, rep_rate=5e5)
-        rate = pair_rate(plan, p_bsm=0.5)
+        plan = ExperimentPlan(eta_ph=5e-4, transmission=0.9, rep_rate=5e5, p_bsm=0.5)
+        rate = pair_rate(plan)
         assert abs(rate - 0.05625) < 1e-12
         # lands within a factor of 4 of one per minute
         assert 1 / 60 / 4 <= rate <= 4 / 60
 
     def test_zero_bsm_probability(self):
-        assert pair_rate(ExperimentPlan(), p_bsm=0.0) == 0.0
+        assert pair_rate(ExperimentPlan(p_bsm=0.0)) == 0.0
 
     def test_single_pair_rate(self):
         assert abs(single_pair_rate(400.0, 5e-4) - 0.2) < 1e-12
@@ -212,8 +212,7 @@ class TestBuildPlan:
     def test_json_round_trip(self, tmp_path):
         plan = ExperimentPlan(v_atph=0.9, duty=0.5)
         report = build_plan(plan)
-        path = tmp_path / "x.plan.json"
-        write_plan_json(plan, report, path)
-        plan2, report_dict = read_plan_json(path)
+        assert main(["--out", str(tmp_path / "x"), "plan", "--v-atph", "0.9", "--duty", "0.5"]) == 0
+        plan2, report_dict = read_plan_json(tmp_path / "x.plan.json")
         assert plan2 == plan
         assert report_dict == report.to_dict()

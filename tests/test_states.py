@@ -54,8 +54,10 @@ def standard_decay_channels():
     ]
 
 
-_ATOM_KETS = {-1: qmath.ATOM_MINUS, +1: qmath.ATOM_PLUS}
-_PHOTON_KETS = {"sigma+": qmath.PHOTON_SIGMA_PLUS, "sigma-": qmath.PHOTON_SIGMA_MINUS}
+# basis kets: atom (|mF=-1>, |mF=+1>), photon (|sigma+>, |sigma->)
+_ATOM_KETS = {-1: np.array([1, 0], dtype=complex), +1: np.array([0, 1], dtype=complex)}
+_PHOTON_KETS = {"sigma+": np.array([1, 0], dtype=complex),
+                "sigma-": np.array([0, 1], dtype=complex)}
 
 
 def state_from_channels(channels):
@@ -78,7 +80,7 @@ def state_from_channels(channels):
     if not any_collected:
         raise ValueError("no collected channel: no photon reaches the analyzer")
     psi /= np.linalg.norm(psi)
-    return qmath.projector(psi)
+    return np.outer(psi, psi.conj())
 
 
 def exact_fringe_visibility(rho, atom=ATOM_SX, n_beta=12):
@@ -233,4 +235,4 @@ class TestNoiseModel:
 
     def test_dict_round_trip(self):
         noise = NoiseModel(depolarizing=0.14, dephasing=0.02, eps01=0.01, eps10=0.03)
-        assert NoiseModel.from_dict(noise.to_dict()) == noise
+        assert NoiseModel(**noise.to_dict()) == noise

@@ -651,15 +651,28 @@ class TestAgainstLbfgsReference:
         assert at_or_below(-report.log_likelihood, lbfgs_reference_nll(counts, exact))
 
 
-    def test_stationary_uncertified_fit_stops_unconverged(self):
-        """The ideal state at 10^6 counts, seed 2: f stops falling after about
-        1,400 iterations while the bound stays near 3e3. The fit stops there,
-        reports that it did not converge, and is still at or below L-BFGS-B."""
-        ts = TomographySet.from_dataset(simulate_tomography(ideal_state(), 10**6, seed=2))
+    def test_stuck_fit_stops_unconverged(self, monkeypatch):
+        """With MLE_GAP_TOL = 0 no bound passes the stop rule's test, so a fit
+        that stalls can only leave as stuck: unconverged, well before
+        MLE_MAX_ITER, and still at or below L-BFGS-B."""
+        monkeypatch.setattr(tomography, "MLE_GAP_TOL", 0.0)
+        ts = TomographySet.from_dataset(simulate_tomography(werner(5 / 6), 300, seed=7))
         _, report = mle_reconstruct(ts)
         assert not report.converged and report.iterations < tomography.MLE_MAX_ITER
-        assert report.gap_bound > 1.0
         assert at_or_below(-report.log_likelihood, lbfgs_reference_nll(ts.counts))
+
+    def test_high_count_fit_reports_its_bound_truthfully(self):
+        """The ideal state at 10^6 counts, seed 2, where the half-count cells
+        make the fit crawl: whether it certifies or stalls, `converged` is the
+        stop rule's bound test on the returned state, and f is at or below
+        L-BFGS-B."""
+        ts = TomographySet.from_dataset(simulate_tomography(ideal_state(), 10**6, seed=2))
+        _, report = mle_reconstruct(ts)
+        assert report.iterations < tomography.MLE_MAX_ITER
+        n = _with_prior(ts.counts[None], ts.exact).sum(axis=1)[0]
+        f = -report.log_likelihood
+        assert report.converged == (report.gap_bound ** 2 <= tomography.MLE_GAP_TOL * n * abs(f))
+        assert at_or_below(f, lbfgs_reference_nll(ts.counts))
 
 
 class TestGapBound:
