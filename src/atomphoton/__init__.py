@@ -13,8 +13,6 @@ from .measurement import (
     Dataset,
     MeasurementSetting,
     PhotonSetting,
-    atom_projectors,
-    photon_projectors,
     read_counts_csv,
     simulate_settings,
     write_counts_csv,

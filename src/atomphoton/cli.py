@@ -145,11 +145,8 @@ def cmd_scan(args, params, written):
     n_points = params["n_points"]
     betas = [k * math.pi / n_points for k in range(n_points)]
 
-    settings = [
-        MeasurementSetting(atom=ATOM_BASES[b], photon=PhotonSetting(beta=beta), label=b)
-        for b in bases
-        for beta in betas
-    ]
+    settings = [MeasurementSetting(atom=ATOM_BASES[b], photon=PhotonSetting(beta=beta))
+                for b in bases for beta in betas]
     dataset = simulate_settings(ideal_state(), settings, params["n_per_point"],
                                 noise=noise, seed=args.seed, exact=args.exact)
     dataset.metadata["betas"] = betas

@@ -54,7 +54,6 @@ class AtomSetting:
 class MeasurementSetting:
     atom: AtomSetting
     photon: PhotonSetting
-    label: str | None = None
 
 
 # Canonical Pauli analysis settings.
@@ -66,37 +65,21 @@ PHOTON_SY = PhotonSetting(beta=math.pi / 4)
 PHOTON_SZ = PhotonSetting(circular=True)
 
 
-def atom_analysis_ket(s: AtomSetting):
-    """The superposition transferred to F=2 by the analysis pulse."""
-    return np.array(
-        [math.sin(s.theta), np.exp(1j * s.phi) * math.cos(s.theta)], dtype=complex
-    )
-
-
-def atom_projectors(s: AtomSetting):
-    """(transferred, remained) projector pair; orthogonal and complete."""
-    psi = atom_analysis_ket(s)
-    p_t = np.outer(psi, psi.conj())
-    return p_t, np.eye(2, dtype=complex) - p_t
-
-
-def photon_projectors(s: PhotonSetting):
-    """(APD1, APD2) projector pair; APD1 carries the '+' superposition."""
-    if s.circular:
-        plus = np.array([1, 0], dtype=complex)   # |sigma+>
-    else:
-        plus = np.array([1.0, np.exp(2j * s.beta)], dtype=complex) / math.sqrt(2)
-    p1 = np.outer(plus, plus.conj())
-    return p1, np.eye(2, dtype=complex) - p1
-
-
 def outcome_operators(settings):
     """Stacked outcome operators Pi_a (x) Pi_d, four per setting in outcome
     order: shape (4 * len(settings), 4, 4). This is the only place a setting
     is interpreted; tomography identifies records by these operators."""
-    a = np.array([atom_projectors(s.atom) for s in settings], dtype=complex)
-    d = np.array([photon_projectors(s.photon) for s in settings], dtype=complex)
-    a, d = a.reshape(-1, 2, 2, 2), d.reshape(-1, 2, 2, 2)   # (0, 2, 2, 2) when empty
+    # per setting, the atomic ket transferred to F=2 and the photon ket APD1
+    # detects, from scalar math.sin, math.cos and np.exp: the artifacts
+    # depend on their last bits
+    kets = np.array([(math.sin(s.atom.theta), np.exp(1j * s.atom.phi) * math.cos(s.atom.theta),
+                      1.0, np.exp(2j * s.photon.beta)) for s in settings],
+                    dtype=complex).reshape(-1, 2, 2)   # (0, 2, 2) when empty
+    kets[:, 1] /= math.sqrt(2)
+    kets[np.array([s.photon.circular for s in settings], dtype=bool), 1] = (1, 0)   # |sigma+>
+    p = kets[..., :, None] * kets.conj()[..., None, :]   # (setting, atom or photon, 2, 2)
+    pairs = np.stack([p, np.eye(2, dtype=complex) - p], axis=2)   # the pair (P, I - P) of each
+    a, d = pairs[:, 0], pairs[:, 1]
     # axes (setting, atom outcome, detector, atom row, photon row, atom column,
     # photon column): entry a_ij * d_kl, the one product np.kron takes
     return (a[:, :, None, :, None, :, None] * d[:, None, :, None, :, None, :]).reshape(-1, 4, 4)

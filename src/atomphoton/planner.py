@@ -36,19 +36,21 @@ class ExperimentPlan:
     duty: float = 1.0                # duty cycle applied to the pair rate
 
     def __post_init__(self):
-        for name, v in self.to_dict().items():
+        fields = self.to_dict()
+        for name, v in fields.items():
             if not math.isfinite(v):
                 raise ValueError(f"{name} must be a finite number, got {v}")
-        for name in ("v_atph", "bsm_fidelity", "eta_ph", "transmission", "p_bsm", "duty"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
-        for name in ("rep_rate", "lifetime_tau"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("t_stirap", "n_lifetimes", "measurement_window", "target_sigmas"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+        for names, ok, rule in (
+                (("v_atph", "bsm_fidelity"), lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]"),
+                # a zero here makes the pair rate 0, and the measurement endless
+                (("eta_ph", "transmission", "p_bsm", "duty"), lambda v: 0.0 < v <= 1.0,
+                 "lie in (0, 1]"),
+                (("rep_rate", "lifetime_tau", "target_sigmas"), lambda v: v > 0, "be positive"),
+                (("t_stirap", "n_lifetimes", "measurement_window"), lambda v: v >= 0,
+                 "be non-negative")):
+            for name in names:
+                if not ok(fields[name]):
+                    raise ValueError(f"{name} must {rule}, got {fields[name]}")
 
     def to_dict(self):
         return asdict(self)
@@ -138,6 +140,8 @@ def build_plan(plan: ExperimentPlan) -> PlanReport:
     v_atat = swapped_visibility(plan.v_atph, plan.v_atph, plan.bsm_fidelity)
     pairs = pairs_for_sigmas(v_atat, plan.target_sigmas)
     rate = pair_rate(plan)
+    if rate == 0.0:
+        raise ValueError("pair_rate underflows to 0: the plan's inputs are out of range")
     duration = measurement_duration(pairs, rate, plan.duty)
     t_meas = max(plan.t_stirap + plan.n_lifetimes * plan.lifetime_tau,
                  plan.measurement_window)

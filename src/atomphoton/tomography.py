@@ -40,15 +40,11 @@ BASIS_CONVENTION = "atom (|mF=-1>,|mF=+1>) x photon (|sigma+>,|sigma->)"
 
 
 def canonical_settings():
-    """The nine Pauli-Pauli measurement settings, labelled 'xx' .. 'zz'."""
-    atoms = {"x": ATOM_SX, "y": ATOM_SY, "z": ATOM_SZ}
-    photons = {"x": PHOTON_SX, "y": PHOTON_SY, "z": PHOTON_SZ}
-    out = []
-    for ai in PAULI_LABELS:
-        for pj in PAULI_LABELS:
-            out.append(MeasurementSetting(atom=atoms[ai], photon=photons[pj],
-                                          label=ai + pj))
-    return out
+    """The nine Pauli-Pauli measurement settings, 'xx' .. 'zz' in row order
+    (`_setting_label` names them)."""
+    return [MeasurementSetting(atom=atom, photon=photon)
+            for atom in (ATOM_SX, ATOM_SY, ATOM_SZ)
+            for photon in (PHOTON_SX, PHOTON_SY, PHOTON_SZ)]
 
 
 # Four per setting, in canonical_settings() order, which is the row order of

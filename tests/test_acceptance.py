@@ -18,8 +18,7 @@ from atomphoton.measurement import (
     AtomSetting,
     MeasurementSetting,
     PhotonSetting,
-    atom_projectors,
-    photon_projectors,
+    outcome_operators,
     simulate_settings,
 )
 from atomphoton.metrics import chsh_max, fidelity_to_target, fit_fringe, fringe_scans, \
@@ -179,16 +178,20 @@ def test_criterion_8_property_suites():
     t0 = time.perf_counter()
     rng = np.random.default_rng(2024)
 
-    # projector completeness and orthogonality across a settings grid
-    eye2 = np.eye(2)
+    # projector completeness and orthogonality across a settings grid, on the
+    # outcome operators' atomic blocks Pi_a (x) I and detector blocks I (x) Pi_d
+    eye4 = np.eye(4)
     for th in np.linspace(0, math.pi / 2, 5):
         for ph in np.linspace(0, 2 * math.pi, 5):
-            p_t, p_r = atom_projectors(AtomSetting(theta=th, phi=ph))
-            assert np.max(np.abs(p_t + p_r - eye2)) < 1e-14
+            ops = outcome_operators([MeasurementSetting(AtomSetting(theta=th, phi=ph),
+                                                        PhotonSetting())])
+            p_t, p_r = ops.reshape(2, 2, 4, 4).sum(axis=1)
+            assert np.max(np.abs(p_t + p_r - eye4)) < 1e-14
             assert np.max(np.abs(p_t @ p_r)) < 1e-14
     for beta in np.linspace(0, math.pi, 9):
-        p1, p2 = photon_projectors(PhotonSetting(beta=beta))
-        assert np.max(np.abs(p1 + p2 - eye2)) < 1e-14
+        ops = outcome_operators([MeasurementSetting(ATOM_SX, PhotonSetting(beta=beta))])
+        p1, p2 = ops.reshape(2, 2, 4, 4).sum(axis=0)
+        assert np.max(np.abs(p1 + p2 - eye4)) < 1e-14
         assert np.max(np.abs(p1 @ p2)) < 1e-14
 
     # partial-transpose involution on random states

@@ -286,6 +286,20 @@ class TestPlanCmd:
         assert f"{field} overflows" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--eta-ph", "0"], "eta_ph must lie in (0, 1], got 0.0"),
+        (["--p-bsm", "0"], "p_bsm must lie in (0, 1], got 0.0"),
+        (["--transmission", "0"], "transmission must lie in (0, 1], got 0.0"),
+        (["--duty", "0"], "duty must lie in (0, 1], got 0.0"),
+        (["--target-sigmas", "0"], "target_sigmas must be positive, got 0.0"),
+        (["--eta-ph", "1e-200"], "pair_rate underflows to 0"),
+    ])
+    def test_zero_rate_field_named(self, tmp_path, capsys, flags, message):
+        out = str(tmp_path / "zr")
+        assert run_cli(["--out", out, "plan", *flags]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestConfigFile:
     def test_config_and_override(self, tmp_path):

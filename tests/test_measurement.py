@@ -1,6 +1,7 @@
-"""Projectors, joint probabilities, readout confusion, sampling, scans, CSV."""
+"""Outcome operators, joint probabilities, readout confusion, sampling, scans, CSV."""
 
 import csv
+import itertools
 import math
 
 import numpy as np
@@ -17,12 +18,9 @@ from atomphoton.measurement import (
     Dataset,
     MeasurementSetting,
     PhotonSetting,
-    atom_analysis_ket,
-    atom_projectors,
     noisy_probabilities,
     outcome_operators,
     outcome_probabilities,
-    photon_projectors,
     read_counts_csv,
     record_rng,
     simulate_settings,
@@ -59,64 +57,103 @@ def scan_fits(ds):
     return {d + 1: fit_fringe(betas, p[:, d]) for d in range(2)}
 
 
+def ket_reference(setting):
+    """(atomic, APD1 photon) kets of one setting, built one setting at a time:
+    the reference for the kets `outcome_operators` builds for all at once."""
+    atom, photon = setting.atom, setting.photon
+    a = np.array([math.sin(atom.theta), np.exp(1j * atom.phi) * math.cos(atom.theta)],
+                 dtype=complex)
+    if photon.circular:
+        d = np.array([1, 0], dtype=complex)   # |sigma+>
+    else:
+        d = np.array([1.0, np.exp(2j * photon.beta)], dtype=complex) / math.sqrt(2)
+    return a, d
+
+
+def projector_pairs(setting):
+    """[(transferred, remained), (APD1, APD2)] projector pairs of one setting."""
+    return [(p, I2 - p) for p in (np.outer(k, k.conj()) for k in ket_reference(setting))]
+
+
+def atom_blocks(setting):
+    """The two sums Pi_a (x) (Pi_APD1 + Pi_APD2) = Pi_a (x) I, one per atomic outcome."""
+    return outcome_operators([setting]).reshape(2, 2, 4, 4).sum(axis=1)
+
+
+def detector_blocks(setting):
+    """The two sums (Pi_F2 + Pi_F1) (x) Pi_d = I (x) Pi_d, one per detector."""
+    return outcome_operators([setting]).reshape(2, 2, 4, 4).sum(axis=0)
+
+
+def photon_at(**kwargs):
+    return MeasurementSetting(ATOM_SX, PhotonSetting(**kwargs))
+
+
+def atom_at(atom):
+    return MeasurementSetting(atom, PhotonSetting())
+
+
 class TestPhotonProjectors:
+    """The detector blocks I (x) Pi_d of `outcome_operators`."""
+
     def test_beta_zero_linear_basis(self):
-        p1, p2 = photon_projectors(PhotonSetting(beta=0.0))
+        p1, p2 = detector_blocks(photon_at(beta=0.0))
         plus = np.array([1, 1]) / math.sqrt(2)
         minus = np.array([1, -1]) / math.sqrt(2)
-        assert np.allclose(p1, np.outer(plus, plus.conj()), atol=1e-15)
-        assert np.allclose(p2, np.outer(minus, minus.conj()), atol=1e-15)
+        assert np.allclose(p1, np.kron(I2, np.outer(plus, plus.conj())), atol=1e-15)
+        assert np.allclose(p2, np.kron(I2, np.outer(minus, minus.conj())), atol=1e-15)
 
     def test_beta_quarter_circular_superposition(self):
-        p1, p2 = photon_projectors(PhotonSetting(beta=math.pi / 4))
+        p1, p2 = detector_blocks(photon_at(beta=math.pi / 4))
         plus = np.array([1, 1j]) / math.sqrt(2)
         minus = np.array([1, -1j]) / math.sqrt(2)
-        assert np.allclose(p1, np.outer(plus, plus.conj()), atol=1e-15)
-        assert np.allclose(p2, np.outer(minus, minus.conj()), atol=1e-15)
+        assert np.allclose(p1, np.kron(I2, np.outer(plus, plus.conj())), atol=1e-15)
+        assert np.allclose(p2, np.kron(I2, np.outer(minus, minus.conj())), atol=1e-15)
 
     def test_circular_mode(self):
-        p1, p2 = photon_projectors(PhotonSetting(circular=True))
-        assert np.allclose(p1, np.diag([1, 0]))
-        assert np.allclose(p2, np.diag([0, 1]))
+        p1, p2 = detector_blocks(photon_at(circular=True))
+        assert np.allclose(p1, np.kron(I2, np.diag([1, 0])))
+        assert np.allclose(p2, np.kron(I2, np.diag([0, 1])))
 
     @pytest.mark.parametrize("beta", np.linspace(0, math.pi, 9))
     def test_complete_and_orthogonal(self, beta):
-        p1, p2 = photon_projectors(PhotonSetting(beta=beta))
-        assert np.max(np.abs(p1 + p2 - I2)) < 1e-15
+        p1, p2 = detector_blocks(photon_at(beta=beta))
+        assert np.max(np.abs(p1 + p2 - I4)) < 1e-15
         assert np.max(np.abs(p1 @ p2)) < 1e-15
         assert np.max(np.abs(p1 @ p1 - p1)) < 1e-14
 
 
 class TestAtomProjectors:
+    """The atomic blocks Pi_a (x) I of `outcome_operators`."""
+
     def test_full_transfer_projects_m_minus(self):
         for phi in (0.0, 1.0, math.pi):
-            p_t, p_r = atom_projectors(AtomSetting(theta=math.pi / 2, phi=phi))
-            assert np.allclose(p_t, np.diag([1, 0]), atol=1e-15)
-            assert np.allclose(p_r, np.diag([0, 1]), atol=1e-15)
+            p_t, p_r = atom_blocks(atom_at(AtomSetting(theta=math.pi / 2, phi=phi)))
+            assert np.allclose(p_t, np.kron(np.diag([1, 0]), I2), atol=1e-15)
+            assert np.allclose(p_r, np.kron(np.diag([0, 1]), I2), atol=1e-15)
 
     def test_sigma_x_eigenprojectors(self):
-        p_t, p_r = atom_projectors(ATOM_SX)
-        assert np.allclose(p_t, (I2 + qmath.SIGMA_X) / 2, atol=1e-15)
-        assert np.allclose(p_r, (I2 - qmath.SIGMA_X) / 2, atol=1e-15)
+        p_t, p_r = atom_blocks(atom_at(ATOM_SX))
+        assert np.allclose(p_t, np.kron((I2 + qmath.SIGMA_X) / 2, I2), atol=1e-15)
+        assert np.allclose(p_r, np.kron((I2 - qmath.SIGMA_X) / 2, I2), atol=1e-15)
 
     def test_sigma_y_eigenprojectors(self):
-        p_t, p_r = atom_projectors(ATOM_SY)
-        assert np.allclose(p_t, (I2 + qmath.SIGMA_Y) / 2, atol=1e-15)
-        assert np.allclose(p_r, (I2 - qmath.SIGMA_Y) / 2, atol=1e-15)
+        p_t, p_r = atom_blocks(atom_at(ATOM_SY))
+        assert np.allclose(p_t, np.kron((I2 + qmath.SIGMA_Y) / 2, I2), atol=1e-15)
+        assert np.allclose(p_r, np.kron((I2 - qmath.SIGMA_Y) / 2, I2), atol=1e-15)
 
     @pytest.mark.parametrize("setting", SETTING_GRID[:12])
     def test_complete_and_orthogonal(self, setting):
-        p_t, p_r = atom_projectors(setting.atom)
-        assert np.max(np.abs(p_t + p_r - I2)) < 1e-15
+        p_t, p_r = atom_blocks(setting)
+        assert np.max(np.abs(p_t + p_r - I4)) < 1e-15
         assert np.max(np.abs(p_t @ p_r)) < 1e-14
 
     def test_global_phase_invariance(self):
-        s = AtomSetting(theta=0.9, phi=0.4)
-        psi = atom_analysis_ket(s)
-        for gamma in (0.3, 1.7):
-            rotated = np.exp(1j * gamma) * psi
-            assert np.allclose(np.outer(rotated, rotated.conj()),
-                               np.outer(psi, psi.conj()), atol=1e-15)
+        # theta + pi and theta - pi flip the sign of the whole atomic ket
+        base = outcome_operators([atom_at(AtomSetting(theta=0.9, phi=0.4))])
+        for theta in (0.9 + math.pi, 0.9 - math.pi):
+            rotated = outcome_operators([atom_at(AtomSetting(theta=theta, phi=0.4))])
+            assert np.allclose(rotated, base, atol=1e-15)
 
 
 class TestJointProbabilities:
@@ -226,16 +263,15 @@ STATES = st.lists(st.floats(-1, 1), min_size=32, max_size=32).map(_state)
 
 def oracle_cells(rho, setting):
     """tr(rho Pi_a (x) Pi_d), one cell at a time, in outcome order."""
-    at, ar = atom_projectors(setting.atom)
-    d1, d2 = photon_projectors(setting.photon)
-    return [np.trace(rho @ np.kron(a, d)).real for a in (at, ar) for d in (d1, d2)]
+    atom, photon = projector_pairs(setting)
+    return [np.trace(rho @ np.kron(a, d)).real for a in atom for d in photon]
 
 
 def kron_loop_operators(setting_list):
-    """Four np.kron calls per setting, the way the stack used to be built:
-    the bit-exact reference for its one broadcast product."""
-    ops = [np.kron(a, d) for s in setting_list
-           for a in atom_projectors(s.atom) for d in photon_projectors(s.photon)]
+    """Kets, projector pairs and four np.kron calls per setting, the way the
+    stack used to be built: the bit-exact reference for its batched kets and
+    one broadcast product."""
+    ops = [np.kron(a, d) for s in setting_list for a, d in itertools.product(*projector_pairs(s))]
     return np.array(ops, dtype=complex).reshape(-1, 4, 4)
 
 
@@ -258,6 +294,14 @@ class TestOutcomeOperators:
         want = kron_loop_operators(setting_list + SETTING_GRID)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()   # signed zeros included
+
+    @pytest.mark.parametrize("setting", SETTING_GRID + [photon_at(circular=True)])
+    def test_four_operators_complete_and_orthogonal(self, setting):
+        ops = outcome_operators([setting])
+        assert np.max(np.abs(ops.sum(axis=0) - I4)) < 1e-15
+        for i in range(4):
+            for j in range(i + 1, 4):
+                assert np.max(np.abs(ops[i] @ ops[j])) < 1e-14
 
     def test_empty_setting_list(self):
         assert outcome_operators([]).shape == (0, 4, 4)

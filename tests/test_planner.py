@@ -128,7 +128,9 @@ class TestRates:
         assert 1 / 60 / 4 <= rate <= 4 / 60
 
     def test_zero_bsm_probability(self):
-        assert pair_rate(ExperimentPlan(p_bsm=0.0)) == 0.0
+        # a zero pair rate would make the measurement endless, so the plan refuses it
+        with pytest.raises(ValueError, match=r"p_bsm must lie in \(0, 1\], got 0.0"):
+            ExperimentPlan(p_bsm=0.0)
 
     def test_single_pair_rate(self):
         assert abs(single_pair_rate(400.0, 5e-4) - 0.2) < 1e-12
