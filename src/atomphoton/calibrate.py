@@ -28,7 +28,7 @@ from .measurement import (
 )
 from .metrics import fidelity_to_target, fit_fringe, fringe_scans
 from .states import NoiseModel, ideal_state
-from .tomography import TomographySet, canonical_settings, linear_inversion
+from .tomography import Design, TomographySet, canonical_settings, linear_inversion
 
 FIDELITY_WEIGHT = 1000.0     # fidelity-priority weighting in the fit objective
 TIE_BREAK_WEIGHT = 1e-6      # prefers the pure-depolarizing decomposition
@@ -52,12 +52,13 @@ class CalibrationResult:
 
 _FRINGE_BETAS = np.arange(6) * np.pi / 6
 # Fringe settings (sigma_x then sigma_y, six angles each), then the
-# canonical nine in TomographySet row order: built once, as the objective
-# is evaluated many times.
+# canonical nine and their design: built once, as the objective is
+# evaluated many times.
 _OPERATORS = outcome_operators(
     [MeasurementSetting(atom, PhotonSetting(beta=float(b)))
      for atom in (ATOM_SX, ATOM_SY) for b in _FRINGE_BETAS] + canonical_settings()
 )
+_TOMOGRAPHY = Design(_OPERATORS[48:])
 
 
 def exact_observables(noise: NoiseModel):
@@ -74,7 +75,7 @@ def exact_observables(noise: NoiseModel):
         p, _ = fringe_scans(probs[block * 6:(block + 1) * 6])
         return fit_fringe(_FRINGE_BETAS, p[:, 0]).visibility
 
-    rho_rec = linear_inversion(TomographySet(counts=probs[12:], exact=True))
+    rho_rec = linear_inversion(TomographySet(probs[12:], _TOMOGRAPHY, exact=True))
     return {
         "vx": fringe_visibility(0),
         "vy": fringe_visibility(1),

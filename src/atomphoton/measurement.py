@@ -68,7 +68,7 @@ PHOTON_SZ = PhotonSetting(circular=True)
 def outcome_operators(settings):
     """Stacked outcome operators Pi_a (x) Pi_d, four per setting in outcome
     order: shape (4 * len(settings), 4, 4). This is the only place a setting
-    is interpreted; tomography identifies records by these operators."""
+    is interpreted; tomography builds its design matrix from these operators."""
     # per setting, the atomic ket transferred to F=2 and the photon ket APD1
     # detects, from scalar math.sin, math.cos and np.exp: the artifacts
     # depend on their last bits
@@ -171,8 +171,8 @@ def simulate_settings(rho, settings, n_per_setting, noise=None, seed=0, exact=Fa
 # Dataset CSV + JSON-sidecar serialization. One row per record:
 #   theta, phi, beta, n_f2_apd1, n_f2_apd2, n_f1_apd1, n_f1_apd2, photon_basis
 # Angles in radians with 17 significant digits (lossless float round
-# trip). photon_basis is "linear" or "circular"; readers tolerate its
-# absence (linear assumed).
+# trip), at most 2 pi in magnitude. photon_basis is "linear" or "circular";
+# readers tolerate its absence (linear assumed).
 # ----------------------------------------------------------------------
 
 def sidecar_path(csv_path):
@@ -224,6 +224,10 @@ def _csv_record(path, row_no, header, cells):
                          f"the header has {len(header)}")
     row = dict(zip(header, cells))
     theta, phi, beta, *counts = (_csv_number(path, row_no, row, name) for name in _CSV_NUMBERS)
+    for name, angle in zip(_CSV_NUMBERS, (theta, phi, beta)):
+        if abs(angle) > 2 * math.pi:   # a file in degrees, say: its design may have full rank
+            raise ValueError(f"{path}: row {row_no}: field {name!r} is {row[name]}, beyond "
+                             "2 pi in magnitude: angles are radians")
     basis = row.get("photon_basis", "linear")
     if basis not in ("linear", "circular"):
         raise ValueError(f"{path}: row {row_no}: field 'photon_basis' must be "
@@ -237,9 +241,9 @@ def _csv_record(path, row_no, header, cells):
 
 def read_counts_csv(path):
     """Dataset from a counts CSV and its sidecar, if present: a JSON object
-    whose `exact`, if given, is true or false. Rows are numbered from 1 after
-    the header, blank lines skipped; a malformed row or field is reported by
-    file, row and name. A UTF-8 byte-order mark is allowed."""
+    whose `exact`, if given, is true or false; unless it is true, counts must
+    be whole numbers. Rows are numbered from 1 after the header, blank lines
+    skipped; errors name the file, row and field. A UTF-8 BOM is allowed."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
@@ -269,5 +273,11 @@ def read_counts_csv(path):
     if not isinstance(meta.get("exact", False), bool):   # it decides how the counts are read
         raise ValueError(f"{sidecar}: field 'exact' must be true or false, "
                          f"got {json.dumps(meta['exact'])}")
+    whole = dataset.records % 1.0 == 0
+    if not (meta.get("exact", False) or whole.all()):   # sampled counts are whole trials
+        row, col = np.argwhere(~whole)[0]
+        raise ValueError(f"{path}: row {row + 1}: field {COUNT_COLUMNS[col]!r} is "
+                         f"{dataset.records[row, col].item()!r}, not a whole number of counts, "
+                         f"and {sidecar} does not say \"exact\": true")
     dataset.metadata = meta
     return dataset

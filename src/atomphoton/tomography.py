@@ -1,16 +1,17 @@
 """Two-qubit state reconstruction from count data.
 
-Pipeline: counts -> linear inversion -> projection onto the physical set
--> maximum-likelihood refinement by accelerated projected gradient, which
-fits a whole stack of datasets at once. The canonical measurement set is
-the nine Pauli-Pauli combinations; the atomic sigma_z settings are realized
-as populations (no/full analysis transfer) and the photonic sigma_z as
-circular-basis analysis. Linear inversion and the likelihood read the same
-stack of outcome operators.
+Every outcome probability is linear in the 16 real Pauli coefficients r of
+rho, p = A r, whatever the setting (James, Kwiat, Munro & White, PRA 64,
+052312, 2001). A `TomographySet` fits through the design matrix A of its own
+records' outcome operators, so any settings that determine all 16
+coefficients can be fit. Pipeline: counts -> linear inversion -> projection
+onto the physical set -> maximum-likelihood refinement by accelerated
+projected gradient, which fits a whole stack of datasets at once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -34,42 +35,19 @@ from .measurement import (
 )
 from .metrics import fidelity_to_target, negativity, purity
 
-PAULI_LABELS = "xyz"
+PAULI_LABELS = np.array([a + b for a in "ixyz" for b in "ixyz"])   # "ii" .. "zz": atom, photon
 
 BASIS_CONVENTION = "atom (|mF=-1>,|mF=+1>) x photon (|sigma+>,|sigma->)"
 
 
 def canonical_settings():
-    """The nine Pauli-Pauli measurement settings, 'xx' .. 'zz' in row order
-    (`_setting_label` names them)."""
+    """The nine Pauli-Pauli measurement settings, 'xx' .. 'zz'; their outcomes
+    are the Pauli eigenprojector products in sign order (+,+) .. (-,-)."""
     return [MeasurementSetting(atom=atom, photon=photon)
             for atom in (ATOM_SX, ATOM_SY, ATOM_SZ)
             for photon in (PHOTON_SX, PHOTON_SY, PHOTON_SZ)]
 
 
-# Four per setting, in canonical_settings() order, which is the row order of
-# TomographySet.counts; in outcome order they are the Pauli eigenprojector
-# products in sign order (+,+), (+,-), (-,+), (-,-), the order of the counts.
-_CANONICAL_OPERATORS = outcome_operators(canonical_settings())
-
-# A record is at canonical setting k when its four outcome operators equal
-# row k's within _OPERATOR_TOL per entry, as given or with the atomic
-# outcomes swapped: an atomic ket orthogonal to the canonical one, such as
-# theta = 0 for sigma_z, reports the "-" eigenvalue as F2. Candidate c, a
-# row of 64 entries, is setting c % 9, swapped when c >= 9.
-_ATOM_SWAP = [2, 3, 0, 1]
-_OPERATOR_TOL = 1e-9
-_SETTING_OPERATORS = _CANONICAL_OPERATORS.reshape(9, 4, 16)
-_CANDIDATES = np.concatenate([_SETTING_OPERATORS,
-                              _SETTING_OPERATORS[:, _ATOM_SWAP]]).reshape(18, 64)
-
-# Design matrix of the linear model p = A r: A[k, mu nu] = tr(E_k s_mu (x) s_nu) / 4
-# for the 36 outcome operators E_k and the 16 Pauli coefficients r of rho.
-# Its columns are orthogonal, so the least-squares inverse reads T_ij from
-# setting ij and each marginal as the mean over its three partner settings.
-_DESIGN = np.einsum("kij,mji->km", _CANONICAL_OPERATORS,
-                    qmath.PAULI_PRODUCTS.reshape(16, 4, 4)).real / 4.0
-_DESIGN_INVERSE = np.linalg.pinv(_DESIGN)
 # The real Pauli basis: row m holds the real and imaginary parts of the 16
 # entries of P_m, so a Hermitian matrix and its coefficients map to each other
 # through real products; tr(rho P_m) is the dot product of the two rows.
@@ -77,7 +55,6 @@ _DESIGN_INVERSE = np.linalg.pinv(_DESIGN)
 # BLAS adds, and with it the last bits of every fit.
 _BASIS = qmath.PAULI_PRODUCTS.reshape(16, 16).view(float)
 _BASIS_T = _BASIS.T.copy()
-_DESIGN_T = _DESIGN.T.copy()
 _RANKS = np.arange(1.0, 5.0)
 
 
@@ -87,52 +64,58 @@ def simulate_tomography(rho, n_per_setting, noise=None, seed=0, exact=False):
                              noise=noise, seed=seed, exact=exact)
 
 
-def _setting_label(k):
-    return PAULI_LABELS[k // 3] + PAULI_LABELS[k % 3]
+class Design:
+    """The linear model p = A r of outcome operators E_k, four per setting:
+    A[k, m] = tr(E_k P_m) / 4, its C-contiguous transpose and pseudo-inverse.
+    An error names the Pauli coefficients that A leaves undetermined."""
+
+    def __init__(self, operators):
+        self.operators = operators
+        self.matrix = np.einsum("kij,mji->km", operators,
+                                qmath.PAULI_PRODUCTS.reshape(16, 4, 4)).real / 4.0
+        self.matrix_t = self.matrix.T.copy()
+        # singular values up to max(A.shape) * eps * s_max count as zero
+        self.inverse = np.linalg.pinv(self.matrix, rtol=None)
+        # (A+ A)_mm is 1, to rounding, less the weight of coefficient m in A's null space
+        lost = PAULI_LABELS[np.einsum("mk,km->m", self.inverse, self.matrix) < 1.0 - 1e-9]
+        if lost.size:
+            raise ValueError(f"the settings leave the Pauli coefficients {', '.join(lost)} "
+                             f"undetermined (design rank {np.linalg.matrix_rank(self.matrix)})")
 
 
 @dataclass
 class TomographySet:
-    """Counts of the nine canonical settings as one (9, 4) array.
-
-    Row 3*i + j holds setting (i, j), atomic Pauli i and photonic Pauli j,
-    in canonical_settings() order; its four cells are in eigenvalue-sign
-    order (+,+), (+,-), (-,+), (-,-).
-    """
+    """Counts of S settings as one (S, 4) array in outcome order, and the
+    design of their 4S outcome operators, four per row of counts."""
 
     counts: np.ndarray
+    design: Design
     exact: bool = False
 
     def __post_init__(self):
         self.counts = np.asarray(self.counts, dtype=float)
-        if self.counts.shape != (9, 4):
-            raise ValueError(f"tomography counts must have shape (9, 4), got {self.counts.shape}")
+        if self.counts.shape != (n := len(self.design.matrix) // 4, 4):
+            raise ValueError(f"tomography counts must have shape {(n, 4)}, "
+                             f"got {self.counts.shape}")
+        empty = np.flatnonzero(self.counts.sum(axis=1) <= 0)
+        if empty.size:
+            raise ValueError(f"setting {empty[0] + 1} has no counts")
 
     @classmethod
     def from_dataset(cls, dataset: Dataset):
-        """Sum the records of each canonical setting, identified by their
-        outcome operators. A record at any other setting, e.g. a scan point,
-        is an error naming the record (counted from 1) and its angles."""
-        ops = outcome_operators(dataset.settings).reshape(-1, 64)
-        # Every candidate has Frobenius norm 2, so the nearest one has the
-        # largest Re <candidate, ops> and is the only one that can match.
-        # The comparison is written so that a NaN entry matches nothing.
-        nearest = np.argmax((ops @ _CANDIDATES.conj().T).real, axis=1)
-        matched = np.abs(ops - _CANDIDATES[nearest]).max(axis=1) <= _OPERATOR_TOL
-        if not matched.all():
-            n = int(np.argmin(matched))
-            a, p = dataset.settings[n].atom, dataset.settings[n].photon
-            raise ValueError(
-                f"record {n + 1} (theta={a.theta:.17g}, phi={a.phi:.17g}, beta={p.beta:.17g}, "
-                f"{'circular' if p.circular else 'linear'}) is not a canonical "
-                "tomography setting")
-        rows = np.where((nearest >= 9)[:, None], dataset.records[:, _ATOM_SWAP], dataset.records)
-        counts = np.zeros((9, 4))
-        np.add.at(counts, nearest % 9, rows)   # row by row in record order: the loop's sums
-        missing = [_setting_label(k) for k in np.flatnonzero(~counts.any(axis=1))]
-        if missing:
-            raise ValueError(f"tomography set is missing settings: {', '.join(missing)}")
-        return cls(counts=counts, exact=bool(dataset.metadata.get("exact", False)))
+        """One row per distinct setting: records with bitwise-equal outcome
+        operators are summed into the first, in record order. A record with an
+        angle that is not finite is an error naming it (counted from 1)."""
+        for n, s in enumerate(dataset.settings):
+            if not all(map(math.isfinite, (s.atom.theta, s.atom.phi, s.photon.beta))):
+                raise ValueError(f"record {n + 1} ({s.atom}, {s.photon}): angles must be finite")
+        ops = outcome_operators(dataset.settings).reshape(-1, 4, 4, 4)
+        first = {}
+        rows = [first.setdefault(op.tobytes(), len(first)) for op in ops]
+        counts = np.zeros((len(first), 4))
+        np.add.at(counts, rows, dataset.records)   # row by row in record order
+        kept = ops[np.unique(rows, return_index=True)[1]].reshape(-1, 4, 4)
+        return cls(counts, Design(kept), exact=bool(dataset.metadata.get("exact", False)))
 
 
 # Every product of a stack is taken row by row, as a batch of (1, K) @ (K, L)
@@ -157,13 +140,10 @@ def _coefficients(rho):
     return _rows(flat, _BASIS_T)
 
 
-def _inverted_coefficients(counts):
-    """Pauli coefficients of the linear inversion of an (R, 9, 4) count stack."""
-    totals = counts.sum(axis=2, keepdims=True)
-    empty = np.flatnonzero(totals <= 0)
-    if empty.size:
-        raise ValueError(f"setting {_setting_label(empty[0] % 9)} has no counts")
-    return np.einsum("mk,rk->rm", _DESIGN_INVERSE, (counts / totals).reshape(-1, 36))
+def _inverted_coefficients(counts, inverse):
+    """Pauli coefficients of the linear inversion of an (R, S, 4) count stack."""
+    freqs = counts / counts.sum(axis=2, keepdims=True)
+    return np.einsum("mk,rk->rm", inverse, freqs.reshape(len(counts), -1))
 
 
 def linear_inversion(ts: TomographySet):
@@ -171,7 +151,7 @@ def linear_inversion(ts: TomographySet):
     & White, PRA 64, 052312, 2001) from the per-setting frequencies:
     rho = sum_{mu nu} r_{mu nu} s_mu (x) s_nu / 4. Hermitian and trace 1;
     may be non-PSD on noisy data."""
-    return _states(_inverted_coefficients(ts.counts[None]))[0]
+    return _states(_inverted_coefficients(ts.counts[None], ts.design.inverse))[0]
 
 
 def _project_stack(h):
@@ -230,37 +210,38 @@ def _weights(counts, p):
     return np.where(p > _PROB_FLOOR, counts, 0.0) / np.maximum(p, _PROB_FLOOR)
 
 
-def _probabilities(r):
-    return _rows(r, _DESIGN_T)
+def _probabilities(r, design_t):
+    return _rows(r, design_t)
 
 
-def _ascent(counts, p):
+def _ascent(counts, p, design):
     """-grad f over the Pauli coefficients: c_m = sum_k (n_k/p_k) A_km =
     tr(G P_m) / 4 for the density-matrix gradient -G of f."""
-    return _rows(_weights(counts, p), _DESIGN)
+    return _rows(_weights(counts, p), design)
 
 
-def _gap_bound(counts, r):
+def _gap_bound(counts, r, design, design_t):
     """Glancy, Knill & Girard (NJP 14, 095017, 2012): f is convex with
     gradient -G, G = sum_k (n_k/p_k) E_k, and tr(G rho) = N, so
     f(rho) - min f <= lambda_max(G) - N. With the ascent c = _ascent,
     G = sum_m c_m P_m = 4 _states(c)."""
-    p = _probabilities(r)
+    p = _probabilities(r, design_t)
     w = _weights(counts, p)
-    g = 4.0 * _states(_rows(w, _DESIGN))
+    g = 4.0 * _states(_rows(w, design))
     return np.linalg.eigvalsh(g)[:, -1] - np.einsum("rk,rk->r", w, p)
 
 
-def _fit_stack(counts, x):
+def _fit_stack(counts, x, design, design_t):
     """Minimize f(rho) = -sum_k n_k log tr(E_k rho) over physical states for
-    each row of an (R, 36) count stack, from physical starting states with
-    (R, 16) Pauli coefficients x, by accelerated projected gradient (Shang,
-    Zhang & Ng, PRA 95, 062336, 2017): x <- Pi(y + t c(y)) for c = -grad f,
-    Nesterov momentum restarted and the step refused when f would rise, and a
-    step t per fit. A fit leaves the stack when its stop rule fires
-    (converged), or unconverged when it stalls without progress or reaches
-    MLE_MAX_ITER iterations. Returns (x, f, f0, iterations, converged)."""
-    f = f0 = _nll(counts, _probabilities(x))
+    each row of an (R, K) count stack, through a (K, 16) design and its
+    transpose, from physical starting states with (R, 16) Pauli coefficients
+    x, by accelerated projected gradient (Shang, Zhang & Ng, PRA 95, 062336,
+    2017): x <- Pi(y + t c(y)) for c = -grad f, Nesterov momentum restarted
+    and the step refused when f would rise, and a step t per fit. A fit
+    leaves the stack when its stop rule fires (converged), or unconverged
+    when it stalls without progress or reaches MLE_MAX_ITER iterations.
+    Returns (x, f, f0, iterations, converged)."""
+    f = f0 = _nll(counts, _probabilities(x, design_t))
     out_x, out_f = x.copy(), f.copy()
     iterations, converged = np.zeros(len(x), dtype=int), np.zeros(len(x), dtype=bool)
     rows, n, y, x_prev = np.arange(len(x)), counts, x, x
@@ -268,8 +249,8 @@ def _fit_stack(counts, x):
     f_checked = np.full(len(x), np.inf)   # f at the fit's last failed bound test
     t = _STEP_START / counts.sum(axis=1)
     for it in range(1, MLE_MAX_ITER + 1):
-        py = _probabilities(y)
-        x_new, f_new = _backtracked_step(n, y, _nll(n, py), _ascent(n, py), t)
+        py = _probabilities(y, design_t)
+        x_new, f_new = _backtracked_step(n, y, _nll(n, py), _ascent(n, py, design), t, design_t)
         # a refused step (f_new > f) counts as a stall too
         stalls = np.where(f - f_new <= MLE_REL_TOL * np.abs(f), stalls + 1, 0)
         accept = f_new <= f
@@ -283,7 +264,7 @@ def _fit_stack(counts, x):
         stop, stuck = stalled.copy(), np.zeros(len(rows), dtype=bool)
         if stalled.any():
             nb, fs = n[stalled], f[stalled]
-            bound = _gap_bound(nb, x[stalled])
+            bound = _gap_bound(nb, x[stalled], design, design_t)
             stop[stalled] = bound ** 2 <= MLE_GAP_TOL * nb.sum(axis=1) * np.abs(fs)
             # no decrease at all since the last failed test: the projected step no
             # longer moves x, and the bound cannot be brought down
@@ -305,7 +286,7 @@ def _fit_stack(counts, x):
     return out_x, out_f, f0, iterations, converged
 
 
-def _backtracked_step(n, y, fy, c, t):
+def _backtracked_step(n, y, fy, c, t, design_t):
     """x = Pi(y + t c) and f(x) for each row, halving t in place until
     f(x) <= fy - c.(x - y) + |x - y|^2 / (2 t)."""
     x, f = np.empty_like(y), np.empty_like(fy)
@@ -313,7 +294,7 @@ def _backtracked_step(n, y, fy, c, t):
     while True:
         yt, tt = y[todo], t[todo]
         xt = _coefficients(_project_stack(_states(yt + tt[:, None] * c[todo])))
-        ft = _nll(n[todo], _probabilities(xt))
+        ft = _nll(n[todo], _probabilities(xt, design_t))
         d = xt - yt
         ok = ft <= fy[todo] + np.einsum("rm,rm->r", d, d / (2 * tt[:, None]) - c[todo])
         if ok.all():
@@ -326,25 +307,26 @@ def _backtracked_step(n, y, fy, c, t):
 
 
 def _with_prior(counts, exact):
-    """(R, 36) counts for the likelihood. Sampled data gets a half-count
+    """(R, K) counts for the likelihood. Sampled data gets a half-count
     weight in each empty cell, which keeps the optimum off the boundary;
     exact-mode data is used as-is, where zero-weight terms drop out."""
-    counts = counts.reshape(len(counts), 36).astype(float)
+    counts = counts.reshape(len(counts), -1).astype(float)
     if not exact:
         counts[counts == 0.0] = 0.5
     return counts
 
 
-def _projected_inversion(counts):
-    return _coefficients(_project_stack(_states(_inverted_coefficients(counts))))
+def _projected_inversion(counts, inverse):
+    return _coefficients(_project_stack(_states(_inverted_coefficients(counts, inverse))))
 
 
 def mle_reconstruct(ts: TomographySet):
     """Maximum-likelihood state and fit report: `_fit_stack` on a stack of
     one, from the projected linear inversion. The result never falls below
     that start."""
-    counts = _with_prior(ts.counts[None], ts.exact)
-    x, f, f0, iterations, converged = _fit_stack(counts, _projected_inversion(ts.counts[None]))
+    d, counts = ts.design, _with_prior(ts.counts[None], ts.exact)
+    start = _projected_inversion(ts.counts[None], d.inverse)
+    x, f, f0, iterations, converged = _fit_stack(counts, start, d.matrix, d.matrix_t)
     filled = int(np.sum(ts.counts == 0)) if not ts.exact else 0
     report = FitReport(
         log_likelihood=-float(f[0]),
@@ -352,7 +334,7 @@ def mle_reconstruct(ts: TomographySet):
         iterations=int(iterations[0]),
         converged=bool(converged[0]),
         regularization=f"half-count prior on {filled} empty cells" if filled else "none",
-        gap_bound=float(_gap_bound(counts, x)[0]),
+        gap_bound=float(_gap_bound(counts, x, d.matrix, d.matrix_t)[0]),
     )
     return _states(x)[0], report
 
@@ -364,15 +346,20 @@ def mle_reconstruct(ts: TomographySet):
 def bootstrap_metrics(rho_hat, ts: TomographySet, n_replicas=250, seed=0):
     """Parametric bootstrap: resample counts from the reconstructed state,
     re-fit every replica in one stack, report spread per metric. Replica k
-    draws its counts from the substream keyed by (seed, k), and its fit is
-    the one mle_reconstruct gives for its counts alone."""
+    draws its counts from the substream keyed by (seed, k), each setting from
+    its own whole-number total, and its fit is the one mle_reconstruct gives
+    for its counts alone."""
     if n_replicas < 1:
         raise ValueError(f"n_replicas must be at least 1, got {n_replicas}")
-    totals = np.rint(ts.counts.sum(axis=1)).astype(np.int64)
-    probs = outcome_probabilities(rho_hat, _CANONICAL_OPERATORS)
-    draws = np.array([record_rng(seed, k).multinomial(totals, probs)
+    totals = ts.counts.sum(axis=1)
+    if (totals % 1.0).any():   # a whole number of trials each, not rounded to one
+        raise ValueError(f"bootstrap: setting totals {totals.tolist()} are not all whole numbers")
+    d = ts.design
+    probs = outcome_probabilities(rho_hat, d.operators)
+    draws = np.array([record_rng(seed, k).multinomial(totals.astype(np.int64), probs)
                       for k in range(n_replicas)], dtype=float)
-    x, *_ = _fit_stack(_with_prior(draws, False), _projected_inversion(draws))
+    x, *_ = _fit_stack(_with_prior(draws, False), _projected_inversion(draws, d.inverse),
+                       d.matrix, d.matrix_t)
     rhos = _states(x)
     out = {}
     for name, fn in (("fidelity", fidelity_to_target), ("negativity", negativity),

@@ -3,6 +3,7 @@
 import argparse
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -210,8 +211,7 @@ class TestTomo:
         out = str(tmp_path / "rec")
         assert run_cli(["--out", out, "tomo", "--input", broken]) == 1
         err = capsys.readouterr().err
-        assert "missing settings" in err
-        assert "yz" in err
+        assert "error: the settings leave the Pauli coefficients yz undetermined" in err
         assert not os.path.exists(out + ".state.json")
 
 
@@ -221,9 +221,10 @@ class TestTomo:
         capsys.readouterr()
         out = str(tmp_path / "tomo")
         assert run_cli(["--out", out, "tomo", "--input", scan + ".counts.csv"]) == 1
-        # record 1 (sigma_x, beta = 0) is the canonical xx setting; record 2 is not
+        # sigma_x and sigma_y atoms with linear photons: rank 9, nothing of z
         err = capsys.readouterr().err
-        assert "record 2 (theta=" in err and "is not a canonical tomography setting" in err
+        assert err == ("error: the settings leave the Pauli coefficients iz, xz, yz, zi, zx, zy, "
+                       "zz undetermined (design rank 9)\n")
         assert not os.path.exists(out + ".state.json")
 
 
@@ -490,6 +491,82 @@ class TestCountsCsvIngest:
         assert run_cli(["--out", out, "tomo", "--input", src + ".counts.csv"]) == 1
         assert capsys.readouterr().err == f"error: {meta}: {message}\n"
         assert not os.path.exists(out + ".state.json")
+
+
+def rewrite_counts(src, dst, angle=None, cell=None):
+    """Copy a counts CSV, passing each angle field through `angle` and each
+    count field through `cell(row, name, value)`, both on the text."""
+    with open(src, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    with open(dst, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        for k, row in enumerate(rows, 1):
+            for name in row:
+                if angle and name in ("theta", "phi", "beta"):
+                    row[name] = angle(row[name])
+                elif cell and name.startswith("n_"):
+                    row[name] = cell(k, name, row[name])
+            writer.writerow(row)
+
+
+def add_half(row, name, value):
+    """Half a count more in row 3's (F1, APD1) cell."""
+    return f"{float(value) + 0.5}" if (row, name) == (3, "n_f1_apd1") else value
+
+
+class TestLabCounts:
+    """Counts CSVs as a lab writes them: rounded angles are fit through their
+    own design; degrees and fractional sampled counts are refused."""
+
+    @pytest.fixture
+    def seed7(self, tmp_path, capsys):
+        src = str(tmp_path / "s7")
+        assert run_cli(["--seed", "7", "--out", src, "tomo", "--bootstrap", "0"]) == 0
+        capsys.readouterr()
+        return src
+
+    def test_six_digit_angles_accepted(self, tmp_path, seed7):
+        rounded = tmp_path / "r6.counts.csv"
+        rewrite_counts(seed7 + ".counts.csv", rounded, angle=lambda v: f"{float(v):.6f}")
+        out = str(tmp_path / "r6")
+        assert run_cli(["--out", out, "tomo", "--bootstrap", "0", "--input", str(rounded)]) == 0
+        got, want = (json.load(open(p + ".metrics.json")) for p in (out, seed7))
+        assert got["fit_report"]["converged"] and got["fit_report"]["iterations"] == 29
+        assert abs(got["fidelity"] - want["fidelity"]) <= 1e-6
+
+    def test_degrees_refused(self, tmp_path, capsys, seed7):
+        degrees = tmp_path / "deg.counts.csv"
+        rewrite_counts(seed7 + ".counts.csv", degrees,
+                       angle=lambda v: repr(math.degrees(float(v))))
+        out = str(tmp_path / "deg")
+        assert run_cli(["--out", out, "tomo", "--input", str(degrees)]) == 1
+        assert capsys.readouterr().err == (f"error: {degrees}: row 1: field 'theta' is 45.0, "
+                                           "beyond 2 pi in magnitude: angles are radians\n")
+        assert list(tmp_path.glob("deg.*")) == [degrees]
+
+    def test_fractional_sampled_count_refused(self, tmp_path, capsys, seed7):
+        half = seed7 + ".counts.csv"
+        rewrite_counts(half, half, cell=add_half)   # in place, next to its sampled sidecar
+        out = str(tmp_path / "half")
+        assert run_cli(["--out", out, "tomo", "--input", str(half)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {half}: row 3: field 'n_f1_apd1' is ")
+        sidecar = tmp_path / "s7.counts.meta.json"
+        assert err.endswith(f'not a whole number of counts, and {sidecar} does not say "exact": '
+                            'true\n')
+        assert not list(tmp_path.glob("half.*"))
+
+    def test_fractional_counts_without_sidecar_not_resampled(self, tmp_path, capsys, seed7):
+        """Without a sidecar the counts are fit as given; the bootstrap, which
+        draws whole numbers of trials, refuses them and nothing is written."""
+        half = tmp_path / "half.counts.csv"
+        rewrite_counts(seed7 + ".counts.csv", half, cell=add_half)
+        out = str(tmp_path / "out")
+        assert run_cli(["--out", out, "tomo", "--input", str(half)]) == 1
+        assert "error: bootstrap: setting totals" in capsys.readouterr().err
+        assert not list(tmp_path.glob("out.*"))
+        assert run_cli(["--out", out, "tomo", "--bootstrap", "0", "--input", str(half)]) == 0
 
 
 class TestImports:

@@ -508,7 +508,7 @@ class TestSimulateScan:
             simulate_scan(ideal_state(), ATOM_SX, [], 100, seed=0)
 
 
-ANGLES = st.floats(-10.0, 10.0)
+ANGLES = st.floats(-2 * math.pi, 2 * math.pi)   # what a counts CSV takes
 CSV_RECORDS = st.lists(   # (setting, counts) pairs
     st.tuples(
         st.builds(lambda theta, phi, beta, circular: MeasurementSetting(
@@ -531,6 +531,8 @@ class TestCsvRoundTrip:
     def test_write_read_round_trip(self, tmp_path_factory, records, metadata):
         path = tmp_path_factory.mktemp("csv") / "rt.counts.csv"
         setting_list, counts = zip(*records)
+        if np.any(np.asarray(counts) % 1.0):   # only expected counts have fractions
+            metadata = {**metadata, "exact": True}
         write_counts_csv(Dataset(setting_list, counts, metadata=metadata), path)
         back = read_counts_csv(path)
         assert back.settings == list(setting_list)
@@ -600,6 +602,37 @@ class TestCsvValidation:
     def test_non_finite_angle_rejected(self, tmp_path):
         path, msg = self._read_with_row(tmp_path, "0.7853981633974483,nan,0,10,20,30,40,linear\n")
         assert path in msg and "row 2" in msg and "'phi'" in msg
+
+    @pytest.mark.parametrize("field, row", [
+        ("theta", "45,0,0,10,20,30,40,linear\n"),
+        ("phi", "0.7853981633974483,-90,0,10,20,30,40,linear\n"),
+        ("beta", "0.7853981633974483,0,6.2832,10,20,30,40,circular\n"),
+    ])
+    def test_angle_beyond_a_turn_rejected(self, tmp_path, field, row):
+        """Angles are radians: one beyond 2 pi in magnitude, as in a file
+        written in degrees, is refused, even where the basis ignores it."""
+        path, msg = self._read_with_row(tmp_path, row)
+        value = row.split(",")[("theta", "phi", "beta").index(field)]
+        assert msg == (f"{path}: row 2: field '{field}' is {value}, beyond 2 pi in magnitude: "
+                       "angles are radians")
+
+    @pytest.mark.parametrize("sidecar", [None, "{}", '{"exact": false}', '{"exact": true}'])
+    def test_fractional_count_needs_exact_sidecar(self, tmp_path, sidecar):
+        """A fractional count is an expected count: read when the sidecar says
+        so or is absent, refused, naming file, row and field, when a sidecar
+        leaves the data sampled."""
+        path = tmp_path / "frac.counts.csv"
+        path.write_text(self.HEADER + self.GOOD + "0.7853981633974483,0,0,10,20.5,30,40,linear\n")
+        if sidecar is not None:
+            (tmp_path / "frac.counts.meta.json").write_text(sidecar)
+        if sidecar in (None, '{"exact": true}'):
+            assert read_counts_csv(path).records[1, 1] == 20.5
+            return
+        with pytest.raises(ValueError) as exc:
+            read_counts_csv(path)
+        assert str(exc.value) == (f"{path}: row 2: field 'n_f2_apd2' is 20.5, not a whole number "
+                                  f"of counts, and {tmp_path / 'frac.counts.meta.json'} does not "
+                                  'say "exact": true')
 
     @pytest.mark.parametrize("basis", ["circ", "Circular", ""])
     def test_unknown_photon_basis_rejected(self, tmp_path, basis):

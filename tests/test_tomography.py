@@ -16,6 +16,7 @@ from atomphoton.measurement import (
     Dataset,
     MeasurementSetting,
     PhotonSetting,
+    outcome_operators,
     outcome_probabilities,
     read_counts_csv,
     write_counts_csv,
@@ -23,8 +24,7 @@ from atomphoton.measurement import (
 from atomphoton.metrics import fidelity_to_target, negativity, purity
 from atomphoton.states import NoiseModel, ideal_ket, ideal_state, werner
 from atomphoton.tomography import (
-    _CANONICAL_OPERATORS,
-    _DESIGN,
+    Design,
     TomographySet,
     _ascent,
     _coefficients,
@@ -38,6 +38,7 @@ from atomphoton.tomography import (
     _weights,
     _with_prior,
     bootstrap_metrics,
+    canonical_settings,
     linear_inversion,
     mle_reconstruct,
     simulate_tomography,
@@ -45,6 +46,18 @@ from atomphoton.tomography import (
 
 
 _PAULI_STACK = qmath.PAULI_PRODUCTS.reshape(16, 4, 4)
+# The design of the nine canonical settings, in canonical_settings() order:
+# the counts of simulate_tomography data fill its rows in record order.
+CANONICAL = Design(outcome_operators(canonical_settings()))
+A, A_T = CANONICAL.matrix, CANONICAL.matrix_t
+
+
+def fit_stack(counts, x):
+    return _fit_stack(counts, x, A, A_T)
+
+
+def projected_inversion(counts):
+    return _projected_inversion(counts, CANONICAL.inverse)
 
 
 def random_physical_state(rng):
@@ -131,21 +144,56 @@ def _orthogonal_atom(rec):
     return [_variant(rec, atom=atom, counts=rec[1][[2, 3, 0, 1]])]
 
 
+def _photon_flipped(rec):
+    """A linear record taken at beta + pi/2, which exchanges the analyzer's
+    ports: APD1 and APD2 trade places, so the counts swap with them. A
+    circular record stays as it is."""
+    s, c = rec
+    if s.photon.circular:
+        return [rec]
+    return [_variant(rec, photon=PhotonSetting(s.photon.beta + math.pi / 2),
+                     counts=c[[1, 0, 3, 2]])]
+
+
 def _split(rec):
     first = np.floor(rec[1] / 3)
     return [_variant(rec, counts=first), _variant(rec, counts=rec[1] - first)]
 
 
 # Other angle forms of each canonical record that measure the same outcomes:
-# each maps one record to the records that replace it.
+# each maps one record to the records that replace it. Every angle stays
+# within the 2 pi in magnitude that a counts CSV takes.
 EQUIVALENT_FORMS = {
-    "phi_plus_2pi": lambda rec: [_variant(rec, atom=AtomSetting(
-        rec[0].atom.theta, rec[0].atom.phi + 2 * math.pi))],
+    "phi_minus_2pi": lambda rec: [_variant(rec, atom=AtomSetting(
+        rec[0].atom.theta, rec[0].atom.phi - 2 * math.pi))],
     "beta_plus_pi": lambda rec: [_variant(rec, photon=PhotonSetting(
         rec[0].photon.beta + math.pi, rec[0].photon.circular))],
     "orthogonal_atomic_ket": _orthogonal_atom,
+    "photon_flipped": _photon_flipped,
     "split": _split,
 }
+
+
+def counts_by_operator(ts, ref):
+    """The counts of ts and of ref per outcome operator: each operator of ts
+    is matched to one of ref's within 1e-14 per entry, one to one, and ref's
+    counts are returned in the order of ts's."""
+    ops, ref_ops = ts.design.operators, ref.design.operators
+    dist = np.abs(ops[:, None] - ref_ops[None]).max(axis=(2, 3))
+    match = dist.argmin(axis=1)
+    assert dist[np.arange(len(ops)), match].max() <= 1e-14
+    assert sorted(match) == list(range(len(ref_ops)))
+    return ts.counts.ravel(), ref.counts.ravel()[match]
+
+
+def _rounded(ds, digits):
+    """The dataset with every angle written to `digits` decimals, as a lab
+    file might hold them."""
+    def r(x):
+        return float(f"{x:.{digits}f}")
+    return Dataset([MeasurementSetting(AtomSetting(r(s.atom.theta), r(s.atom.phi)),
+                                       PhotonSetting(r(s.photon.beta), s.photon.circular))
+                    for s in ds.settings], ds.records, metadata=dict(ds.metadata))
 
 
 class TestCanonicalSettings:
@@ -155,16 +203,30 @@ class TestCanonicalSettings:
         # simulated records come in canonical order, one per row
         assert np.array_equal(ts.counts, ds.records)
 
+    def test_design_of_simulated_data_is_the_canonical_one(self):
+        """The `tomo --seed 7` data build the design of the nine settings bit
+        for bit, its transpose laid out the same way and the same
+        pseudo-inverse, so canonical data keep the last bits of their fits."""
+        ds = simulate_tomography(ideal_state(), 300, noise=NoiseModel(depolarizing=0.14), seed=7)
+        design = TomographySet.from_dataset(ds).design
+        expected = np.einsum("kij,mji->km", outcome_operators(canonical_settings()),
+                             _PAULI_STACK).real / 4.0
+        assert design.matrix.tobytes() == expected.tobytes()
+        assert design.matrix_t.flags.c_contiguous
+        assert design.matrix_t.tobytes() == expected.T.copy().tobytes()
+        assert design.inverse.tobytes() == np.linalg.pinv(expected).tobytes()
+
     def test_missing_setting_reported_by_name(self):
         ds = simulate_tomography(ideal_state(), 10, seed=0)
         ds = _dataset([(s, c) for s, c in _records(ds)   # drop atomic sigma_y, circular photon
                        if not (s.atom == ATOM_SY and s.photon.circular)])
-        with pytest.raises(ValueError, match="missing settings: yz"):
+        with pytest.raises(ValueError, match=r"Pauli coefficients yz undetermined \(design rank 15\)"):
             TomographySet.from_dataset(ds)
 
     def test_theta_zero_population_setting_counts_flipped(self):
-        # theta=0 transfers |+1>, the sigma_z=-1 state; extraction must
-        # land on the same correlations as the canonical theta=pi/2 row
+        # theta=0 transfers |+1>, the sigma_z=-1 state: its records hold the
+        # theta=pi/2 counts with F2 and F1 swapped, the set keeps them as
+        # recorded, and their outcome operators swap with them
         base = simulate_tomography(werner(0.8), 300, seed=4, exact=True)
         swapped = []
         for setting, counts in _records(base):
@@ -176,8 +238,10 @@ class TestCanonicalSettings:
                 counts = counts[[2, 3, 0, 1]]   # F2 <-> F1 roles swap
             swapped.append((setting, counts))
         ds2 = _dataset(swapped, metadata=dict(base.metadata))
-        assert np.array_equal(TomographySet.from_dataset(base).counts,
-                              TomographySet.from_dataset(ds2).counts)
+        assert np.array_equal(TomographySet.from_dataset(ds2).counts, ds2.records)
+        got, want = counts_by_operator(TomographySet.from_dataset(ds2),
+                                       TomographySet.from_dataset(base))
+        assert np.array_equal(got, want)
         t1, a1, _ = inverted_coefficients(base)
         t2, a2, _ = inverted_coefficients(ds2)
         assert np.allclose(t1, t2, atol=1e-12)
@@ -185,60 +249,113 @@ class TestCanonicalSettings:
 
     @pytest.mark.parametrize("form", sorted(EQUIVALENT_FORMS))
     def test_equivalent_forms_give_identical_counts(self, form):
+        """Each outcome operator carries the same count in either form, and
+        the fit lands on the same state; a split record sums back to the
+        whole bit for bit, so its fit is the whole record's, bit for bit."""
         base = simulate_tomography(werner(0.8), 300, seed=4)
         records = [r for rec in _records(base) for r in EQUIVALENT_FORMS[form](rec)]
         assert len(records) == (18 if form == "split" else 9)
-        assert np.array_equal(
-            TomographySet.from_dataset(_dataset(records)).counts,
-            TomographySet.from_dataset(base).counts)
+        ts, ref = TomographySet.from_dataset(_dataset(records)), TomographySet.from_dataset(base)
+        got, want = counts_by_operator(ts, ref)
+        assert np.array_equal(got, want)
+        (rho, report), (rho_ref, report_ref) = mle_reconstruct(ts), mle_reconstruct(ref)
+        assert report.converged and report_ref.converged
+        if form == "split":
+            assert np.array_equal(ts.counts, ref.counts)
+            assert rho.tobytes() == rho_ref.tobytes() and report == report_ref
+        assert np.max(np.abs(linear_inversion(ts) - linear_inversion(ref))) <= 1e-12
+        assert np.max(np.abs(rho - rho_ref)) <= 1e-8
 
     @pytest.mark.parametrize("angle", ["theta", "phi", "beta"])
-    def test_setting_off_by_a_microradian_rejected(self, angle):
+    def test_setting_off_by_a_microradian_rejected(self, tmp_path, angle):
+        """A counts CSV takes angles of at most 2 pi in magnitude, which refuses
+        a file written in degrees: a setting a microradian beyond the bound is
+        rejected, naming the file, the row and the field, and one on it is read."""
         ds = simulate_tomography(werner(0.8), 50, seed=1)
-        a, p = ds.settings[4].atom, ds.settings[4].photon   # yy: every angle matters
-        shifted = {
-            "theta": (AtomSetting(a.theta + 1e-6, a.phi), p),
-            "phi": (AtomSetting(a.theta, a.phi + 1e-6), p),
-            "beta": (a, PhotonSetting(beta=p.beta + 1e-6)),
-        }[angle]
-        ds.settings[4] = MeasurementSetting(*shifted)
-        with pytest.raises(ValueError, match=r"record 5 \(theta=.*\) is not a canonical "
-                                             "tomography setting"):
-            TomographySet.from_dataset(ds)
+        a, p = ds.settings[4].atom, ds.settings[4].photon
+        for turn in (2 * math.pi, -2 * math.pi - 1e-6):
+            ds.settings[4] = MeasurementSetting(*{
+                "theta": (AtomSetting(turn, a.phi), p),
+                "phi": (AtomSetting(a.theta, turn), p),
+                "beta": (a, PhotonSetting(beta=turn)),
+            }[angle])
+            path = tmp_path / "turn.counts.csv"
+            write_counts_csv(ds, path)
+            if turn == 2 * math.pi:
+                assert read_counts_csv(path).settings == ds.settings
+                continue
+            with pytest.raises(ValueError) as exc:
+                read_counts_csv(path)
+            assert str(exc.value).startswith(f"{path}: row 5: field '{angle}' is -6.28318")
+            assert str(exc.value).endswith("angles are radians")
 
-    def test_photon_flipped_form_rejected(self):
-        # beta = pi/2 measures photonic sigma_x with APD1 and APD2 swapped;
-        # only atomic outcomes are matched swapped
-        ds = simulate_tomography(werner(0.8), 50, seed=1)
-        ds.settings[0] = MeasurementSetting(ds.settings[0].atom, PhotonSetting(beta=math.pi / 2))
-        ds.records[0] = ds.records[0, [1, 0, 3, 2]]
-        with pytest.raises(ValueError, match=r"record 1 \(.*beta=1.57.*\) is not a canonical"):
-            TomographySet.from_dataset(ds)
+    def test_six_digit_angles_fit_as_the_exact_ones(self):
+        """The `tomo --seed 7` counts with every angle rounded to 6 digits
+        (pi/4 -> 0.785398), as a lab file may hold them: the fit converges in
+        the same 29 iterations, within 1.4e-7 per entry of the exact-angle fit."""
+        ds = simulate_tomography(ideal_state(), 300, noise=NoiseModel(depolarizing=0.14), seed=7)
+        rho, report = mle_reconstruct(TomographySet.from_dataset(ds))
+        rho6, report6 = mle_reconstruct(TomographySet.from_dataset(_rounded(ds, 6)))
+        assert report6.converged and report6.iterations == report.iterations == 29
+        assert np.max(np.abs(rho6 - rho)) <= 1.4e-7
+
+    def test_duplicates_summed_into_their_first_record(self):
+        """Records at bitwise-equal operators are summed into the first of
+        them; the set keeps the order in which settings first appear."""
+        recs = _records(simulate_tomography(werner(0.8), 100, seed=3))
+        half = np.floor(recs[4][1] / 2)
+        records = ([_variant(recs[4], counts=half)] + recs[:4] + recs[5:]
+                   + [_variant(recs[4], counts=recs[4][1] - half)])
+        ts = TomographySet.from_dataset(_dataset(records))
+        order = [4, 0, 1, 2, 3, 5, 6, 7, 8]
+        assert np.array_equal(ts.counts, np.array([recs[k][1] for k in order]))
+        assert np.array_equal(ts.design.operators.reshape(9, 4, 4, 4),
+                              CANONICAL.operators.reshape(9, 4, 4, 4)[order])
 
     def test_counts_shape_checked(self):
         with pytest.raises(ValueError, match=r"shape \(9, 4\)"):
-            TomographySet(counts=np.ones((8, 4)))
+            TomographySet(np.ones((8, 4)), CANONICAL)
 
 
 # A tomography dataset with one fringe-scan point (atomic sigma_x, a linear
-# analyzer angle strictly between the canonical 0 and pi/4) inserted.
+# analyzer angle strictly between the canonical 0 and pi/4).
 SCAN_BETAS = st.floats(0.01, math.pi / 4 - 0.01)
 
 
 class TestNonCanonicalRecords:
     @settings(max_examples=25)
-    @given(SCAN_BETAS, st.integers(0, 9))
+    @given(SCAN_BETAS, st.integers(2, 8))
     def test_scan_point_in_tomography_csv_rejected(self, tmp_path_factory, beta, position):
+        """A scan point in place of canonical record `position` past xx and xy
+        measures only coefficients that the other records measure too, so the
+        replaced setting's coefficient is left undetermined and named."""
+        ds = simulate_tomography(werner(0.8), 50, seed=1)
+        records = _records(ds)
+        records[position] = (MeasurementSetting(atom=ATOM_SX, photon=PhotonSetting(beta=beta)),
+                             [10.0, 20.0, 15.0, 5.0])
+        path = tmp_path_factory.mktemp("mixed") / "mixed.counts.csv"
+        write_counts_csv(_dataset(records), path)
+        label = "xyz"[position // 3] + "xyz"[position % 3]
+        with pytest.raises(ValueError, match=rf"Pauli coefficients {label} undetermined"):
+            TomographySet.from_dataset(read_counts_csv(path))
+
+    @settings(max_examples=25)
+    @given(SCAN_BETAS, st.integers(0, 9))
+    def test_scan_point_added_to_tomography_csv_joins_the_fit(self, tmp_path_factory, beta,
+                                                               position):
+        """A scan point added to the nine settings is one more row of the
+        design: the fit uses it and stays physical."""
         ds = simulate_tomography(werner(0.8), 50, seed=1)
         records = _records(ds)
         records.insert(position, (MeasurementSetting(atom=ATOM_SX, photon=PhotonSetting(beta=beta)),
                                   [10.0, 20.0, 15.0, 5.0]))
-        ds = _dataset(records)
         path = tmp_path_factory.mktemp("mixed") / "mixed.counts.csv"
-        write_counts_csv(ds, path)
-        with pytest.raises(ValueError, match=rf"record {position + 1} \(theta=.*, "
-                                             rf"beta={beta:.17g}, linear\) is not a canonical"):
-            TomographySet.from_dataset(read_counts_csv(path))
+        write_counts_csv(_dataset(records), path)
+        ts = TomographySet.from_dataset(read_counts_csv(path))
+        assert ts.counts.shape == (10, 4) and np.array_equal(ts.counts[position], [10, 20, 15, 5])
+        rho, report = mle_reconstruct(ts)
+        assert report.converged and report.log_likelihood >= report.init_log_likelihood
+        assert np.min(np.linalg.eigvalsh(rho)) >= -1e-10
 
     @pytest.mark.parametrize("angle", ["theta", "phi", "beta"])
     def test_nan_angle_rejected(self, angle):
@@ -250,16 +367,19 @@ class TestNonCanonicalRecords:
             "beta": MeasurementSetting(a, PhotonSetting(beta=math.nan)),
         }[angle]
         ds = _dataset(_records(ds) + [(setting, [1.0, 2.0, 3.0, 4.0])])
-        with pytest.raises(ValueError, match=r"record 10 \(.*nan.*\) is not a canonical"):
+        with pytest.raises(ValueError, match=rf"record 10 \(.*{angle}=nan.*\): angles must be finite"):
             TomographySet.from_dataset(ds)
 
     def test_circular_photon_with_tilted_atom_rejected(self):
+        """One circular-photon record with a tilted atom cannot stand in for
+        the three circular-photon settings: it measures a single combination
+        of xz and zz, and nothing of yz."""
         ds = simulate_tomography(werner(0.8), 50, seed=1)
-        ds = _dataset(_records(ds) + [(
+        ds = _dataset([r for r in _records(ds) if not r[0].photon.circular] + [(
             MeasurementSetting(atom=AtomSetting(theta=0.3, phi=0.0),
                                photon=PhotonSetting(circular=True)),
             [1.0, 2.0, 3.0, 4.0])])
-        with pytest.raises(ValueError, match=r"record 10 \(theta=0.2999.*, circular\)"):
+        with pytest.raises(ValueError, match=r"Pauli coefficients xz, yz, zz undetermined"):
             TomographySet.from_dataset(ds)
 
 
@@ -303,7 +423,7 @@ class TestExtractCorrelations:
     @settings(max_examples=200)
     @given(SETTING_COUNTS)
     def test_matches_sign_pattern_estimator(self, counts):
-        rho = linear_inversion(TomographySet(counts=counts))
+        rho = linear_inversion(TomographySet(counts, CANONICAL))
         assert np.max(np.abs(rho - rho.conj().T)) == 0.0
         got = pauli_coefficients(rho)
         for g, want in zip(got, sign_pattern_coefficients(counts)):
@@ -313,8 +433,8 @@ class TestExtractCorrelations:
     def test_empty_setting_named(self):
         counts = np.ones((9, 4))
         counts[5] = 0.0
-        with pytest.raises(ValueError, match="setting yz has no counts"):
-            linear_inversion(TomographySet(counts=counts))
+        with pytest.raises(ValueError, match="setting 6 has no counts"):
+            linear_inversion(TomographySet(counts, CANONICAL))
 
 
 class TestLinearInversion:
@@ -425,7 +545,7 @@ class TestMleReconstruct:
         for trial in range(5):
             counts = np.array([rng.integers(0, 40, size=4) for _ in range(9)], dtype=float)
             counts[counts.sum(axis=1) == 0, 0] = 1.0   # no setting entirely empty
-            ts = TomographySet(counts=counts, exact=False)
+            ts = TomographySet(counts, CANONICAL, exact=False)
             rho, _ = mle_reconstruct(ts)
             assert np.min(np.linalg.eigvalsh(rho)) >= -1e-10
             assert abs(np.trace(rho).real - 1.0) < 1e-10
@@ -472,7 +592,7 @@ class TestMleReconstruct:
         ts = TomographySet.from_dataset(ds)
         rho_default, _ = mle_reconstruct(ts)
         mixed = _coefficients(np.eye(4, dtype=complex)[None] / 4)
-        x, f, f0, _, converged = _fit_stack(_with_prior(ts.counts[None], False), mixed)
+        x, f, f0, _, converged = fit_stack(_with_prior(ts.counts[None], False), mixed)
         assert converged[0] and f[0] < f0[0]
         assert np.linalg.norm(rho_default - _states(x)[0]) < 1e-3
 
@@ -486,7 +606,7 @@ HERMITIAN_DIRECTIONS = st.lists(st.floats(-1.0, 1.0), min_size=16, max_size=16).
 
 
 def nll_of_state(counts, rho):
-    return _nll(counts[None], _probabilities(_coefficients(rho[None])))[0]
+    return _nll(counts[None], _probabilities(_coefficients(rho[None]), A_T))[0]
 
 
 class TestMleLikelihood:
@@ -497,8 +617,8 @@ class TestMleLikelihood:
         """The density-matrix gradient -sum_k (n_k/p_k) E_k, and its Pauli
         coefficients that the fit steps along, against central differences
         of the negative log-likelihood."""
-        p = _probabilities(_coefficients(rho[None]))
-        grad = -np.einsum("k,kij->ij", _weights(counts[None], p)[0], _CANONICAL_OPERATORS)
+        p = _probabilities(_coefficients(rho[None]), A_T)
+        grad = -np.einsum("k,kij->ij", _weights(counts[None], p)[0], CANONICAL.operators)
         step = 1e-6
         numeric = (nll_of_state(counts, rho + step * h)
                    - nll_of_state(counts, rho - step * h)) / (2 * step)
@@ -506,13 +626,13 @@ class TestMleLikelihood:
         assert abs(np.trace(grad @ h).real - numeric) <= 1e-7 * scale
         # d rho / d r_m = P_m / 4, so -tr(grad P_m) / 4 is the ascent direction
         ascent = -np.einsum("ij,mji->m", grad, _PAULI_STACK).real / 4.0
-        assert np.max(np.abs(_ascent(counts[None], p)[0] - ascent)) <= 1e-12 * scale
+        assert np.max(np.abs(_ascent(counts[None], p, A)[0] - ascent)) <= 1e-12 * scale
 
     @settings(max_examples=40)
     @given(st.lists(st.lists(st.integers(0, 60), min_size=4, max_size=4)
                     .filter(lambda c: sum(c) > 0), min_size=9, max_size=9))
     def test_estimate_is_physical_and_no_worse_than_init(self, cells):
-        rho, report = mle_reconstruct(TomographySet(counts=cells, exact=False))
+        rho, report = mle_reconstruct(TomographySet(cells, CANONICAL, exact=False))
         assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
         assert np.min(np.linalg.eigvalsh(rho)) >= -1e-10
         assert abs(np.trace(rho).real - 1.0) <= 1e-10
@@ -578,7 +698,7 @@ def lbfgs_reference_nll(counts, exact=False):
     """Negative log-likelihood that L-BFGS-B reaches from the projected
     linear inversion, with the same half-count prior."""
     n = _with_prior(np.asarray(counts, dtype=float).reshape(1, 9, 4), exact)[0]
-    w, u = np.linalg.eigh(project_one(linear_inversion(TomographySet(counts=counts))))
+    w, u = np.linalg.eigh(project_one(linear_inversion(TomographySet(counts, CANONICAL))))
     a = (u * np.maximum(w, 1e-8)) @ u.conj().T
     a /= np.real(np.trace(a))
     upper = np.flip(np.linalg.cholesky(np.flip(a)))        # a = upper upper^dagger
@@ -587,7 +707,7 @@ def lbfgs_reference_nll(counts, exact=False):
                          np.column_stack([lower[_OFF_ROWS, _OFF_COLS].real,
                                           lower[_OFF_ROWS, _OFF_COLS].imag]).ravel()])
     active = n > 0
-    args = (_CANONICAL_OPERATORS[active].reshape(-1, 16), n[active])
+    args = (CANONICAL.operators[active].reshape(-1, 16), n[active])
     res = minimize(_cholesky_nll_and_grad, t0, args=args, jac=True, method="L-BFGS-B",
                    options={"maxiter": 5000, "ftol": 1e-10, "gtol": 1e-10})
     return min(float(res.fun), _cholesky_nll_and_grad(t0, *args)[0])
@@ -600,7 +720,7 @@ def tomo_seed7():
         ideal_state(), 300, noise=NoiseModel(depolarizing=0.14), seed=7))
     rho, report = mle_reconstruct(ts)
     totals = np.rint(ts.counts.sum(axis=1)).astype(np.int64)
-    probs = outcome_probabilities(rho, _CANONICAL_OPERATORS)
+    probs = outcome_probabilities(rho, CANONICAL.operators)
     draws = np.array([
         np.random.default_rng(np.random.SeedSequence(entropy=7, spawn_key=(k,)))
         .multinomial(totals, probs) for k in range(250)], dtype=float)
@@ -635,7 +755,7 @@ class TestAgainstLbfgsReference:
         ts, report, draws = tomo_seed7()
         assert report.converged
         assert at_or_below(-report.log_likelihood, lbfgs_reference_nll(ts.counts))
-        _, f, _, _, converged = _fit_stack(_with_prior(draws, False), _projected_inversion(draws))
+        _, f, _, _, converged = fit_stack(_with_prior(draws, False), projected_inversion(draws))
         assert converged.all()
         reference = np.array([lbfgs_reference_nll(c) for c in draws])
         assert at_or_below(f, reference).all()
@@ -643,7 +763,7 @@ class TestAgainstLbfgsReference:
     @pytest.mark.parametrize("k", range(15))
     def test_frozen_dataset_at_or_below_reference(self, k):
         counts, exact = frozen_datasets()[k]
-        _, report = mle_reconstruct(TomographySet(counts=counts, exact=exact))
+        _, report = mle_reconstruct(TomographySet(counts, CANONICAL, exact=exact))
         assert report.converged
         assert at_or_below(-report.log_likelihood, lbfgs_reference_nll(counts, exact))
 
@@ -677,10 +797,10 @@ class TestGapBound:
         ts, _, draws = tomo_seed7()
         stack = np.concatenate([ts.counts[None], draws[:9]]
                                + [c[None] for c, exact in frozen_datasets() if not exact])
-        fits = [mle_reconstruct(TomographySet(counts=c)) for c in stack]
+        fits = [mle_reconstruct(TomographySet(c, CANONICAL)) for c in stack]
         monkeypatch.setattr(tomography, "MLE_STALL_STEPS", 10 ** 9)
         monkeypatch.setattr(tomography, "MLE_MAX_ITER", 3000)
-        _, best, _, _, converged = _fit_stack(_with_prior(stack, False), _projected_inversion(stack))
+        _, best, _, _, converged = fit_stack(_with_prior(stack, False), projected_inversion(stack))
         assert not converged.any()
         for (_, report), f_best, n in zip(fits, best, _with_prior(stack, False).sum(axis=1)):
             excess = -report.log_likelihood - f_best
@@ -703,18 +823,19 @@ class TestGapBound:
 
 def oracle_gap_bound(counts, r):
     """lambda_max(sum_k w_k E_k) - w.p, the sum built from the outcome operators."""
-    p = np.einsum("km,rm->rk", _DESIGN, r)
+    p = np.einsum("km,rm->rk", A, r)
     w = _weights(counts, p)
-    g = np.einsum("rk,kij->rij", w, _CANONICAL_OPERATORS)
+    g = np.einsum("rk,kij->rij", w, CANONICAL.operators)
     return np.linalg.eigvalsh(g)[:, -1] - np.einsum("rk,rk->r", w, p)
 
 
 ORACLES = {
     "states": (_states, lambda r: np.einsum("rm,mij->rij", r, _PAULI_STACK / 4.0)),
     "coefficients": (_coefficients, lambda rho: np.einsum("rij,mji->rm", rho, _PAULI_STACK).real),
-    "probabilities": (_probabilities, lambda r: np.einsum("km,rm->rk", _DESIGN, r)),
-    "ascent": (_ascent, lambda n, p: np.einsum("rk,km->rm", _weights(n, p), _DESIGN)),
-    "gap_bound": (_gap_bound, oracle_gap_bound),
+    "probabilities": (lambda r: _probabilities(r, A_T), lambda r: np.einsum("km,rm->rk", A, r)),
+    "ascent": (lambda n, p: _ascent(n, p, A),
+               lambda n, p: np.einsum("rk,km->rm", _weights(n, p), A)),
+    "gap_bound": (lambda n, r: _gap_bound(n, r, A, A_T), oracle_gap_bound),
 }
 
 
@@ -731,7 +852,7 @@ def kernel_inputs(name, height=250):
         "states": (r,),
         "coefficients": (_states(r) + 1e-3 * _states(rng.standard_normal((height, 16))),),
         "probabilities": (r,),
-        "ascent": (counts, _probabilities(mixed)),
+        "ascent": (counts, _probabilities(mixed, A_T)),
         "gap_bound": (counts, mixed),
     }[name]
 
@@ -777,11 +898,12 @@ class TestKernels:
         counts = _with_prior(ts.counts[None], ts.exact)
         assert (kind == "half-count") == bool(np.any(counts == 0.5))
         assert (kind == "exact") == bool(np.any(counts == 0.0))
-        start = _projected_inversion(ts.counts[None])
-        end, *_ = _fit_stack(counts, start)
+        start = projected_inversion(ts.counts[None])
+        end, *_ = fit_stack(counts, start)
         for r in (start, end):
             n = counts.sum()
-            assert abs(_gap_bound(counts, r)[0] - oracle_gap_bound(counts, r)[0]) <= 1e-13 * n
+            bound = _gap_bound(counts, r, A, A_T)[0]
+            assert abs(bound - oracle_gap_bound(counts, r)[0]) <= 1e-13 * n
 
 
 class TestBootstrap:
@@ -806,13 +928,13 @@ class TestBootstrap:
         ds = simulate_tomography(werner(5 / 6), 200, seed=8)
         ts = TomographySet.from_dataset(ds)
         rho, _ = mle_reconstruct(ts)
-        probs = outcome_probabilities(rho, _CANONICAL_OPERATORS)
+        probs = outcome_probabilities(rho, CANONICAL.operators)
         values = {"fidelity": [], "negativity": [], "purity": []}
         for k in range(6):
             rng = np.random.default_rng(np.random.SeedSequence(entropy=4, spawn_key=(k,)))
             # one draw per setting, in row order
             counts = [rng.multinomial(int(round(row.sum())), p) for row, p in zip(ts.counts, probs)]
-            rho_k, _ = mle_reconstruct(TomographySet(counts=counts, exact=False))
+            rho_k, _ = mle_reconstruct(TomographySet(counts, CANONICAL, exact=False))
             values["fidelity"].append(fidelity_to_target(rho_k))
             values["negativity"].append(negativity(rho_k))
             values["purity"].append(purity(rho_k))
@@ -830,11 +952,11 @@ class TestBootstrap:
         """Rows that stop at different iterations leave the stack at
         different times; each still equals its fit alone, bit for bit."""
         _, _, draws = tomo_seed7()
-        x, f, _, iterations, _ = _fit_stack(_with_prior(draws, False), _projected_inversion(draws))
+        x, f, _, iterations, _ = fit_stack(_with_prior(draws, False), projected_inversion(draws))
         assert len(set(iterations)) > 10
         for k in range(0, 250, 25):
-            xk, fk, _, ik, _ = _fit_stack(_with_prior(draws[k:k + 1], False),
-                                          _projected_inversion(draws[k:k + 1]))
+            xk, fk, _, ik, _ = fit_stack(_with_prior(draws[k:k + 1], False),
+                                         projected_inversion(draws[k:k + 1]))
             assert np.array_equal(xk[0], x[k]) and fk[0] == f[k] and ik[0] == iterations[k]
 
     def test_stacked_metrics_equal_rows_alone(self):
@@ -842,7 +964,7 @@ class TestBootstrap:
         each row alone, as a stack of one and as one 4x4 state, and the
         per-state formulas the metrics replaced, kept here as the reference."""
         _, _, draws = tomo_seed7()
-        x, *_ = _fit_stack(_with_prior(draws, False), _projected_inversion(draws))
+        x, *_ = fit_stack(_with_prior(draws, False), projected_inversion(draws))
         rhos = _states(x)
         psi = ideal_ket()
 
