@@ -6,11 +6,13 @@ rho, p = A r, whatever the setting (James, Kwiat, Munro & White, PRA 64,
 records' outcome operators, so any settings that determine all 16
 coefficients can be fit. Pipeline: counts -> linear inversion -> projection
 onto the physical set -> maximum-likelihood refinement by accelerated
-projected gradient, which fits a whole stack of datasets at once.
+projected gradient with a Newton finish on the optimum's face, which fits a
+whole stack of datasets at once.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import asdict, dataclass
 
@@ -154,15 +156,19 @@ def linear_inversion(ts: TomographySet):
     return _states(_inverted_coefficients(ts.counts[None], ts.design.inverse))[0]
 
 
-def _project_stack(h):
+def _projection(h):
     """Closest PSD trace-1 matrix in Frobenius norm to each matrix of an
-    (R, 4, 4) Hermitian stack: eigenvalues projected onto the probability
-    simplex, eigenvectors kept. The water-filling threshold is the largest
-    of (sum of the j largest eigenvalues - 1) / j over j."""
+    (R, 4, 4) Hermitian stack, and its rank: eigenvalues projected onto the
+    probability simplex, eigenvectors kept. The water-filling threshold is
+    the largest of (sum of the j largest eigenvalues - 1) / j over j."""
     w, u = np.linalg.eigh(h)
     tau = ((np.cumsum(w[:, ::-1], axis=1) - 1.0) / _RANKS).max(axis=1)
     lam = np.maximum(w - tau[:, None], 0.0)
-    return np.einsum("rij,rj,rkj->rik", u, lam, u.conj())
+    return np.einsum("rij,rj,rkj->rik", u, lam, u.conj()), np.count_nonzero(lam, axis=1)
+
+
+def _project_stack(h):
+    return _projection(h)[0]
 
 
 # ----------------------------------------------------------------------
@@ -172,8 +178,10 @@ def _project_stack(h):
 @dataclass
 class FitReport:
     """`gap_bound` certifies the fit: the log-likelihood of the returned
-    state is within gap_bound of the maximum. `converged` says that the stop
-    rule fired before MLE_MAX_ITER iterations."""
+    state is within gap_bound of the maximum. `converged` says that a Newton
+    finish certified the fit before MLE_MAX_ITER iterations: its decrement
+    on the face and the gap bound over all states both passed. `iterations`
+    counts projected-gradient and Newton steps alike."""
 
     log_likelihood: float
     init_log_likelihood: float
@@ -187,18 +195,26 @@ class FitReport:
 
 
 MLE_MAX_ITER = 5000
-# A fit stops once MLE_STALL_STEPS iterations in a row have lowered its
-# negative log-likelihood f by at most MLE_REL_TOL * |f| and its gap bound
-# agrees: near the optimum f curves on the scale of N = sum_k n_k, so
-# gap_bound**2 / N estimates the excess, and it must be at most
-# MLE_GAP_TOL * |f|. A fit that crawls along an ill-conditioned valley stalls
-# with a bound orders of magnitude larger, and goes on.
+# Once its rank has held for MLE_STALL_STEPS accepted steps, or MLE_STALL_STEPS
+# steps in a row have lowered f by at most MLE_REL_TOL * |f|, a fit tries a
+# Newton finish on the face of that rank. The finish certifies the fit when
+# the Newton decrement bounds the excess on the face, |lambda^2| / 2 <=
+# MLE_REL_TOL * |f|, and the gap bound the excess over all states: near the
+# optimum f curves on the scale of N = sum_k n_k, so gap_bound**2 / N
+# estimates the excess, and it must be at most MLE_GAP_TOL * |f|. Otherwise
+# the face was wrong and projected gradient resumes; a fit that stalls again
+# without lowering f below its value at the start of the failed attempt
+# stops unconverged.
 MLE_REL_TOL = 1e-12
 MLE_STALL_STEPS = 3
 MLE_GAP_TOL = 1e-11
+MLE_NEWTON_STEPS = 12       # Newton iterations per attempt on a face
 _PROB_FLOOR = 1e-12
 _STEP_GROWTH = 1.2
 _STEP_START = 3.0
+_ARMIJO = 0.25             # share of the predicted decrease a damped step must bring
+_MIN_DAMPING = 2.0 ** -20  # the smallest damped step before the attempt fails
+_NEWTON_ROWS = 32         # rows per Newton step: bounds its temporaries to about 0.5 MB
 
 
 def _nll(counts, p):
@@ -235,75 +251,292 @@ def _fit_stack(counts, x, design, design_t):
     """Minimize f(rho) = -sum_k n_k log tr(E_k rho) over physical states for
     each row of an (R, K) count stack, through a (K, 16) design and its
     transpose, from physical starting states with (R, 16) Pauli coefficients
-    x, by accelerated projected gradient (Shang, Zhang & Ng, PRA 95, 062336,
-    2017): x <- Pi(y + t c(y)) for c = -grad f, Nesterov momentum restarted
-    and the step refused when f would rise, and a step t per fit. A fit
-    leaves the stack when its stop rule fires (converged), or unconverged
-    when it stalls without progress or reaches MLE_MAX_ITER iterations.
-    Returns (x, f, f0, iterations, converged)."""
+    x, by accelerated projected gradient (APG; Shang, Zhang & Ng, PRA 95,
+    062336, 2017): x <- Pi(y + t c(y)) for c = -grad f, Nesterov momentum
+    restarted and the step refused when f would rise, and a step t per fit.
+    Once a fit has settled on a face (the rank its projections keep) or
+    stalls, `_face_newton` finishes it, and only a finish certifies. A failed
+    finish hands its best point back to APG without momentum; the fit tries
+    again only once f has fallen below its value at the start of the failed
+    attempt, so the loop never repeats without progress. A fit leaves the
+    stack certified (converged), or unconverged when it stalls without such
+    progress or reaches MLE_MAX_ITER iterations, APG and Newton steps alike.
+    Rows are grouped by face rank, never padded, and every operation acts on
+    each row alone, so a row's fit does not depend on the stack. Returns
+    (x, f, f0, iterations, converged)."""
     f = f0 = _nll(counts, _probabilities(x, design_t))
     out_x, out_f = x.copy(), f.copy()
     iterations, converged = np.zeros(len(x), dtype=int), np.zeros(len(x), dtype=bool)
     rows, n, y, x_prev = np.arange(len(x)), counts, x, x
-    steps, stalls = np.zeros(len(x)), np.zeros(len(x), dtype=int)
-    f_checked = np.full(len(x), np.inf)   # f at the fit's last failed bound test
+    its, steps = np.zeros(len(x), dtype=int), np.zeros(len(x))
+    # rank: the face of the last accepted step (0 before the first one);
+    # settled: accepted steps in a row on that face
+    rank, settled, stalls = (np.zeros(len(x), dtype=int) for _ in range(3))
+    f_failed = np.full(len(x), np.inf)    # f at the start of the last failed finish
     t = _STEP_START / counts.sum(axis=1)
-    for it in range(1, MLE_MAX_ITER + 1):
+    while True:
         py = _probabilities(y, design_t)
-        x_new, f_new = _backtracked_step(n, y, _nll(n, py), _ascent(n, py, design), t, design_t)
+        x_new, f_new, r_new = _backtracked_step(n, y, _nll(n, py), _ascent(n, py, design), t,
+                                                design_t)
+        its += 1
+        t *= _STEP_GROWTH
         # a refused step (f_new > f) counts as a stall too
         stalls = np.where(f - f_new <= MLE_REL_TOL * np.abs(f), stalls + 1, 0)
         accept = f_new <= f
-        x_prev = np.where(accept[:, None], x, x_prev)
-        x = np.where(accept[:, None], x_new, x)
-        f = np.where(accept, f_new, f)
-        steps = np.where(accept, steps + 1.0, 0.0)   # accepted steps since the last restart
-        t = t * _STEP_GROWTH
+        if accept.all():
+            x_prev, x, f, steps = x, x_new, f_new, steps + 1.0
+            settled = np.where(r_new == rank, settled + 1, 1)
+            rank = r_new
+        else:
+            x_prev = np.where(accept[:, None], x, x_prev)
+            x = np.where(accept[:, None], x_new, x)
+            f = np.where(accept, f_new, f)
+            steps = np.where(accept, steps + 1.0, 0.0)   # accepted steps since the last restart
+            settled = np.where(accept, np.where(r_new == rank, settled + 1, 1), settled)
+            rank = np.where(accept, r_new, rank)
 
         stalled = stalls >= MLE_STALL_STEPS
-        stop, stuck = stalled.copy(), np.zeros(len(rows), dtype=bool)
-        if stalled.any():
-            nb, fs = n[stalled], f[stalled]
-            bound = _gap_bound(nb, x[stalled], design, design_t)
-            stop[stalled] = bound ** 2 <= MLE_GAP_TOL * nb.sum(axis=1) * np.abs(fs)
-            # no decrease at all since the last failed test: the projected step no
-            # longer moves x, and the bound cannot be brought down
-            stuck[stalled] = ~stop[stalled] & (fs >= f_checked[stalled])
-            f_checked[stalled] = fs
-            stalls = np.where(stalled & ~stop, 0, stalls)
-        finished = stop | stuck if it < MLE_MAX_ITER else np.ones(len(rows), dtype=bool)
-        if finished.any():
-            idx = rows[finished]
-            out_x[idx], out_f[idx] = x[finished], f[finished]
-            iterations[idx], converged[idx] = it, stop[finished]
-            keep = ~finished
-            if not keep.any():
-                break
-            rows, n, x, f, x_prev, steps, t, stalls, f_checked = (
-                a[keep] for a in (rows, n, x, f, x_prev, steps, t, stalls, f_checked))
+        ready = stalled | (settled >= MLE_STALL_STEPS)
+        capped = its >= MLE_MAX_ITER
+        if ready.any() or capped.any():
+            ready &= (f < f_failed) & ~capped
+            # stalled with no decrease at all since the last failed finish: stuck
+            finished, stop = capped | (stalled & ~ready), np.zeros(len(rows), dtype=bool)
+            if ready.any():
+                idx = slice(None) if ready.all() else np.flatnonzero(ready)
+                if not rank[idx].all():   # stalled before any accepted step
+                    rank[idx] = np.where(rank[idx] > 0, rank[idx], _projection(_states(x[idx]))[1])
+                f_failed[idx] = f[idx]
+                x[idx], f[idx], used, stop[idx] = _face_newton(
+                    n[idx], x[idx], f[idx], rank[idx], MLE_MAX_ITER - its[idx], design, design_t)
+                its[idx] += used
+                steps[idx], stalls[idx], settled[idx] = 0.0, 0, 0
+                finished[idx] = stop[idx] | (its[idx] >= MLE_MAX_ITER)
+            if finished.any():
+                idx = rows[finished]
+                out_x[idx], out_f[idx] = x[finished], f[finished]
+                iterations[idx], converged[idx] = its[finished], stop[finished]
+                if finished.all():
+                    break
+                keep = ~finished
+                rows, n, x, f, x_prev, its, steps, t, rank, settled, stalls, f_failed = (
+                    a[keep] for a in (rows, n, x, f, x_prev, its, steps, t, rank, settled,
+                                      stalls, f_failed))
         # momentum (k - 1) / (k + 2) after k accepted steps since the last restart
         y = x + (np.maximum(steps - 1.0, 0.0) / (steps + 2.0))[:, None] * (x - x_prev)
     return out_x, out_f, f0, iterations, converged
 
 
 def _backtracked_step(n, y, fy, c, t, design_t):
-    """x = Pi(y + t c) and f(x) for each row, halving t in place until
-    f(x) <= fy - c.(x - y) + |x - y|^2 / (2 t)."""
-    x, f = np.empty_like(y), np.empty_like(fy)
+    """x = Pi(y + t c), f(x) and the rank of x for each row, halving t in
+    place until f(x) <= fy - c.(x - y) + |x - y|^2 / (2 t)."""
+    x, f, rank = np.empty_like(y), np.empty_like(fy), np.empty(len(y), dtype=int)
     todo = slice(None)
     while True:
         yt, tt = y[todo], t[todo]
-        xt = _coefficients(_project_stack(_states(yt + tt[:, None] * c[todo])))
+        rho, rt = _projection(_states(yt + tt[:, None] * c[todo]))
+        xt = _coefficients(rho)
         ft = _nll(n[todo], _probabilities(xt, design_t))
         d = xt - yt
         ok = ft <= fy[todo] + np.einsum("rm,rm->r", d, d / (2 * tt[:, None]) - c[todo])
         if ok.all():
-            x[todo], f[todo] = xt, ft
-            return x, f
+            x[todo], f[todo], rank[todo] = xt, ft, rt
+            return x, f, rank
         idx = np.arange(len(y))[todo]
-        x[idx[ok]], f[idx[ok]] = xt[ok], ft[ok]
+        x[idx[ok]], f[idx[ok]], rank[idx[ok]] = xt[ok], ft[ok], rt[ok]
         todo = idx[~ok]
         t[todo] *= 0.5
+
+
+# ----------------------------------------------------------------------
+# Newton finish on a face
+# ----------------------------------------------------------------------
+# A state of rank r is rho = L L^dagger with L = U M: U the eigenvectors of
+# the fit's state at the start of an attempt, largest eigenvalue first, and
+# M a 4 x r lower-trapezoidal factor with a real diagonal, which starts as
+# the square roots of the r largest eigenvalues. M's entries below the
+# diagonal turn the range of rho, so the face is not held fixed. Its
+# 8r - r^2 real coordinates theta lie on the sphere |theta| = 1, which is
+# tr rho = 1.
+
+def _face_coordinates(r):
+    """For each real coordinate of M, column by column: its row a, column b,
+    factor s (1 or 1j) and its place in the real view of M; and the (i, j)
+    table of conj(s_i) s_j where b_i = b_j, 0 elsewhere."""
+    cells = [(a, b, s) for b in range(r) for a in range(b, 4)
+             for s in ((1.0,) if a == b else (1.0, 1j))]
+    a, b, s = (np.array(v) for v in zip(*cells))
+    pair = np.where(b[:, None] == b, s.conj()[:, None] * s, 0.0)
+    return a, b, s, a * 2 * r + 2 * b + (s == 1j), pair
+
+
+_FACES = {r: _face_coordinates(r) for r in range(1, 5)}
+
+
+def _face_point(n, theta, u, r, design_t):
+    """The factor L = U M(theta), the Pauli coefficients of L L^dagger and f."""
+    m = np.zeros((len(theta), 8 * r))
+    m[:, _FACES[r][3]] = theta
+    lf = u @ m.view(complex).reshape(len(theta), 4, r)
+    x = _coefficients(lf @ lf.conj().transpose(0, 2, 1))
+    return lf, x, _nll(n, _probabilities(x, design_t))
+
+
+def _newton_step(n, theta, u, lf, x, design, design_t):
+    """Newton step on the sphere and its squared decrement: the KKT system
+    [[H, theta], [theta^T, 0]] of the Lagrangian f + mu (|theta|^2 - 1),
+    with H = J^T diag(n/p^2) J - sum_m c_m d^2 x_m + 2 mu I, J = d p/d theta,
+    c = _ascent and mu = sum_k w_k p_k, its value where the gradient of the
+    Lagrangian vanishes. Taken _NEWTON_ROWS rows at a time, which bounds
+    the temporaries: (rows, 16, K) for the Fisher matrix, (rows, 8r - r^2,
+    4, 4) for the derivatives of rho."""
+    if len(x) > _NEWTON_ROWS:
+        parts = [_newton_step(*(v[k:k + _NEWTON_ROWS] for v in (n, theta, u, lf, x)),
+                              design, design_t) for k in range(0, len(x), _NEWTON_ROWS)]
+        return tuple(np.concatenate(v) for v in zip(*parts))
+    a, b, s, _, pair = _FACES[lf.shape[2]]
+    p = _probabilities(x, design_t)
+    w = _weights(n, p)
+    c = _rows(w, design)
+    # d x_m / d theta_i = 2 Re tr(D_i P_m) with D_i = s_i u_(a_i) l_(b_i)^dagger
+    jx = 2.0 * _coefficients(((s[:, None, None] * u[:, :, a].transpose(0, 2, 1)[..., None])
+                              * lf[:, :, b].conj().transpose(0, 2, 1)[..., None, :])
+                             .reshape(-1, 4, 4)).reshape(len(x), len(a), 16)
+    # J = A jx^T, so J^T diag(n/p^2) J = jx (A^T diag(n/p^2) A) jx^T
+    fisher = (design_t * (w / np.maximum(p, _PROB_FLOOR))[:, None, :]) @ design
+    # sum_m c_m d^2 x_m / d theta_i d theta_j = 2 Re tr(B_i^dagger G B_j) for
+    # G = sum_m c_m P_m and B_i = d L / d theta_i = s_i u_(a_i) e_(b_i)^T
+    g_face = u.conj().transpose(0, 2, 1) @ _states(4.0 * c) @ u
+    mu = np.einsum("rk,rk->r", w, p)
+    kkt = np.zeros((len(x), len(a) + 1, len(a) + 1))
+    kkt[:, :-1, :-1] = (jx @ fisher @ jx.transpose(0, 2, 1)
+                        - 2.0 * (g_face[:, a[:, None], a] * pair).real
+                        + 2.0 * mu[:, None, None] * np.eye(len(a)))
+    kkt[:, :-1, -1] = kkt[:, -1, :-1] = theta
+    grad = 2.0 * mu[:, None] * theta - (jx @ c[:, :, None])[:, :, 0]
+    rhs = np.zeros((len(x), len(a) + 1, 1))
+    rhs[:, :-1, 0] = -grad
+    step = _solve(kkt, rhs)[:, :-1, 0]
+    return step, -np.einsum("ri,ri->r", grad, step)
+
+
+def _solve(a, b):
+    """np.linalg.solve of a stack; a row whose matrix is exactly singular
+    gets NaN instead of failing the stack, and the others the same values."""
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        out = np.full_like(b, np.nan)
+        for k in range(len(a)):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                out[k] = np.linalg.solve(a[k:k + 1], b[k:k + 1])[0]
+        return out
+
+
+def _damped_step(n, theta, step, dec, u, r, f, design_t):
+    """theta + alpha step, back on the sphere, with alpha halved from 1 until
+    f falls by _ARMIJO * alpha * lambda^2: the new (theta, L, x, f) and the
+    rows where alpha fell below _MIN_DAMPING first (their new values are
+    not to be used)."""
+    alpha, moved = 1.0, theta + step
+    moved /= np.sqrt(np.einsum("ri,ri->r", moved, moved))[:, None]
+    lf, x, fm = _face_point(n, moved, u, r, design_t)
+    todo = np.flatnonzero(fm > f - _ARMIJO * dec)
+    while todo.size and alpha > _MIN_DAMPING:
+        alpha *= 0.5
+        m = theta[todo] + alpha * step[todo]
+        m /= np.sqrt(np.einsum("ri,ri->r", m, m))[:, None]
+        moved[todo], (lf[todo], x[todo], fm[todo]) = m, _face_point(n[todo], m, u[todo], r,
+                                                                    design_t)
+        todo = todo[fm[todo] > f[todo] - _ARMIJO * alpha * dec[todo]]
+    failed = np.zeros(len(theta), dtype=bool)
+    failed[todo] = True
+    return moved, lf, x, fm, failed
+
+
+def _widened(n, x, design, design_t):
+    """A start one rank up from a face whose optimum the gap bound refuses:
+    rho + s (v v^dagger - rho) for the top eigenvector v of G, along which f
+    falls at the rate lambda_max(G) - N, with s the minimum of f's quadratic
+    model along that line."""
+    p = _probabilities(x, design_t)
+    w = _weights(n, p)
+    lam, vecs = np.linalg.eigh(4.0 * _states(_rows(w, design)))
+    v = vecs[:, :, -1]
+    xv = _coefficients(v[:, :, None] * v.conj()[:, None, :])
+    dp = _probabilities(xv, design_t) - p
+    s = ((lam[:, -1] - np.einsum("rk,rk->r", w, p))
+         / np.einsum("rk,rk->r", w / np.maximum(p, _PROB_FLOOR), dp * dp))
+    return x + np.clip(s, 0.0, 1.0)[:, None] * (xv - x)
+
+
+def _face_newton(n, x, f, rank, budget, design, design_t):
+    """Damped Newton (Boyd & Vandenberghe, Convex Optimization, 9.5) on the
+    face of each row's rank, with rows grouped by rank, for at most
+    MLE_NEWTON_STEPS iterations per face and the row's budget. A row is
+    certified when its squared decrement lambda^2 satisfies |lambda^2| / 2
+    <= MLE_REL_TOL * |f| and the gap bound passes; when only the first
+    holds, the face is too small and Newton goes on one rank up
+    (`_widened`). The attempt fails when the step is no descent direction
+    (lambda^2 < 0 beyond that: the Hessian is not positive definite on the
+    face) or the line search cannot lower f. Returns (x, f, iterations used, certified); a failed row
+    keeps the best point it has seen."""
+    x, f, start, face = x.copy(), f.copy(), x.copy(), rank.copy()
+    used, certified = np.zeros(len(x), dtype=int), np.zeros(len(x), dtype=bool)
+    for r in range(1, 5):
+        rows = np.flatnonzero(face == r)
+        if not rows.size:
+            continue
+        a, b, *_ = _FACES[r]
+        nr, left = n[rows], np.minimum(budget[rows] - used[rows], MLE_NEWTON_STEPS)
+        lam, u = np.linalg.eigh(_states(start[rows]))
+        u, theta = u[:, :, ::-1], np.zeros((len(rows), len(a)))
+        theta[:, a == b] = np.sqrt(np.maximum(lam[:, :-r - 1:-1], 0.0))
+        theta /= np.sqrt(np.einsum("ri,ri->r", theta, theta))[:, None]
+        lf, xt, ft = _face_point(nr, theta, u, r, design_t)
+        for k in range(1, MLE_NEWTON_STEPS + 1):
+            step, dec = _newton_step(nr, theta, u, lf, xt, design, design_t)
+            flat = np.abs(dec) <= 2.0 * MLE_REL_TOL * np.abs(ft)
+            # a row leaves the face on a flat decrement, a step that does not
+            # descend, or its last iteration here
+            end = flat | ~(dec > 0.0) | (k >= left)
+            if end.any():
+                used[rows[end]] += k
+                if flat.any():
+                    # the face's optimum, or the row's best point if rounding
+                    # left that lower, must pass the gap bound
+                    idx = rows[flat]
+                    own = ft[flat] <= f[idx]
+                    best = np.where(own[:, None], xt[flat], x[idx])
+                    f_best = np.where(own, ft[flat], f[idx])
+                    passed = (_gap_bound(nr[flat], best, design, design_t) ** 2
+                              <= MLE_GAP_TOL * nr[flat].sum(axis=1) * np.abs(f_best))
+                    certified[idx] = passed
+                    x[idx[passed]], f[idx[passed]] = best[passed], f_best[passed]
+                    wide = np.flatnonzero(flat)[~passed]
+                    wide = wide[(r < 4) & (used[rows[wide]] < budget[rows[wide]])]
+                    if wide.size:
+                        start[rows[wide]] = _widened(nr[wide], xt[wide], design, design_t)
+                        face[rows[wide]] = r + 1
+                better = end & ~certified[rows] & (ft < f[rows])
+                x[rows[better]], f[rows[better]] = xt[better], ft[better]
+                go = ~end
+                rows, nr, left, theta, u, lf, xt, ft, step, dec = (
+                    v[go] for v in (rows, nr, left, theta, u, lf, xt, ft, step, dec))
+                if not rows.size:
+                    break
+            moved, lm, xm, fm, failed = _damped_step(nr, theta, step, dec, u, r, ft, design_t)
+            if failed.any():
+                used[rows[failed]] += k
+                better = failed & (ft < f[rows])
+                x[rows[better]], f[rows[better]] = xt[better], ft[better]
+                go = ~failed
+                rows, nr, left, u, moved, lm, xm, fm = (
+                    v[go] for v in (rows, nr, left, u, moved, lm, xm, fm))
+                if not rows.size:
+                    break
+            theta, lf, xt, ft = moved, lm, xm, fm
+    return x, f, used, certified
 
 
 def _with_prior(counts, exact):

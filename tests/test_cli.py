@@ -532,7 +532,7 @@ class TestLabCounts:
         out = str(tmp_path / "r6")
         assert run_cli(["--out", out, "tomo", "--bootstrap", "0", "--input", str(rounded)]) == 0
         got, want = (json.load(open(p + ".metrics.json")) for p in (out, seed7))
-        assert got["fit_report"]["converged"] and got["fit_report"]["iterations"] == 29
+        assert got["fit_report"]["converged"] and got["fit_report"]["iterations"] == 8
         assert abs(got["fidelity"] - want["fidelity"]) <= 1e-6
 
     def test_degrees_refused(self, tmp_path, capsys, seed7):
