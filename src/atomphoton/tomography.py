@@ -13,6 +13,7 @@ whole stack of datasets at once.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 from dataclasses import asdict, dataclass
 
@@ -167,10 +168,6 @@ def _projection(h):
     return np.einsum("rij,rj,rkj->rik", u, lam, u.conj()), np.count_nonzero(lam, axis=1)
 
 
-def _project_stack(h):
-    return _projection(h)[0]
-
-
 # ----------------------------------------------------------------------
 # Maximum-likelihood refinement
 # ----------------------------------------------------------------------
@@ -283,18 +280,12 @@ def _fit_stack(counts, x, design, design_t):
         # a refused step (f_new > f) counts as a stall too
         stalls = np.where(f - f_new <= MLE_REL_TOL * np.abs(f), stalls + 1, 0)
         accept = f_new <= f
-        if accept.all():
-            x_prev, x, f, steps = x, x_new, f_new, steps + 1.0
-            settled = np.where(r_new == rank, settled + 1, 1)
-            rank = r_new
-        else:
-            x_prev = np.where(accept[:, None], x, x_prev)
-            x = np.where(accept[:, None], x_new, x)
-            f = np.where(accept, f_new, f)
-            steps = np.where(accept, steps + 1.0, 0.0)   # accepted steps since the last restart
-            settled = np.where(accept, np.where(r_new == rank, settled + 1, 1), settled)
-            rank = np.where(accept, r_new, rank)
-
+        x_prev = np.where(accept[:, None], x, x_prev)
+        x = np.where(accept[:, None], x_new, x)
+        f = np.where(accept, f_new, f)
+        steps = np.where(accept, steps + 1.0, 0.0)   # accepted steps since the last restart
+        settled = np.where(accept, np.where(r_new == rank, settled + 1, 1), settled)
+        rank = np.where(accept, r_new, rank)
         stalled = stalls >= MLE_STALL_STEPS
         ready = stalled | (settled >= MLE_STALL_STEPS)
         capped = its >= MLE_MAX_ITER
@@ -303,7 +294,7 @@ def _fit_stack(counts, x, design, design_t):
             # stalled with no decrease at all since the last failed finish: stuck
             finished, stop = capped | (stalled & ~ready), np.zeros(len(rows), dtype=bool)
             if ready.any():
-                idx = slice(None) if ready.all() else np.flatnonzero(ready)
+                idx = np.flatnonzero(ready)
                 if not rank[idx].all():   # stalled before any accepted step
                     rank[idx] = np.where(rank[idx] > 0, rank[idx], _projection(_states(x[idx]))[1])
                 f_failed[idx] = f[idx]
@@ -359,6 +350,7 @@ def _backtracked_step(n, y, fy, c, t, design_t):
 # 8r - r^2 real coordinates theta lie on the sphere |theta| = 1, which is
 # tr rho = 1.
 
+@functools.cache   # built on first use, so commands that fit nothing skip it
 def _face_coordinates(r):
     """For each real coordinate of M, column by column: its row a, column b,
     factor s (1 or 1j) and its place in the real view of M; and the (i, j)
@@ -370,13 +362,10 @@ def _face_coordinates(r):
     return a, b, s, a * 2 * r + 2 * b + (s == 1j), pair
 
 
-_FACES = {r: _face_coordinates(r) for r in range(1, 5)}
-
-
 def _face_point(n, theta, u, r, design_t):
     """The factor L = U M(theta), the Pauli coefficients of L L^dagger and f."""
     m = np.zeros((len(theta), 8 * r))
-    m[:, _FACES[r][3]] = theta
+    m[:, _face_coordinates(r)[3]] = theta
     lf = u @ m.view(complex).reshape(len(theta), 4, r)
     x = _coefficients(lf @ lf.conj().transpose(0, 2, 1))
     return lf, x, _nll(n, _probabilities(x, design_t))
@@ -394,7 +383,7 @@ def _newton_step(n, theta, u, lf, x, design, design_t):
         parts = [_newton_step(*(v[k:k + _NEWTON_ROWS] for v in (n, theta, u, lf, x)),
                               design, design_t) for k in range(0, len(x), _NEWTON_ROWS)]
         return tuple(np.concatenate(v) for v in zip(*parts))
-    a, b, s, _, pair = _FACES[lf.shape[2]]
+    a, b, s, _, pair = _face_coordinates(lf.shape[2])
     p = _probabilities(x, design_t)
     w = _weights(n, p)
     c = _rows(w, design)
@@ -487,10 +476,11 @@ def _face_newton(n, x, f, rank, budget, design, design_t):
         rows = np.flatnonzero(face == r)
         if not rows.size:
             continue
-        a, b, *_ = _FACES[r]
+        a, b, *_ = _face_coordinates(r)
         nr, left = n[rows], np.minimum(budget[rows] - used[rows], MLE_NEWTON_STEPS)
         lam, u = np.linalg.eigh(_states(start[rows]))
-        u, theta = u[:, :, ::-1], np.zeros((len(rows), len(a)))
+        # contiguous: a row alone and a row selected from a stack hand matmul one layout
+        u, theta =np.ascontiguousarray(u[:, :, ::-1]), np.zeros((len(rows), len(a)))
         theta[:, a == b] = np.sqrt(np.maximum(lam[:, :-r - 1:-1], 0.0))
         theta /= np.sqrt(np.einsum("ri,ri->r", theta, theta))[:, None]
         lf, xt, ft = _face_point(nr, theta, u, r, design_t)
@@ -550,7 +540,7 @@ def _with_prior(counts, exact):
 
 
 def _projected_inversion(counts, inverse):
-    return _coefficients(_project_stack(_states(_inverted_coefficients(counts, inverse))))
+    return _coefficients(_projection(_states(_inverted_coefficients(counts, inverse)))[0])
 
 
 def mle_reconstruct(ts: TomographySet):
