@@ -5,9 +5,9 @@ rho, p = A r, whatever the setting (James, Kwiat, Munro & White, PRA 64,
 052312, 2001). A `TomographySet` fits through the design matrix A of its own
 records' outcome operators, so any settings that determine all 16
 coefficients can be fit. Pipeline: counts -> linear inversion -> projection
-onto the physical set -> maximum-likelihood refinement by accelerated
-projected gradient with a Newton finish on the optimum's face, which fits a
-whole stack of datasets at once.
+onto the physical set -> maximum-likelihood refinement by projected gradient,
+which only has to find the optimum's face, and a Newton finish on that face;
+it fits a whole stack of datasets at once.
 """
 
 from __future__ import annotations
@@ -178,7 +178,8 @@ class FitReport:
     state is within gap_bound of the maximum. `converged` says that a Newton
     finish certified the fit before MLE_MAX_ITER iterations: its decrement
     on the face and the gap bound over all states both passed. `iterations`
-    counts projected-gradient and Newton steps alike."""
+    counts projected-gradient steps, which find the face, and Newton steps
+    alike."""
 
     log_likelihood: float
     init_log_likelihood: float
@@ -205,7 +206,6 @@ MLE_MAX_ITER = 5000
 MLE_REL_TOL = 1e-12
 MLE_STALL_STEPS = 3
 MLE_GAP_TOL = 1e-11
-MLE_NEWTON_STEPS = 12       # Newton iterations per attempt on a face
 _PROB_FLOOR = 1e-12
 _STEP_GROWTH = 1.2
 _STEP_START = 3.0
@@ -248,42 +248,38 @@ def _fit_stack(counts, x, design, design_t):
     """Minimize f(rho) = -sum_k n_k log tr(E_k rho) over physical states for
     each row of an (R, K) count stack, through a (K, 16) design and its
     transpose, from physical starting states with (R, 16) Pauli coefficients
-    x, by accelerated projected gradient (APG; Shang, Zhang & Ng, PRA 95,
-    062336, 2017): x <- Pi(y + t c(y)) for c = -grad f, Nesterov momentum
-    restarted and the step refused when f would rise, and a step t per fit.
+    x, by projected gradient: x <- Pi(x + t c(x)) for c = -grad f, with a
+    step t per fit, and the step refused when rounding would let f rise.
     Once a fit has settled on a face (the rank its projections keep) or
     stalls, `_face_newton` finishes it, and only a finish certifies. A failed
-    finish hands its best point back to APG without momentum; the fit tries
+    finish hands its best point back to projected gradient; the fit tries
     again only once f has fallen below its value at the start of the failed
     attempt, so the loop never repeats without progress. A fit leaves the
     stack certified (converged), or unconverged when it stalls without such
-    progress or reaches MLE_MAX_ITER iterations, APG and Newton steps alike.
+    progress or reaches MLE_MAX_ITER iterations, gradient and Newton steps
+    alike.
     Rows are grouped by face rank, never padded, and every operation acts on
     each row alone, so a row's fit does not depend on the stack. Returns
     (x, f, f0, iterations, converged)."""
     f = f0 = _nll(counts, _probabilities(x, design_t))
     out_x, out_f = x.copy(), f.copy()
     iterations, converged = np.zeros(len(x), dtype=int), np.zeros(len(x), dtype=bool)
-    rows, n, y, x_prev = np.arange(len(x)), counts, x, x
-    its, steps = np.zeros(len(x), dtype=int), np.zeros(len(x))
+    rows, n, its = np.arange(len(x)), counts, np.zeros(len(x), dtype=int)
     # rank: the face of the last accepted step (0 before the first one);
     # settled: accepted steps in a row on that face
     rank, settled, stalls = (np.zeros(len(x), dtype=int) for _ in range(3))
     f_failed = np.full(len(x), np.inf)    # f at the start of the last failed finish
     t = _STEP_START / counts.sum(axis=1)
     while True:
-        py = _probabilities(y, design_t)
-        x_new, f_new, r_new = _backtracked_step(n, y, _nll(n, py), _ascent(n, py, design), t,
-                                                design_t)
+        x_new, f_new, r_new = _backtracked_step(
+            n, x, f, _ascent(n, _probabilities(x, design_t), design), t, design_t)
         its += 1
         t *= _STEP_GROWTH
         # a refused step (f_new > f) counts as a stall too
         stalls = np.where(f - f_new <= MLE_REL_TOL * np.abs(f), stalls + 1, 0)
         accept = f_new <= f
-        x_prev = np.where(accept[:, None], x, x_prev)
         x = np.where(accept[:, None], x_new, x)
         f = np.where(accept, f_new, f)
-        steps = np.where(accept, steps + 1.0, 0.0)   # accepted steps since the last restart
         settled = np.where(accept, np.where(r_new == rank, settled + 1, 1), settled)
         rank = np.where(accept, r_new, rank)
         stalled = stalls >= MLE_STALL_STEPS
@@ -301,7 +297,7 @@ def _fit_stack(counts, x, design, design_t):
                 x[idx], f[idx], used, stop[idx] = _face_newton(
                     n[idx], x[idx], f[idx], rank[idx], MLE_MAX_ITER - its[idx], design, design_t)
                 its[idx] += used
-                steps[idx], stalls[idx], settled[idx] = 0.0, 0, 0
+                stalls[idx], settled[idx] = 0, 0
                 finished[idx] = stop[idx] | (its[idx] >= MLE_MAX_ITER)
             if finished.any():
                 idx = rows[finished]
@@ -310,30 +306,27 @@ def _fit_stack(counts, x, design, design_t):
                 if finished.all():
                     break
                 keep = ~finished
-                rows, n, x, f, x_prev, its, steps, t, rank, settled, stalls, f_failed = (
-                    a[keep] for a in (rows, n, x, f, x_prev, its, steps, t, rank, settled,
-                                      stalls, f_failed))
-        # momentum (k - 1) / (k + 2) after k accepted steps since the last restart
-        y = x + (np.maximum(steps - 1.0, 0.0) / (steps + 2.0))[:, None] * (x - x_prev)
+                rows, n, x, f, its, t, rank, settled, stalls, f_failed = (
+                    a[keep] for a in (rows, n, x, f, its, t, rank, settled, stalls, f_failed))
     return out_x, out_f, f0, iterations, converged
 
 
-def _backtracked_step(n, y, fy, c, t, design_t):
-    """x = Pi(y + t c), f(x) and the rank of x for each row, halving t in
-    place until f(x) <= fy - c.(x - y) + |x - y|^2 / (2 t)."""
-    x, f, rank = np.empty_like(y), np.empty_like(fy), np.empty(len(y), dtype=int)
+def _backtracked_step(n, x0, f0, c, t, design_t):
+    """x = Pi(x0 + t c), f(x) and the rank of x for each row, halving t in
+    place until f(x) <= f0 - c.(x - x0) + |x - x0|^2 / (2 t)."""
+    x, f, rank = np.empty_like(x0), np.empty_like(f0), np.empty(len(x0), dtype=int)
     todo = slice(None)
     while True:
-        yt, tt = y[todo], t[todo]
-        rho, rt = _projection(_states(yt + tt[:, None] * c[todo]))
+        x0t, tt = x0[todo], t[todo]
+        rho, rt = _projection(_states(x0t + tt[:, None] * c[todo]))
         xt = _coefficients(rho)
         ft = _nll(n[todo], _probabilities(xt, design_t))
-        d = xt - yt
-        ok = ft <= fy[todo] + np.einsum("rm,rm->r", d, d / (2 * tt[:, None]) - c[todo])
+        d = xt - x0t
+        ok = ft <= f0[todo] + np.einsum("rm,rm->r", d, d / (2 * tt[:, None]) - c[todo])
         if ok.all():
             x[todo], f[todo], rank[todo] = xt, ft, rt
             return x, f, rank
-        idx = np.arange(len(y))[todo]
+        idx = np.arange(len(x0))[todo]
         x[idx[ok]], f[idx[ok]], rank[idx[ok]] = xt[ok], ft[ok], rt[ok]
         todo = idx[~ok]
         t[todo] *= 0.5
@@ -461,14 +454,14 @@ def _widened(n, x, design, design_t):
 
 def _face_newton(n, x, f, rank, budget, design, design_t):
     """Damped Newton (Boyd & Vandenberghe, Convex Optimization, 9.5) on the
-    face of each row's rank, with rows grouped by rank, for at most
-    MLE_NEWTON_STEPS iterations per face and the row's budget. A row is
-    certified when its squared decrement lambda^2 satisfies |lambda^2| / 2
-    <= MLE_REL_TOL * |f| and the gap bound passes; when only the first
-    holds, the face is too small and Newton goes on one rank up
-    (`_widened`). The attempt fails when the step is no descent direction
-    (lambda^2 < 0 beyond that: the Hessian is not positive definite on the
-    face) or the line search cannot lower f. Returns (x, f, iterations used, certified); a failed row
+    face of each row's rank, with rows grouped by rank, within the row's
+    budget of iterations. A row is certified when its squared decrement
+    lambda^2 satisfies |lambda^2| / 2 <= MLE_REL_TOL * |f| and the gap bound
+    passes; when only the first holds, the face is too small and Newton goes
+    on one rank up (`_widened`). The attempt fails when the step is no
+    descent direction (lambda^2 < 0 beyond that: the Hessian is not positive
+    definite on the face), when the line search cannot lower f, or when the
+    budget runs out. Returns (x, f, iterations used, certified); a failed row
     keeps the best point it has seen."""
     x, f, start, face = x.copy(), f.copy(), x.copy(), rank.copy()
     used, certified = np.zeros(len(x), dtype=int), np.zeros(len(x), dtype=bool)
@@ -477,18 +470,18 @@ def _face_newton(n, x, f, rank, budget, design, design_t):
         if not rows.size:
             continue
         a, b, *_ = _face_coordinates(r)
-        nr, left = n[rows], np.minimum(budget[rows] - used[rows], MLE_NEWTON_STEPS)
+        nr, left = n[rows], budget[rows] - used[rows]
         lam, u = np.linalg.eigh(_states(start[rows]))
         # contiguous: a row alone and a row selected from a stack hand matmul one layout
         u, theta =np.ascontiguousarray(u[:, :, ::-1]), np.zeros((len(rows), len(a)))
         theta[:, a == b] = np.sqrt(np.maximum(lam[:, :-r - 1:-1], 0.0))
         theta /= np.sqrt(np.einsum("ri,ri->r", theta, theta))[:, None]
         lf, xt, ft = _face_point(nr, theta, u, r, design_t)
-        for k in range(1, MLE_NEWTON_STEPS + 1):
+        for k in range(1, left.max() + 1):
             step, dec = _newton_step(nr, theta, u, lf, xt, design, design_t)
             flat = np.abs(dec) <= 2.0 * MLE_REL_TOL * np.abs(ft)
             # a row leaves the face on a flat decrement, a step that does not
-            # descend, or its last iteration here
+            # descend, or the last iteration of its budget
             end = flat | ~(dec > 0.0) | (k >= left)
             if end.any():
                 used[rows[end]] += k

@@ -19,6 +19,7 @@ from atomphoton.measurement import (
     outcome_operators,
     outcome_probabilities,
     read_counts_csv,
+    record_rng,
     write_counts_csv,
 )
 from atomphoton.metrics import fidelity_to_target, negativity, purity
@@ -69,7 +70,7 @@ def random_physical_state(rng):
 
 
 def project_one(h):
-    """The APG projection of one Hermitian trace-1 matrix."""
+    """The projection of one Hermitian trace-1 matrix onto physical states."""
     return _projection(np.asarray(h)[None])[0][0]
 
 
@@ -482,7 +483,7 @@ PHYSICAL_STATES = st.lists(st.floats(-2.0, 2.0), min_size=32, max_size=32).map(
 
 
 class TestProjectPhysical:
-    """The projection onto physical states (`_projection`) that APG applies."""
+    """The projection onto physical states (`_projection`) of each gradient step."""
 
     @settings(max_examples=200)
     @given(TRACE_ONE_MATRICES, PHYSICAL_STATES)
@@ -557,6 +558,22 @@ class TestMleReconstruct:
         ts = TomographySet.from_dataset(ds)
         _, report = mle_reconstruct(ts)
         assert report.log_likelihood >= report.init_log_likelihood - 1e-9
+
+    def test_refused_step_keeps_exact_count_fits_at_or_above_their_start(self):
+        """Expected counts of full-rank states: the projected linear inversion
+        is already at or next to the optimum, so a gradient step can raise f
+        by rounding. The fit refuses such a step, and never reports a
+        log-likelihood below its start (34 of these 222 fits would without
+        the refusal)."""
+        rng = np.random.default_rng(2)
+        states = [(werner(v), NoiseModel()) for v in np.linspace(0.3, 0.95, 14)]
+        states += [(random_physical_state(rng) / 2 + np.eye(4) / 8,
+                    NoiseModel(eps01=0.01 * (k % 5), eps10=0.005 * (k % 3))) for k in range(60)]
+        for n in (30, 300, 3000):
+            for rho, noise in states:
+                ds = simulate_tomography(rho, n, noise=noise, exact=True)
+                _, report = mle_reconstruct(TomographySet.from_dataset(ds))
+                assert report.log_likelihood >= report.init_log_likelihood
 
     def test_permutation_invariance(self):
         ds = simulate_tomography(werner(0.8), 200, seed=17)
@@ -805,20 +822,49 @@ class TestAgainstLbfgsReference:
 
 class TestGapBound:
     def test_bound_covers_excess_over_long_run(self, monkeypatch):
+        """Each fit's excess over a reference certified with tolerances a
+        million times tighter lies between rounding and the fit's gap bound."""
         ts, _, draws = tomo_seed7()
         stack = np.concatenate([ts.counts[None], draws[:9]]
                                + [c[None] for c, exact in frozen_datasets() if not exact])
         fits = [mle_reconstruct(TomographySet(c, CANONICAL)) for c in stack]
-        monkeypatch.setattr(tomography, "MLE_STALL_STEPS", 10 ** 9)
-        monkeypatch.setattr(tomography, "MLE_MAX_ITER", 3000)
+        gap_tol = tomography.MLE_GAP_TOL
+        monkeypatch.setattr(tomography, "MLE_GAP_TOL", 1e-18)
+        monkeypatch.setattr(tomography, "MLE_REL_TOL", 1e-15)
         _, best, _, _, converged = fit_stack(_with_prior(stack, False), projected_inversion(stack))
-        assert not converged.any()
+        assert converged.all()
         for (_, report), f_best, n in zip(fits, best, _with_prior(stack, False).sum(axis=1)):
             excess = -report.log_likelihood - f_best
             assert -1e-9 * abs(f_best) <= excess <= report.gap_bound
             # a converged fit passed the stop rule's check on its bound
             assert report.converged
-            assert report.gap_bound ** 2 <= tomography.MLE_GAP_TOL * n * abs(report.log_likelihood)
+            assert report.gap_bound ** 2 <= gap_tol * n * abs(report.log_likelihood)
+
+    def test_high_count_fits_and_replicas_certify(self, monkeypatch):
+        """The ideal state at 10^6 counts per setting, seeds 0-3: the fit and
+        50 replicas each, drawn as bootstrap_metrics draws them, all certify.
+        Replica 24 of seed 0 gets there through a widened face."""
+        widened, widen = [], tomography._widened
+
+        def spy(n, *args):
+            widened.extend(n)
+            return widen(n, *args)
+
+        monkeypatch.setattr(tomography, "_widened", spy)
+        for seed in range(4):
+            ts = TomographySet.from_dataset(simulate_tomography(ideal_state(), 10**6, seed=seed))
+            rho, report = mle_reconstruct(ts)
+            assert report.converged
+            probs = outcome_probabilities(rho, CANONICAL.operators)
+            totals = ts.counts.sum(axis=1).astype(np.int64)
+            draws = np.array([record_rng(seed, k).multinomial(totals, probs) for k in range(50)],
+                             dtype=float)
+            counts = _with_prior(draws, False)
+            *_, converged = fit_stack(counts, projected_inversion(draws))
+            assert converged.all()
+            if seed == 0:
+                replica_24 = counts[24]
+        assert any(np.array_equal(n, replica_24) for n in widened)
 
     def test_bound_vanishes_at_exact_optimum(self):
         ds = simulate_tomography(werner(0.8), 300, seed=0, exact=True)
