@@ -206,6 +206,7 @@ MLE_MAX_ITER = 5000
 MLE_REL_TOL = 1e-12
 MLE_STALL_STEPS = 3
 MLE_GAP_TOL = 1e-11
+MLE_NEWTON_STEPS = 12       # Newton iterations per attempt on a face
 _PROB_FLOOR = 1e-12
 _STEP_GROWTH = 1.2
 _STEP_START = 3.0
@@ -454,15 +455,17 @@ def _widened(n, x, design, design_t):
 
 def _face_newton(n, x, f, rank, budget, design, design_t):
     """Damped Newton (Boyd & Vandenberghe, Convex Optimization, 9.5) on the
-    face of each row's rank, with rows grouped by rank, within the row's
-    budget of iterations. A row is certified when its squared decrement
-    lambda^2 satisfies |lambda^2| / 2 <= MLE_REL_TOL * |f| and the gap bound
-    passes; when only the first holds, the face is too small and Newton goes
-    on one rank up (`_widened`). The attempt fails when the step is no
-    descent direction (lambda^2 < 0 beyond that: the Hessian is not positive
-    definite on the face), when the line search cannot lower f, or when the
-    budget runs out. Returns (x, f, iterations used, certified); a failed row
-    keeps the best point it has seen."""
+    face of each row's rank, with rows grouped by rank, for at most
+    MLE_NEWTON_STEPS iterations per face and the row's budget. A row is
+    certified when its squared decrement lambda^2 satisfies |lambda^2| / 2
+    <= MLE_REL_TOL * |f| and the gap bound passes; when only the first
+    holds, the face is too small and Newton goes on one rank up
+    (`_widened`). The attempt fails when the step is no descent direction
+    (lambda^2 < 0 beyond that: the Hessian is not positive definite on the
+    face), when the line search cannot lower f, or after MLE_NEWTON_STEPS
+    iterations, which hands a face the factor coordinates converge on only
+    slowly back to projected gradient. Returns (x, f, iterations used,
+    certified); a failed row keeps the best point it has seen."""
     x, f, start, face = x.copy(), f.copy(), x.copy(), rank.copy()
     used, certified = np.zeros(len(x), dtype=int), np.zeros(len(x), dtype=bool)
     for r in range(1, 5):
@@ -470,18 +473,18 @@ def _face_newton(n, x, f, rank, budget, design, design_t):
         if not rows.size:
             continue
         a, b, *_ = _face_coordinates(r)
-        nr, left = n[rows], budget[rows] - used[rows]
+        nr, left = n[rows], np.minimum(budget[rows] - used[rows], MLE_NEWTON_STEPS)
         lam, u = np.linalg.eigh(_states(start[rows]))
         # contiguous: a row alone and a row selected from a stack hand matmul one layout
         u, theta =np.ascontiguousarray(u[:, :, ::-1]), np.zeros((len(rows), len(a)))
         theta[:, a == b] = np.sqrt(np.maximum(lam[:, :-r - 1:-1], 0.0))
         theta /= np.sqrt(np.einsum("ri,ri->r", theta, theta))[:, None]
         lf, xt, ft = _face_point(nr, theta, u, r, design_t)
-        for k in range(1, left.max() + 1):
+        for k in range(1, MLE_NEWTON_STEPS + 1):
             step, dec = _newton_step(nr, theta, u, lf, xt, design, design_t)
             flat = np.abs(dec) <= 2.0 * MLE_REL_TOL * np.abs(ft)
             # a row leaves the face on a flat decrement, a step that does not
-            # descend, or the last iteration of its budget
+            # descend, or its last iteration here
             end = flat | ~(dec > 0.0) | (k >= left)
             if end.any():
                 used[rows[end]] += k
