@@ -23,7 +23,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from numpy.random import SeedSequence, default_rng
@@ -159,7 +159,7 @@ def simulate_settings(rho, settings, n_per_setting, noise=None, seed=0, exact=Fa
         records=records,
         metadata={
             "seed": int(seed),
-            "noise": noise.to_dict(),
+            "noise": asdict(noise),
             "mode": "simulated",
             "exact": bool(exact),
             "n_per_setting": n_per_setting,

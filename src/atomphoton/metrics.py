@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,9 +62,6 @@ class VisibilityFit:
     phase: float          # radians
     rms_residual: float
     clipped: bool = False  # fitted curve exits [0, 1]
-
-    def to_dict(self):
-        return asdict(self)
 
 
 def fit_fringe(betas, p) -> VisibilityFit:

@@ -36,7 +36,7 @@ class ExperimentPlan:
     duty: float = 1.0                # duty cycle applied to the pair rate
 
     def __post_init__(self):
-        fields = self.to_dict()
+        fields = asdict(self)
         for name, v in fields.items():
             if not math.isfinite(v):
                 raise ValueError(f"{name} must be a finite number, got {v}")
@@ -52,9 +52,6 @@ class ExperimentPlan:
                 if not ok(fields[name]):
                     raise ValueError(f"{name} must {rule}, got {fields[name]}")
 
-    def to_dict(self):
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class PlanReport:
@@ -67,21 +64,18 @@ class PlanReport:
     min_separation: float     # m
 
     def __post_init__(self):
-        for name, v in self.to_dict().items():
+        for name, v in asdict(self).items():
             if not math.isfinite(v):
                 raise ValueError(f"{name} overflows to {v}: the plan's inputs are out of range")
-
-    def to_dict(self):
-        return asdict(self)
 
 
 def swapped_visibility(v1, v2, kappa_bsm=1.0):
     """Atom-atom visibility after entanglement swapping: v1*v2*kappa,
-    clipped to [0, 1]. The ideal law is kappa = 1."""
+    which lies in [0, 1] with its factors. The ideal law is kappa = 1."""
     for name, v in (("v1", v1), ("v2", v2), ("kappa_bsm", kappa_bsm)):
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"{name} must lie in [0, 1], got {v}")
-    return min(max(v1 * v2 * kappa_bsm, 0.0), 1.0)
+    return v1 * v2 * kappa_bsm
 
 
 def pairs_for_sigmas(v, k):

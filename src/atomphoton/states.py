@@ -10,7 +10,7 @@ end up in the maximally entangled superposition built by
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,9 +50,6 @@ class NoiseModel:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
-
-    def to_dict(self):
-        return asdict(self)
 
 
 _SZ_I = qmath.PAULI_PRODUCTS[3, 0]

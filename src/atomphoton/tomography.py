@@ -188,9 +188,6 @@ class FitReport:
     gap_bound: float
     regularization: str = "none"
 
-    def to_dict(self):
-        return asdict(self)
-
 
 MLE_MAX_ITER = 5000
 # Once its rank has held for MLE_STALL_STEPS accepted steps, or MLE_STALL_STEPS
@@ -248,27 +245,31 @@ def _gap_bound(counts, r, design, design_t):
 def _fit_stack(counts, x, design, design_t):
     """Minimize f(rho) = -sum_k n_k log tr(E_k rho) over physical states for
     each row of an (R, K) count stack, through a (K, 16) design and its
-    transpose, from physical starting states with (R, 16) Pauli coefficients
-    x, by projected gradient: x <- Pi(x + t c(x)) for c = -grad f, with a
-    step t per fit, and the step refused when rounding would let f rise.
-    Once a fit has settled on a face (the rank its projections keep) or
-    stalls, `_face_newton` finishes it, and only a finish certifies. A failed
-    finish hands its best point back to projected gradient; the fit tries
-    again only once f has fallen below its value at the start of the failed
-    attempt, so the loop never repeats without progress. A fit leaves the
-    stack certified (converged), or unconverged when it stalls without such
-    progress or reaches MLE_MAX_ITER iterations, gradient and Newton steps
-    alike.
+    transpose. Each fit starts from Pi of its row of x, the (R, 16) Pauli
+    coefficients of a linear inversion, and that projection gives the
+    start's face (its rank). Projected gradient, x <- Pi(x + t c(x)) for
+    c = -grad f with a step t per fit, refuses a step when rounding would
+    let f rise. Once a fit has settled on a face (the rank its projections
+    keep) or stalls, `_face_newton` finishes it, and only a finish
+    certifies. A failed finish hands its best point back to projected
+    gradient; the fit tries again only once f has fallen below its value at
+    the start of the failed attempt, so the loop never repeats without
+    progress. A fit leaves the stack certified (converged), or unconverged
+    when it stalls without such progress or reaches MLE_MAX_ITER
+    iterations, gradient and Newton steps alike.
     Rows are grouped by face rank, never padded, and every operation acts on
     each row alone, so a row's fit does not depend on the stack. Returns
     (x, f, f0, iterations, converged)."""
+    # rank: the face of the last accepted step, or of the start before the
+    # first one; settled: accepted steps in a row on that face
+    rho, rank = _projection(_states(x))
+    x = _coefficients(rho)
+    del rho   # held through the fit, it would raise the bootstrap's peak memory
     f = f0 = _nll(counts, _probabilities(x, design_t))
     out_x, out_f = x.copy(), f.copy()
     iterations, converged = np.zeros(len(x), dtype=int), np.zeros(len(x), dtype=bool)
     rows, n, its = np.arange(len(x)), counts, np.zeros(len(x), dtype=int)
-    # rank: the face of the last accepted step (0 before the first one);
-    # settled: accepted steps in a row on that face
-    rank, settled, stalls = (np.zeros(len(x), dtype=int) for _ in range(3))
+    settled, stalls = np.zeros(len(x), dtype=int), np.zeros(len(x), dtype=int)
     f_failed = np.full(len(x), np.inf)    # f at the start of the last failed finish
     t = _STEP_START / counts.sum(axis=1)
     while True:
@@ -292,8 +293,6 @@ def _fit_stack(counts, x, design, design_t):
             finished, stop = capped | (stalled & ~ready), np.zeros(len(rows), dtype=bool)
             if ready.any():
                 idx = np.flatnonzero(ready)
-                if not rank[idx].all():   # stalled before any accepted step
-                    rank[idx] = np.where(rank[idx] > 0, rank[idx], _projection(_states(x[idx]))[1])
                 f_failed[idx] = f[idx]
                 x[idx], f[idx], used, stop[idx] = _face_newton(
                     n[idx], x[idx], f[idx], rank[idx], MLE_MAX_ITER - its[idx], design, design_t)
@@ -535,17 +534,13 @@ def _with_prior(counts, exact):
     return counts
 
 
-def _projected_inversion(counts, inverse):
-    return _coefficients(_projection(_states(_inverted_coefficients(counts, inverse)))[0])
-
-
 def mle_reconstruct(ts: TomographySet):
     """Maximum-likelihood state and fit report: `_fit_stack` on a stack of
     one, from the projected linear inversion. The result never falls below
     that start."""
     d, counts = ts.design, _with_prior(ts.counts[None], ts.exact)
-    start = _projected_inversion(ts.counts[None], d.inverse)
-    x, f, f0, iterations, converged = _fit_stack(counts, start, d.matrix, d.matrix_t)
+    x, f, f0, iterations, converged = _fit_stack(
+        counts, _inverted_coefficients(ts.counts[None], d.inverse), d.matrix, d.matrix_t)
     filled = int(np.sum(ts.counts == 0)) if not ts.exact else 0
     report = FitReport(
         log_likelihood=-float(f[0]),
@@ -577,7 +572,7 @@ def bootstrap_metrics(rho_hat, ts: TomographySet, n_replicas=250, seed=0):
     probs = outcome_probabilities(rho_hat, d.operators)
     draws = np.array([record_rng(seed, k).multinomial(totals.astype(np.int64), probs)
                       for k in range(n_replicas)], dtype=float)
-    x, *_ = _fit_stack(_with_prior(draws, False), _projected_inversion(draws, d.inverse),
+    x, *_ = _fit_stack(_with_prior(draws, False), _inverted_coefficients(draws, d.inverse),
                        d.matrix, d.matrix_t)
     rhos = _states(x)
     out = {}
@@ -601,5 +596,5 @@ def write_state_json(rho, path, fit_report):
         "real": np.real(rho).tolist(),
         "imag": np.imag(rho).tolist(),
         "basis": BASIS_CONVENTION,
-        "fit_report": fit_report.to_dict(),
+        "fit_report": asdict(fit_report),
     }, path)

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -79,7 +80,7 @@ class TestScan:
                     assert (line["p"] == "" and line["error"] == "") == (n == 0)
                 kept = [(float(r["beta"]), float(r["p"])) for r in lines if r["p"]]
                 empty += 18 - len(kept)
-                assert fits[b][f"apd{d}"] == fit_fringe(*zip(*kept)).to_dict()
+                assert fits[b][f"apd{d}"] == dataclasses.asdict(fit_fringe(*zip(*kept)))
         assert empty == 36   # one trial per point: an event on exactly one detector
 
     def test_too_few_points_with_events_named(self, tmp_path, capsys):
@@ -214,6 +215,20 @@ class TestTomo:
         assert "error: the settings leave the Pauli coefficients yz undetermined" in err
         assert not os.path.exists(out + ".state.json")
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_empty_input_refused(self, tmp_path, capsys, source):
+        """An empty `input` is an error naming it, not a simulated run."""
+        out = str(tmp_path / "empty")
+        if source == "flag":
+            argv = ["--out", out, "tomo", "--input", ""]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("input =\n")
+            argv = ["--config", str(cfg), "--out", out, "tomo"]
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: input ") and err.count("\n") == 1
+        assert os.listdir(tmp_path) == ([] if source == "flag" else ["run.cfg"])
 
     def test_scan_counts_rejected_by_record(self, tmp_path, capsys):
         scan = str(tmp_path / "scan")

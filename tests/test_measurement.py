@@ -1,6 +1,7 @@
 """Outcome operators, joint probabilities, readout confusion, sampling, scans, CSV."""
 
 import csv
+import dataclasses
 import itertools
 import math
 
@@ -553,7 +554,7 @@ class TestCsvRoundTrip:
             assert sa.photon.circular == sb.photon.circular
         assert np.array_equal(ds.records, back.records)
         assert back.metadata["seed"] == 3
-        assert back.metadata["noise"] == noise.to_dict()
+        assert back.metadata["noise"] == dataclasses.asdict(noise)
 
     def test_circular_settings_round_trip(self, tmp_path):
         from atomphoton.tomography import simulate_tomography

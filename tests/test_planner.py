@@ -1,5 +1,6 @@
 """Bell-test feasibility arithmetic."""
 
+import dataclasses
 import json
 import math
 
@@ -217,4 +218,4 @@ class TestBuildPlan:
         assert main(["--out", str(tmp_path / "x"), "plan", "--v-atph", "0.9", "--duty", "0.5"]) == 0
         plan2, report_dict = read_plan_json(tmp_path / "x.plan.json")
         assert plan2 == plan
-        assert report_dict == report.to_dict()
+        assert report_dict == dataclasses.asdict(report)

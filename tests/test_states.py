@@ -1,7 +1,7 @@
 """State preparation from decay channels and the noise channels."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import pytest
@@ -235,4 +235,4 @@ class TestNoiseModel:
 
     def test_dict_round_trip(self):
         noise = NoiseModel(depolarizing=0.14, dephasing=0.02, eps01=0.01, eps10=0.03)
-        assert NoiseModel(**noise.to_dict()) == noise
+        assert NoiseModel(**asdict(noise)) == noise

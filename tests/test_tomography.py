@@ -31,9 +31,9 @@ from atomphoton.tomography import (
     _coefficients,
     _fit_stack,
     _gap_bound,
+    _inverted_coefficients,
     _nll,
     _probabilities,
-    _projected_inversion,
     _projection,
     _solve,
     _states,
@@ -58,8 +58,10 @@ def fit_stack(counts, x):
     return _fit_stack(counts, x, A, A_T)
 
 
-def projected_inversion(counts):
-    return _projected_inversion(counts, CANONICAL.inverse)
+def linear_inversions(counts):
+    """Pauli coefficients of each count row's linear inversion: the start
+    `_fit_stack` projects."""
+    return _inverted_coefficients(counts, CANONICAL.inverse)
 
 
 def random_physical_state(rng):
@@ -773,7 +775,7 @@ class TestAgainstLbfgsReference:
         ts, report, draws = tomo_seed7()
         assert report.converged
         assert at_or_below(-report.log_likelihood, lbfgs_reference_nll(ts.counts))
-        _, f, _, _, converged = fit_stack(_with_prior(draws, False), projected_inversion(draws))
+        _, f, _, _, converged = fit_stack(_with_prior(draws, False), linear_inversions(draws))
         assert converged.all()
         reference = np.array([lbfgs_reference_nll(c) for c in draws])
         assert at_or_below(f, reference).all()
@@ -833,7 +835,7 @@ class TestGapBound:
         gap_tol = tomography.MLE_GAP_TOL
         monkeypatch.setattr(tomography, "MLE_GAP_TOL", 1e-18)
         monkeypatch.setattr(tomography, "MLE_REL_TOL", 1e-15)
-        _, tight, _, _, converged = fit_stack(_with_prior(stack, False), projected_inversion(stack))
+        _, tight, _, _, converged = fit_stack(_with_prior(stack, False), linear_inversions(stack))
         assert converged.all()
         best = np.minimum(tight, lbfgs)
         for (_, report), f_best, n in zip(fits, best, _with_prior(stack, False).sum(axis=1)):
@@ -859,7 +861,7 @@ class TestGapBound:
             replicas = [*range(50), *{0: (132, 154), 1: (178,)}.get(seed, ())]
             draws = np.array([record_rng(seed, k).multinomial(totals, probs) for k in replicas],
                              dtype=float)
-            *_, converged = fit_stack(_with_prior(draws, False), projected_inversion(draws))
+            *_, converged = fit_stack(_with_prior(draws, False), linear_inversions(draws))
             assert converged.all()
 
     def test_bound_vanishes_at_exact_optimum(self):
@@ -951,8 +953,8 @@ class TestKernels:
         counts = _with_prior(ts.counts[None], ts.exact)
         assert (kind == "half-count") == bool(np.any(counts == 0.5))
         assert (kind == "exact") == bool(np.any(counts == 0.0))
-        start = projected_inversion(ts.counts[None])
-        end, *_ = fit_stack(counts, start)
+        start = _coefficients(project_one(linear_inversion(ts))[None])
+        end, *_ = fit_stack(counts, linear_inversions(ts.counts[None]))
         for r in (start, end):
             n = counts.sum()
             bound = _gap_bound(counts, r, A, A_T)[0]
@@ -1025,11 +1027,11 @@ class TestBootstrap:
         high = [TomographySet.from_dataset(simulate_tomography(ideal_state(), 10**6, seed=s)).counts
                 for s in range(4)]
         stack = np.concatenate([draws, [c for c, exact in frozen_datasets() if not exact], high])
-        x, f, _, iterations, _ = fit_stack(_with_prior(stack, False), projected_inversion(stack))
+        x, f, _, iterations, _ = fit_stack(_with_prior(stack, False), linear_inversions(stack))
         assert len(set(iterations)) > 10
         for k in range(len(stack)):
             xk, fk, _, ik, _ = fit_stack(_with_prior(stack[k:k + 1], False),
-                                         projected_inversion(stack[k:k + 1]))
+                                         linear_inversions(stack[k:k + 1]))
             assert np.array_equal(xk[0], x[k]) and fk[0] == f[k] and ik[0] == iterations[k]
 
     def test_mixed_faces_stack_rows_equal_rows_alone(self, monkeypatch):
@@ -1054,13 +1056,45 @@ class TestBootstrap:
         for k in range(len(stack)):
             finishes.append([])
             alone.append(fit_stack(_with_prior(stack[k:k + 1], False),
-                                   projected_inversion(stack[k:k + 1])))
+                                   linear_inversions(stack[k:k + 1])))
         assert {3, 4} <= {rank for row in finishes for rank, ok in row if ok}
         certified = [ok for _, ok in finishes[-1]]
         assert not certified[0] and certified[-1]
         x, f, _, iterations, converged = fit_stack(_with_prior(stack, False),
-                                                   projected_inversion(stack))
+                                                   linear_inversions(stack))
         for k, (xk, fk, _, ik, ck) in enumerate(alone):
+            assert np.array_equal(xk[0], x[k]) and fk[0] == f[k]
+            assert ik[0] == iterations[k] and ck[0] == converged[k]
+
+    def test_failed_line_search_rows_equal_rows_alone(self, monkeypatch):
+        """With _MIN_DAMPING = 1 a Newton step that misses the Armijo decrease
+        at full length fails its line search at once, which hands the row
+        back to projected gradient. On 20 replicas of the ideal state at 10^6
+        counts, drawn as bootstrap_metrics draws them, the rows still certify,
+        end at or below their start, and equal their fits alone bit for bit."""
+        monkeypatch.setattr(tomography, "_MIN_DAMPING", 1.0)
+        ts = TomographySet.from_dataset(simulate_tomography(ideal_state(), 10**6, seed=0))
+        rho, _ = mle_reconstruct(ts)
+        probs = outcome_probabilities(rho, CANONICAL.operators)
+        totals = ts.counts.sum(axis=1).astype(np.int64)
+        draws = np.array([record_rng(0, k).multinomial(totals, probs) for k in range(20)],
+                         dtype=float)
+        failed = []
+        damped_step = tomography._damped_step
+
+        def spy(*args):
+            out = damped_step(*args)
+            failed.append(int(out[4].sum()))
+            return out
+
+        monkeypatch.setattr(tomography, "_damped_step", spy)
+        x, f, f0, iterations, converged = fit_stack(_with_prior(draws, False),
+                                                    linear_inversions(draws))
+        assert sum(failed) > 0   # the precondition: searches failed
+        assert converged.all() and (f <= f0).all()
+        for k in range(len(draws)):
+            xk, fk, _, ik, ck = fit_stack(_with_prior(draws[k:k + 1], False),
+                                          linear_inversions(draws[k:k + 1]))
             assert np.array_equal(xk[0], x[k]) and fk[0] == f[k]
             assert ik[0] == iterations[k] and ck[0] == converged[k]
 
@@ -1069,7 +1103,7 @@ class TestBootstrap:
         each row alone, as a stack of one and as one 4x4 state, and the
         per-state formulas the metrics replaced, kept here as the reference."""
         _, _, draws = tomo_seed7()
-        x, *_ = fit_stack(_with_prior(draws, False), projected_inversion(draws))
+        x, *_ = fit_stack(_with_prior(draws, False), linear_inversions(draws))
         rhos = _states(x)
         psi = ideal_ket()
 
