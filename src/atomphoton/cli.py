@@ -334,6 +334,8 @@ def main(argv=None):
     try:
         if args.seed < 0:
             raise ValueError(f"--seed must be >= 0, got {args.seed}")
+        if not args.out:   # "" would write hidden files such as .plan.json
+            raise ValueError("--out must name an output prefix, got an empty string")
         func, _, keys = _COMMANDS[args.command]
         return func(args, _merged(args, keys), written)
     except BaseException as exc:   # no partial artifacts, whatever stopped the command

@@ -216,30 +216,22 @@ def _nll(counts, p):
     return -np.einsum("rk,rk->r", counts, np.log(np.maximum(p, _PROB_FLOOR)))
 
 
-def _weights(counts, p):
-    """n_k / p_k with p clipped at _PROB_FLOOR; clipped cells weigh 0."""
-    return np.where(p > _PROB_FLOOR, counts, 0.0) / np.maximum(p, _PROB_FLOOR)
-
-
-def _probabilities(r, design_t):
-    return _rows(r, design_t)
-
-
-def _ascent(counts, p, design):
-    """-grad f over the Pauli coefficients: c_m = sum_k (n_k/p_k) A_km =
-    tr(G P_m) / 4 for the density-matrix gradient -G of f."""
-    return _rows(_weights(counts, p), design)
+def _gradient(counts, x, design, design_t):
+    """(p, w, c) at Pauli coefficients x: p = A x; w = n / p with p clipped at
+    _PROB_FLOOR, clipped cells weighing 0; and -grad f over the coefficients,
+    c_m = sum_k w_k A_km = tr(G P_m) / 4 for the density-matrix gradient -G."""
+    p = _rows(x, design_t)
+    w = np.where(p > _PROB_FLOOR, counts, 0.0) / np.maximum(p, _PROB_FLOOR)
+    return p, w, _rows(w, design)
 
 
 def _gap_bound(counts, r, design, design_t):
     """Glancy, Knill & Girard (NJP 14, 095017, 2012): f is convex with
     gradient -G, G = sum_k (n_k/p_k) E_k, and tr(G rho) = N, so
-    f(rho) - min f <= lambda_max(G) - N. With the ascent c = _ascent,
+    f(rho) - min f <= lambda_max(G) - N. With c from `_gradient`,
     G = sum_m c_m P_m = 4 _states(c)."""
-    p = _probabilities(r, design_t)
-    w = _weights(counts, p)
-    g = 4.0 * _states(_rows(w, design))
-    return np.linalg.eigvalsh(g)[:, -1] - np.einsum("rk,rk->r", w, p)
+    p, w, c = _gradient(counts, r, design, design_t)
+    return np.linalg.eigvalsh(4.0 * _states(c))[:, -1] - np.einsum("rk,rk->r", w, p)
 
 
 def _fit_stack(counts, x, design, design_t):
@@ -248,10 +240,10 @@ def _fit_stack(counts, x, design, design_t):
     transpose. Each fit starts from Pi of its row of x, the (R, 16) Pauli
     coefficients of a linear inversion, and that projection gives the
     start's face (its rank). Projected gradient, x <- Pi(x + t c(x)) for
-    c = -grad f with a step t per fit, refuses a step when rounding would
-    let f rise. Once a fit has settled on a face (the rank its projections
-    keep) or stalls, `_face_newton` finishes it, and only a finish
-    certifies. A failed finish hands its best point back to projected
+    c = -grad f from `_gradient` with a step t per fit, refuses a step when
+    rounding would let f rise. Once a fit has settled on a face (the rank
+    its projections keep) or stalls, `_face_newton` finishes it, and only a
+    finish certifies. A failed finish hands its best point back to projected
     gradient; the fit tries again only once f has fallen below its value at
     the start of the failed attempt, so the loop never repeats without
     progress. A fit leaves the stack certified (converged), or unconverged
@@ -265,7 +257,7 @@ def _fit_stack(counts, x, design, design_t):
     rho, rank = _projection(_states(x))
     x = _coefficients(rho)
     del rho   # held through the fit, it would raise the bootstrap's peak memory
-    f = f0 = _nll(counts, _probabilities(x, design_t))
+    f = f0 = _nll(counts, _rows(x, design_t))
     out_x, out_f = x.copy(), f.copy()
     iterations, converged = np.zeros(len(x), dtype=int), np.zeros(len(x), dtype=bool)
     rows, n, its = np.arange(len(x)), counts, np.zeros(len(x), dtype=int)
@@ -274,7 +266,7 @@ def _fit_stack(counts, x, design, design_t):
     t = _STEP_START / counts.sum(axis=1)
     while True:
         x_new, f_new, r_new = _backtracked_step(
-            n, x, f, _ascent(n, _probabilities(x, design_t), design), t, design_t)
+            n, x, f, _gradient(n, x, design, design_t)[2], t, design_t)
         its += 1
         t *= _STEP_GROWTH
         # a refused step (f_new > f) counts as a stall too
@@ -320,7 +312,7 @@ def _backtracked_step(n, x0, f0, c, t, design_t):
         x0t, tt = x0[todo], t[todo]
         rho, rt = _projection(_states(x0t + tt[:, None] * c[todo]))
         xt = _coefficients(rho)
-        ft = _nll(n[todo], _probabilities(xt, design_t))
+        ft = _nll(n[todo], _rows(xt, design_t))
         d = xt - x0t
         ok = ft <= f0[todo] + np.einsum("rm,rm->r", d, d / (2 * tt[:, None]) - c[todo])
         if ok.all():
@@ -361,25 +353,23 @@ def _face_point(n, theta, u, r, design_t):
     m[:, _face_coordinates(r)[3]] = theta
     lf = u @ m.view(complex).reshape(len(theta), 4, r)
     x = _coefficients(lf @ lf.conj().transpose(0, 2, 1))
-    return lf, x, _nll(n, _probabilities(x, design_t))
+    return lf, x, _nll(n, _rows(x, design_t))
 
 
 def _newton_step(n, theta, u, lf, x, design, design_t):
     """Newton step on the sphere and its squared decrement: the KKT system
     [[H, theta], [theta^T, 0]] of the Lagrangian f + mu (|theta|^2 - 1),
     with H = J^T diag(n/p^2) J - sum_m c_m d^2 x_m + 2 mu I, J = d p/d theta,
-    c = _ascent and mu = sum_k w_k p_k, its value where the gradient of the
-    Lagrangian vanishes. Taken _NEWTON_ROWS rows at a time, which bounds
-    the temporaries: (rows, 16, K) for the Fisher matrix, (rows, 8r - r^2,
-    4, 4) for the derivatives of rho."""
+    c from `_gradient` and mu = sum_k w_k p_k, its value where the gradient
+    of the Lagrangian vanishes. Taken _NEWTON_ROWS rows at a time, which
+    bounds the temporaries: (rows, 16, K) for the Fisher matrix, (rows,
+    8r - r^2, 4, 4) for the derivatives of rho."""
     if len(x) > _NEWTON_ROWS:
         parts = [_newton_step(*(v[k:k + _NEWTON_ROWS] for v in (n, theta, u, lf, x)),
                               design, design_t) for k in range(0, len(x), _NEWTON_ROWS)]
         return tuple(np.concatenate(v) for v in zip(*parts))
     a, b, s, _, pair = _face_coordinates(lf.shape[2])
-    p = _probabilities(x, design_t)
-    w = _weights(n, p)
-    c = _rows(w, design)
+    p, w, c = _gradient(n, x, design, design_t)
     # d x_m / d theta_i = 2 Re tr(D_i P_m) with D_i = s_i u_(a_i) l_(b_i)^dagger
     jx = 2.0 * _coefficients(((s[:, None, None] * u[:, :, a].transpose(0, 2, 1)[..., None])
                               * lf[:, :, b].conj().transpose(0, 2, 1)[..., None, :])
@@ -441,12 +431,11 @@ def _widened(n, x, design, design_t):
     rho + s (v v^dagger - rho) for the top eigenvector v of G, along which f
     falls at the rate lambda_max(G) - N, with s the minimum of f's quadratic
     model along that line."""
-    p = _probabilities(x, design_t)
-    w = _weights(n, p)
-    lam, vecs = np.linalg.eigh(4.0 * _states(_rows(w, design)))
+    p, w, c = _gradient(n, x, design, design_t)
+    lam, vecs = np.linalg.eigh(4.0 * _states(c))
     v = vecs[:, :, -1]
     xv = _coefficients(v[:, :, None] * v.conj()[:, None, :])
-    dp = _probabilities(xv, design_t) - p
+    dp = _rows(xv, design_t) - p
     s = ((lam[:, -1] - np.einsum("rk,rk->r", w, p))
          / np.einsum("rk,rk->r", w / np.maximum(p, _PROB_FLOOR), dp * dp))
     return x + np.clip(s, 0.0, 1.0)[:, None] * (xv - x)

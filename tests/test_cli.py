@@ -316,6 +316,23 @@ class TestPlanCmd:
         assert f"error: {message}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("field, value, rule", [
+        ("v_atph", "1.5", "lie in [0, 1]"),
+        ("bsm_fidelity", "1.5", "lie in [0, 1]"),
+        ("rep_rate", "0", "be positive"),
+        ("lifetime_tau", "0", "be positive"),
+        ("t_stirap", "-1e-6", "be non-negative"),
+        ("n_lifetimes", "-1", "be non-negative"),
+        ("measurement_window", "-1e-6", "be non-negative"),
+    ])
+    def test_out_of_range_field_named(self, tmp_path, capsys, field, value, rule):
+        """`ExperimentPlan` is the one gate on every field: the helpers
+        `build_plan` calls do not check them again."""
+        out = str(tmp_path / "or")
+        assert run_cli(["--out", out, "plan", f"--{field.replace('_', '-')}={value}"]) == 1
+        assert f"error: {field} must {rule}, got {float(value)}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestConfigFile:
     def test_config_and_override(self, tmp_path):
@@ -458,6 +475,17 @@ class TestFlagValidation:
         out = str(tmp_path / "bad")
         assert run_cli(["--out", out, *argv]) == 1
         assert name in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [["plan"], ["scan"], ["tomo", "--bootstrap", "0"],
+                                      ["calibrate"]])
+    def test_empty_out_refused(self, tmp_path, monkeypatch, capsys, argv):
+        """An empty prefix would write hidden files such as .plan.json into
+        the working directory."""
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["--out", "", *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --out ") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
 

@@ -67,10 +67,6 @@ class TestSwappedVisibility:
         for lo, hi in zip(grid[:-1], grid[1:]):
             assert swapped_visibility(lo, 0.9) < swapped_visibility(hi, 0.9)
 
-    def test_range_check(self):
-        with pytest.raises(ValueError):
-            swapped_visibility(1.2, 0.5)
-
 
 class TestViolationSigmas:
     def test_pure_state_corner(self):

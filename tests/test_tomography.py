@@ -27,17 +27,16 @@ from atomphoton.states import NoiseModel, ideal_ket, ideal_state, werner
 from atomphoton.tomography import (
     Design,
     TomographySet,
-    _ascent,
     _coefficients,
     _fit_stack,
     _gap_bound,
+    _gradient,
     _inverted_coefficients,
     _nll,
-    _probabilities,
     _projection,
+    _rows,
     _solve,
     _states,
-    _weights,
     _with_prior,
     bootstrap_metrics,
     canonical_settings,
@@ -626,7 +625,7 @@ HERMITIAN_DIRECTIONS = st.lists(st.floats(-1.0, 1.0), min_size=16, max_size=16).
 
 
 def nll_of_state(counts, rho):
-    return _nll(counts[None], _probabilities(_coefficients(rho[None]), A_T))[0]
+    return _nll(counts[None], _rows(_coefficients(rho[None]), A_T))[0]
 
 
 class TestMleLikelihood:
@@ -637,8 +636,8 @@ class TestMleLikelihood:
         """The density-matrix gradient -sum_k (n_k/p_k) E_k, and its Pauli
         coefficients that the fit steps along, against central differences
         of the negative log-likelihood."""
-        p = _probabilities(_coefficients(rho[None]), A_T)
-        grad = -np.einsum("k,kij->ij", _weights(counts[None], p)[0], CANONICAL.operators)
+        _, w, c = _gradient(counts[None], _coefficients(rho[None]), A, A_T)
+        grad = -np.einsum("k,kij->ij", w[0], CANONICAL.operators)
         step = 1e-6
         numeric = (nll_of_state(counts, rho + step * h)
                    - nll_of_state(counts, rho - step * h)) / (2 * step)
@@ -646,7 +645,7 @@ class TestMleLikelihood:
         assert abs(np.trace(grad @ h).real - numeric) <= 1e-7 * scale
         # d rho / d r_m = P_m / 4, so -tr(grad P_m) / 4 is the ascent direction
         ascent = -np.einsum("ij,mji->m", grad, _PAULI_STACK).real / 4.0
-        assert np.max(np.abs(_ascent(counts[None], p, A)[0] - ascent)) <= 1e-12 * scale
+        assert np.max(np.abs(c[0] - ascent)) <= 1e-12 * scale
 
     @settings(max_examples=40)
     @given(st.lists(st.lists(st.integers(0, 60), min_size=4, max_size=4)
@@ -876,20 +875,30 @@ class TestGapBound:
 # ----------------------------------------------------------------------
 
 
+def oracle_weights(counts, p):
+    """n_k / p_k with p clipped at 1e-12; clipped cells weigh 0."""
+    return np.where(p > 1e-12, counts, 0.0) / np.maximum(p, 1e-12)
+
+
 def oracle_gap_bound(counts, r):
     """lambda_max(sum_k w_k E_k) - w.p, the sum built from the outcome operators."""
     p = np.einsum("km,rm->rk", A, r)
-    w = _weights(counts, p)
+    w = oracle_weights(counts, p)
     g = np.einsum("rk,kij->rij", w, CANONICAL.operators)
     return np.linalg.eigvalsh(g)[:, -1] - np.einsum("rk,rk->r", w, p)
+
+
+def oracle_ascent(counts, r):
+    """sum_k w_k A_km at the probabilities A r."""
+    return np.einsum("rk,km->rm", oracle_weights(counts, np.einsum("km,rm->rk", A, r)), A)
 
 
 ORACLES = {
     "states": (_states, lambda r: np.einsum("rm,mij->rij", r, _PAULI_STACK / 4.0)),
     "coefficients": (_coefficients, lambda rho: np.einsum("rij,mji->rm", rho, _PAULI_STACK).real),
-    "probabilities": (lambda r: _probabilities(r, A_T), lambda r: np.einsum("km,rm->rk", A, r)),
-    "ascent": (lambda n, p: _ascent(n, p, A),
-               lambda n, p: np.einsum("rk,km->rm", _weights(n, p), A)),
+    "probabilities": (lambda n, r: _gradient(n, r, A, A_T)[0],
+                      lambda n, r: np.einsum("km,rm->rk", A, r)),
+    "ascent": (lambda n, r: _gradient(n, r, A, A_T)[2], oracle_ascent),
     "gap_bound": (lambda n, r: _gap_bound(n, r, A, A_T), oracle_gap_bound),
 }
 
@@ -906,8 +915,8 @@ def kernel_inputs(name, height=250):
     return {
         "states": (r,),
         "coefficients": (_states(r) + 1e-3 * _states(rng.standard_normal((height, 16))),),
-        "probabilities": (r,),
-        "ascent": (counts, _probabilities(mixed, A_T)),
+        "probabilities": (counts, r),
+        "ascent": (counts, mixed),
         "gap_bound": (counts, mixed),
     }[name]
 
