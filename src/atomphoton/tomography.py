@@ -178,8 +178,9 @@ class FitReport:
     state is within gap_bound of the maximum. `converged` says that a Newton
     finish certified the fit before MLE_MAX_ITER iterations: its decrement
     on the face and the gap bound over all states both passed. `iterations`
-    counts projected-gradient steps, which find the face, and Newton steps
-    alike."""
+    counts projected-gradient steps, which find the face and hand it to
+    Newton once it has held for MLE_STALL_STEPS accepted steps, and Newton
+    steps alike."""
 
     log_likelihood: float
     init_log_likelihood: float
@@ -201,12 +202,12 @@ MLE_MAX_ITER = 5000
 # without lowering f below its value at the start of the failed attempt
 # stops unconverged.
 MLE_REL_TOL = 1e-12
-MLE_STALL_STEPS = 3
+MLE_STALL_STEPS = 2
 MLE_GAP_TOL = 1e-11
 MLE_NEWTON_STEPS = 12       # Newton iterations per attempt on a face
 _PROB_FLOOR = 1e-12
 _STEP_GROWTH = 1.2
-_STEP_START = 3.0
+_STEP_START = 1.0          # first gradient step, times 1/N: 3/N backtracked about twice
 _ARMIJO = 0.25             # share of the predicted decrease a damped step must bring
 _MIN_DAMPING = 2.0 ** -20  # the smallest damped step before the attempt fails
 _NEWTON_ROWS = 32         # rows per Newton step: bounds its temporaries to about 0.5 MB
@@ -240,10 +241,11 @@ def _fit_stack(counts, x, design, design_t):
     transpose. Each fit starts from Pi of its row of x, the (R, 16) Pauli
     coefficients of a linear inversion, and that projection gives the
     start's face (its rank). Projected gradient, x <- Pi(x + t c(x)) for
-    c = -grad f from `_gradient` with a step t per fit, refuses a step when
-    rounding would let f rise. Once a fit has settled on a face (the rank
-    its projections keep) or stalls, `_face_newton` finishes it, and only a
-    finish certifies. A failed finish hands its best point back to projected
+    c = -grad f from `_gradient` with a step t per fit from _STEP_START / N,
+    refuses a step when rounding would let f rise. Once a fit has settled on
+    a face (the rank its projections keep) for MLE_STALL_STEPS accepted
+    steps, or stalls, `_face_newton` finishes it, and only a finish
+    certifies. A failed finish hands its best point back to projected
     gradient; the fit tries again only once f has fallen below its value at
     the start of the failed attempt, so the loop never repeats without
     progress. A fit leaves the stack certified (converged), or unconverged
