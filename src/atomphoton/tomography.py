@@ -207,7 +207,7 @@ MLE_GAP_TOL = 1e-11
 MLE_NEWTON_STEPS = 12       # Newton iterations per attempt on a face
 _PROB_FLOOR = 1e-12
 _STEP_GROWTH = 1.2
-_STEP_START = 1.0          # first gradient step, times 1/N: 3/N backtracked about twice
+_STEP_START = 1.0          # first gradient step, times 1/N; a longer one mostly backtracks
 _ARMIJO = 0.25             # share of the predicted decrease a damped step must bring
 _MIN_DAMPING = 2.0 ** -20  # the smallest damped step before the attempt fails
 _NEWTON_ROWS = 32         # rows per Newton step: bounds its temporaries to about 0.5 MB
