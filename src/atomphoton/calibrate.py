@@ -4,12 +4,13 @@ The three-channel model cannot split the sigma_x and sigma_y fringe
 visibilities. With symmetric readout confusion eps both equal
 V = (1-2eps)(1-p)(1-2q), and the tomographic fidelity is
 F = (1 + (1-2eps)(1-p)(3-4q))/4, so at mean target visibility vbar the
-reachable fidelities form the band (1+3vbar)/4 <= F <= (1+vbar)/2. The
-model's exact inverse on each branch is the start of a Nelder-Mead
-refinement through the tomography pipeline. Targets outside the band are
-fit on the frontier with fidelity matched first (it is the headline
-tomography scalar), then the mean visibility; residuals are reported.
-Deeply infeasible targets raise.
+reachable fidelities form the band (1+3vbar)/4 <= F <= (1+vbar)/2. p and
+eps enter every observable only through (1-2eps)(1-p), which the targets
+cannot split, so eps is not searched but left at 0. The model's exact
+inverse on each branch starts a Nelder-Mead refinement of (p, q) through
+the tomography pipeline. Targets outside the band are fit on the frontier
+with fidelity (the headline tomography scalar) matched first, then the
+mean visibility; residuals are reported. Deeply infeasible targets raise.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .states import NoiseModel, ideal_state
 from .tomography import Design, TomographySet, canonical_settings, linear_inversion
 
 FIDELITY_WEIGHT = 1000.0     # fidelity-priority weighting in the fit objective
-TIE_BREAK_WEIGHT = 1e-6      # prefers the pure-depolarizing decomposition
 RESIDUAL_LIMIT = 0.05        # beyond this the targets are rejected as infeasible
 
 
@@ -84,47 +84,48 @@ def exact_observables(noise: NoiseModel):
 
 
 def _objective(params, targets):
-    p, q, eps = params
-    if not all(0.0 <= x <= 1.0 for x in (p, q, eps)):
+    p, q = params
+    if not (0.0 <= p <= 1.0 and 0.0 <= q <= 1.0):
         return 1e6
-    obs = exact_observables(NoiseModel(depolarizing=p, dephasing=q, eps01=eps, eps10=eps))
-    err = (
-        (obs["vx"] - targets["vx"]) ** 2
-        + (obs["vy"] - targets["vy"]) ** 2
-        + FIDELITY_WEIGHT * (obs["fidelity"] - targets["fidelity"]) ** 2
-    )
-    return err + TIE_BREAK_WEIGHT * (q * q + eps * eps)
+    obs = exact_observables(NoiseModel(depolarizing=p, dephasing=q))
+    return ((obs["vx"] - targets["vx"]) ** 2 + (obs["vy"] - targets["vy"]) ** 2
+            + FIDELITY_WEIGHT * (obs["fidelity"] - targets["fidelity"]) ** 2)
+
+
+def _band(vx, vy):
+    """(vbar, lowest F, highest F): the fidelities reachable at mean visibility vbar."""
+    vbar = (vx + vy) / 2
+    return vbar, (1 + 3 * vbar) / 4, (1 + vbar) / 2
 
 
 def closed_form_start(vx, vy, fidelity):
-    """(branch, (p, q, eps)): the model's exact inverse at mean visibility vbar.
+    """(branch, (p, q)): the model's exact inverse at mean visibility vbar.
 
-    In the band eps = 0 and s = (1-p) = 4F-1-2vbar, with (1-2q) = vbar/s;
-    below it q = eps = 0 and p matches fidelity on the frontier V = (4F-1)/3;
-    above it p = eps = 0 and q = 1-F, on the frontier V = 2F-1.
+    In the band s = (1-p) = 4F-1-2vbar, with (1-2q) = vbar/s; below it
+    q = 0 and p matches fidelity on the frontier V = (4F-1)/3; above it
+    p = 0 and q = 1-F, on the frontier V = 2F-1.
     """
-    vbar = (vx + vy) / 2
-    if fidelity < (1 + 3 * vbar) / 4:
+    vbar, low, high = _band(vx, vy)
+    if fidelity < low:
         branch, p, q = "below", 1 - (4 * fidelity - 1) / 3, 0.0
-    elif fidelity > (1 + vbar) / 2:
+    elif fidelity > high:
         branch, p, q = "above", 0.0, 1 - fidelity
     else:
         s = 4 * fidelity - 1 - 2 * vbar
         branch, p, q = "in_band", 1 - s, (1 - vbar / s) / 2 if s > 0 else 0.0
-    return branch, np.clip((p, q, 0.0), 0.0, 1.0)
+    return branch, np.clip((p, q), 0.0, 1.0)
 
 
 def calibrate_noise(vx, vy, fidelity) -> CalibrationResult:
     """Noise parameters whose exact-mode observables reach the targets.
 
     Starts from the model's closed-form inverse (`closed_form_start`) and
-    refines (depolarizing, dephasing, symmetric readout confusion) with
-    Nelder-Mead on the observables measured through the tomography
-    pipeline, so the result is never worse than the start under the
-    objective. Feasible targets are matched to better than 1e-3;
-    near-frontier targets return the best fit with residuals; targets
-    further than 0.05 from the reachable set raise CalibrationError
-    describing the frontier.
+    refines (depolarizing, dephasing) with Nelder-Mead on the observables
+    measured through the tomography pipeline, so the result is never worse
+    than the start under the objective. Feasible targets are matched to
+    better than 1e-3; near-frontier targets return the best fit with
+    residuals; targets further than 0.05 from the reachable set raise
+    CalibrationError describing the frontier.
     """
     for name, v in (("vx", vx), ("vy", vy), ("fidelity", fidelity)):
         if not 0.0 <= v <= 1.0:
@@ -140,22 +141,20 @@ def calibrate_noise(vx, vy, fidelity) -> CalibrationResult:
         _objective, start, args=(targets,), method="Nelder-Mead",
         options={"xatol": 1e-9, "fatol": 1e-13, "maxiter": 2000},
     )
-    p, q, eps = np.clip(res.x, 0.0, 1.0)
-    noise = NoiseModel(depolarizing=float(p), dephasing=float(q),
-                       eps01=float(eps), eps10=float(eps))
+    p, q = np.clip(res.x, 0.0, 1.0)
+    noise = NoiseModel(depolarizing=float(p), dephasing=float(q))
     achieved = exact_observables(noise)
     residuals = {k: achieved[k] - targets[k] for k in targets}
     result = CalibrationResult(noise=noise, achieved=achieved, residuals=residuals,
                                branch=branch)
 
     if result.max_residual() > RESIDUAL_LIMIT:
-        vbar = (targets["vx"] + targets["vy"]) / 2
+        vbar, low, high = _band(vx, vy)
         raise CalibrationError(
             "targets are not reachable by the noise model: requested "
             f"(vx={vx:.4g}, vy={vy:.4g}, F={fidelity:.4g}) but the model frontier "
-            f"pins F between {(1 + 3 * vbar) / 4:.4g} and {(1 + vbar) / 2:.4g} at mean "
-            f"visibility {vbar:.4g}; closest achievable "
-            f"(vx={achieved['vx']:.4g}, vy={achieved['vy']:.4g}, "
+            f"pins F between {low:.4g} and {high:.4g} at mean visibility {vbar:.4g}; closest "
+            f"achievable (vx={achieved['vx']:.4g}, vy={achieved['vy']:.4g}, "
             f"F={achieved['fidelity']:.4g})"
         )
     return result

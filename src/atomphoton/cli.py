@@ -53,28 +53,33 @@ from .tomography import (
 
 # Noise preset reproducing the demonstrated source: depolarizing weight
 # 0.14 gives exact fringe visibility 0.86 in both analysis bases.
-DEFAULT_NOISE = {"depolarizing": 0.14, "dephasing": 0.0, "eps01": 0.0, "eps10": 0.0}
+DEFAULT_NOISE = NoiseModel(depolarizing=0.14)
 
 ATOM_BASES = {"sx": ATOM_SX, "sy": ATOM_SY}
 
 
 def parse_config(path):
-    """{key: (line number, raw value)}; each known key at most once."""
+    """{key: (line number, raw value)}; each known key at most once. The file
+    is UTF-8; a byte-order mark is allowed."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            lines = list(fh)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     cfg = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            if key in cfg:
-                raise ValueError(f"{path}:{lineno}: config key {key!r} repeated, "
-                                 f"first set on line {cfg[key][0]}")
-            cfg[key] = (lineno, value)
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in cfg:
+            raise ValueError(f"{path}:{lineno}: config key {key!r} repeated, "
+                             f"first set on line {cfg[key][0]}")
+        cfg[key] = (lineno, value)
     return cfg
 
 
@@ -104,7 +109,7 @@ def _require_at_least(params, key, low):
 
 # (key, type, default) of each command. A key is both the flag
 # --<key with dashes> and the config key <key>.
-_NOISE_KEYS = tuple((key, float, value) for key, value in DEFAULT_NOISE.items())
+_NOISE_KEYS = tuple((f.name, float, getattr(DEFAULT_NOISE, f.name)) for f in fields(NoiseModel))
 _SCAN_KEYS = _NOISE_KEYS + (
     ("n_points", int, 18),
     ("n_per_point", int, 300),
@@ -129,8 +134,12 @@ _FLAG_HELP = {
 }
 
 
+def _noise(params):
+    return NoiseModel(**{key: params[key] for key, _, _ in _NOISE_KEYS})
+
+
 def cmd_scan(args, params, written):
-    noise = NoiseModel(**{k: params[k] for k in DEFAULT_NOISE})
+    noise = _noise(params)
     bases = [b.strip() for b in params["bases"].split(",") if b.strip()]
     unknown = [b for b in bases if b not in ATOM_BASES]
     if unknown:
@@ -205,9 +214,8 @@ def cmd_tomo(args, params, written):
     if params["input"] is not None:
         dataset = read_counts_csv(params["input"])
     else:
-        noise = NoiseModel(**{k: params[k] for k in DEFAULT_NOISE})
         dataset = simulate_tomography(ideal_state(), params["n_per_setting"],
-                                      noise=noise, seed=args.seed, exact=args.exact)
+                                      noise=_noise(params), seed=args.seed, exact=args.exact)
         counts_path = args.out + ".counts.csv"
         written += [counts_path, sidecar_path(counts_path)]
         write_counts_csv(dataset, counts_path)

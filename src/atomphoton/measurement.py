@@ -68,7 +68,12 @@ PHOTON_SZ = PhotonSetting(circular=True)
 def outcome_operators(settings):
     """Stacked outcome operators Pi_a (x) Pi_d, four per setting in outcome
     order: shape (4 * len(settings), 4, 4). This is the only place a setting
-    is interpreted; tomography builds its design matrix from these operators."""
+    is interpreted; tomography builds its design matrix from these operators.
+    A setting with an angle that is not finite is an error naming it
+    (counted from 1)."""
+    for n, s in enumerate(settings):
+        if not all(map(math.isfinite, (s.atom.theta, s.atom.phi, s.photon.beta))):
+            raise ValueError(f"record {n + 1} ({s.atom}, {s.photon}): angles must be finite")
     # per setting, the atomic ket transferred to F=2 and the photon ket APD1
     # detects, from scalar math.sin, math.cos and np.exp: the artifacts
     # depend on their last bits

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -108,10 +107,7 @@ class TomographySet:
     def from_dataset(cls, dataset: Dataset):
         """One row per distinct setting: records with bitwise-equal outcome
         operators are summed into the first, in record order. A record with an
-        angle that is not finite is an error naming it (counted from 1)."""
-        for n, s in enumerate(dataset.settings):
-            if not all(map(math.isfinite, (s.atom.theta, s.atom.phi, s.photon.beta))):
-                raise ValueError(f"record {n + 1} ({s.atom}, {s.photon}): angles must be finite")
+        angle that is not finite is refused by `outcome_operators`."""
         ops = outcome_operators(dataset.settings).reshape(-1, 4, 4, 4)
         first = {}
         rows = [first.setdefault(op.tobytes(), len(first)) for op in ops]

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from atomphoton import calibrate
 from atomphoton.calibrate import (
     CalibrationError,
     calibrate_noise,
@@ -29,8 +30,8 @@ def in_band_targets(draw):
 
 
 def _noise(start):
-    p, q, eps = start
-    return NoiseModel(depolarizing=p, dephasing=q, eps01=eps, eps10=eps)
+    p, q = start
+    return NoiseModel(depolarizing=p, dephasing=q)
 
 
 class TestExactObservables:
@@ -66,7 +67,6 @@ class TestClosedFormStart:
         branch, start = closed_form_start(vx, vy, f)
         obs = exact_observables(_noise(start))
         assert branch == "in_band"
-        assert start[2] == 0.0
         vbar = (vx + vy) / 2
         assert abs(obs["vx"] - vbar) < 1e-12
         assert abs(obs["vy"] - vbar) < 1e-12
@@ -78,7 +78,6 @@ class TestClosedFormStart:
         branch, start = closed_form_start(vx, vy, f)
         assume(branch != "in_band")
         obs = exact_observables(_noise(start))
-        assert start[2] == 0.0
         if branch == "below":
             # p is clipped at 1 below F = 1/4, where the state is fully mixed
             assert abs(obs["fidelity"] - max(f, 0.25)) < 1e-12
@@ -109,7 +108,7 @@ class TestCalibrateNoise:
     def test_fully_mixed_target_without_division_by_zero(self):
         # s = 4F - 1 - 2vbar is 0 here: the in-band start must not divide by it
         branch, start = closed_form_start(0.0, 0.0, 0.25)
-        assert branch == "in_band" and tuple(start) == (1.0, 0.0, 0.0)
+        assert branch == "in_band" and tuple(start) == (1.0, 0.0)
         res = calibrate_noise(0.0, 0.0, 0.25)
         assert res.noise.depolarizing == 1.0
         assert res.max_residual() < 1e-12
@@ -134,6 +133,37 @@ class TestCalibrateNoise:
         again = exact_observables(res.noise)
         for key in ("vx", "vy", "fidelity"):
             assert abs(again[key] - res.achieved[key]) < 1e-9
+
+    @pytest.mark.parametrize("targets", [(0.9, 0.9, 0.93), (0.8, 0.82, 0.88),
+                                         (0.95, 0.93, 0.96), (0.8, 0.8, 0.875)])
+    def test_frozen_in_band_targets_matched_to_1e8(self, targets):
+        vx, vy, f = targets
+        res = calibrate_noise(vx, vy, f)
+        assert res.branch == "in_band"
+        assert abs(res.residuals["fidelity"]) <= 1e-8
+        assert abs((res.achieved["vx"] + res.achieved["vy"]) / 2 - (vx + vy) / 2) <= 1e-8
+
+    @pytest.mark.parametrize("targets", [(0.9, 0.9, 0.93), (0.85, 0.87, 0.875),
+                                         (0.78, 0.78, 0.9), (1.0, 1.0, 1.0)])
+    def test_readout_confusion_not_searched(self, targets):
+        """p and eps reach the observables only as (1-2eps)(1-p): eps stays 0."""
+        res = calibrate_noise(*targets)
+        assert res.noise.eps01 == res.noise.eps10 == 0.0
+
+    def test_objective_evaluations_over_benchmark_targets(self, monkeypatch):
+        """The six targets of every branch take fewer than the 1,021
+        exact_observables calls the three-parameter search took."""
+        calls = []
+
+        def counted(noise):
+            calls.append(noise)
+            return exact_observables(noise)
+
+        monkeypatch.setattr(calibrate, "exact_observables", counted)
+        for targets in [(0.9, 0.9, 0.93), (0.8, 0.82, 0.88), (0.85, 0.87, 0.875),
+                        (0.78, 0.78, 0.9), (1.0, 1.0, 1.0), (0.95, 0.93, 0.96)]:
+            calibrate_noise(*targets)
+        assert len(calls) < 1021
 
     def test_feasible_triple_matched_tightly(self):
         # vx = vy = 0.8 with F = (1 + 2*0.8 + 0.9)/4 = 0.875 is reachable

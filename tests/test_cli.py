@@ -17,6 +17,7 @@ from atomphoton import cli
 from atomphoton.cli import main
 from atomphoton.measurement import read_counts_csv
 from atomphoton.metrics import fit_fringe
+from atomphoton.states import NoiseModel
 
 
 def run_cli(args):
@@ -397,6 +398,25 @@ class TestConfigFile:
         assert f"{cfg}:3: config key 'depolarizing' repeated, first set on line 1" in err
         assert not os.path.exists(out + ".counts.csv")
 
+    def test_byte_order_mark_accepted(self, tmp_path):
+        text = "depolarizing = 0.2\nn_points = 6\n"
+        (tmp_path / "plain.cfg").write_text(text, encoding="utf-8")
+        (tmp_path / "bom.cfg").write_text(text, encoding="utf-8-sig")
+        for name in ("plain", "bom"):
+            assert run_cli(["--config", str(tmp_path / f"{name}.cfg"), "--seed", "4",
+                            "--out", str(tmp_path / name), "scan"]) == 0
+        for suffix in (".counts.csv", ".fringes.csv", ".metrics.json"):
+            assert (tmp_path / f"bom{suffix}").read_bytes() == \
+                (tmp_path / f"plain{suffix}").read_bytes()
+
+    def test_undecodable_config_named(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"# d\xe9phasage\ndephasing = 0.1\n")
+        assert run_cli(["--config", str(cfg), "--out", str(tmp_path / "x"), "scan"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: ") and "can't decode byte 0xe9" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["latin1.cfg"]
+
     def test_one_file_serves_every_command(self, tmp_path):
         cfg = tmp_path / "shared.cfg"
         cfg.write_text(
@@ -457,6 +477,14 @@ class TestCommandTable:
         flags = {s for a in sub.choices[command]._actions for s in a.option_strings}
         assert flags == {"-h", "--help"} | {flag(k) for k, _, _ in cli._COMMANDS[command][2]}
         assert cli._CONFIG_KEYS == {key for _, key, _, _ in TABLE}
+
+    @pytest.mark.parametrize("command", ["scan", "tomo"])
+    def test_noise_flags_are_the_noise_model_fields(self, command):
+        keys = cli._COMMANDS[command][2]
+        names = [f.name for f in dataclasses.fields(NoiseModel)]
+        assert [key for key, _, _ in keys[:len(names)]] == names
+        params = cli._merged(cli.build_parser().parse_args([command]), keys)
+        assert cli._noise(params) == NoiseModel(depolarizing=0.14)
 
 
 class TestFlagValidation:
@@ -520,6 +548,19 @@ class TestCountsCsvIngest:
         assert run_cli(["--out", str(tmp_path / "o"), "tomo", "--input", str(path)]) == 1
         err = capsys.readouterr().err
         assert str(path) in err and message in err
+
+    @pytest.mark.parametrize("row, message", [
+        (b"0.78\xff,0,0,10,20,30,40,linear\n", "can't decode byte 0xff"),
+        (b"0,0,0,10,20,30,40," + b"x" * 131_073 + b"\n", "field larger than field limit"),
+    ], ids=["non-utf8-byte", "oversized-field"])
+    def test_unreadable_csv_refused(self, tmp_path, capsys, row, message):
+        path = tmp_path / "bad.counts.csv"
+        path.write_bytes(b"theta,phi,beta,n_f2_apd1,n_f2_apd2,n_f1_apd1,n_f1_apd2,photon_basis\n"
+                         + row)
+        assert run_cli(["--out", str(tmp_path / "o"), "tomo", "--input", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and message in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.counts.csv"]
 
     @pytest.mark.parametrize("sidecar, message", [
         ('{"exact": "false"}', "field 'exact' must be true or false, got \"false\""),

@@ -307,6 +307,16 @@ class TestOutcomeOperators:
     def test_empty_setting_list(self):
         assert outcome_operators([]).shape == (0, 4, 4)
 
+    @pytest.mark.parametrize("exact", [False, True], ids=["sampled", "exact"])
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_refused_by_name(self, angle, exact):
+        """Simulation reads its settings through outcome_operators, which
+        names a non-finite angle before any probability is formed."""
+        settings = [photon_at(), MeasurementSetting(AtomSetting(theta=angle), PhotonSetting())]
+        with pytest.raises(ValueError,
+                           match=rf"^record 2 \(.*theta={angle}.*\): angles must be finite$"):
+            simulate_settings(ideal_state(), settings, 10, exact=exact)
+
 
 def old_loop_confusion(p, eps01, eps10):
     """The per-row loop that readout confusion used to be, kept as the
@@ -662,6 +672,18 @@ class TestCsvValidation:
         ds = read_counts_csv(path)
         assert ds.settings[0].atom.theta == math.pi / 4
         assert np.array_equal(ds.records, [[10, 20, 30, 40]])
+
+    @pytest.mark.parametrize("row, message", [
+        (b"0.78\xff,0,0,10,20,30,40,linear\n", "can't decode byte 0xff"),
+        (b"0,0,0,10,20,30,40," + b"x" * 131_073 + b"\n", "field larger than field limit"),
+    ], ids=["non-utf8-byte", "oversized-field"])
+    def test_unreadable_text_named(self, tmp_path, row, message):
+        """Bytes the csv module cannot read as text rows are an error naming the file."""
+        path = tmp_path / "bad.counts.csv"
+        path.write_bytes((self.HEADER + self.GOOD).encode() + row)
+        with pytest.raises(ValueError) as exc:
+            read_counts_csv(path)
+        assert str(exc.value).startswith(f"{path}: ") and message in str(exc.value)
 
     def test_missing_columns_named(self, tmp_path):
         path = tmp_path / "short.counts.csv"
