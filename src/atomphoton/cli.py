@@ -184,7 +184,7 @@ def cmd_scan(args, params, written):
                     raise ValueError(f"{b} APD{d + 1} fringe, events at {np.count_nonzero(seen)} "
                                      f"of {n_points} scan points: {exc}") from None
                 fits[b][f"apd{d + 1}"] = asdict(fit)
-                for beta, p_k, err in zip(betas, p[:, d], errors[:, d]):
+                for beta, p_k, err in zip(betas, p[:, d].tolist(), errors[:, d].tolist()):
                     cells = ["", ""] if math.isnan(p_k) else [f"{p_k:.17g}", f"{err:.17g}"]
                     writer.writerow([b, d + 1, f"{beta:.17g}", *cells])
 

@@ -189,7 +189,8 @@ def write_counts_csv(dataset: Dataset, path):
     with atomic_open(path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(("theta", "phi", "beta") + COUNT_COLUMNS + ("photon_basis",))
-        for s, counts in zip(dataset.settings, dataset.records):
+        # Python floats format faster than numpy scalars, to the same text
+        for s, counts in zip(dataset.settings, dataset.records.tolist()):
             row = [f"{s.atom.theta:.17g}", f"{s.atom.phi:.17g}", f"{s.photon.beta:.17g}"]
             row += [f"{c:.17g}" for c in counts]
             row.append("circular" if s.photon.circular else "linear")

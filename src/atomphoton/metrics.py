@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -64,32 +65,46 @@ class VisibilityFit:
     clipped: bool = False  # fitted curve exits [0, 1]
 
 
+@functools.lru_cache(maxsize=32)
+def _fringe_solver(grid):
+    """(design, pseudo-inverse) of the beta grid whose float64 bytes are
+    `grid`, both read-only: one SVD per grid, as callers fit many curves on
+    one grid. A grid that fails the rank rule raises and is not cached."""
+    b = np.frombuffer(grid)
+    design = np.column_stack([np.ones_like(b), np.cos(2 * b), np.sin(2 * b)])
+    u, sv, vt = np.linalg.svd(design, full_matrices=False)
+    if np.count_nonzero(sv > 1e-9) < 3:
+        raise ValueError("degenerate design: beta values do not resolve the fringe"
+                         " (all equal mod pi/2)")
+    pinv = (vt.T / sv) @ u.T
+    design.flags.writeable = pinv.flags.writeable = False
+    return design, pinv
+
+
 def fit_fringe(betas, p) -> VisibilityFit:
     """Least-squares fit of p(beta) = offset + (V/2) cos(2 beta - phase) to
     conditional probabilities p at analyzer angles betas (radians).
 
     The angular frequency is fixed at 2 (period pi); the fit is linear in
     (offset, c1, c2) with V = 2 sqrt(c1^2 + c2^2), so it is closed-form
-    and deterministic.
+    and deterministic: one product with the grid's pseudo-inverse, which is
+    computed once per grid.
     """
     b, p = np.asarray(betas, dtype=float), np.asarray(p, dtype=float)
     if len(b) != len(p):
         raise ValueError("betas and probabilities must have equal length")
     if len(b) < 4:
         raise ValueError("need at least 4 points to fit 3 parameters")
-    design = np.column_stack([np.ones_like(b), np.cos(2 * b), np.sin(2 * b)])
-    coef, _, _, sv = np.linalg.lstsq(design, p, rcond=None)
-    if np.count_nonzero(sv > 1e-9) < 3:
-        raise ValueError("degenerate design: beta values do not resolve the fringe"
-                         " (all equal mod pi/2)")
-    c0, c1, c2 = coef
+    design, pinv = _fringe_solver(b.tobytes())
+    coef = pinv @ p
+    c0, c1, c2 = coef.tolist()
     visibility = 2.0 * math.hypot(c1, c2)
     phase = math.atan2(c2, c1)
     residuals = p - design @ coef
-    rms = float(np.sqrt(np.mean(residuals**2)))
+    rms = math.sqrt(float((residuals * residuals).sum()) / len(p))   # np.mean's sum and division
     clipped = bool(c0 + visibility / 2 > 1.0 + 1e-12 or c0 - visibility / 2 < -1e-12)
-    return VisibilityFit(visibility=float(visibility), offset=float(c0),
-                         phase=float(phase), rms_residual=rms, clipped=clipped)
+    return VisibilityFit(visibility=visibility, offset=c0, phase=phase, rms_residual=rms,
+                         clipped=clipped)
 
 
 def fringe_scans(rows):

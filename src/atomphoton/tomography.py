@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-import numpy.ma  # noqa: F401  np.percentile imports it on first use; load it with the package
 
 from . import qmath
 from .artifacts import write_json
@@ -556,8 +556,8 @@ def bootstrap_metrics(rho_hat, ts: TomographySet, n_replicas=250, seed=0):
     if (totals % 1.0).any():   # a whole number of trials each, not rounded to one
         raise ValueError(f"bootstrap: setting totals {totals.tolist()} are not all whole numbers")
     d = ts.design
-    probs = outcome_probabilities(rho_hat, d.operators)
-    draws = np.array([record_rng(seed, k).multinomial(totals.astype(np.int64), probs)
+    probs, trials = outcome_probabilities(rho_hat, d.operators), totals.astype(np.int64)
+    draws = np.array([record_rng(seed, k).multinomial(trials, probs)
                       for k in range(n_replicas)], dtype=float)
     x, *_ = _fit_stack(_with_prior(draws, False), _inverted_coefficients(draws, d.inverse),
                        d.matrix, d.matrix_t)
@@ -566,12 +566,22 @@ def bootstrap_metrics(rho_hat, ts: TomographySet, n_replicas=250, seed=0):
     for name, fn in (("fidelity", fidelity_to_target), ("negativity", negativity),
                      ("purity", purity)):
         vals = fn(rhos)
+        ranked = np.sort(vals).tolist()
         out[name] = {
             "mean": float(vals.mean()),
             "std": float(vals.std(ddof=1)) if n_replicas > 1 else 0.0,
-            "ci95": [float(np.percentile(vals, 2.5)), float(np.percentile(vals, 97.5))],
+            "ci95": [_percentile(ranked, 2.5), _percentile(ranked, 97.5)],
         }
     return out
+
+
+def _percentile(ranked, q):
+    """np.percentile's default ("linear") rule on sorted values, bit for bit,
+    without the numpy.ma import that np.percentile makes on first use."""
+    h = (len(ranked) - 1) * (q / 100)
+    lo = math.floor(h)
+    a, b, g = ranked[lo], ranked[min(lo + 1, len(ranked) - 1)], h - lo
+    return a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g)
 
 
 # ----------------------------------------------------------------------

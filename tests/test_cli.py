@@ -656,18 +656,20 @@ class TestLabCounts:
 class TestImports:
     def test_scipy_and_lazy_numpy_modules_stay_off_the_command_path(self, tmp_path):
         # scipy is for calibrate alone; numpy modules that the first tomo or scan
-        # would import lazily are loaded with the package instead
+        # would import lazily are loaded with the package instead, and numpy.ma
+        # (12-25 ms, which np.percentile imports) not at all
         code = f"""
 import contextlib, io, sys
 import atomphoton.cli as cli
 loaded = set(sys.modules)
 assert not [m for m in loaded if m.startswith("scipy")], "scipy loaded on import"
-for argv in (["tomo", "--bootstrap", "3"], ["scan"]):
+for argv in (["tomo", "--bootstrap", "5"], ["scan"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["--out", {str(tmp_path / "run")!r}, *argv]) == 0
     new = sorted(m for m in set(sys.modules) - loaded
                  if m.startswith(("numpy.", "scipy")))
     assert not new, (argv[0], new)
+assert "numpy.ma" not in sys.modules, "numpy.ma loaded"
 """
         src = os.path.dirname(os.path.dirname(atomphoton.__file__))
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(

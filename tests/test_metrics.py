@@ -1,10 +1,11 @@
 """Scalar metrics and fringe fitting."""
 
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import minimize
 
 from atomphoton.measurement import (
@@ -15,6 +16,7 @@ from atomphoton.measurement import (
     outcome_probabilities,
 )
 from atomphoton.metrics import (
+    _fringe_solver,
     chsh_max,
     correlation_matrix,
     fidelity_to_target,
@@ -255,6 +257,71 @@ class TestFitFringe:
             fit = fit_fringe(betas, p)
             hits += abs(fit.visibility - 0.86) <= 0.03
         assert hits >= 45
+
+
+def fit_fringe_lstsq(betas, p):
+    """The fringe fit as one np.linalg.lstsq call on a design built per call:
+    the reference for the cached pseudo-inverse."""
+    b, p = np.asarray(betas, dtype=float), np.asarray(p, dtype=float)
+    design = np.column_stack([np.ones_like(b), np.cos(2 * b), np.sin(2 * b)])
+    coef, _, _, sv = np.linalg.lstsq(design, p, rcond=None)
+    return coef, float(np.sqrt(np.mean((p - design @ coef) ** 2))), sv
+
+
+DEGENERATE_MESSAGE = ("degenerate design: beta values do not resolve the fringe"
+                      " (all equal mod pi/2)")
+RANDOM_GRIDS = st.lists(st.floats(-2 * math.pi, 2 * math.pi), min_size=4, max_size=24)
+UNEVEN_GRIDS = st.lists(st.floats(0.01, 1.0), min_size=4, max_size=24).map(
+    lambda steps: (np.cumsum(steps) * math.pi / sum(steps) / 1.001).tolist())
+DROPPED_GRIDS = st.integers(6, 24).flatmap(lambda n: st.sets(
+    st.integers(0, n - 1), min_size=4, max_size=n).map(
+    lambda kept: [k * math.pi / n for k in sorted(kept)]))
+
+
+class TestFringeSolver:
+    @settings(max_examples=300)
+    @given(st.one_of(RANDOM_GRIDS, UNEVEN_GRIDS, DROPPED_GRIDS), st.data())
+    def test_matches_lstsq_oracle(self, betas, data):
+        p = data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(betas), max_size=len(betas)))
+        coef, rms, sv = fit_fringe_lstsq(betas, p)
+        if np.count_nonzero(sv > 1e-9) < 3:
+            with pytest.raises(ValueError, match=re.escape(DEGENERATE_MESSAGE)):
+                fit_fringe(betas, p)
+            return
+        assume(sv[-1] / sv[0] > 1e-3)   # the comparison is to 1e-12 absolute
+        fit = fit_fringe(betas, p)
+        got = [fit.offset, fit.visibility / 2 * math.cos(fit.phase),
+               fit.visibility / 2 * math.sin(fit.phase)]
+        assert np.max(np.abs(np.array(got) - coef)) <= 1e-12
+        assert abs(fit.visibility - 2 * math.hypot(coef[1], coef[2])) <= 1e-12
+        assert abs(fit.rms_residual - rms) <= 1e-12
+
+    @pytest.mark.parametrize("good_first", [True, False])
+    def test_degenerate_grid_refused_beside_cached_grid_of_its_length(self, good_first):
+        good = np.arange(4) * math.pi / 4
+        degenerate = np.array([0.3, 0.3 + math.pi / 2, 0.3 + math.pi, 0.3 + 3 * math.pi / 2])
+        _fringe_solver.cache_clear()
+        for _ in range(2):
+            if good_first:
+                assert fit_fringe(good, [0.1, 0.5, 0.9, 0.5]).visibility > 0.7
+            with pytest.raises(ValueError, match=re.escape(DEGENERATE_MESSAGE)):
+                fit_fringe(degenerate, np.full(4, 0.5))
+            if not good_first:
+                assert fit_fringe(good, [0.1, 0.5, 0.9, 0.5]).visibility > 0.7
+        assert _fringe_solver.cache_info().currsize == 1   # the degenerate grid is not kept
+
+    def test_cached_arrays_read_only_and_cache_bounded(self):
+        _fringe_solver.cache_clear()
+        design, pinv = _fringe_solver((np.arange(6) * math.pi / 6).tobytes())
+        for array in (design, pinv):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 0.0
+        maxsize = _fringe_solver.cache_info().maxsize
+        assert maxsize is not None
+        for n in range(4, maxsize + 12):
+            fit_fringe(np.arange(n) * math.pi / n, np.full(n, 0.5))
+        assert _fringe_solver.cache_info().currsize == maxsize
 
 
 def conditional_f1_loop(counts, detector):

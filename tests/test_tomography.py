@@ -33,6 +33,7 @@ from atomphoton.tomography import (
     _gradient,
     _inverted_coefficients,
     _nll,
+    _percentile,
     _projection,
     _rows,
     _solve,
@@ -986,6 +987,12 @@ def test_singular_row_leaves_the_stack_solvable():
 
 
 class TestBootstrap:
+    @settings(max_examples=300)
+    @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=400),
+           st.sampled_from([2.5, 97.5, 0.0, 50.0, 100.0]))
+    def test_percentile_matches_numpy_bit_for_bit(self, values, q):
+        assert _percentile(sorted(values), q) == float(np.percentile(values, q))
+
     def test_deterministic_and_order_independent(self):
         ds = simulate_tomography(werner(5 / 6), 200, seed=5)
         ts = TomographySet.from_dataset(ds)
