@@ -8,9 +8,15 @@ reachable fidelities form the band (1+3vbar)/4 <= F <= (1+vbar)/2. p and
 eps enter every observable only through (1-2eps)(1-p), which the targets
 cannot split, so eps is not searched but left at 0. The model's exact
 inverse on each branch starts a Nelder-Mead refinement of (p, q) through
-the tomography pipeline. Targets outside the band are fit on the frontier
-with fidelity (the headline tomography scalar) matched first, then the
-mean visibility; residuals are reported. Deeply infeasible targets raise.
+the tomography pipeline. Targets outside the band are fit near the
+frontier, fidelity (the headline tomography scalar) weighted
+FIDELITY_WEIGHT against the visibilities; residuals are reported. The
+weight is finite, so Nelder-Mead trades a little fidelity for visibility
+where the start meets fidelity to 1e-12: fidelity lands 7.1e-5 above the
+target at (0.85, 0.87, 0.875) and 7.9e-5 below it at (0.78, 0.78, 0.9),
+with q = 2.3e-14 and p = 1.2e-15 where the frontier has exact zeros.
+Returning the closed form (ROADMAP item 1, step 2) removes these residuals.
+Deeply infeasible targets raise.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import qmath
 from .measurement import (
     ATOM_SX,
     ATOM_SY,
@@ -29,7 +36,7 @@ from .measurement import (
 )
 from .metrics import fidelity_to_target, fit_fringe, fringe_scans
 from .states import NoiseModel, ideal_state
-from .tomography import Design, TomographySet, canonical_settings, linear_inversion
+from .tomography import Design, canonical_settings
 
 FIDELITY_WEIGHT = 1000.0     # fidelity-priority weighting in the fit objective
 RESIDUAL_LIMIT = 0.05        # beyond this the targets are rejected as infeasible
@@ -59,15 +66,21 @@ _OPERATORS = outcome_operators(
      for atom in (ATOM_SX, ATOM_SY) for b in _FRINGE_BETAS] + canonical_settings()
 )
 _TOMOGRAPHY = Design(_OPERATORS[48:])
+# Linear inversion's fidelity is linear in the frequencies f:
+# F = sum_m r_m <psi|P_m|psi>/4 with r = A+ f. The identity's term is r_0/4 =
+# tr(rho)/4, exactly 1/4; the other fifteen make the weights c of F = 1/4 + c.f.
+_FIDELITY_WEIGHTS = (fidelity_to_target(qmath.PAULI_PRODUCTS.reshape(16, 4, 4)[1:] / 4)
+                     @ _TOMOGRAPHY.inverse[1:])
 
 
 def exact_observables(noise: NoiseModel):
     """Exact-mode (vx, vy, fidelity) produced by a noise model.
 
     Fringe visibilities come from fitting the readout-confused exact
-    conditionals; fidelity from exact-count tomography through linear
-    inversion, i.e. the same readout-dressed state the tomography
-    pipeline reconstructs.
+    conditionals; fidelity is that of exact-count tomography through linear
+    inversion, i.e. of the same readout-dressed state the tomography
+    pipeline reconstructs, taken as one product with the design's
+    pseudo-inverse.
     """
     probs = noisy_probabilities(ideal_state(), _OPERATORS, noise)
 
@@ -75,11 +88,10 @@ def exact_observables(noise: NoiseModel):
         p, _ = fringe_scans(probs[block * 6:(block + 1) * 6])
         return fit_fringe(_FRINGE_BETAS, p[:, 0]).visibility
 
-    rho_rec = linear_inversion(TomographySet(probs[12:], _TOMOGRAPHY, exact=True))
     return {
         "vx": fringe_visibility(0),
         "vy": fringe_visibility(1),
-        "fidelity": fidelity_to_target(rho_rec),
+        "fidelity": 0.25 + float(_FIDELITY_WEIGHTS @ probs[12:].ravel()),
     }
 
 
@@ -123,9 +135,11 @@ def calibrate_noise(vx, vy, fidelity) -> CalibrationResult:
     refines (depolarizing, dephasing) with Nelder-Mead on the observables
     measured through the tomography pipeline, so the result is never worse
     than the start under the objective. Feasible targets are matched to
-    better than 1e-3; near-frontier targets return the best fit with
-    residuals; targets further than 0.05 from the reachable set raise
-    CalibrationError describing the frontier.
+    better than 1e-3; near-frontier targets return the best fit under the
+    objective with residuals, fidelity not matched exactly (up to 7.9e-5
+    off on the benchmark targets) and p or q off zero by rounding (see the
+    module docstring); targets further than 0.05 from the reachable set
+    raise CalibrationError describing the frontier.
     """
     for name, v in (("vx", vx), ("vy", vy), ("fidelity", fidelity)):
         if not 0.0 <= v <= 1.0:

@@ -65,12 +65,21 @@ class VisibilityFit:
     clipped: bool = False  # fitted curve exits [0, 1]
 
 
+def _require_finite(name, values):
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        k = bad[0]
+        raise ValueError(f"{name}[{k}] is {values[k]}, not finite: drop the point from the fit")
+
+
 @functools.lru_cache(maxsize=32)
 def _fringe_solver(grid):
     """(design, pseudo-inverse) of the beta grid whose float64 bytes are
     `grid`, both read-only: one SVD per grid, as callers fit many curves on
-    one grid. A grid that fails the rank rule raises and is not cached."""
+    one grid. A grid with a non-finite angle or that fails the rank rule
+    raises and is not cached."""
     b = np.frombuffer(grid)
+    _require_finite("betas", b)
     design = np.column_stack([np.ones_like(b), np.cos(2 * b), np.sin(2 * b)])
     u, sv, vt = np.linalg.svd(design, full_matrices=False)
     if np.count_nonzero(sv > 1e-9) < 3:
@@ -88,7 +97,9 @@ def fit_fringe(betas, p) -> VisibilityFit:
     The angular frequency is fixed at 2 (period pi); the fit is linear in
     (offset, c1, c2) with V = 2 sqrt(c1^2 + c2^2), so it is closed-form
     and deterministic: one product with the grid's pseudo-inverse, which is
-    computed once per grid.
+    computed once per grid. A NaN or infinite angle, and then p, is an
+    error naming the first such index: drop a point without events
+    (`fringe_scans` gives it p = NaN) before the fit.
     """
     b, p = np.asarray(betas, dtype=float), np.asarray(p, dtype=float)
     if len(b) != len(p):
@@ -98,6 +109,8 @@ def fit_fringe(betas, p) -> VisibilityFit:
     design, pinv = _fringe_solver(b.tobytes())
     coef = pinv @ p
     c0, c1, c2 = coef.tolist()
+    if not math.isfinite(c0):   # a NaN or infinite p makes every coefficient so
+        _require_finite("p", p)
     visibility = 2.0 * math.hypot(c1, c2)
     phase = math.atan2(c2, c1)
     residuals = p - design @ coef

@@ -58,11 +58,15 @@ _SZ_I = qmath.PAULI_PRODUCTS[3, 0]
 def apply_noise(rho, noise: NoiseModel):
     """Depolarize, then dephase the atomic qubit. Readout confusion is not
     applied here; it acts on measurement outcomes."""
-    out = qmath.check_density_matrix(rho)
+    return _channels(qmath.check_density_matrix(rho), noise)
+
+
+def _channels(rho, noise: NoiseModel):
+    """`apply_noise` on a state already checked, a 4x4 complex ndarray: the
+    package's own states skip the gate's eigvalsh."""
     p, q = noise.depolarizing, noise.dephasing
-    out = (1 - p) * out + p * np.eye(4, dtype=complex) / 4
-    out = (1 - q) * out + q * (_SZ_I @ out @ _SZ_I)
-    return out
+    out = (1 - p) * rho + p * np.eye(4, dtype=complex) / 4
+    return (1 - q) * out + q * (_SZ_I @ out @ _SZ_I)
 
 
 def werner(v):

@@ -3,14 +3,19 @@
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from atomphoton import calibrate
+from atomphoton import calibrate, qmath
 from atomphoton.calibrate import (
+    _OPERATORS,
+    _TOMOGRAPHY,
     CalibrationError,
     calibrate_noise,
     closed_form_start,
     exact_observables,
 )
-from atomphoton.states import NoiseModel
+from atomphoton.measurement import noisy_probabilities
+from atomphoton.metrics import fidelity_to_target
+from atomphoton.states import NoiseModel, ideal_state
+from atomphoton.tomography import TomographySet, linear_inversion
 
 UNIT = st.floats(0.0, 1.0)
 
@@ -57,6 +62,22 @@ class TestExactObservables:
         obs = exact_observables(NoiseModel(dephasing=0.05))
         assert abs(obs["vx"] - 0.9) < 1e-9
         assert abs(obs["fidelity"] - (1 + 2 * 0.9 + 1.0) / 4) < 1e-9
+
+    @settings(max_examples=1000)
+    @given(UNIT, UNIT)
+    @example(1.0, 0.0)
+    def test_fidelity_equals_linear_inversion(self, p, q):
+        """F = 1/4 + c.f agrees with the fidelity of the linear-inversion
+        state to two units in the last place (exactly where that state is
+        I/4)."""
+        noise = NoiseModel(depolarizing=p, dephasing=q)
+        probs = noisy_probabilities(ideal_state(), _OPERATORS, noise)
+        want = fidelity_to_target(
+            linear_inversion(TomographySet(probs[12:], _TOMOGRAPHY, exact=True)))
+        got = exact_observables(noise)["fidelity"]
+        assert abs(got - want) <= 4.4e-16
+        if (p, q) == (1.0, 0.0):
+            assert got == want
 
 
 class TestClosedFormStart:
@@ -164,6 +185,21 @@ class TestCalibrateNoise:
                         (0.78, 0.78, 0.9), (1.0, 1.0, 1.0), (0.95, 0.93, 0.96)]:
             calibrate_noise(*targets)
         assert len(calls) < 1021
+
+    def test_package_state_not_checked_per_evaluation(self, monkeypatch):
+        """Calibration simulates only the package's own ideal state, so no
+        evaluation runs the density-matrix gate."""
+        checked, check = [], qmath.check_density_matrix
+
+        def counted(rho):
+            checked.append(rho)
+            return check(rho)
+
+        monkeypatch.setattr(qmath, "check_density_matrix", counted)
+        for targets in [(0.9, 0.9, 0.93), (0.8, 0.82, 0.88), (0.85, 0.87, 0.875),
+                        (0.78, 0.78, 0.9), (1.0, 1.0, 1.0), (0.95, 0.93, 0.96)]:
+            calibrate_noise(*targets)
+        assert checked == []
 
     def test_feasible_triple_matched_tightly(self):
         # vx = vy = 0.8 with F = (1 + 2*0.8 + 0.9)/4 = 0.875 is reachable

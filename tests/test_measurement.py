@@ -29,6 +29,7 @@ from atomphoton.measurement import (
 )
 from atomphoton.metrics import fit_fringe, fringe_scans
 from atomphoton.states import NoiseModel, apply_noise, ideal_state, werner
+from atomphoton.tomography import simulate_tomography
 
 I2 = np.eye(2, dtype=complex)
 I4 = np.eye(4, dtype=complex)
@@ -226,10 +227,12 @@ class TestJointProbabilities:
             assert np.max(np.abs(p1 - p2)) < 1e-12
 
     def test_unphysical_state_rejected(self):
-        # the noise model is where a state enters simulation, and it validates it
+        # a state enters simulation through simulate_settings, which checks it
         bad = np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex)
         with pytest.raises(ValueError, match="not PSD"):
-            noisy_probabilities(bad, outcome_operators([SETTING_GRID[0]]), NoiseModel())
+            simulate_settings(bad, SETTING_GRID[:1], 10, noise=NoiseModel(depolarizing=0.1))
+        with pytest.raises(ValueError, match="not PSD"):
+            simulate_tomography(bad, 10, exact=True)
 
     @pytest.mark.parametrize("rho, message", [
         (np.eye(2) / 2, r"expected a 4x4 density matrix, got shape \(2, 2\)"),

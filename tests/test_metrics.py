@@ -240,6 +240,30 @@ class TestFitFringe:
         with pytest.raises(ValueError, match="equal length"):
             fit_fringe(np.arange(6) * 0.3, np.full(5, 0.5))
 
+    @pytest.mark.parametrize("bad_betas, bad_p, message", [
+        ({}, {2: math.nan}, r"p\[2\] is nan, not finite"),
+        ({}, {5: -math.inf}, r"p\[5\] is -inf, not finite"),
+        ({4: math.inf}, {}, r"betas\[4\] is inf, not finite"),
+        ({}, {1: math.nan, 3: math.inf}, r"p\[1\] is nan"),
+        ({3: -math.inf}, {1: math.nan}, r"betas\[3\] is -inf"),
+    ], ids=["nan-p", "inf-p", "inf-beta", "first-p-named", "beta-named-before-p"])
+    def test_non_finite_point_names_first_index(self, bad_betas, bad_p, message):
+        betas, p = np.arange(6) * math.pi / 6, np.full(6, 0.5)
+        betas[list(bad_betas)], p[list(bad_p)] = list(bad_betas.values()), list(bad_p.values())
+        with pytest.raises(ValueError, match=message):
+            fit_fringe(betas, p)
+
+    def test_scan_point_without_events_dropped_before_fit(self):
+        betas = np.arange(6) * math.pi / 6
+        ops = outcome_operators([MeasurementSetting(ATOM_SX, PhotonSetting(beta=b)) for b in betas])
+        rows = outcome_probabilities(werner(0.86), ops)
+        rows[2] = 0.0   # no events at beta = pi/3
+        p, events = fringe_scans(rows)
+        with pytest.raises(ValueError, match=r"p\[2\] is nan"):
+            fit_fringe(betas, p[:, 0])
+        seen = events[:, 0] > 0
+        assert abs(fit_fringe(betas[seen], p[seen, 0]).visibility - 0.86) < 1e-9
+
     def test_clipped_flagged_not_errored(self):
         betas = np.arange(8) * math.pi / 8
         p = 0.5 + 0.6 * np.cos(2 * betas)   # exits [0, 1]
