@@ -11,6 +11,7 @@ from atomphoton.calibrate import (
     calibrate_noise,
     closed_form_start,
     exact_observables,
+    model_observables,
 )
 from atomphoton.measurement import noisy_probabilities
 from atomphoton.metrics import fidelity_to_target
@@ -78,6 +79,24 @@ class TestExactObservables:
         assert abs(got - want) <= 4.4e-16
         if (p, q) == (1.0, 0.0):
             assert got == want
+
+
+class TestModelObservables:
+    @settings(max_examples=1000)
+    @given(UNIT, UNIT)
+    @example(0.0, 0.0)
+    @example(1.0, 0.0)
+    @example(0.0, 1.0)
+    @example(0.3, 0.75)
+    def test_equals_pipeline(self, p, q):
+        """The closed-form map the calibration search runs on equals the
+        observables measured through the pipeline (q > 1/2 included, where
+        the fringe fit returns |V|), so the model and the measurement cannot
+        drift apart."""
+        obs = exact_observables(NoiseModel(depolarizing=p, dephasing=q))
+        got = dict(zip(("vx", "vy", "fidelity"), model_observables(p, q)))
+        for key in got:
+            assert abs(got[key] - obs[key]) <= 1e-15
 
 
 class TestClosedFormStart:
@@ -185,6 +204,22 @@ class TestCalibrateNoise:
                         (0.78, 0.78, 0.9), (1.0, 1.0, 1.0), (0.95, 0.93, 0.96)]:
             calibrate_noise(*targets)
         assert len(calls) < 1021
+
+    @pytest.mark.parametrize("targets", [(0.9, 0.9, 0.93), (0.8, 0.82, 0.88),
+                                         (0.85, 0.87, 0.875), (0.78, 0.78, 0.9),
+                                         (1.0, 1.0, 1.0), (0.95, 0.93, 0.96)])
+    def test_one_pipeline_measurement_per_target(self, monkeypatch, targets):
+        """The search runs on the closed-form map; the pipeline measures only
+        the returned model, once."""
+        calls = []
+
+        def counted(noise):
+            calls.append(noise)
+            return exact_observables(noise)
+
+        monkeypatch.setattr(calibrate, "exact_observables", counted)
+        res = calibrate_noise(*targets)
+        assert calls == [res.noise]
 
     def test_package_state_not_checked_per_evaluation(self, monkeypatch):
         """Calibration simulates only the package's own ideal state, so no
