@@ -7,17 +7,17 @@ F = (1 + (1-2eps)(1-p)(3-4q))/4, so at mean target visibility vbar the
 reachable fidelities form the band (1+3vbar)/4 <= F <= (1+vbar)/2. p and
 eps enter every observable only through (1-2eps)(1-p), which the targets
 cannot split, so eps is not searched but left at 0. The model's exact
-inverse on each branch starts a Nelder-Mead refinement of (p, q) on the
-model's closed-form observables; the result is measured once through the
-tomography pipeline. Targets outside the band are fit near the frontier,
-fidelity (the headline tomography scalar) weighted FIDELITY_WEIGHT
-against the visibilities; residuals are reported. The
-weight is finite, so Nelder-Mead trades a little fidelity for visibility
-where the start meets fidelity to 1e-12: fidelity lands 7.1e-5 above the
-target at (0.85, 0.87, 0.875) and 7.9e-5 below it at (0.78, 0.78, 0.9),
-with q = 2.3e-14 and p = 1.2e-15 where the frontier has exact zeros.
-Returning the closed form (ROADMAP item 1, step 2) removes these residuals.
-Deeply infeasible targets raise.
+inverse on each branch starts a Nelder-Mead refinement of (p, q), bounded
+to the unit square, on the model's closed-form observables; the result is
+measured once through the tomography pipeline. Targets outside the band
+are fit near the frontier, fidelity (the headline tomography scalar)
+weighted FIDELITY_WEIGHT against the visibilities; residuals are reported.
+The weight is finite, so Nelder-Mead trades a little fidelity for
+visibility where the start meets fidelity to 1e-12: fidelity lands 7.1e-5
+above the target at (0.85, 0.87, 0.875) and 7.9e-5 below it at
+(0.78, 0.78, 0.9). The bounds hold q and p at the frontier's exact zeros
+there. Returning the closed form (ROADMAP item 1, step 2) removes these
+residuals. Deeply infeasible targets raise.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import qmath
 from .measurement import (
     ATOM_SX,
     ATOM_SY,
@@ -37,7 +36,7 @@ from .measurement import (
 )
 from .metrics import fidelity_to_target, fit_fringe, fringe_scans
 from .states import NoiseModel, ideal_state
-from .tomography import Design, canonical_settings
+from .tomography import Design, TomographySet, canonical_settings, linear_inversion
 
 FIDELITY_WEIGHT = 1000.0     # fidelity-priority weighting in the fit objective
 RESIDUAL_LIMIT = 0.05        # beyond this the targets are rejected as infeasible
@@ -60,18 +59,12 @@ class CalibrationResult:
 
 _FRINGE_BETAS = np.arange(6) * np.pi / 6
 # Fringe settings (sigma_x then sigma_y, six angles each), then the
-# canonical nine and their design: built once, as the objective is
-# evaluated many times.
+# canonical nine and their design: built once, for every `exact_observables`.
 _OPERATORS = outcome_operators(
     [MeasurementSetting(atom, PhotonSetting(beta=float(b)))
      for atom in (ATOM_SX, ATOM_SY) for b in _FRINGE_BETAS] + canonical_settings()
 )
 _TOMOGRAPHY = Design(_OPERATORS[48:])
-# Linear inversion's fidelity is linear in the frequencies f:
-# F = sum_m r_m <psi|P_m|psi>/4 with r = A+ f. The identity's term is r_0/4 =
-# tr(rho)/4, exactly 1/4; the other fifteen make the weights c of F = 1/4 + c.f.
-_FIDELITY_WEIGHTS = (fidelity_to_target(qmath.PAULI_PRODUCTS.reshape(16, 4, 4)[1:] / 4)
-                     @ _TOMOGRAPHY.inverse[1:])
 
 
 def exact_observables(noise: NoiseModel):
@@ -80,8 +73,7 @@ def exact_observables(noise: NoiseModel):
     Fringe visibilities come from fitting the readout-confused exact
     conditionals; fidelity is that of exact-count tomography through linear
     inversion, i.e. of the same readout-dressed state the tomography
-    pipeline reconstructs, taken as one product with the design's
-    pseudo-inverse.
+    pipeline reconstructs.
     """
     probs = noisy_probabilities(ideal_state(), _OPERATORS, noise)
 
@@ -92,15 +84,13 @@ def exact_observables(noise: NoiseModel):
     return {
         "vx": fringe_visibility(0),
         "vy": fringe_visibility(1),
-        "fidelity": 0.25 + float(_FIDELITY_WEIGHTS @ probs[12:].ravel()),
+        "fidelity": float(fidelity_to_target(
+            linear_inversion(TomographySet(probs[12:], _TOMOGRAPHY, exact=True)))),
     }
 
 
 def _objective(params, targets):
-    p, q = params
-    if not (0.0 <= p <= 1.0 and 0.0 <= q <= 1.0):
-        return 1e6
-    vx, vy, fidelity = model_observables(p, q)
+    vx, vy, fidelity = model_observables(*params)
     return ((vx - targets["vx"]) ** 2 + (vy - targets["vy"]) ** 2
             + FIDELITY_WEIGHT * (fidelity - targets["fidelity"]) ** 2)
 
@@ -142,16 +132,16 @@ def calibrate_noise(vx, vy, fidelity) -> CalibrationResult:
     """Noise parameters whose exact-mode observables reach the targets.
 
     Starts from the model's closed-form inverse (`closed_form_start`) and
-    refines (depolarizing, dephasing) with Nelder-Mead on its forward map
-    (`model_observables`), so the result is never worse than the start
-    under the objective. `achieved`, the residuals and the infeasibility
-    check read one measurement through the tomography pipeline
-    (`exact_observables`). Feasible targets are matched to
-    better than 1e-3; near-frontier targets return the best fit under the
+    refines (depolarizing, dephasing) with Nelder-Mead, bounded to [0, 1],
+    on its forward map (`model_observables`), so the result is never worse
+    than the start under the objective. `achieved`, the residuals and the
+    infeasibility check read one measurement through the tomography
+    pipeline (`exact_observables`). Feasible targets are matched to better
+    than 1e-3; near-frontier targets return the best fit under the
     objective with residuals, fidelity not matched exactly (up to 7.9e-5
-    off on the benchmark targets) and p or q off zero by rounding (see the
-    module docstring); targets further than 0.05 from the reachable set
-    raise CalibrationError describing the frontier.
+    off on the benchmark targets) and p or q exactly zero where the
+    frontier puts it (see the module docstring); targets further than 0.05
+    from the reachable set raise CalibrationError describing the frontier.
     """
     for name, v in (("vx", vx), ("vy", vy), ("fidelity", fidelity)):
         if not 0.0 <= v <= 1.0:
@@ -165,9 +155,9 @@ def calibrate_noise(vx, vy, fidelity) -> CalibrationResult:
     branch, start = closed_form_start(vx, vy, fidelity)
     res = minimize(
         _objective, start, args=(targets,), method="Nelder-Mead",
-        options={"xatol": 1e-9, "fatol": 1e-13, "maxiter": 2000},
+        bounds=[(0.0, 1.0)] * 2, options={"xatol": 1e-9, "fatol": 1e-13, "maxiter": 2000},
     )
-    p, q = np.clip(res.x, 0.0, 1.0)
+    p, q = res.x
     noise = NoiseModel(depolarizing=float(p), dephasing=float(q))
     achieved = exact_observables(noise)
     residuals = {k: achieved[k] - targets[k] for k in targets}

@@ -252,7 +252,8 @@ def read_counts_csv(path):
     """Dataset from a counts CSV and its sidecar, if present: a JSON object
     whose `exact`, if given, is true or false; unless it is true, counts must
     be whole numbers. Rows are numbered from 1 after the header, blank lines
-    skipped; errors name the file, row and field. A UTF-8 BOM is allowed."""
+    skipped; errors name the file, row and field. Both files are UTF-8, with
+    or without a BOM."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
@@ -271,7 +272,7 @@ def read_counts_csv(path):
         raise ValueError(f"{path}: {exc}") from exc
     sidecar = sidecar_path(path)
     try:
-        with open(sidecar) as fh:
+        with open(sidecar, encoding="utf-8-sig") as fh:
             meta = json.load(fh)
     except FileNotFoundError:
         return dataset

@@ -88,7 +88,8 @@ class Design:
 @dataclass
 class TomographySet:
     """Counts of S settings as one (S, 4) array in outcome order, and the
-    design of their 4S outcome operators, four per row of counts."""
+    design of their 4S outcome operators, four per row of counts. Each row is
+    four finite non-negative cells with a positive total."""
 
     counts: np.ndarray
     design: Design
@@ -99,9 +100,12 @@ class TomographySet:
         if self.counts.shape != (n := len(self.design.matrix) // 4, 4):
             raise ValueError(f"tomography counts must have shape {(n, 4)}, "
                              f"got {self.counts.shape}")
-        empty = np.flatnonzero(self.counts.sum(axis=1) <= 0)
-        if empty.size:
-            raise ValueError(f"setting {empty[0] + 1} has no counts")
+        cells_ok = (np.isfinite(self.counts) & (self.counts >= 0)).all(axis=1)
+        bad = np.flatnonzero(~cells_ok | (self.counts.sum(axis=1) <= 0))
+        if bad.size:
+            k = bad[0]
+            raise ValueError(f"setting {k + 1} has no counts" if cells_ok[k] else
+                             f"setting {k + 1}: counts must be four finite non-negative cells")
 
     @classmethod
     def from_dataset(cls, dataset: Dataset):

@@ -174,6 +174,12 @@ class TestCalibrateNoise:
         for key in ("vx", "vy", "fidelity"):
             assert abs(again[key] - res.achieved[key]) < 1e-9
 
+    def test_frontier_zeros_exact(self):
+        """The search is bounded to the unit square, so where the frontier
+        puts q (below the band) or p (above it) at zero, it is zero."""
+        assert calibrate_noise(0.85, 0.87, 0.875).noise.dephasing == 0.0
+        assert calibrate_noise(0.78, 0.78, 0.9).noise.depolarizing == 0.0
+
     @pytest.mark.parametrize("targets", [(0.9, 0.9, 0.93), (0.8, 0.82, 0.88),
                                          (0.95, 0.93, 0.96), (0.8, 0.8, 0.875)])
     def test_frozen_in_band_targets_matched_to_1e8(self, targets):

@@ -676,6 +676,23 @@ class TestCsvValidation:
         assert ds.settings[0].atom.theta == math.pi / 4
         assert np.array_equal(ds.records, [[10, 20, 30, 40]])
 
+    def test_byte_order_mark_sidecar_read(self, tmp_path):
+        """A sidecar re-saved with a UTF-8 BOM is read, as the CSV is: its
+        `"exact": true` admits the fractional count."""
+        path = tmp_path / "bom.counts.csv"
+        path.write_text(self.HEADER + "0.7853981633974483,0,0,10,20.5,30,40,linear\n")
+        (tmp_path / "bom.counts.meta.json").write_bytes(b"\xef\xbb\xbf" + b'{"exact": true}')
+        ds = read_counts_csv(path)
+        assert ds.metadata == {"exact": True}
+        assert ds.records[0, 1] == 20.5
+
+    def test_non_utf8_sidecar_named(self, tmp_path):
+        path = tmp_path / "x.counts.csv"
+        path.write_text(self.HEADER + self.GOOD)
+        (tmp_path / "x.counts.meta.json").write_bytes(b'{"exact": "\xff"}')
+        with pytest.raises(ValueError, match=r"x.counts.meta.json: .*can't decode byte 0xff"):
+            read_counts_csv(path)
+
     @pytest.mark.parametrize("row, message", [
         (b"0.78\xff,0,0,10,20,30,40,linear\n", "can't decode byte 0xff"),
         (b"0,0,0,10,20,30,40," + b"x" * 131_073 + b"\n", "field larger than field limit"),

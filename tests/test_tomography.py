@@ -440,6 +440,16 @@ class TestExtractCorrelations:
         with pytest.raises(ValueError, match="setting 6 has no counts"):
             linear_inversion(TomographySet(counts, CANONICAL))
 
+    @pytest.mark.parametrize("cell", [math.nan, math.inf, -1.0])
+    def test_bad_cell_named(self, cell):
+        """A cell that is not a finite non-negative count is refused where the
+        set is built, by setting, in the wording of `Dataset`."""
+        counts = np.ones((9, 4))
+        counts[2, 1] = cell
+        with pytest.raises(ValueError,
+                           match="setting 3: counts must be four finite non-negative cells"):
+            TomographySet(counts, CANONICAL)
+
 
 class TestLinearInversion:
     def test_ideal_round_trip(self):
