@@ -140,11 +140,11 @@ def _noise(params):
 
 def cmd_scan(args, params, written):
     noise = _noise(params)
-    bases = [b.strip() for b in params["bases"].split(",") if b.strip()]
+    bases = [b.strip() for b in params["bases"].split(",")]
     unknown = [b for b in bases if b not in ATOM_BASES]
     if unknown:
         raise ValueError(f"unknown atomic bases: {unknown}; choose from sx, sy")
-    if not bases or len(set(bases)) != len(bases):
+    if len(set(bases)) != len(bases):
         raise ValueError(f"bases must list distinct atomic bases (sx, sy), "
                          f"got {params['bases']!r}")
     _require_at_least(params, "n_points", 4)

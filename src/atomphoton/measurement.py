@@ -28,9 +28,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from numpy.random import SeedSequence, default_rng
 
-from . import qmath
 from .artifacts import atomic_open, write_json
-from .states import NoiseModel, _channels
+from .states import NoiseModel, apply_noise
 
 COUNT_COLUMNS = ("n_f2_apd1", "n_f2_apd2", "n_f1_apd1", "n_f1_apd2")
 
@@ -102,9 +101,8 @@ def noisy_probabilities(rho, operators, noise: NoiseModel):
     """Outcome probabilities under the whole noise model, one row of four per
     setting: the channels act on rho once, then the readout confusion
     (eps01 = P(reported F=1 | true transferred), eps10 = the reverse) maps
-    every row's atomic labels at once. rho is a state already checked, a
-    4x4 complex ndarray: `simulate_settings` checks its caller's."""
-    p = outcome_probabilities(_channels(rho, noise), operators)
+    every row's atomic labels at once. `apply_noise` checks rho."""
+    p = outcome_probabilities(apply_noise(rho, noise), operators)
     f2, f1 = p[:, :2], p[:, 2:]
     return np.hstack([(1 - noise.eps01) * f2 + noise.eps10 * f1,
                       noise.eps01 * f2 + (1 - noise.eps10) * f1])
@@ -156,7 +154,7 @@ def simulate_settings(rho, settings, n_per_setting, noise=None, seed=0, exact=Fa
     noise = noise or NoiseModel()
     settings = list(settings)
     operators = outcome_operators(settings)
-    probs = noisy_probabilities(qmath.check_density_matrix(rho), operators, noise)
+    probs = noisy_probabilities(rho, operators, noise)
     if exact:
         records = n_per_setting * probs
     else:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -72,33 +71,15 @@ def _require_finite(name, values):
         raise ValueError(f"{name}[{k}] is {values[k]}, not finite: drop the point from the fit")
 
 
-@functools.lru_cache(maxsize=32)
-def _fringe_solver(grid):
-    """(design, pseudo-inverse) of the beta grid whose float64 bytes are
-    `grid`, both read-only: one SVD per grid, as callers fit many curves on
-    one grid. A grid with a non-finite angle or that fails the rank rule
-    raises and is not cached."""
-    b = np.frombuffer(grid)
-    _require_finite("betas", b)
-    design = np.column_stack([np.ones_like(b), np.cos(2 * b), np.sin(2 * b)])
-    u, sv, vt = np.linalg.svd(design, full_matrices=False)
-    if np.count_nonzero(sv > 1e-9) < 3:
-        raise ValueError("degenerate design: beta values do not resolve the fringe"
-                         " (all equal mod pi/2)")
-    pinv = (vt.T / sv) @ u.T
-    design.flags.writeable = pinv.flags.writeable = False
-    return design, pinv
-
-
 def fit_fringe(betas, p) -> VisibilityFit:
     """Least-squares fit of p(beta) = offset + (V/2) cos(2 beta - phase) to
     conditional probabilities p at analyzer angles betas (radians).
 
     The angular frequency is fixed at 2 (period pi); the fit is linear in
     (offset, c1, c2) with V = 2 sqrt(c1^2 + c2^2), so it is closed-form
-    and deterministic: one product with the grid's pseudo-inverse, which is
-    computed once per grid. A NaN or infinite angle, and then p, is an
-    error naming the first such index: drop a point without events
+    and deterministic: one least-squares solve, refused if the angles are
+    all equal mod pi/2. A NaN or infinite angle, and then p, is an error
+    naming the first such index: drop a point without events
     (`fringe_scans` gives it p = NaN) before the fit.
     """
     b, p = np.asarray(betas, dtype=float), np.asarray(p, dtype=float)
@@ -106,8 +87,12 @@ def fit_fringe(betas, p) -> VisibilityFit:
         raise ValueError("betas and probabilities must have equal length")
     if len(b) < 4:
         raise ValueError("need at least 4 points to fit 3 parameters")
-    design, pinv = _fringe_solver(b.tobytes())
-    coef = pinv @ p
+    _require_finite("betas", b)
+    design = np.column_stack([np.ones_like(b), np.cos(2 * b), np.sin(2 * b)])
+    coef, _, _, sv = np.linalg.lstsq(design, p, rcond=None)
+    if np.count_nonzero(sv > 1e-9) < 3:
+        raise ValueError("degenerate design: beta values do not resolve the fringe"
+                         " (all equal mod pi/2)")
     c0, c1, c2 = coef.tolist()
     if not math.isfinite(c0):   # a NaN or infinite p makes every coefficient so
         _require_finite("p", p)

@@ -56,14 +56,9 @@ _SZ_I = qmath.PAULI_PRODUCTS[3, 0]
 
 
 def apply_noise(rho, noise: NoiseModel):
-    """Depolarize, then dephase the atomic qubit. Readout confusion is not
-    applied here; it acts on measurement outcomes."""
-    return _channels(qmath.check_density_matrix(rho), noise)
-
-
-def _channels(rho, noise: NoiseModel):
-    """`apply_noise` on a state already checked, a 4x4 complex ndarray: the
-    package's own states skip the gate's eigvalsh."""
+    """Check rho is a density matrix, then depolarize it and dephase the
+    atomic qubit. Readout confusion acts on measurement outcomes instead."""
+    rho = qmath.check_density_matrix(rho)
     p, q = noise.depolarizing, noise.dephasing
     out = (1 - p) * rho + p * np.eye(4, dtype=complex) / 4
     return (1 - q) * out + q * (_SZ_I @ out @ _SZ_I)

@@ -498,6 +498,8 @@ class TestFlagValidation:
         (["scan", "--bases", ""], "bases"),
         (["scan", "--bases", "sx,sx"], "bases"),
         (["scan", "--bases", "sx, sy,sx"], "bases"),
+        (["scan", "--bases", "sx,"], "bases"),
+        (["scan", "--bases", "sx,,sy"], "bases"),
     ])
     def test_rejected_and_named(self, tmp_path, capsys, argv, name):
         out = str(tmp_path / "bad")

@@ -396,6 +396,21 @@ class TestReadoutConfusion:
         assert np.max(np.abs(out.sum(axis=1) - 1.0)) < 1e-12
         assert np.all(out >= 0)
 
+    @pytest.mark.parametrize("bad, message", [
+        (np.diag([1.5, -0.5, 0.0, 0.0]), "matrix is not PSD (min eigenvalue -5.000e-01)"),
+        (np.diag([0.25] * 4) + np.triu(np.full((4, 4), 0.1), 1), "matrix is not Hermitian"),
+    ], ids=["not_psd", "not_hermitian"])
+    def test_refuses_a_matrix_that_is_not_a_state(self, bad, message):
+        """The clip at zero would turn a non-PSD matrix into rows that look
+        like probabilities; the density-matrix gate refuses it first."""
+        bad = bad.astype(complex)
+        with pytest.raises(ValueError) as gate:
+            qmath.check_density_matrix(bad)
+        assert str(gate.value).startswith(message)
+        with pytest.raises(ValueError) as refused:
+            noisy_probabilities(bad, outcome_operators(SETTING_GRID), NoiseModel(eps01=0.1))
+        assert str(refused.value) == str(gate.value)
+
 
 class TestDataset:
     SETTINGS = [MeasurementSetting(ATOM_SX, PhotonSetting(beta=b)) for b in (0.0, 0.4, 0.8)]

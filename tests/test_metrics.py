@@ -16,7 +16,6 @@ from atomphoton.measurement import (
     outcome_probabilities,
 )
 from atomphoton.metrics import (
-    _fringe_solver,
     chsh_max,
     correlation_matrix,
     fidelity_to_target,
@@ -285,7 +284,7 @@ class TestFitFringe:
 
 def fit_fringe_lstsq(betas, p):
     """The fringe fit as one np.linalg.lstsq call on a design built per call:
-    the reference for the cached pseudo-inverse."""
+    the reference for `fit_fringe`."""
     b, p = np.asarray(betas, dtype=float), np.asarray(p, dtype=float)
     design = np.column_stack([np.ones_like(b), np.cos(2 * b), np.sin(2 * b)])
     coef, _, _, sv = np.linalg.lstsq(design, p, rcond=None)
@@ -321,10 +320,9 @@ class TestFringeSolver:
         assert abs(fit.rms_residual - rms) <= 1e-12
 
     @pytest.mark.parametrize("good_first", [True, False])
-    def test_degenerate_grid_refused_beside_cached_grid_of_its_length(self, good_first):
+    def test_degenerate_grid_refused_beside_good_grid_of_its_length(self, good_first):
         good = np.arange(4) * math.pi / 4
         degenerate = np.array([0.3, 0.3 + math.pi / 2, 0.3 + math.pi, 0.3 + 3 * math.pi / 2])
-        _fringe_solver.cache_clear()
         for _ in range(2):
             if good_first:
                 assert fit_fringe(good, [0.1, 0.5, 0.9, 0.5]).visibility > 0.7
@@ -332,20 +330,6 @@ class TestFringeSolver:
                 fit_fringe(degenerate, np.full(4, 0.5))
             if not good_first:
                 assert fit_fringe(good, [0.1, 0.5, 0.9, 0.5]).visibility > 0.7
-        assert _fringe_solver.cache_info().currsize == 1   # the degenerate grid is not kept
-
-    def test_cached_arrays_read_only_and_cache_bounded(self):
-        _fringe_solver.cache_clear()
-        design, pinv = _fringe_solver((np.arange(6) * math.pi / 6).tobytes())
-        for array in (design, pinv):
-            assert not array.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                array[0, 0] = 0.0
-        maxsize = _fringe_solver.cache_info().maxsize
-        assert maxsize is not None
-        for n in range(4, maxsize + 12):
-            fit_fringe(np.arange(n) * math.pi / n, np.full(n, 0.5))
-        assert _fringe_solver.cache_info().currsize == maxsize
 
 
 def conditional_f1_loop(counts, detector):
