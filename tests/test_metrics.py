@@ -320,7 +320,7 @@ class TestFringeSolver:
         assert abs(fit.rms_residual - rms) <= 1e-12
 
     @pytest.mark.parametrize("good_first", [True, False])
-    def test_degenerate_grid_refused_beside_good_grid_of_its_length(self, good_first):
+    def test_degenerate_grid_refused_beside_cached_grid_of_its_length(self, good_first):
         good = np.arange(4) * math.pi / 4
         degenerate = np.array([0.3, 0.3 + math.pi / 2, 0.3 + math.pi, 0.3 + 3 * math.pi / 2])
         for _ in range(2):
