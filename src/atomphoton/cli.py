@@ -1,11 +1,12 @@
 """Command-line pipeline: scan, tomo, calibrate, plan.
 
-Configuration is a flat key-value text file (``key = value`` lines, ``#``
-comments); command-line flags override file values. Angles are radians,
-times seconds. Outputs are written as <prefix>.counts.csv,
-<prefix>.state.json, <prefix>.metrics.json, <prefix>.plan.json and are
-bit-identical for a fixed config and seed on one numpy/BLAS build; another
-build may add in another order and move the fitted state's last digits.
+Configuration is a flat key-value text file (``key = value`` lines; a ``#``
+at a line's start or after a blank opens a comment); command-line flags
+override file values. Angles are radians, times seconds. Outputs are
+written as <prefix>.counts.csv, <prefix>.state.json, <prefix>.metrics.json,
+<prefix>.plan.json and are bit-identical for a fixed config and seed on one
+numpy/BLAS build; another build may add in another order and move the
+fitted state's last digits.
 """
 
 from __future__ import annotations
@@ -68,7 +69,8 @@ def parse_config(path):
         raise ValueError(f"{path}: {exc}") from exc
     cfg = {}
     for lineno, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].strip()
+        # a '#' opens a comment at the line's start or after a space or tab
+        line = (" " + raw).replace("\t#", " #").split(" #", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -129,7 +131,7 @@ _PLAN_KEYS = tuple((f.name, float, f.default) for f in fields(ExperimentPlan))
 # help text of the flags that have one
 _FLAG_HELP = {
     "bases": "e.g. sx,sy",
-    "bootstrap": "bootstrap replicas (0 disables)",
+    "bootstrap": "bootstrap replicas: 0 disables, else at least 2",
     "input": "ingest a counts CSV",
 }
 
@@ -207,7 +209,8 @@ def cmd_scan(args, params, written):
 
 
 def cmd_tomo(args, params, written):
-    _require_at_least(params, "bootstrap", 0)
+    if params["bootstrap"] < 0 or params["bootstrap"] == 1:   # a spread needs 2 replicas
+        raise ValueError(f"bootstrap must be 0 (disabled) or >= 2, got {params['bootstrap']}")
     _require_at_least(params, "n_per_setting", 1)
     if params["input"] == "":
         raise ValueError("input must name a counts CSV, got an empty path")

@@ -182,8 +182,7 @@ def simulate_settings(rho, settings, n_per_setting, noise=None, seed=0, exact=Fa
 # ----------------------------------------------------------------------
 
 def sidecar_path(csv_path):
-    return str(csv_path) + ".meta.json" if not str(csv_path).endswith(".csv") \
-        else str(csv_path)[:-4] + ".meta.json"
+    return str(csv_path).removesuffix(".csv") + ".meta.json"
 
 
 def write_counts_csv(dataset: Dataset, path):

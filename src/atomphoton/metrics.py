@@ -78,9 +78,9 @@ def fit_fringe(betas, p) -> VisibilityFit:
     The angular frequency is fixed at 2 (period pi); the fit is linear in
     (offset, c1, c2) with V = 2 sqrt(c1^2 + c2^2), so it is closed-form
     and deterministic: one least-squares solve, refused if the angles are
-    all equal mod pi/2. A NaN or infinite angle, and then p, is an error
-    naming the first such index: drop a point without events
-    (`fringe_scans` gives it p = NaN) before the fit.
+    all equal mod pi/2. A NaN or infinite angle, and after the rank check
+    a NaN or infinite p, is an error naming the first such index: drop a
+    point without events (`fringe_scans` gives it p = NaN) before the fit.
     """
     b, p = np.asarray(betas, dtype=float), np.asarray(p, dtype=float)
     if len(b) != len(p):
@@ -93,9 +93,8 @@ def fit_fringe(betas, p) -> VisibilityFit:
     if np.count_nonzero(sv > 1e-9) < 3:
         raise ValueError("degenerate design: beta values do not resolve the fringe"
                          " (all equal mod pi/2)")
+    _require_finite("p", p)
     c0, c1, c2 = coef.tolist()
-    if not math.isfinite(c0):   # a NaN or infinite p makes every coefficient so
-        _require_finite("p", p)
     visibility = 2.0 * math.hypot(c1, c2)
     phase = math.atan2(c2, c1)
     residuals = p - design @ coef

@@ -157,15 +157,16 @@ def linear_inversion(ts: TomographySet):
     return _states(_inverted_coefficients(ts.counts[None], ts.design.inverse))[0]
 
 
-def _projection(h):
-    """Closest PSD trace-1 matrix in Frobenius norm to each matrix of an
-    (R, 4, 4) Hermitian stack, and its rank: eigenvalues projected onto the
-    probability simplex, eigenvectors kept. The water-filling threshold is
-    the largest of (sum of the j largest eigenvalues - 1) / j over j."""
-    w, u = np.linalg.eigh(h)
+def _projection(x):
+    """Closest PSD trace-1 matrix in Frobenius norm to the Hermitian matrix of
+    each row of (R, 16) Pauli coefficients, as coefficients, and its rank:
+    eigenvalues projected onto the probability simplex (less the largest of
+    (sum of the j largest - 1) / j over j, clipped at 0), eigenvectors kept."""
+    w, u = np.linalg.eigh(_states(x))
     tau = ((np.cumsum(w[:, ::-1], axis=1) - 1.0) / _RANKS).max(axis=1)
     lam = np.maximum(w - tau[:, None], 0.0)
-    return np.einsum("rij,rj,rkj->rik", u, lam, u.conj()), np.count_nonzero(lam, axis=1)
+    return (_coefficients(np.einsum("rij,rj,rkj->rik", u, lam, u.conj())),
+            np.count_nonzero(lam, axis=1))
 
 
 # ----------------------------------------------------------------------
@@ -207,7 +208,6 @@ MLE_GAP_TOL = 1e-11
 MLE_NEWTON_STEPS = 12       # Newton iterations per attempt on a face
 _PROB_FLOOR = 1e-12
 _STEP_GROWTH = 1.2
-_STEP_START = 1.0          # first gradient step, times 1/N; a longer one mostly backtracks
 _ARMIJO = 0.25             # share of the predicted decrease a damped step must bring
 _MIN_DAMPING = 2.0 ** -20  # the smallest damped step before the attempt fails
 _NEWTON_ROWS = 32         # rows per Newton step: bounds its temporaries to about 0.5 MB
@@ -241,7 +241,7 @@ def _fit_stack(counts, x, design, design_t):
     transpose. Each fit starts from Pi of its row of x, the (R, 16) Pauli
     coefficients of a linear inversion, and that projection gives the
     start's face (its rank). Projected gradient, x <- Pi(x + t c(x)) for
-    c = -grad f from `_gradient` with a step t per fit from _STEP_START / N,
+    c = -grad f from `_gradient` with a step t per fit from 1 / N,
     refuses a step when rounding would let f rise. Once a fit has settled on
     a face (the rank its projections keep) for MLE_STALL_STEPS accepted
     steps, or stalls, `_face_newton` finishes it, and only a finish
@@ -256,16 +256,14 @@ def _fit_stack(counts, x, design, design_t):
     (x, f, f0, iterations, converged)."""
     # rank: the face of the last accepted step, or of the start before the
     # first one; settled: accepted steps in a row on that face
-    rho, rank = _projection(_states(x))
-    x = _coefficients(rho)
-    del rho   # held through the fit, it would raise the bootstrap's peak memory
+    x, rank = _projection(x)
     f = f0 = _nll(counts, _rows(x, design_t))
     out_x, out_f = x.copy(), f.copy()
     iterations, converged = np.zeros(len(x), dtype=int), np.zeros(len(x), dtype=bool)
     rows, n, its = np.arange(len(x)), counts, np.zeros(len(x), dtype=int)
     settled, stalls = np.zeros(len(x), dtype=int), np.zeros(len(x), dtype=int)
     f_failed = np.full(len(x), np.inf)    # f at the start of the last failed finish
-    t = _STEP_START / counts.sum(axis=1)
+    t = 1.0 / counts.sum(axis=1)   # a longer first step mostly backtracks
     while True:
         x_new, f_new, r_new = _backtracked_step(
             n, x, f, _gradient(n, x, design, design_t)[2], t, design_t)
@@ -312,8 +310,7 @@ def _backtracked_step(n, x0, f0, c, t, design_t):
     todo = slice(None)
     while True:
         x0t, tt = x0[todo], t[todo]
-        rho, rt = _projection(_states(x0t + tt[:, None] * c[todo]))
-        xt = _coefficients(rho)
+        xt, rt = _projection(x0t + tt[:, None] * c[todo])
         ft = _nll(n[todo], _rows(xt, design_t))
         d = xt - x0t
         ok = ft <= f0[todo] + np.einsum("rm,rm->r", d, d / (2 * tt[:, None]) - c[todo])
@@ -550,12 +547,12 @@ def mle_reconstruct(ts: TomographySet):
 
 def bootstrap_metrics(rho_hat, ts: TomographySet, n_replicas=250, seed=0):
     """Parametric bootstrap: resample counts from the reconstructed state,
-    re-fit every replica in one stack, report spread per metric. Replica k
-    draws its counts from the substream keyed by (seed, k), each setting from
-    its own whole-number total, and its fit is the one mle_reconstruct gives
-    for its counts alone."""
-    if n_replicas < 1:
-        raise ValueError(f"n_replicas must be at least 1, got {n_replicas}")
+    re-fit every replica in one stack, report each metric's mean, sample std
+    (ddof=1, so n_replicas >= 2) and 95 % interval. Replica k draws its counts
+    from the substream keyed by (seed, k), each setting from its own
+    whole-number total, and its fit is mle_reconstruct's on its counts alone."""
+    if n_replicas < 2:
+        raise ValueError(f"n_replicas must be at least 2, got {n_replicas}")
     totals = ts.counts.sum(axis=1)
     if (totals % 1.0).any():   # a whole number of trials each, not rounded to one
         raise ValueError(f"bootstrap: setting totals {totals.tolist()} are not all whole numbers")
@@ -573,7 +570,7 @@ def bootstrap_metrics(rho_hat, ts: TomographySet, n_replicas=250, seed=0):
         ranked = np.sort(vals).tolist()
         out[name] = {
             "mean": float(vals.mean()),
-            "std": float(vals.std(ddof=1)) if n_replicas > 1 else 0.0,
+            "std": float(vals.std(ddof=1)),
             "ci95": [_percentile(ranked, 2.5), _percentile(ranked, 97.5)],
         }
     return out

@@ -417,6 +417,20 @@ class TestConfigFile:
         assert err.startswith(f"error: {cfg}: ") and "can't decode byte 0xe9" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["latin1.cfg"]
 
+    def test_hash_inside_value_kept(self, tmp_path):
+        """A '#' opens a comment only at a line's start or after a space or
+        tab; inside a value it is part of the value."""
+        (tmp_path / "d#1").mkdir()
+        src = str(tmp_path / "d#1" / "x#y")
+        assert run_cli(["--seed", "3", "--out", src, "tomo", "--bootstrap", "0"]) == 0
+        cfg = tmp_path / "hash.cfg"
+        cfg.write_text(f"# ingest\ninput = {src}.counts.csv  # trailing comment\n"
+                       "bootstrap = 0\t# after a tab\n")
+        out = str(tmp_path / "fit")
+        assert run_cli(["--config", str(cfg), "--out", out, "tomo"]) == 0
+        assert (tmp_path / "fit.state.json").read_bytes() == \
+            (tmp_path / "d#1" / "x#y.state.json").read_bytes()
+
     def test_one_file_serves_every_command(self, tmp_path):
         cfg = tmp_path / "shared.cfg"
         cfg.write_text(
@@ -500,6 +514,7 @@ class TestFlagValidation:
         (["scan", "--bases", "sx, sy,sx"], "bases"),
         (["scan", "--bases", "sx,"], "bases"),
         (["scan", "--bases", "sx,,sy"], "bases"),
+        (["tomo", "--bootstrap", "1"], "bootstrap"),
     ])
     def test_rejected_and_named(self, tmp_path, capsys, argv, name):
         out = str(tmp_path / "bad")

@@ -73,7 +73,7 @@ def random_physical_state(rng):
 
 def project_one(h):
     """The projection of one Hermitian trace-1 matrix onto physical states."""
-    return _projection(np.asarray(h)[None])[0][0]
+    return _states(_projection(_coefficients(np.asarray(h)[None]))[0])[0]
 
 
 def simplex_projection_oracle(eigenvalues):
@@ -1157,3 +1157,9 @@ class TestBootstrap:
         ts = TomographySet.from_dataset(simulate_tomography(werner(5 / 6), 100, seed=2))
         with pytest.raises(ValueError, match="n_replicas"):
             bootstrap_metrics(werner(5 / 6), ts, n_replicas=n_replicas, seed=1)
+
+    def test_one_replica_rejected(self):
+        """One replica has no sample spread: refused, not reported as std 0."""
+        ts = TomographySet.from_dataset(simulate_tomography(werner(5 / 6), 100, seed=2))
+        with pytest.raises(ValueError, match="n_replicas must be at least 2, got 1"):
+            bootstrap_metrics(werner(5 / 6), ts, n_replicas=1, seed=1)
