@@ -148,9 +148,13 @@ def simulate_settings(rho, settings, n_per_setting, noise=None, seed=0, exact=Fa
     multinomial draw of n_per_setting trials from substream record_rng(seed, k);
     with `exact` the records are the expected counts n_per_setting * p instead
     (the infinite-statistics mode used to separate systematic from statistical
-    checks)."""
-    if n_per_setting < 1:
-        raise ValueError(f"n_per_setting must be >= 1, got {n_per_setting}")
+    checks). Draws need a finite whole n_per_setting >= 1, expected counts a
+    finite one; the metadata holds it as a Python int when whole."""
+    if not (math.isfinite(n_per_setting) and n_per_setting >= 1
+            and (exact or n_per_setting % 1 == 0)):
+        raise ValueError(f"n_per_setting must be >= 1 and a finite "
+                         f"{'number' if exact else 'whole number'}, got {n_per_setting!r}")
+    n_per_setting = int(n_per_setting) if n_per_setting % 1 == 0 else float(n_per_setting)
     noise = noise or NoiseModel()
     settings = list(settings)
     operators = outcome_operators(settings)
@@ -158,7 +162,7 @@ def simulate_settings(rho, settings, n_per_setting, noise=None, seed=0, exact=Fa
     if exact:
         records = n_per_setting * probs
     else:
-        records = [record_rng(seed, k).multinomial(int(n_per_setting), p / p.sum())
+        records = [record_rng(seed, k).multinomial(n_per_setting, p / p.sum())
                    for k, p in enumerate(probs)]
     return Dataset(
         settings=settings,

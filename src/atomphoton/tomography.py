@@ -32,7 +32,6 @@ from .measurement import (
     MeasurementSetting,
     outcome_operators,
     outcome_probabilities,
-    record_rng,
     simulate_settings,
 )
 from .metrics import fidelity_to_target, negativity, purity
@@ -111,14 +110,18 @@ class TomographySet:
     def from_dataset(cls, dataset: Dataset):
         """One row per distinct setting: records with bitwise-equal outcome
         operators are summed into the first, in record order. A record with an
-        angle that is not finite is refused by `outcome_operators`."""
+        angle that is not finite is refused by `outcome_operators`, and a
+        metadata `exact` that is not a boolean is refused by name."""
+        if not isinstance(exact := dataset.metadata.get("exact", False), bool):
+            raise ValueError(f"dataset metadata field 'exact' must be True or False, "
+                             f"got {exact!r}")
         ops = outcome_operators(dataset.settings).reshape(-1, 4, 4, 4)
         first = {}
         rows = [first.setdefault(op.tobytes(), len(first)) for op in ops]
         counts = np.zeros((len(first), 4))
         np.add.at(counts, rows, dataset.records)   # row by row in record order
         kept = ops[np.unique(rows, return_index=True)[1]].reshape(-1, 4, 4)
-        return cls(counts, Design(kept), exact=bool(dataset.metadata.get("exact", False)))
+        return cls(counts, Design(kept), exact=exact)
 
 
 # Every product of a stack is taken row by row, as a batch of (1, K) @ (K, L)
@@ -548,9 +551,10 @@ def mle_reconstruct(ts: TomographySet):
 def bootstrap_metrics(rho_hat, ts: TomographySet, n_replicas=250, seed=0):
     """Parametric bootstrap: resample counts from the reconstructed state,
     re-fit every replica in one stack, report each metric's mean, sample std
-    (ddof=1, so n_replicas >= 2) and 95 % interval. Replica k draws its counts
-    from the substream keyed by (seed, k), each setting from its own
-    whole-number total, and its fit is mle_reconstruct's on its counts alone."""
+    (ddof=1, so n_replicas >= 2) and 95 % interval. Replica k is row k of one
+    multinomial draw from default_rng(seed), a stream no record uses, each
+    setting from its own whole-number total, so a longer bootstrap extends a
+    shorter one; its fit is mle_reconstruct's on its counts alone."""
     if n_replicas < 2:
         raise ValueError(f"n_replicas must be at least 2, got {n_replicas}")
     totals = ts.counts.sum(axis=1)
@@ -558,8 +562,8 @@ def bootstrap_metrics(rho_hat, ts: TomographySet, n_replicas=250, seed=0):
         raise ValueError(f"bootstrap: setting totals {totals.tolist()} are not all whole numbers")
     d = ts.design
     probs, trials = outcome_probabilities(rho_hat, d.operators), totals.astype(np.int64)
-    draws = np.array([record_rng(seed, k).multinomial(trials, probs)
-                      for k in range(n_replicas)], dtype=float)
+    draws = np.random.default_rng(seed).multinomial(
+        trials, probs, size=(n_replicas, len(trials))).astype(float)
     x, *_ = _fit_stack(_with_prior(draws, False), _inverted_coefficients(draws, d.inverse),
                        d.matrix, d.matrix_t)
     rhos = _states(x)

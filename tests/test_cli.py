@@ -56,6 +56,11 @@ class TestScan:
         assert run_cli(["--seed", "9", "--out", out2, "scan"]) == 0
         for suffix in (".counts.csv", ".fringes.csv", ".metrics.json"):
             assert open(out1 + suffix, "rb").read() == open(out2 + suffix, "rb").read()
+        for out in (out1, out2):
+            assert run_cli(["--seed", "9", "--out", out + "t", "tomo", "--bootstrap", "20"]) == 0
+        assert "bootstrap" in json.load(open(out1 + "t.metrics.json"))
+        for suffix in (".counts.csv", ".counts.meta.json", ".state.json", ".metrics.json"):
+            assert open(out1 + "t" + suffix, "rb").read() == open(out2 + "t" + suffix, "rb").read()
 
     def test_counts_round_trip(self, tmp_path):
         out = str(tmp_path / "rt")

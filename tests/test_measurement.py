@@ -492,6 +492,34 @@ class TestSampleCounts:
             with pytest.raises(ValueError, match="n_per_setting must be >= 1"):
                 simulate_settings(ideal_state(), SETTING_GRID[:1], 0, seed=0, exact=exact)
 
+    @pytest.mark.parametrize("n", [2.5, math.nan, math.inf])
+    def test_trial_count_it_would_change_refused(self, n):
+        """Draws take a finite whole number of trials: 2.5 is not rounded to 2,
+        and NaN is refused by name, not inside int()."""
+        with pytest.raises(ValueError, match="n_per_setting .* finite whole number, got"):
+            simulate_settings(ideal_state(), SETTING_GRID[:1], n, seed=0)
+
+    def test_expected_counts_take_a_fractional_trial_count(self):
+        ds = simulate_settings(ideal_state(), SETTING_GRID[:1], 2.5, exact=True)
+        assert ds.metadata["n_per_setting"] == 2.5 and abs(ds.records.sum() - 2.5) <= 1e-12
+        with pytest.raises(ValueError, match="n_per_setting .* finite number, got nan"):
+            simulate_settings(ideal_state(), SETTING_GRID[:1], math.nan, exact=True)
+
+    @pytest.mark.parametrize("n", [np.int64(300), 300.0, np.float64(300.0)],
+                             ids=["int64", "float", "float64"])
+    def test_whole_trial_count_kept_as_python_int(self, tmp_path, n):
+        """A numpy or float whole count lands in the metadata as the int a
+        CLI run stores, so the sidecar is written beside its CSV, and the
+        same bytes."""
+        ds = simulate_settings(ideal_state(), SETTING_GRID, n, seed=3)
+        assert type(ds.metadata["n_per_setting"]) is int
+        write_counts_csv(ds, tmp_path / "n.counts.csv")
+        write_counts_csv(simulate_settings(ideal_state(), SETTING_GRID, 300, seed=3),
+                         tmp_path / "int.counts.csv")
+        for suffix in (".counts.csv", ".counts.meta.json"):
+            assert ((tmp_path / f"n{suffix}").read_bytes()
+                    == (tmp_path / f"int{suffix}").read_bytes())
+
 
 class TestSimulateScan:
     def test_exact_mode_unit_visibility(self):

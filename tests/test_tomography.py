@@ -227,6 +227,15 @@ class TestCanonicalSettings:
         with pytest.raises(ValueError, match=r"Pauli coefficients yz undetermined \(design rank 15\)"):
             TomographySet.from_dataset(ds)
 
+    @pytest.mark.parametrize("exact", ["false", "true", 1, None])
+    def test_exact_that_is_not_a_boolean_refused(self, exact):
+        """A metadata `exact` of "false" would read as true: refused by name,
+        as a counts sidecar's is."""
+        ds = simulate_tomography(ideal_state(), 10, seed=0)
+        with pytest.raises(ValueError, match="field 'exact' must be True or False"):
+            TomographySet.from_dataset(Dataset(canonical_settings(), ds.records,
+                                               metadata={"exact": exact}))
+
     def test_theta_zero_population_setting_counts_flipped(self):
         # theta=0 transfers |+1>, the sigma_z=-1 state: its records hold the
         # theta=pi/2 counts with F2 and F1 swapped, the set keeps them as
@@ -744,8 +753,9 @@ def lbfgs_reference_nll(counts, exact=False):
 
 
 def tomo_seed7():
-    """`tomo --seed 7`: the data, its fit and the 250 bootstrap replicas'
-    counts, drawn as bootstrap_metrics draws them."""
+    """`tomo --seed 7`: the data, its fit and 250 replicas' counts, drawn
+    from the per-record substreams keyed (7, k), as the bootstrap drew them
+    before it read one stream; kept as fixed data."""
     ts = TomographySet.from_dataset(simulate_tomography(
         ideal_state(), 300, noise=NoiseModel(depolarizing=0.14), seed=7))
     rho, report = mle_reconstruct(ts)
@@ -856,12 +866,14 @@ class TestGapBound:
             assert report.gap_bound ** 2 <= gap_tol * n * abs(report.log_likelihood)
 
     def test_high_count_fits_and_replicas_certify(self):
-        """The ideal state at 10^6 counts per setting, seeds 0-3: the fit and
-        50 replicas each, drawn as bootstrap_metrics draws them, all certify.
-        So do replicas 132 and 154 of seed 0, which certify only on a widened
-        face, and replica 178 of seed 1, whose full-rank Newton attempt, run
-        past MLE_NEWTON_STEPS, goes flat next to the boundary where the gap
-        bound fails and no wider face is left."""
+        """The ideal state at 10^6 counts per setting, seeds 0-3: the fit, the
+        first 50 rows of bootstrap_metrics' draw, and 50 replicas each from the
+        per-record substreams keyed (seed, k), as the bootstrap drew them before
+        it read one stream, all certify. So do substream replicas 132 and 154
+        of seed 0, which certify only on a widened face, and 178 of seed 1,
+        whose full-rank Newton attempt, run past MLE_NEWTON_STEPS, goes flat
+        next to the boundary where the gap bound fails and no wider face is
+        left."""
         for seed in range(4):
             ts = TomographySet.from_dataset(simulate_tomography(ideal_state(), 10**6, seed=seed))
             rho, report = mle_reconstruct(ts)
@@ -869,8 +881,9 @@ class TestGapBound:
             probs = outcome_probabilities(rho, CANONICAL.operators)
             totals = ts.counts.sum(axis=1).astype(np.int64)
             replicas = [*range(50), *{0: (132, 154), 1: (178,)}.get(seed, ())]
-            draws = np.array([record_rng(seed, k).multinomial(totals, probs) for k in replicas],
-                             dtype=float)
+            draws = np.concatenate([
+                np.random.default_rng(seed).multinomial(totals, probs, size=(50, 9)),
+                [record_rng(seed, k).multinomial(totals, probs) for k in replicas]]).astype(float)
             *_, converged = fit_stack(_with_prior(draws, False), linear_inversions(draws))
             assert converged.all()
 
@@ -1020,16 +1033,32 @@ class TestBootstrap:
         assert 0.003 < out["fidelity"]["std"] < 0.04
         assert out["fidelity"]["ci95"][0] < out["fidelity"]["mean"] < out["fidelity"]["ci95"][1]
 
-    def test_replicas_are_standalone_refits_on_their_substreams(self):
+    def test_replicas_are_standalone_refits_of_one_draw(self, monkeypatch):
+        """The replicas are the rows, in order, of one multinomial draw from
+        default_rng(seed), the first R replicas of an (R + 3)-replica
+        bootstrap are the R-replica draw, and the metrics are those of each
+        row's standalone refit."""
         ds = simulate_tomography(werner(5 / 6), 200, seed=8)
         ts = TomographySet.from_dataset(ds)
         rho, _ = mle_reconstruct(ts)
         probs = outcome_probabilities(rho, CANONICAL.operators)
+        totals = ts.counts.sum(axis=1).astype(np.int64)
+        drawn = []
+        inverted = tomography._inverted_coefficients
+
+        def spy(counts, inverse):
+            drawn.append(counts)
+            return inverted(counts, inverse)
+
+        monkeypatch.setattr(tomography, "_inverted_coefficients", spy)
+        out = bootstrap_metrics(rho, ts, n_replicas=6, seed=4)
+        bootstrap_metrics(rho, ts, n_replicas=9, seed=4)
+        monkeypatch.undo()
+        draw = np.random.default_rng(4).multinomial(totals, probs, size=(6, 9))
+        assert len(drawn) == 2 and drawn[0].shape == (6, 9, 4) and drawn[1].shape == (9, 9, 4)
+        assert np.array_equal(drawn[0], draw) and np.array_equal(drawn[1][:6], draw)
         values = {"fidelity": [], "negativity": [], "purity": []}
-        for k in range(6):
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=4, spawn_key=(k,)))
-            # one draw per setting, in row order
-            counts = [rng.multinomial(int(round(row.sum())), p) for row, p in zip(ts.counts, probs)]
+        for counts in draw:
             rho_k, _ = mle_reconstruct(TomographySet(counts, CANONICAL, exact=False))
             values["fidelity"].append(fidelity_to_target(rho_k))
             values["negativity"].append(negativity(rho_k))
@@ -1042,7 +1071,7 @@ class TestBootstrap:
             }
             for name, v in values.items()
         }
-        assert bootstrap_metrics(rho, ts, n_replicas=6, seed=4) == expected
+        assert out == expected
 
     def test_stack_rows_equal_standalone_fits(self):
         """Rows that stop at different iterations leave the stack at
@@ -1096,7 +1125,8 @@ class TestBootstrap:
         """With _MIN_DAMPING = 1 a Newton step that misses the Armijo decrease
         at full length fails its line search at once, which hands the row
         back to projected gradient. On 20 replicas of the ideal state at 10^6
-        counts, drawn as bootstrap_metrics draws them, the rows still certify,
+        counts, drawn from the per-record substreams keyed (0, k) as the
+        bootstrap drew them before it read one stream, the rows still certify,
         end at or below their start, and equal their fits alone bit for bit."""
         monkeypatch.setattr(tomography, "_MIN_DAMPING", 1.0)
         ts = TomographySet.from_dataset(simulate_tomography(ideal_state(), 10**6, seed=0))
