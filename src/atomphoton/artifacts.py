@@ -24,8 +24,13 @@ def atomic_open(path, newline=None):
         raise
 
 
+def json_text(payload):
+    """payload as JSON text: indent 2, sorted keys, trailing newline. A payload
+    that JSON cannot hold fails here, before any file is opened."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def write_json(payload, path):
-    """Write payload as JSON (indent 2, sorted keys, trailing newline), atomically."""
+    """Write `json_text(payload)` atomically."""
     with atomic_open(path) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json_text(payload))

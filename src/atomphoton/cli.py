@@ -211,10 +211,16 @@ def cmd_scan(args, params, written):
 def cmd_tomo(args, params, written):
     if params["bootstrap"] < 0 or params["bootstrap"] == 1:   # a spread needs 2 replicas
         raise ValueError(f"bootstrap must be 0 (disabled) or >= 2, got {params['bootstrap']}")
-    _require_at_least(params, "n_per_setting", 1)
     if params["input"] == "":
         raise ValueError("input must name a counts CSV, got an empty path")
     if params["input"] is not None:
+        # the simulation flags (every key but bootstrap and input) would be dropped,
+        # so they are refused; config values stay, since one file serves every command
+        dropped = [f"--{key.replace('_', '-')}" for key, _, _ in _TOMO_KEYS[:-2]
+                   if getattr(args, key) is not None]
+        if dropped:
+            raise ValueError(f"--input reads its counts from a file and would ignore "
+                             f"the simulation flags given: {', '.join(dropped)}")
         dataset = read_counts_csv(params["input"])
     else:
         dataset = simulate_tomography(ideal_state(), params["n_per_setting"],

@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from numpy.random import SeedSequence, default_rng
 
-from .artifacts import atomic_open, write_json
+from .artifacts import atomic_open, json_text
 from .states import NoiseModel, apply_noise
 
 COUNT_COLUMNS = ("n_f2_apd1", "n_f2_apd2", "n_f1_apd1", "n_f1_apd2")
@@ -190,6 +190,10 @@ def sidecar_path(csv_path):
 
 
 def write_counts_csv(dataset: Dataset, path):
+    """Write the records to path and the metadata to its JSON sidecar. The
+    sidecar's text is rendered first, so metadata that JSON cannot hold
+    writes neither file and leaves a pair already at path untouched."""
+    meta = json_text(dataset.metadata)
     with atomic_open(path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(("theta", "phi", "beta") + COUNT_COLUMNS + ("photon_basis",))
@@ -199,7 +203,8 @@ def write_counts_csv(dataset: Dataset, path):
             row += [f"{c:.17g}" for c in counts]
             row.append("circular" if s.photon.circular else "linear")
             w.writerow(row)
-    write_json(dataset.metadata, sidecar_path(path))
+    with atomic_open(sidecar_path(path)) as fh:
+        fh.write(meta)
 
 
 _CSV_NUMBERS = ("theta", "phi", "beta") + COUNT_COLUMNS

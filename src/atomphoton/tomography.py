@@ -67,8 +67,9 @@ def simulate_tomography(rho, n_per_setting, noise=None, seed=0, exact=False):
 
 class Design:
     """The linear model p = A r of outcome operators E_k, four per setting:
-    A[k, m] = tr(E_k P_m) / 4, its C-contiguous transpose and pseudo-inverse.
-    An error names the Pauli coefficients that A leaves undetermined."""
+    A[k, m] = tr(E_k P_m) / 4, its C-contiguous transpose and pseudo-inverse,
+    the only copies the fit reads. An error names the Pauli coefficients
+    that A leaves undetermined."""
 
     def __init__(self, operators):
         self.operators = operators
@@ -146,10 +147,10 @@ def _coefficients(rho):
     return _rows(flat, _BASIS_T)
 
 
-def _inverted_coefficients(counts, inverse):
+def _inverted_coefficients(counts, design):
     """Pauli coefficients of the linear inversion of an (R, S, 4) count stack."""
     freqs = counts / counts.sum(axis=2, keepdims=True)
-    return np.einsum("mk,rk->rm", inverse, freqs.reshape(len(counts), -1))
+    return np.einsum("mk,rk->rm", design.inverse, freqs.reshape(len(counts), -1))
 
 
 def linear_inversion(ts: TomographySet):
@@ -157,7 +158,7 @@ def linear_inversion(ts: TomographySet):
     & White, PRA 64, 052312, 2001) from the per-setting frequencies:
     rho = sum_{mu nu} r_{mu nu} s_mu (x) s_nu / 4. Hermitian and trace 1;
     may be non-PSD on noisy data."""
-    return _states(_inverted_coefficients(ts.counts[None], ts.design.inverse))[0]
+    return _states(_inverted_coefficients(ts.counts[None], ts.design))[0]
 
 
 def _projection(x):
@@ -220,28 +221,28 @@ def _nll(counts, p):
     return -np.einsum("rk,rk->r", counts, np.log(np.maximum(p, _PROB_FLOOR)))
 
 
-def _gradient(counts, x, design, design_t):
+def _gradient(counts, x, design):
     """(p, w, c) at Pauli coefficients x: p = A x; w = n / p with p clipped at
     _PROB_FLOOR, clipped cells weighing 0; and -grad f over the coefficients,
     c_m = sum_k w_k A_km = tr(G P_m) / 4 for the density-matrix gradient -G."""
-    p = _rows(x, design_t)
+    p = _rows(x, design.matrix_t)
     w = np.where(p > _PROB_FLOOR, counts, 0.0) / np.maximum(p, _PROB_FLOOR)
-    return p, w, _rows(w, design)
+    return p, w, _rows(w, design.matrix)
 
 
-def _gap_bound(counts, r, design, design_t):
+def _gap_bound(counts, r, design):
     """Glancy, Knill & Girard (NJP 14, 095017, 2012): f is convex with
     gradient -G, G = sum_k (n_k/p_k) E_k, and tr(G rho) = N, so
     f(rho) - min f <= lambda_max(G) - N. With c from `_gradient`,
     G = sum_m c_m P_m = 4 _states(c)."""
-    p, w, c = _gradient(counts, r, design, design_t)
+    p, w, c = _gradient(counts, r, design)
     return np.linalg.eigvalsh(4.0 * _states(c))[:, -1] - np.einsum("rk,rk->r", w, p)
 
 
-def _fit_stack(counts, x, design, design_t):
+def _fit_stack(counts, x, design):
     """Minimize f(rho) = -sum_k n_k log tr(E_k rho) over physical states for
-    each row of an (R, K) count stack, through a (K, 16) design and its
-    transpose. Each fit starts from Pi of its row of x, the (R, 16) Pauli
+    each row of an (R, K) count stack, reading A and its transpose from the
+    `Design`. Each fit starts from Pi of its row of x, the (R, 16) Pauli
     coefficients of a linear inversion, and that projection gives the
     start's face (its rank). Projected gradient, x <- Pi(x + t c(x)) for
     c = -grad f from `_gradient` with a step t per fit from 1 / N,
@@ -260,7 +261,7 @@ def _fit_stack(counts, x, design, design_t):
     # rank: the face of the last accepted step, or of the start before the
     # first one; settled: accepted steps in a row on that face
     x, rank = _projection(x)
-    f = f0 = _nll(counts, _rows(x, design_t))
+    f = f0 = _nll(counts, _rows(x, design.matrix_t))
     out_x, out_f = x.copy(), f.copy()
     iterations, converged = np.zeros(len(x), dtype=int), np.zeros(len(x), dtype=bool)
     rows, n, its = np.arange(len(x)), counts, np.zeros(len(x), dtype=int)
@@ -268,8 +269,7 @@ def _fit_stack(counts, x, design, design_t):
     f_failed = np.full(len(x), np.inf)    # f at the start of the last failed finish
     t = 1.0 / counts.sum(axis=1)   # a longer first step mostly backtracks
     while True:
-        x_new, f_new, r_new = _backtracked_step(
-            n, x, f, _gradient(n, x, design, design_t)[2], t, design_t)
+        x_new, f_new, r_new = _backtracked_step(n, x, f, _gradient(n, x, design)[2], t, design)
         its += 1
         t *= _STEP_GROWTH
         # a refused step (f_new > f) counts as a stall too
@@ -290,7 +290,7 @@ def _fit_stack(counts, x, design, design_t):
                 idx = np.flatnonzero(ready)
                 f_failed[idx] = f[idx]
                 x[idx], f[idx], used, stop[idx] = _face_newton(
-                    n[idx], x[idx], f[idx], rank[idx], MLE_MAX_ITER - its[idx], design, design_t)
+                    n[idx], x[idx], f[idx], rank[idx], MLE_MAX_ITER - its[idx], design)
                 its[idx] += used
                 stalls[idx], settled[idx] = 0, 0
                 finished[idx] = stop[idx] | (its[idx] >= MLE_MAX_ITER)
@@ -306,7 +306,7 @@ def _fit_stack(counts, x, design, design_t):
     return out_x, out_f, f0, iterations, converged
 
 
-def _backtracked_step(n, x0, f0, c, t, design_t):
+def _backtracked_step(n, x0, f0, c, t, design):
     """x = Pi(x0 + t c), f(x) and the rank of x for each row, halving t in
     place until f(x) <= f0 - c.(x - x0) + |x - x0|^2 / (2 t)."""
     x, f, rank = np.empty_like(x0), np.empty_like(f0), np.empty(len(x0), dtype=int)
@@ -314,7 +314,7 @@ def _backtracked_step(n, x0, f0, c, t, design_t):
     while True:
         x0t, tt = x0[todo], t[todo]
         xt, rt = _projection(x0t + tt[:, None] * c[todo])
-        ft = _nll(n[todo], _rows(xt, design_t))
+        ft = _nll(n[todo], _rows(xt, design.matrix_t))
         d = xt - x0t
         ok = ft <= f0[todo] + np.einsum("rm,rm->r", d, d / (2 * tt[:, None]) - c[todo])
         if ok.all():
@@ -349,16 +349,16 @@ def _face_coordinates(r):
     return a, b, s, a * 2 * r + 2 * b + (s == 1j), pair
 
 
-def _face_point(n, theta, u, r, design_t):
+def _face_point(n, theta, u, r, design):
     """The factor L = U M(theta), the Pauli coefficients of L L^dagger and f."""
     m = np.zeros((len(theta), 8 * r))
     m[:, _face_coordinates(r)[3]] = theta
     lf = u @ m.view(complex).reshape(len(theta), 4, r)
     x = _coefficients(lf @ lf.conj().transpose(0, 2, 1))
-    return lf, x, _nll(n, _rows(x, design_t))
+    return lf, x, _nll(n, _rows(x, design.matrix_t))
 
 
-def _newton_step(n, theta, u, lf, x, design, design_t):
+def _newton_step(n, theta, u, lf, x, design):
     """Newton step on the sphere and its squared decrement: the KKT system
     [[H, theta], [theta^T, 0]] of the Lagrangian f + mu (|theta|^2 - 1),
     with H = J^T diag(n/p^2) J - sum_m c_m d^2 x_m + 2 mu I, J = d p/d theta,
@@ -367,17 +367,17 @@ def _newton_step(n, theta, u, lf, x, design, design_t):
     bounds the temporaries: (rows, 16, K) for the Fisher matrix, (rows,
     8r - r^2, 4, 4) for the derivatives of rho."""
     if len(x) > _NEWTON_ROWS:
-        parts = [_newton_step(*(v[k:k + _NEWTON_ROWS] for v in (n, theta, u, lf, x)),
-                              design, design_t) for k in range(0, len(x), _NEWTON_ROWS)]
+        parts = [_newton_step(*(v[k:k + _NEWTON_ROWS] for v in (n, theta, u, lf, x)), design)
+                 for k in range(0, len(x), _NEWTON_ROWS)]
         return tuple(np.concatenate(v) for v in zip(*parts))
     a, b, s, _, pair = _face_coordinates(lf.shape[2])
-    p, w, c = _gradient(n, x, design, design_t)
+    p, w, c = _gradient(n, x, design)
     # d x_m / d theta_i = 2 Re tr(D_i P_m) with D_i = s_i u_(a_i) l_(b_i)^dagger
     jx = 2.0 * _coefficients(((s[:, None, None] * u[:, :, a].transpose(0, 2, 1)[..., None])
                               * lf[:, :, b].conj().transpose(0, 2, 1)[..., None, :])
                              .reshape(-1, 4, 4)).reshape(len(x), len(a), 16)
     # J = A jx^T, so J^T diag(n/p^2) J = jx (A^T diag(n/p^2) A) jx^T
-    fisher = (design_t * (w / np.maximum(p, _PROB_FLOOR))[:, None, :]) @ design
+    fisher = (design.matrix_t * (w / np.maximum(p, _PROB_FLOOR))[:, None, :]) @ design.matrix
     # sum_m c_m d^2 x_m / d theta_i d theta_j = 2 Re tr(B_i^dagger G B_j) for
     # G = sum_m c_m P_m and B_i = d L / d theta_i = s_i u_(a_i) e_(b_i)^T
     g_face = u.conj().transpose(0, 2, 1) @ _states(4.0 * c) @ u
@@ -407,43 +407,42 @@ def _solve(a, b):
         return out
 
 
-def _damped_step(n, theta, step, dec, u, r, f, design_t):
+def _damped_step(n, theta, step, dec, u, r, f, design):
     """theta + alpha step, back on the sphere, with alpha halved from 1 until
     f falls by _ARMIJO * alpha * lambda^2: the new (theta, L, x, f) and the
     rows where alpha fell below _MIN_DAMPING first (their new values are
     not to be used)."""
     alpha, moved = 1.0, theta + step
     moved /= np.sqrt(np.einsum("ri,ri->r", moved, moved))[:, None]
-    lf, x, fm = _face_point(n, moved, u, r, design_t)
+    lf, x, fm = _face_point(n, moved, u, r, design)
     todo = np.flatnonzero(fm > f - _ARMIJO * dec)
     while todo.size and alpha > _MIN_DAMPING:
         alpha *= 0.5
         m = theta[todo] + alpha * step[todo]
         m /= np.sqrt(np.einsum("ri,ri->r", m, m))[:, None]
-        moved[todo], (lf[todo], x[todo], fm[todo]) = m, _face_point(n[todo], m, u[todo], r,
-                                                                    design_t)
+        moved[todo], (lf[todo], x[todo], fm[todo]) = m, _face_point(n[todo], m, u[todo], r, design)
         todo = todo[fm[todo] > f[todo] - _ARMIJO * alpha * dec[todo]]
     failed = np.zeros(len(theta), dtype=bool)
     failed[todo] = True
     return moved, lf, x, fm, failed
 
 
-def _widened(n, x, design, design_t):
+def _widened(n, x, design):
     """A start one rank up from a face whose optimum the gap bound refuses:
     rho + s (v v^dagger - rho) for the top eigenvector v of G, along which f
     falls at the rate lambda_max(G) - N, with s the minimum of f's quadratic
     model along that line."""
-    p, w, c = _gradient(n, x, design, design_t)
+    p, w, c = _gradient(n, x, design)
     lam, vecs = np.linalg.eigh(4.0 * _states(c))
     v = vecs[:, :, -1]
     xv = _coefficients(v[:, :, None] * v.conj()[:, None, :])
-    dp = _rows(xv, design_t) - p
+    dp = _rows(xv, design.matrix_t) - p
     s = ((lam[:, -1] - np.einsum("rk,rk->r", w, p))
          / np.einsum("rk,rk->r", w / np.maximum(p, _PROB_FLOOR), dp * dp))
     return x + np.clip(s, 0.0, 1.0)[:, None] * (xv - x)
 
 
-def _face_newton(n, x, f, rank, budget, design, design_t):
+def _face_newton(n, x, f, rank, budget, design):
     """Damped Newton (Boyd & Vandenberghe, Convex Optimization, 9.5) on the
     face of each row's rank, with rows grouped by rank, for at most
     MLE_NEWTON_STEPS iterations per face and the row's budget. A row is
@@ -469,9 +468,9 @@ def _face_newton(n, x, f, rank, budget, design, design_t):
         u, theta =np.ascontiguousarray(u[:, :, ::-1]), np.zeros((len(rows), len(a)))
         theta[:, a == b] = np.sqrt(np.maximum(lam[:, :-r - 1:-1], 0.0))
         theta /= np.sqrt(np.einsum("ri,ri->r", theta, theta))[:, None]
-        lf, xt, ft = _face_point(nr, theta, u, r, design_t)
+        lf, xt, ft = _face_point(nr, theta, u, r, design)
         for k in range(1, MLE_NEWTON_STEPS + 1):
-            step, dec = _newton_step(nr, theta, u, lf, xt, design, design_t)
+            step, dec = _newton_step(nr, theta, u, lf, xt, design)
             flat = np.abs(dec) <= 2.0 * MLE_REL_TOL * np.abs(ft)
             # a row leaves the face on a flat decrement, a step that does not
             # descend, or its last iteration here
@@ -485,14 +484,14 @@ def _face_newton(n, x, f, rank, budget, design, design_t):
                     own = ft[flat] <= f[idx]
                     best = np.where(own[:, None], xt[flat], x[idx])
                     f_best = np.where(own, ft[flat], f[idx])
-                    passed = (_gap_bound(nr[flat], best, design, design_t) ** 2
+                    passed = (_gap_bound(nr[flat], best, design) ** 2
                               <= MLE_GAP_TOL * nr[flat].sum(axis=1) * np.abs(f_best))
                     certified[idx] = passed
                     x[idx[passed]], f[idx[passed]] = best[passed], f_best[passed]
                     wide = np.flatnonzero(flat)[~passed]
                     wide = wide[(r < 4) & (used[rows[wide]] < budget[rows[wide]])]
                     if wide.size:
-                        start[rows[wide]] = _widened(nr[wide], xt[wide], design, design_t)
+                        start[rows[wide]] = _widened(nr[wide], xt[wide], design)
                         face[rows[wide]] = r + 1
                 better = end & ~certified[rows] & (ft < f[rows])
                 x[rows[better]], f[rows[better]] = xt[better], ft[better]
@@ -501,7 +500,7 @@ def _face_newton(n, x, f, rank, budget, design, design_t):
                     v[go] for v in (rows, nr, left, theta, u, lf, xt, ft, step, dec))
                 if not rows.size:
                     break
-            moved, lm, xm, fm, failed = _damped_step(nr, theta, step, dec, u, r, ft, design_t)
+            moved, lm, xm, fm, failed = _damped_step(nr, theta, step, dec, u, r, ft, design)
             if failed.any():
                 used[rows[failed]] += k
                 better = failed & (ft < f[rows])
@@ -531,7 +530,7 @@ def mle_reconstruct(ts: TomographySet):
     that start."""
     d, counts = ts.design, _with_prior(ts.counts[None], ts.exact)
     x, f, f0, iterations, converged = _fit_stack(
-        counts, _inverted_coefficients(ts.counts[None], d.inverse), d.matrix, d.matrix_t)
+        counts, _inverted_coefficients(ts.counts[None], d), d)
     filled = int(np.sum(ts.counts == 0)) if not ts.exact else 0
     report = FitReport(
         log_likelihood=-float(f[0]),
@@ -539,7 +538,7 @@ def mle_reconstruct(ts: TomographySet):
         iterations=int(iterations[0]),
         converged=bool(converged[0]),
         regularization=f"half-count prior on {filled} empty cells" if filled else "none",
-        gap_bound=float(_gap_bound(counts, x, d.matrix, d.matrix_t)[0]),
+        gap_bound=float(_gap_bound(counts, x, d)[0]),
     )
     return _states(x)[0], report
 
@@ -564,8 +563,7 @@ def bootstrap_metrics(rho_hat, ts: TomographySet, n_replicas=250, seed=0):
     probs, trials = outcome_probabilities(rho_hat, d.operators), totals.astype(np.int64)
     draws = np.random.default_rng(seed).multinomial(
         trials, probs, size=(n_replicas, len(trials))).astype(float)
-    x, *_ = _fit_stack(_with_prior(draws, False), _inverted_coefficients(draws, d.inverse),
-                       d.matrix, d.matrix_t)
+    x, *_ = _fit_stack(_with_prior(draws, False), _inverted_coefficients(draws, d), d)
     rhos = _states(x)
     out = {}
     for name, fn in (("fidelity", fidelity_to_target), ("negativity", negativity),

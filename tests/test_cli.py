@@ -207,6 +207,44 @@ class TestTomo:
         m_out = json.load(open(out + ".metrics.json"))
         assert abs(m_src["fidelity"] - m_out["fidelity"]) < 1e-9
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["--n-per-setting", "5"], "--n-per-setting"),
+        (["--depolarizing", "0.9"], "--depolarizing"),
+        (["--dephasing", "0.2"], "--dephasing"),
+        (["--eps01", "0.3"], "--eps01"),
+        (["--eps10", "0.3"], "--eps10"),
+    ])
+    def test_simulation_flags_refused_with_input(self, tmp_path, capsys, argv, flag):
+        """`--input` counts ignore every simulation flag, so one passed beside
+        it is an error that names it (and any other passed), with no artifact."""
+        src = str(tmp_path / "src")
+        assert run_cli(["--seed", "3", "--out", src, "tomo", "--bootstrap", "0"]) == 0
+        capsys.readouterr()
+        before = sorted(tmp_path.iterdir())
+        out = str(tmp_path / "in")
+        assert run_cli(["--out", out, "tomo", "--bootstrap", "0",
+                        "--input", src + ".counts.csv", *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --input ") and err.count("\n") == 1 and flag in err
+        assert sorted(tmp_path.iterdir()) == before
+        assert run_cli(["--out", out, "tomo", "--input", src + ".counts.csv",
+                        "--eps10", "0", *argv]) == 1
+        err = capsys.readouterr().err
+        assert flag in err and "--eps10" in err
+
+    def test_config_simulation_values_accepted_with_input(self, tmp_path):
+        """One config file serves every command, so its simulation values do
+        not stop a fit of `--input` counts."""
+        src = str(tmp_path / "src")
+        assert run_cli(["--seed", "3", "--out", src, "tomo", "--bootstrap", "0"]) == 0
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text("depolarizing = 0.5\nn_per_setting = 0\nbootstrap = 0\n")
+        out = str(tmp_path / "in")
+        assert run_cli(["--config", str(cfg), "--out", out, "tomo",
+                        "--input", src + ".counts.csv"]) == 0
+        assert (tmp_path / "in.state.json").read_bytes() == \
+            (tmp_path / "src.state.json").read_bytes()
+
     def test_incomplete_settings_named(self, tmp_path, capsys):
         src = str(tmp_path / "full")
         assert run_cli(["--seed", "3", "--out", src, "tomo", "--bootstrap", "0"]) == 0

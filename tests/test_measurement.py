@@ -622,6 +622,22 @@ class TestCsvRoundTrip:
         circ = [s.photon.circular for s in back.settings]
         assert sum(circ) == 3   # the three photonic sigma_z settings
 
+    def test_sidecar_fault_writes_nothing(self, tmp_path):
+        """Metadata that JSON cannot hold fails before either file is opened:
+        no CSV without its sidecar, and a pair already there stays as it was."""
+        ds, other = (simulate_tomography(ideal_state(), 10, seed=s) for s in (0, 1))
+        bad = Dataset(other.settings, other.records,
+                      metadata={**other.metadata, "run": np.int64(3)})
+        with pytest.raises(TypeError, match="int64"):
+            write_counts_csv(bad, tmp_path / "wc.counts.csv")
+        assert list(tmp_path.iterdir()) == []
+        write_counts_csv(ds, tmp_path / "wc.counts.csv")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert sorted(before) == ["wc.counts.csv", "wc.counts.meta.json"]
+        with pytest.raises(TypeError, match="int64"):
+            write_counts_csv(bad, tmp_path / "wc.counts.csv")
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     def test_missing_sidecar_marks_ingested(self, tmp_path):
         ds = simulate_scan(ideal_state(), ATOM_SX, [0.0, 0.4, 0.8, 1.2], 50, seed=1)
         path = tmp_path / "x.counts.csv"

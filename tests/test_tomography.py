@@ -55,13 +55,13 @@ A, A_T = CANONICAL.matrix, CANONICAL.matrix_t
 
 
 def fit_stack(counts, x):
-    return _fit_stack(counts, x, A, A_T)
+    return _fit_stack(counts, x, CANONICAL)
 
 
 def linear_inversions(counts):
     """Pauli coefficients of each count row's linear inversion: the start
     `_fit_stack` projects."""
-    return _inverted_coefficients(counts, CANONICAL.inverse)
+    return _inverted_coefficients(counts, CANONICAL)
 
 
 def random_physical_state(rng):
@@ -656,7 +656,7 @@ class TestMleLikelihood:
         """The density-matrix gradient -sum_k (n_k/p_k) E_k, and its Pauli
         coefficients that the fit steps along, against central differences
         of the negative log-likelihood."""
-        _, w, c = _gradient(counts[None], _coefficients(rho[None]), A, A_T)
+        _, w, c = _gradient(counts[None], _coefficients(rho[None]), CANONICAL)
         grad = -np.einsum("k,kij->ij", w[0], CANONICAL.operators)
         step = 1e-6
         numeric = (nll_of_state(counts, rho + step * h)
@@ -920,10 +920,10 @@ def oracle_ascent(counts, r):
 ORACLES = {
     "states": (_states, lambda r: np.einsum("rm,mij->rij", r, _PAULI_STACK / 4.0)),
     "coefficients": (_coefficients, lambda rho: np.einsum("rij,mji->rm", rho, _PAULI_STACK).real),
-    "probabilities": (lambda n, r: _gradient(n, r, A, A_T)[0],
+    "probabilities": (lambda n, r: _gradient(n, r, CANONICAL)[0],
                       lambda n, r: np.einsum("km,rm->rk", A, r)),
-    "ascent": (lambda n, r: _gradient(n, r, A, A_T)[2], oracle_ascent),
-    "gap_bound": (lambda n, r: _gap_bound(n, r, A, A_T), oracle_gap_bound),
+    "ascent": (lambda n, r: _gradient(n, r, CANONICAL)[2], oracle_ascent),
+    "gap_bound": (lambda n, r: _gap_bound(n, r, CANONICAL), oracle_gap_bound),
 }
 
 
@@ -990,7 +990,7 @@ class TestKernels:
         end, *_ = fit_stack(counts, linear_inversions(ts.counts[None]))
         for r in (start, end):
             n = counts.sum()
-            bound = _gap_bound(counts, r, A, A_T)[0]
+            bound = _gap_bound(counts, r, CANONICAL)[0]
             assert abs(bound - oracle_gap_bound(counts, r)[0]) <= 1e-13 * n
 
 
@@ -1046,9 +1046,9 @@ class TestBootstrap:
         drawn = []
         inverted = tomography._inverted_coefficients
 
-        def spy(counts, inverse):
+        def spy(counts, design):
             drawn.append(counts)
-            return inverted(counts, inverse)
+            return inverted(counts, design)
 
         monkeypatch.setattr(tomography, "_inverted_coefficients", spy)
         out = bootstrap_metrics(rho, ts, n_replicas=6, seed=4)
