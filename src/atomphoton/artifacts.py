@@ -1,27 +1,8 @@
-"""Atomic artifact writers shared by every command."""
+"""Artifact files of a command, committed all or nothing."""
 
 import contextlib
 import json
 import os
-
-
-@contextlib.contextmanager
-def atomic_open(path, newline=None):
-    """Text file handle whose content replaces path only on a clean exit.
-
-    The text goes to a temporary file in the target's directory, which then
-    replaces the target; on an error the temporary file is removed, so the
-    target is either complete or untouched.
-    """
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", newline=newline) as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
 
 
 def json_text(payload):
@@ -30,7 +11,25 @@ def json_text(payload):
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def write_json(payload, path):
-    """Write `json_text(payload)` atomically."""
-    with atomic_open(path) as fh:
-        fh.write(json_text(payload))
+def commit(files):
+    """Write each {path: text} entry byte for byte, all or nothing.
+
+    Every text goes to a temporary file beside its target, and the targets
+    are replaced only once every text is written. On any error, interrupts
+    included, the temporary files and every target already replaced are
+    removed: the targets end all new, or none of them new.
+    """
+    staged = {f"{os.fspath(path)}.{os.getpid()}.tmp": path for path in files}
+    replaced = []
+    try:
+        for tmp, text in zip(staged, files.values()):
+            with open(tmp, "w", newline="") as fh:
+                fh.write(text)
+        for tmp, path in staged.items():
+            os.replace(tmp, path)
+            replaced.append(path)
+    except BaseException:
+        for path in [*staged, *replaced]:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(path)
+        raise

@@ -2,37 +2,38 @@
 
 Configuration is a flat key-value text file (``key = value`` lines; a ``#``
 at a line's start or after a blank opens a comment); command-line flags
-override file values. Angles are radians, times seconds. Outputs are
-written as <prefix>.counts.csv, <prefix>.state.json, <prefix>.metrics.json,
-<prefix>.plan.json and are bit-identical for a fixed config and seed on one
-numpy/BLAS build; another build may add in another order and move the
-fitted state's last digits.
+override file values. Angles are radians, times seconds. Each command
+computes and renders all of its outputs (<prefix>.counts.csv and its
+.counts.meta.json, .fringes.csv, .state.json, .metrics.json, .noise.json,
+.plan.json), then commits them at once: they land together or not at all,
+and a failed command leaves the files already at its prefix as they were.
+Outputs are bit-identical for a fixed config and seed on one numpy/BLAS
+build; another build may add in another order and move the fitted state's
+last digits.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import functools
+import io
 import math
-import os
 import sys
 from dataclasses import asdict, fields
 
 import numpy as np
 
-from .artifacts import atomic_open, write_json
+from .artifacts import commit, json_text
 from .calibrate import calibrate_noise
 from .measurement import (
     ATOM_SX,
     ATOM_SY,
     MeasurementSetting,
     PhotonSetting,
+    counts_files,
     read_counts_csv,
-    sidecar_path,
     simulate_settings,
-    write_counts_csv,
 )
 from .metrics import (
     chsh_max,
@@ -49,7 +50,7 @@ from .tomography import (
     bootstrap_metrics,
     mle_reconstruct,
     simulate_tomography,
-    write_state_json,
+    state_payload,
 )
 
 # Noise preset reproducing the demonstrated source: depolarizing weight
@@ -140,7 +141,7 @@ def _noise(params):
     return NoiseModel(**{key: params[key] for key, _, _ in _NOISE_KEYS})
 
 
-def cmd_scan(args, params, written):
+def cmd_scan(args, params):
     noise = _noise(params)
     bases = [b.strip() for b in params["bases"].split(",")]
     unknown = [b for b in bases if b not in ATOM_BASES]
@@ -161,37 +162,32 @@ def cmd_scan(args, params, written):
     dataset.metadata["betas"] = betas
     dataset.metadata["bases"] = bases
 
-    counts_path = args.out + ".counts.csv"
-    fringes_path = args.out + ".fringes.csv"
-    metrics_path = args.out + ".metrics.json"
-    written += [counts_path, sidecar_path(counts_path), fringes_path, metrics_path]
-
-    write_counts_csv(dataset, counts_path)
-
     # records are basis-major, as the settings were listed
     counts = dataset.records.reshape(len(bases), n_points, 4)
     fits = {}
-    with atomic_open(fringes_path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["basis", "detector", "beta", "p", "error"])
-        for b, rows in zip(bases, counts):
-            p, events = fringe_scans(rows)
-            errors = np.sqrt(p * (1 - p) / events)   # NaN, like p, where there are no events
-            fits[b] = {}
-            for d in range(2):
-                seen = events[:, d] > 0   # a point without events drops out of the fit
-                try:
-                    fit = fit_fringe(np.asarray(betas)[seen], p[seen, d])
-                except ValueError as exc:
-                    raise ValueError(f"{b} APD{d + 1} fringe, events at {np.count_nonzero(seen)} "
-                                     f"of {n_points} scan points: {exc}") from None
-                fits[b][f"apd{d + 1}"] = asdict(fit)
-                for beta, p_k, err in zip(betas, p[:, d].tolist(), errors[:, d].tolist()):
-                    cells = ["", ""] if math.isnan(p_k) else [f"{p_k:.17g}", f"{err:.17g}"]
-                    writer.writerow([b, d + 1, f"{beta:.17g}", *cells])
+    fringes = io.StringIO()
+    writer = csv.writer(fringes)
+    writer.writerow(["basis", "detector", "beta", "p", "error"])
+    for b, rows in zip(bases, counts):
+        p, events = fringe_scans(rows)
+        errors = np.sqrt(p * (1 - p) / events)   # NaN, like p, where there are no events
+        fits[b] = {}
+        for d in range(2):
+            seen = events[:, d] > 0   # a point without events drops out of the fit
+            try:
+                fit = fit_fringe(np.asarray(betas)[seen], p[seen, d])
+            except ValueError as exc:
+                raise ValueError(f"{b} APD{d + 1} fringe, events at {np.count_nonzero(seen)} "
+                                 f"of {n_points} scan points: {exc}") from None
+            fits[b][f"apd{d + 1}"] = asdict(fit)
+            for beta, p_k, err in zip(betas, p[:, d].tolist(), errors[:, d].tolist()):
+                cells = ["", ""] if math.isnan(p_k) else [f"{p_k:.17g}", f"{err:.17g}"]
+                writer.writerow([b, d + 1, f"{beta:.17g}", *cells])
 
-    write_json(
-        {
+    commit({
+        **counts_files(dataset, args.out + ".counts.csv"),
+        args.out + ".fringes.csv": fringes.getvalue(),
+        args.out + ".metrics.json": json_text({
             "command": "scan",
             "seed": args.seed,
             "exact": args.exact,
@@ -199,16 +195,15 @@ def cmd_scan(args, params, written):
             "n_points": n_points,
             "n_per_point": params["n_per_point"],
             "fits": fits,
-        },
-        metrics_path,
-    )
+        }),
+    })
     for b in bases:
         for det in ("apd1", "apd2"):
             print(f"{b} {det}: visibility = {fits[b][det]['visibility']:.4f}")
     return 0
 
 
-def cmd_tomo(args, params, written):
+def cmd_tomo(args, params):
     if params["bootstrap"] < 0 or params["bootstrap"] == 1:   # a spread needs 2 replicas
         raise ValueError(f"bootstrap must be 0 (disabled) or >= 2, got {params['bootstrap']}")
     if params["input"] == "":
@@ -222,20 +217,14 @@ def cmd_tomo(args, params, written):
             raise ValueError(f"--input reads its counts from a file and would ignore "
                              f"the simulation flags given: {', '.join(dropped)}")
         dataset = read_counts_csv(params["input"])
+        files = {}
     else:
         dataset = simulate_tomography(ideal_state(), params["n_per_setting"],
                                       noise=_noise(params), seed=args.seed, exact=args.exact)
-        counts_path = args.out + ".counts.csv"
-        written += [counts_path, sidecar_path(counts_path)]
-        write_counts_csv(dataset, counts_path)
+        files = counts_files(dataset, args.out + ".counts.csv")
 
     ts = TomographySet.from_dataset(dataset)
     rho_hat, report = mle_reconstruct(ts)
-
-    state_path = args.out + ".state.json"
-    metrics_path = args.out + ".metrics.json"
-    written += [state_path, metrics_path]
-    write_state_json(rho_hat, state_path, fit_report=report)
 
     metrics = {
         "fidelity": fidelity_to_target(rho_hat),
@@ -251,8 +240,10 @@ def cmd_tomo(args, params, written):
     elif params["bootstrap"] > 0:
         metrics["bootstrap"] = bootstrap_metrics(
             rho_hat, ts, n_replicas=params["bootstrap"], seed=args.seed)
-    write_json({"command": "tomo", "seed": args.seed, "exact": ts.exact,
-                **metrics}, metrics_path)
+    files[args.out + ".state.json"] = json_text(state_payload(rho_hat, report))
+    files[args.out + ".metrics.json"] = json_text({"command": "tomo", "seed": args.seed,
+                                                   "exact": ts.exact, **metrics})
+    commit(files)
 
     print("reconstructed state, real part:")
     for row in np.real(rho_hat):
@@ -264,20 +255,15 @@ def cmd_tomo(args, params, written):
     return 0
 
 
-def cmd_calibrate(args, params, written):
+def cmd_calibrate(args, params):
     result = calibrate_noise(params["vx"], params["vy"], params["fidelity"])
-    noise_path = args.out + ".noise.json"
-    written.append(noise_path)
-    write_json(
-        {
-            "command": "calibrate",
-            "targets": params,
-            "noise": asdict(result.noise),
-            "achieved": result.achieved,
-            "residuals": result.residuals,
-        },
-        noise_path,
-    )
+    commit({args.out + ".noise.json": json_text({
+        "command": "calibrate",
+        "targets": params,
+        "noise": asdict(result.noise),
+        "achieved": result.achieved,
+        "residuals": result.residuals,
+    })})
     print("# calibrated noise model (config format)")
     for key, value in asdict(result.noise).items():
         print(f"{key} = {value:.12g}")
@@ -287,13 +273,11 @@ def cmd_calibrate(args, params, written):
     return 0
 
 
-def cmd_plan(args, params, written):
+def cmd_plan(args, params):
     plan = ExperimentPlan(**params)
     report = build_plan(plan)
 
-    plan_path = args.out + ".plan.json"
-    written.append(plan_path)
-    write_json({"plan": asdict(plan), "report": asdict(report)}, plan_path)
+    commit({args.out + ".plan.json": json_text({"plan": asdict(plan), "report": asdict(report)})})
 
     # (quantity, computed, the demonstrated experiment's reference figure)
     rows = [
@@ -347,20 +331,14 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    written = []   # artifact paths the command may have written
     try:
         if args.seed < 0:
             raise ValueError(f"--seed must be >= 0, got {args.seed}")
         if not args.out:   # "" would write hidden files such as .plan.json
             raise ValueError("--out must name an output prefix, got an empty string")
         func, _, keys = _COMMANDS[args.command]
-        return func(args, _merged(args, keys), written)
-    except BaseException as exc:   # no partial artifacts, whatever stopped the command
-        for path in written:
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(path)
-        if not isinstance(exc, (ValueError, OSError)):
-            raise   # an interrupt or a bug
+        return func(args, _merged(args, keys))
+    except (ValueError, OSError) as exc:   # an interrupt or a bug propagates
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

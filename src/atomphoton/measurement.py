@@ -21,6 +21,7 @@ P(F=1 | APD1, beta) = (1 - cos 2 beta)/2, zero at beta = 0.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -28,7 +29,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from numpy.random import SeedSequence, default_rng
 
-from .artifacts import atomic_open, json_text
+from .artifacts import commit, json_text
 from .states import NoiseModel, apply_noise
 
 COUNT_COLUMNS = ("n_f2_apd1", "n_f2_apd2", "n_f1_apd1", "n_f1_apd2")
@@ -189,22 +190,25 @@ def sidecar_path(csv_path):
     return str(csv_path).removesuffix(".csv") + ".meta.json"
 
 
+def counts_files(dataset: Dataset, path):
+    """{path: the records' CSV text, its sidecar's path: the metadata's JSON
+    text}, for `artifacts.commit`. Metadata that JSON cannot hold fails here."""
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(("theta", "phi", "beta") + COUNT_COLUMNS + ("photon_basis",))
+    # Python floats format faster than numpy scalars, to the same text
+    for s, counts in zip(dataset.settings, dataset.records.tolist()):
+        row = [f"{s.atom.theta:.17g}", f"{s.atom.phi:.17g}", f"{s.photon.beta:.17g}"]
+        row += [f"{c:.17g}" for c in counts]
+        row.append("circular" if s.photon.circular else "linear")
+        w.writerow(row)
+    return {path: buf.getvalue(), sidecar_path(path): json_text(dataset.metadata)}
+
+
 def write_counts_csv(dataset: Dataset, path):
-    """Write the records to path and the metadata to its JSON sidecar. The
-    sidecar's text is rendered first, so metadata that JSON cannot hold
-    writes neither file and leaves a pair already at path untouched."""
-    meta = json_text(dataset.metadata)
-    with atomic_open(path, newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(("theta", "phi", "beta") + COUNT_COLUMNS + ("photon_basis",))
-        # Python floats format faster than numpy scalars, to the same text
-        for s, counts in zip(dataset.settings, dataset.records.tolist()):
-            row = [f"{s.atom.theta:.17g}", f"{s.atom.phi:.17g}", f"{s.photon.beta:.17g}"]
-            row += [f"{c:.17g}" for c in counts]
-            row.append("circular" if s.photon.circular else "linear")
-            w.writerow(row)
-    with atomic_open(sidecar_path(path)) as fh:
-        fh.write(meta)
+    """Write the records to path and the metadata to its JSON sidecar in one
+    `artifacts.commit`: both land or neither."""
+    commit(counts_files(dataset, path))
 
 
 _CSV_NUMBERS = ("theta", "phi", "beta") + COUNT_COLUMNS

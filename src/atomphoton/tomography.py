@@ -20,7 +20,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import qmath
-from .artifacts import write_json
 from .measurement import (
     ATOM_SX,
     ATOM_SY,
@@ -591,10 +590,11 @@ def _percentile(ranked, q):
 # Reconstructed-state JSON
 # ----------------------------------------------------------------------
 
-def write_state_json(rho, path, fit_report):
-    write_json({
+def state_payload(rho, fit_report):
+    """The payload of a <prefix>.state.json: rho in BASIS_CONVENTION, and the fit report."""
+    return {
         "real": np.real(rho).tolist(),
         "imag": np.imag(rho).tolist(),
         "basis": BASIS_CONVENTION,
         "fit_report": asdict(fit_report),
-    }, path)
+    }

@@ -99,6 +99,18 @@ class TestScan:
         for suffix in (".counts.csv", ".fringes.csv", ".metrics.json"):
             assert not os.path.exists(out + suffix)
 
+    def test_refused_scan_keeps_earlier_files(self, tmp_path, capsys):
+        """A scan refused at the prefix of an earlier scan leaves that scan's
+        four files as they were, and no temporary file."""
+        out = str(tmp_path / "x")
+        assert run_cli(["--out", out, "scan"]) == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert len(before) == 4
+        assert run_cli(["--seed", "0", "--out", out, "scan", "--n-points", "4",
+                        "--n-per-point", "1"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     def test_invalid_basis_rejected(self, tmp_path, capsys):
         out = str(tmp_path / "bad")
         assert run_cli(["--out", out, "scan", "--bases", "sz"]) == 1

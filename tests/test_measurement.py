@@ -638,6 +638,15 @@ class TestCsvRoundTrip:
             write_counts_csv(bad, tmp_path / "wc.counts.csv")
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
+    def test_sidecar_directory_fault_writes_no_csv(self, tmp_path):
+        """A sidecar that cannot land (a directory in its place) takes the CSV
+        with it: no CSV without its sidecar, and no temporary file."""
+        (tmp_path / "wc.counts.meta.json").mkdir()
+        with pytest.raises(OSError):
+            write_counts_csv(simulate_tomography(ideal_state(), 10, seed=0),
+                             tmp_path / "wc.counts.csv")
+        assert [p.name for p in tmp_path.iterdir()] == ["wc.counts.meta.json"]
+
     def test_missing_sidecar_marks_ingested(self, tmp_path):
         ds = simulate_scan(ideal_state(), ATOM_SX, [0.0, 0.4, 0.8, 1.2], 50, seed=1)
         path = tmp_path / "x.counts.csv"
