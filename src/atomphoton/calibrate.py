@@ -31,8 +31,8 @@ from .measurement import (
     ATOM_SY,
     MeasurementSetting,
     PhotonSetting,
-    noisy_probabilities,
     outcome_operators,
+    outcome_probabilities,
 )
 from .metrics import fidelity_to_target, fit_fringe, fringe_scans
 from .states import NoiseModel, ideal_state
@@ -75,7 +75,7 @@ def exact_observables(noise: NoiseModel):
     inversion, i.e. of the same readout-dressed state the tomography
     pipeline reconstructs.
     """
-    probs = noisy_probabilities(ideal_state(), _OPERATORS, noise)
+    probs = outcome_probabilities(ideal_state(), _OPERATORS, noise)
 
     def fringe_visibility(block):
         p, _ = fringe_scans(probs[block * 6:(block + 1) * 6])

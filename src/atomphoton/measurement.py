@@ -9,7 +9,7 @@ The atomic analysis transfers |psi> = sin(theta)|-1> + e^{i phi} cos(theta)|+1>
 to F=2 ("transferred"); the orthogonal state remains in F=1 ("remained").
 Implemented as an ideal projector pair; transfer imperfections are folded
 into the readout-confusion probabilities of the noise model, which
-`noisy_probabilities` applies to the outcome rows.
+`outcome_probabilities`, the one map from a checked state to rows, applies.
 
 Outcome order in all four-vectors of counts/probabilities:
     [(F2, APD1), (F2, APD2), (F1, APD1), (F1, APD2)]
@@ -91,19 +91,15 @@ def outcome_operators(settings):
     return (a[:, :, None, :, None, :, None] * d[:, None, :, None, :, None, :]).reshape(-1, 4, 4)
 
 
-def outcome_probabilities(rho, operators):
-    """tr(rho Pi) for stacked outcome operators, one row of four per setting,
-    clipped at zero and normalized per row. rho is not validated here."""
-    p = np.clip(np.einsum("kij,ji->k", operators, rho).real, 0.0, None).reshape(-1, 4)
-    return p / p.sum(axis=1, keepdims=True)
-
-
-def noisy_probabilities(rho, operators, noise: NoiseModel):
-    """Outcome probabilities under the whole noise model, one row of four per
-    setting: the channels act on rho once, then the readout confusion
-    (eps01 = P(reported F=1 | true transferred), eps10 = the reverse) maps
-    every row's atomic labels at once. `apply_noise` checks rho."""
-    p = outcome_probabilities(apply_noise(rho, noise), operators)
+def outcome_probabilities(rho, operators, noise: NoiseModel):
+    """Outcome rows, one of four per setting, under the whole noise model:
+    `apply_noise` checks rho and applies the channels, tr(rho Pi) is clipped
+    at zero and normalized per row, then the readout confusion (eps01 =
+    P(reported F=1 | true transferred), eps10 = the reverse) relabels every
+    row's atomic outcomes. A non-state is refused here, not clipped into rows."""
+    p = np.clip(np.einsum("kij,ji->k", operators, apply_noise(rho, noise)).real,
+                0.0, None).reshape(-1, 4)
+    p /= p.sum(axis=1, keepdims=True)
     f2, f1 = p[:, :2], p[:, 2:]
     return np.hstack([(1 - noise.eps01) * f2 + noise.eps10 * f1,
                       noise.eps01 * f2 + (1 - noise.eps10) * f1])
@@ -159,7 +155,7 @@ def simulate_settings(rho, settings, n_per_setting, noise=None, seed=0, exact=Fa
     noise = noise or NoiseModel()
     settings = list(settings)
     operators = outcome_operators(settings)
-    probs = noisy_probabilities(rho, operators, noise)
+    probs = outcome_probabilities(rho, operators, noise)
     if exact:
         records = n_per_setting * probs
     else:

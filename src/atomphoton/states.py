@@ -37,7 +37,7 @@ class NoiseModel:
     eps01 / eps10: probability that a true atomic outcome
         (0 = transferred to F=2, 1 = remained in F=1) is reported flipped.
         Applied to outcome probabilities by
-        `measurement.noisy_probabilities`, never to the state.
+        `measurement.outcome_probabilities`, never to the state.
     """
 
     depolarizing: float = 0.0

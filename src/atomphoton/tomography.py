@@ -34,6 +34,7 @@ from .measurement import (
     simulate_settings,
 )
 from .metrics import fidelity_to_target, negativity, purity
+from .states import NoiseModel
 
 PAULI_LABELS = np.array([a + b for a in "ixyz" for b in "ixyz"])   # "ii" .. "zz": atom, photon
 
@@ -552,16 +553,17 @@ def bootstrap_metrics(rho_hat, ts: TomographySet, n_replicas=250, seed=0):
     (ddof=1, so n_replicas >= 2) and 95 % interval. Replica k is row k of one
     multinomial draw from default_rng(seed), a stream no record uses, each
     setting from its own whole-number total, so a longer bootstrap extends a
-    shorter one; its fit is mle_reconstruct's on its counts alone."""
+    shorter one; its fit is mle_reconstruct's on its counts alone. rho_hat
+    passes `apply_noise`'s state gate: a non-state is refused by its defect."""
     if n_replicas < 2:
         raise ValueError(f"n_replicas must be at least 2, got {n_replicas}")
     totals = ts.counts.sum(axis=1)
     if (totals % 1.0).any():   # a whole number of trials each, not rounded to one
         raise ValueError(f"bootstrap: setting totals {totals.tolist()} are not all whole numbers")
     d = ts.design
-    probs, trials = outcome_probabilities(rho_hat, d.operators), totals.astype(np.int64)
+    probs = outcome_probabilities(rho_hat, d.operators, NoiseModel())
     draws = np.random.default_rng(seed).multinomial(
-        trials, probs, size=(n_replicas, len(trials))).astype(float)
+        totals.astype(np.int64), probs, size=(n_replicas, len(totals))).astype(float)
     x, *_ = _fit_stack(_with_prior(draws, False), _inverted_coefficients(draws, d), d)
     rhos = _states(x)
     out = {}

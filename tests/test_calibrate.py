@@ -13,7 +13,7 @@ from atomphoton.calibrate import (
     exact_observables,
     model_observables,
 )
-from atomphoton.measurement import noisy_probabilities
+from atomphoton.measurement import outcome_probabilities
 from atomphoton.metrics import fidelity_to_target
 from atomphoton.states import NoiseModel, ideal_state
 from atomphoton.tomography import TomographySet, linear_inversion
@@ -71,7 +71,7 @@ class TestExactObservables:
         """The fidelity is exactly that of the linear-inversion state of the
         exact-count tomography rows."""
         noise = NoiseModel(depolarizing=p, dephasing=q)
-        probs = noisy_probabilities(ideal_state(), _OPERATORS, noise)
+        probs = outcome_probabilities(ideal_state(), _OPERATORS, noise)
         want = fidelity_to_target(
             linear_inversion(TomographySet(probs[12:], _TOMOGRAPHY, exact=True)))
         assert exact_observables(noise)["fidelity"] == want

@@ -222,7 +222,7 @@ class TestFitFringe:
         betas = np.arange(10) * math.pi / 10
         ops = outcome_operators([MeasurementSetting(ATOM_SX, PhotonSetting(beta=b)) for b in betas])
         for v in (0.3, 0.86, 1.0):
-            p = outcome_probabilities(werner(v), ops)
+            p = outcome_probabilities(werner(v), ops, NoiseModel())
             fit = fit_fringe(betas, p[:, 2] / (p[:, 0] + p[:, 2]))
             assert abs(fit.visibility - v) < 1e-6
 
@@ -255,7 +255,7 @@ class TestFitFringe:
     def test_scan_point_without_events_dropped_before_fit(self):
         betas = np.arange(6) * math.pi / 6
         ops = outcome_operators([MeasurementSetting(ATOM_SX, PhotonSetting(beta=b)) for b in betas])
-        rows = outcome_probabilities(werner(0.86), ops)
+        rows = outcome_probabilities(werner(0.86), ops, NoiseModel())
         rows[2] = 0.0   # no events at beta = pi/3
         p, events = fringe_scans(rows)
         with pytest.raises(ValueError, match=r"p\[2\] is nan"):

@@ -87,7 +87,7 @@ def exact_fringe_visibility(rho, atom=ATOM_SX, n_beta=12):
     """Peak-to-peak of the exact conditional P(F=1 | APD1) over a beta grid."""
     betas = np.arange(n_beta) * math.pi / n_beta
     ops = outcome_operators([MeasurementSetting(atom, PhotonSetting(beta=b)) for b in betas])
-    p = outcome_probabilities(rho, ops)
+    p = outcome_probabilities(rho, ops, NoiseModel())
     cond = p[:, 2] / (p[:, 0] + p[:, 2])
     return cond.max() - cond.min()
 

@@ -760,7 +760,7 @@ def tomo_seed7():
         ideal_state(), 300, noise=NoiseModel(depolarizing=0.14), seed=7))
     rho, report = mle_reconstruct(ts)
     totals = np.rint(ts.counts.sum(axis=1)).astype(np.int64)
-    probs = outcome_probabilities(rho, CANONICAL.operators)
+    probs = outcome_probabilities(rho, CANONICAL.operators, NoiseModel())
     draws = np.array([
         np.random.default_rng(np.random.SeedSequence(entropy=7, spawn_key=(k,)))
         .multinomial(totals, probs) for k in range(250)], dtype=float)
@@ -878,7 +878,7 @@ class TestGapBound:
             ts = TomographySet.from_dataset(simulate_tomography(ideal_state(), 10**6, seed=seed))
             rho, report = mle_reconstruct(ts)
             assert report.converged
-            probs = outcome_probabilities(rho, CANONICAL.operators)
+            probs = outcome_probabilities(rho, CANONICAL.operators, NoiseModel())
             totals = ts.counts.sum(axis=1).astype(np.int64)
             replicas = [*range(50), *{0: (132, 154), 1: (178,)}.get(seed, ())]
             draws = np.concatenate([
@@ -1041,7 +1041,7 @@ class TestBootstrap:
         ds = simulate_tomography(werner(5 / 6), 200, seed=8)
         ts = TomographySet.from_dataset(ds)
         rho, _ = mle_reconstruct(ts)
-        probs = outcome_probabilities(rho, CANONICAL.operators)
+        probs = outcome_probabilities(rho, CANONICAL.operators, NoiseModel())
         totals = ts.counts.sum(axis=1).astype(np.int64)
         drawn = []
         inverted = tomography._inverted_coefficients
@@ -1131,7 +1131,7 @@ class TestBootstrap:
         monkeypatch.setattr(tomography, "_MIN_DAMPING", 1.0)
         ts = TomographySet.from_dataset(simulate_tomography(ideal_state(), 10**6, seed=0))
         rho, _ = mle_reconstruct(ts)
-        probs = outcome_probabilities(rho, CANONICAL.operators)
+        probs = outcome_probabilities(rho, CANONICAL.operators, NoiseModel())
         totals = ts.counts.sum(axis=1).astype(np.int64)
         draws = np.array([record_rng(0, k).multinomial(totals, probs) for k in range(20)],
                          dtype=float)
@@ -1187,6 +1187,19 @@ class TestBootstrap:
         ts = TomographySet.from_dataset(simulate_tomography(werner(5 / 6), 100, seed=2))
         with pytest.raises(ValueError, match="n_replicas"):
             bootstrap_metrics(werner(5 / 6), ts, n_replicas=n_replicas, seed=1)
+
+    @pytest.mark.parametrize("bad, defect", [
+        (np.diag([0.7, -0.1, 0.2, 0.2]), "not PSD"),
+        (2 * ideal_state(), "trace is 2"),
+        (ideal_state() + np.diag([0, np.nan, 0, 0]), "non-finite"),
+    ], ids=["not PSD", "trace is 2", "non-finite"])
+    def test_non_state_refused_by_defect(self, bad, defect):
+        """The resampling state passes the density-matrix gate: a trace-1
+        matrix with a negative eigenvalue, twice the ideal state and a NaN
+        entry are each refused by name, not clipped into rows or drawn from."""
+        ts = TomographySet.from_dataset(simulate_tomography(werner(5 / 6), 100, seed=2))
+        with pytest.raises(ValueError, match=defect):
+            bootstrap_metrics(bad, ts, n_replicas=8, seed=1)
 
     def test_one_replica_rejected(self):
         """One replica has no sample spread: refused, not reported as std 0."""
