@@ -131,13 +131,25 @@ class Dataset:
             raise ValueError(f"row {k + 1}: {problem}")
 
 
+def check_integer(name, value, low):
+    """value as an int, refused by name unless it is an integer of at least
+    low: a float or a string is not truncated or parsed, nor a bool read as 0 or 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
+    return int(value)
+
+
 def record_rng(master_seed, index):
-    """Per-record generator: an independent substream keyed by (seed, index).
+    """Per-record generator: an independent substream keyed by (seed, index),
+    for an integer seed >= 0.
 
     Records can therefore be produced in any order, or in parallel, with
     identical results.
     """
-    return default_rng(SeedSequence(entropy=int(master_seed), spawn_key=(int(index),)))
+    seed = check_integer("seed", master_seed, 0)
+    return default_rng(SeedSequence(entropy=seed, spawn_key=(int(index),)))
 
 
 def simulate_settings(rho, settings, n_per_setting, noise=None, seed=0, exact=False):
@@ -146,7 +158,9 @@ def simulate_settings(rho, settings, n_per_setting, noise=None, seed=0, exact=Fa
     with `exact` the records are the expected counts n_per_setting * p instead
     (the infinite-statistics mode used to separate systematic from statistical
     checks). Draws need a finite whole n_per_setting >= 1, expected counts a
-    finite one; the metadata holds it as a Python int when whole."""
+    finite one; the metadata holds it as a Python int when whole. The seed
+    must be an integer >= 0 in either mode."""
+    seed = check_integer("seed", seed, 0)
     if not (math.isfinite(n_per_setting) and n_per_setting >= 1
             and (exact or n_per_setting % 1 == 0)):
         raise ValueError(f"n_per_setting must be >= 1 and a finite "
@@ -165,7 +179,7 @@ def simulate_settings(rho, settings, n_per_setting, noise=None, seed=0, exact=Fa
         settings=settings,
         records=records,
         metadata={
-            "seed": int(seed),
+            "seed": seed,
             "noise": asdict(noise),
             "mode": "simulated",
             "exact": bool(exact),

@@ -34,8 +34,8 @@ def negativity(rho):
 
 
 def correlation_matrix(rho):
-    """3x3 Pauli correlation matrix T_ij = tr(rho sigma_i (x) sigma_j)."""
-    return np.einsum("ijkl,lk->ij", qmath.PAULI_PRODUCTS[1:, 1:], rho).real
+    """3x3 Pauli correlation matrix T_ij = tr(rho sigma_i (x) sigma_j), from qmath.coefficients."""
+    return qmath.coefficients(rho).reshape(4, 4)[1:, 1:]
 
 
 def chsh_max(rho):

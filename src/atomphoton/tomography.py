@@ -7,7 +7,8 @@ records' outcome operators, so any settings that determine all 16
 coefficients can be fit. Pipeline: counts -> linear inversion -> projection
 onto the physical set -> maximum-likelihood refinement by projected gradient,
 which only has to find the optimum's face, and a Newton finish on that face;
-it fits a whole stack of datasets at once.
+it fits a whole stack of datasets at once, through `qmath`'s Pauli map and its
+row-stacked products.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .measurement import (
     PHOTON_SZ,
     Dataset,
     MeasurementSetting,
+    check_integer,
     outcome_operators,
     outcome_probabilities,
     simulate_settings,
@@ -37,6 +39,7 @@ from .metrics import fidelity_to_target, negativity, purity
 from .states import NoiseModel
 
 PAULI_LABELS = np.array([a + b for a in "ixyz" for b in "ixyz"])   # "ii" .. "zz": atom, photon
+_RANKS = np.arange(1.0, 5.0)   # the ranks 1 .. 4 `_projection` divides by
 
 BASIS_CONVENTION = "atom (|mF=-1>,|mF=+1>) x photon (|sigma+>,|sigma->)"
 
@@ -47,16 +50,6 @@ def canonical_settings():
     return [MeasurementSetting(atom=atom, photon=photon)
             for atom in (ATOM_SX, ATOM_SY, ATOM_SZ)
             for photon in (PHOTON_SX, PHOTON_SY, PHOTON_SZ)]
-
-
-# The real Pauli basis: row m holds the real and imaginary parts of the 16
-# entries of P_m, so a Hermitian matrix and its coefficients map to each other
-# through real products; tr(rho P_m) is the dot product of the two rows.
-# The transposes are C-contiguous copies: the layout fixes the order in which
-# BLAS adds, and with it the last bits of every fit.
-_BASIS = qmath.PAULI_PRODUCTS.reshape(16, 16).view(float)
-_BASIS_T = _BASIS.T.copy()
-_RANKS = np.arange(1.0, 5.0)
 
 
 def simulate_tomography(rho, n_per_setting, noise=None, seed=0, exact=False):
@@ -73,8 +66,7 @@ class Design:
 
     def __init__(self, operators):
         self.operators = operators
-        self.matrix = np.einsum("kij,mji->km", operators,
-                                qmath.PAULI_PRODUCTS.reshape(16, 4, 4)).real / 4.0
+        self.matrix = qmath.coefficients(operators) / 4.0
         self.matrix_t = self.matrix.T.copy()
         # singular values up to max(A.shape) * eps * s_max count as zero
         self.inverse = np.linalg.pinv(self.matrix, rtol=None)
@@ -125,28 +117,6 @@ class TomographySet:
         return cls(counts, Design(kept), exact=exact)
 
 
-# Every product of a stack is taken row by row, as a batch of (1, K) @ (K, L)
-# products: each row then gets the same arithmetic whatever the stack height,
-# so a fit in a stack equals the same fit alone bit for bit. A 2-D (R, K) @
-# (K, L) matmul breaks this: numpy hands a single row to BLAS gemv and a
-# stack to gemm, and the two add in different orders.
-
-def _rows(a, m):
-    """(R, K) @ (K, L), one row at a time."""
-    return np.matmul(a[:, None, :], m)[:, 0]
-
-
-def _states(r):
-    """(R, 16) Pauli coefficients -> (R, 4, 4) sum_m r_m P_m / 4, exactly Hermitian."""
-    return (_rows(r, _BASIS) * 0.25).view(complex).reshape(len(r), 4, 4)
-
-
-def _coefficients(rho):
-    """(R, 4, 4) Hermitian matrices -> (R, 16) coefficients tr(rho P_m)."""
-    flat = np.ascontiguousarray(rho, dtype=complex).reshape(len(rho), 16).view(float)
-    return _rows(flat, _BASIS_T)
-
-
 def _inverted_coefficients(counts, design):
     """Pauli coefficients of the linear inversion of an (R, S, 4) count stack."""
     freqs = counts / counts.sum(axis=2, keepdims=True)
@@ -158,7 +128,7 @@ def linear_inversion(ts: TomographySet):
     & White, PRA 64, 052312, 2001) from the per-setting frequencies:
     rho = sum_{mu nu} r_{mu nu} s_mu (x) s_nu / 4. Hermitian and trace 1;
     may be non-PSD on noisy data."""
-    return _states(_inverted_coefficients(ts.counts[None], ts.design))[0]
+    return qmath.states(_inverted_coefficients(ts.counts[None], ts.design))[0]
 
 
 def _projection(x):
@@ -166,10 +136,10 @@ def _projection(x):
     each row of (R, 16) Pauli coefficients, as coefficients, and its rank:
     eigenvalues projected onto the probability simplex (less the largest of
     (sum of the j largest - 1) / j over j, clipped at 0), eigenvectors kept."""
-    w, u = np.linalg.eigh(_states(x))
+    w, u = np.linalg.eigh(qmath.states(x))
     tau = ((np.cumsum(w[:, ::-1], axis=1) - 1.0) / _RANKS).max(axis=1)
     lam = np.maximum(w - tau[:, None], 0.0)
-    return (_coefficients(np.einsum("rij,rj,rkj->rik", u, lam, u.conj())),
+    return (qmath.coefficients(np.einsum("rij,rj,rkj->rik", u, lam, u.conj())),
             np.count_nonzero(lam, axis=1))
 
 
@@ -225,18 +195,18 @@ def _gradient(counts, x, design):
     """(p, w, c) at Pauli coefficients x: p = A x; w = n / p with p clipped at
     _PROB_FLOOR, clipped cells weighing 0; and -grad f over the coefficients,
     c_m = sum_k w_k A_km = tr(G P_m) / 4 for the density-matrix gradient -G."""
-    p = _rows(x, design.matrix_t)
+    p = qmath.rows(x, design.matrix_t)
     w = np.where(p > _PROB_FLOOR, counts, 0.0) / np.maximum(p, _PROB_FLOOR)
-    return p, w, _rows(w, design.matrix)
+    return p, w, qmath.rows(w, design.matrix)
 
 
 def _gap_bound(counts, r, design):
     """Glancy, Knill & Girard (NJP 14, 095017, 2012): f is convex with
     gradient -G, G = sum_k (n_k/p_k) E_k, and tr(G rho) = N, so
     f(rho) - min f <= lambda_max(G) - N. With c from `_gradient`,
-    G = sum_m c_m P_m = 4 _states(c)."""
+    G = sum_m c_m P_m = 4 qmath.states(c)."""
     p, w, c = _gradient(counts, r, design)
-    return np.linalg.eigvalsh(4.0 * _states(c))[:, -1] - np.einsum("rk,rk->r", w, p)
+    return np.linalg.eigvalsh(4.0 * qmath.states(c))[:, -1] - np.einsum("rk,rk->r", w, p)
 
 
 def _fit_stack(counts, x, design):
@@ -261,7 +231,7 @@ def _fit_stack(counts, x, design):
     # rank: the face of the last accepted step, or of the start before the
     # first one; settled: accepted steps in a row on that face
     x, rank = _projection(x)
-    f = f0 = _nll(counts, _rows(x, design.matrix_t))
+    f = f0 = _nll(counts, qmath.rows(x, design.matrix_t))
     out_x, out_f = x.copy(), f.copy()
     iterations, converged = np.zeros(len(x), dtype=int), np.zeros(len(x), dtype=bool)
     rows, n, its = np.arange(len(x)), counts, np.zeros(len(x), dtype=int)
@@ -314,7 +284,7 @@ def _backtracked_step(n, x0, f0, c, t, design):
     while True:
         x0t, tt = x0[todo], t[todo]
         xt, rt = _projection(x0t + tt[:, None] * c[todo])
-        ft = _nll(n[todo], _rows(xt, design.matrix_t))
+        ft = _nll(n[todo], qmath.rows(xt, design.matrix_t))
         d = xt - x0t
         ok = ft <= f0[todo] + np.einsum("rm,rm->r", d, d / (2 * tt[:, None]) - c[todo])
         if ok.all():
@@ -354,8 +324,8 @@ def _face_point(n, theta, u, r, design):
     m = np.zeros((len(theta), 8 * r))
     m[:, _face_coordinates(r)[3]] = theta
     lf = u @ m.view(complex).reshape(len(theta), 4, r)
-    x = _coefficients(lf @ lf.conj().transpose(0, 2, 1))
-    return lf, x, _nll(n, _rows(x, design.matrix_t))
+    x = qmath.coefficients(lf @ lf.conj().transpose(0, 2, 1))
+    return lf, x, _nll(n, qmath.rows(x, design.matrix_t))
 
 
 def _newton_step(n, theta, u, lf, x, design):
@@ -373,14 +343,14 @@ def _newton_step(n, theta, u, lf, x, design):
     a, b, s, _, pair = _face_coordinates(lf.shape[2])
     p, w, c = _gradient(n, x, design)
     # d x_m / d theta_i = 2 Re tr(D_i P_m) with D_i = s_i u_(a_i) l_(b_i)^dagger
-    jx = 2.0 * _coefficients(((s[:, None, None] * u[:, :, a].transpose(0, 2, 1)[..., None])
-                              * lf[:, :, b].conj().transpose(0, 2, 1)[..., None, :])
-                             .reshape(-1, 4, 4)).reshape(len(x), len(a), 16)
+    jx = 2.0 * qmath.coefficients(s[:, None, None] * u[:, :, a].transpose(0, 2, 1)[..., None]
+                                  * lf[:, :, b].conj().transpose(0, 2, 1)[..., None, :]
+                                  ).reshape(len(x), len(a), 16)
     # J = A jx^T, so J^T diag(n/p^2) J = jx (A^T diag(n/p^2) A) jx^T
     fisher = (design.matrix_t * (w / np.maximum(p, _PROB_FLOOR))[:, None, :]) @ design.matrix
     # sum_m c_m d^2 x_m / d theta_i d theta_j = 2 Re tr(B_i^dagger G B_j) for
     # G = sum_m c_m P_m and B_i = d L / d theta_i = s_i u_(a_i) e_(b_i)^T
-    g_face = u.conj().transpose(0, 2, 1) @ _states(4.0 * c) @ u
+    g_face = u.conj().transpose(0, 2, 1) @ qmath.states(4.0 * c) @ u
     mu = np.einsum("rk,rk->r", w, p)
     kkt = np.zeros((len(x), len(a) + 1, len(a) + 1))
     kkt[:, :-1, :-1] = (jx @ fisher @ jx.transpose(0, 2, 1)
@@ -433,10 +403,10 @@ def _widened(n, x, design):
     falls at the rate lambda_max(G) - N, with s the minimum of f's quadratic
     model along that line."""
     p, w, c = _gradient(n, x, design)
-    lam, vecs = np.linalg.eigh(4.0 * _states(c))
+    lam, vecs = np.linalg.eigh(4.0 * qmath.states(c))
     v = vecs[:, :, -1]
-    xv = _coefficients(v[:, :, None] * v.conj()[:, None, :])
-    dp = _rows(xv, design.matrix_t) - p
+    xv = qmath.coefficients(v[:, :, None] * v.conj()[:, None, :])
+    dp = qmath.rows(xv, design.matrix_t) - p
     s = ((lam[:, -1] - np.einsum("rk,rk->r", w, p))
          / np.einsum("rk,rk->r", w / np.maximum(p, _PROB_FLOOR), dp * dp))
     return x + np.clip(s, 0.0, 1.0)[:, None] * (xv - x)
@@ -463,7 +433,7 @@ def _face_newton(n, x, f, rank, budget, design):
             continue
         a, b, *_ = _face_coordinates(r)
         nr, left = n[rows], np.minimum(budget[rows] - used[rows], MLE_NEWTON_STEPS)
-        lam, u = np.linalg.eigh(_states(start[rows]))
+        lam, u = np.linalg.eigh(qmath.states(start[rows]))
         # contiguous: a row alone and a row selected from a stack hand matmul one layout
         u, theta =np.ascontiguousarray(u[:, :, ::-1]), np.zeros((len(rows), len(a)))
         theta[:, a == b] = np.sqrt(np.maximum(lam[:, :-r - 1:-1], 0.0))
@@ -540,7 +510,7 @@ def mle_reconstruct(ts: TomographySet):
         regularization=f"half-count prior on {filled} empty cells" if filled else "none",
         gap_bound=float(_gap_bound(counts, x, d)[0]),
     )
-    return _states(x)[0], report
+    return qmath.states(x)[0], report
 
 
 # ----------------------------------------------------------------------
@@ -554,9 +524,9 @@ def bootstrap_metrics(rho_hat, ts: TomographySet, n_replicas=250, seed=0):
     multinomial draw from default_rng(seed), a stream no record uses, each
     setting from its own whole-number total, so a longer bootstrap extends a
     shorter one; its fit is mle_reconstruct's on its counts alone. rho_hat
-    passes `apply_noise`'s state gate: a non-state is refused by its defect."""
-    if n_replicas < 2:
-        raise ValueError(f"n_replicas must be at least 2, got {n_replicas}")
+    passes `apply_noise`'s state gate: a non-state is refused by its defect,
+    and a seed or replica count that is not an integer by its name."""
+    n_replicas, seed = check_integer("n_replicas", n_replicas, 2), check_integer("seed", seed, 0)
     totals = ts.counts.sum(axis=1)
     if (totals % 1.0).any():   # a whole number of trials each, not rounded to one
         raise ValueError(f"bootstrap: setting totals {totals.tolist()} are not all whole numbers")
@@ -565,7 +535,7 @@ def bootstrap_metrics(rho_hat, ts: TomographySet, n_replicas=250, seed=0):
     draws = np.random.default_rng(seed).multinomial(
         totals.astype(np.int64), probs, size=(n_replicas, len(totals))).astype(float)
     x, *_ = _fit_stack(_with_prior(draws, False), _inverted_coefficients(draws, d), d)
-    rhos = _states(x)
+    rhos = qmath.states(x)
     out = {}
     for name, fn in (("fidelity", fidelity_to_target), ("negativity", negativity),
                      ("purity", purity)):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import minimize
 
+from atomphoton import qmath
 from atomphoton.measurement import (
     ATOM_SX,
     MeasurementSetting,
@@ -155,6 +156,16 @@ class TestChsh:
         s = np.linalg.svd(t, compute_uv=False)
         assert np.allclose(s, 1.0, atol=1e-12)
         assert abs(chsh_max(ideal_state()) - 2 * SQRT2) < 1e-12
+
+    def test_correlation_matrix_equals_complex_contraction(self):
+        """T, a block of qmath.coefficients, equals the complex contraction
+        tr(rho s_i (x) s_j) bit for bit on random states."""
+        rng = np.random.default_rng(34)
+        for _ in range(2000):
+            g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            rho = g @ g.conj().T / np.trace(g @ g.conj().T)
+            expected = np.einsum("ijkl,lk->ij", qmath.PAULI_PRODUCTS[1:, 1:], rho).real
+            assert correlation_matrix(rho).tobytes() == expected.tobytes()
 
     def test_threshold_visibility(self):
         value = chsh_max(werner(1 / SQRT2))

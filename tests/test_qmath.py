@@ -160,6 +160,11 @@ class TestPartialTranspose:
                 assert np.allclose(qmath.partial_transpose(rho, sub),
                                    partial_transpose_oracle(rho, sub), atol=1e-14)
 
+    @pytest.mark.parametrize("sub", ["x", "Atom", None])
+    def test_unknown_subsystem_refused_by_name(self, sub):
+        with pytest.raises(ValueError, match="subsystem must be 'atom' or 'photon'"):
+            qmath.partial_transpose(ideal_state(), sub)
+
     def test_stack_rows_transposed_alone(self):
         rng = np.random.default_rng(7)
         stack = np.array([random_density_matrix(rng) for _ in range(6)]).reshape(2, 3, 4, 4)

@@ -1,6 +1,7 @@
 """Reconstruction pipeline: classification, inversion, projection, MLE."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,7 +28,6 @@ from atomphoton.states import NoiseModel, ideal_ket, ideal_state, werner
 from atomphoton.tomography import (
     Design,
     TomographySet,
-    _coefficients,
     _fit_stack,
     _gap_bound,
     _gradient,
@@ -35,9 +35,7 @@ from atomphoton.tomography import (
     _nll,
     _percentile,
     _projection,
-    _rows,
     _solve,
-    _states,
     _with_prior,
     bootstrap_metrics,
     canonical_settings,
@@ -73,7 +71,7 @@ def random_physical_state(rng):
 
 def project_one(h):
     """The projection of one Hermitian trace-1 matrix onto physical states."""
-    return _states(_projection(_coefficients(np.asarray(h)[None]))[0])[0]
+    return qmath.states(_projection(qmath.coefficients(np.asarray(h)[None]))[0])[0]
 
 
 def simplex_projection_oracle(eigenvalues):
@@ -219,6 +217,19 @@ class TestCanonicalSettings:
         assert design.matrix_t.flags.c_contiguous
         assert design.matrix_t.tobytes() == expected.T.copy().tobytes()
         assert design.inverse.tobytes() == np.linalg.pinv(expected).tobytes()
+
+    def test_design_matrix_equals_complex_contraction(self):
+        """A = qmath.coefficients(E) / 4 equals the complex contraction
+        tr(E_k P_m) / 4 bit for bit on random designs: arbitrary angles, every
+        third setting circular (the zz-type coefficients need three)."""
+        rng = np.random.default_rng(34)
+        for _ in range(300):
+            settings = [MeasurementSetting(AtomSetting(*rng.uniform(-7.0, 7.0, 2)),
+                                           PhotonSetting(rng.uniform(-7.0, 7.0), k % 3 == 0))
+                        for k in range(int(rng.integers(12, 20)))]
+            ops = outcome_operators(settings)
+            expected = np.einsum("kij,mji->km", ops, _PAULI_STACK).real / 4.0
+            assert Design(ops).matrix.tobytes() == expected.tobytes()
 
     def test_missing_setting_reported_by_name(self):
         ds = simulate_tomography(ideal_state(), 10, seed=0)
@@ -630,10 +641,10 @@ class TestMleReconstruct:
         ds = simulate_tomography(werner(0.8), 300, seed=2)
         ts = TomographySet.from_dataset(ds)
         rho_default, _ = mle_reconstruct(ts)
-        mixed = _coefficients(np.eye(4, dtype=complex)[None] / 4)
+        mixed = qmath.coefficients(np.eye(4, dtype=complex)[None] / 4)
         x, f, f0, _, converged = fit_stack(_with_prior(ts.counts[None], False), mixed)
         assert converged[0] and f[0] < f0[0]
-        assert np.linalg.norm(rho_default - _states(x)[0]) < 1e-3
+        assert np.linalg.norm(rho_default - qmath.states(x)[0]) < 1e-3
 
 
 # Full-rank states (1/2) sigma + I/8: every outcome probability is at least
@@ -645,7 +656,7 @@ HERMITIAN_DIRECTIONS = st.lists(st.floats(-1.0, 1.0), min_size=16, max_size=16).
 
 
 def nll_of_state(counts, rho):
-    return _nll(counts[None], _rows(_coefficients(rho[None]), A_T))[0]
+    return _nll(counts[None], qmath.rows(qmath.coefficients(rho[None]), A_T))[0]
 
 
 class TestMleLikelihood:
@@ -656,7 +667,7 @@ class TestMleLikelihood:
         """The density-matrix gradient -sum_k (n_k/p_k) E_k, and its Pauli
         coefficients that the fit steps along, against central differences
         of the negative log-likelihood."""
-        _, w, c = _gradient(counts[None], _coefficients(rho[None]), CANONICAL)
+        _, w, c = _gradient(counts[None], qmath.coefficients(rho[None]), CANONICAL)
         grad = -np.einsum("k,kij->ij", w[0], CANONICAL.operators)
         step = 1e-6
         numeric = (nll_of_state(counts, rho + step * h)
@@ -918,8 +929,9 @@ def oracle_ascent(counts, r):
 
 
 ORACLES = {
-    "states": (_states, lambda r: np.einsum("rm,mij->rij", r, _PAULI_STACK / 4.0)),
-    "coefficients": (_coefficients, lambda rho: np.einsum("rij,mji->rm", rho, _PAULI_STACK).real),
+    "states": (qmath.states, lambda r: np.einsum("rm,mij->rij", r, _PAULI_STACK / 4.0)),
+    "coefficients": (qmath.coefficients,
+                     lambda rho: np.einsum("rij,mji->rm", rho, _PAULI_STACK).real),
     "probabilities": (lambda n, r: _gradient(n, r, CANONICAL)[0],
                       lambda n, r: np.einsum("km,rm->rk", A, r)),
     "ascent": (lambda n, r: _gradient(n, r, CANONICAL)[2], oracle_ascent),
@@ -933,12 +945,12 @@ def kernel_inputs(name, height=250):
     empty cells and half-count cells."""
     rng = np.random.default_rng(11)
     states = np.array([random_physical_state(rng) for _ in range(height)])
-    r = _coefficients(states) + 0.3 * rng.standard_normal((height, 16)) * (np.arange(16) > 0)
+    r = qmath.coefficients(states) + 0.3 * rng.standard_normal((height, 16)) * (np.arange(16) > 0)
     counts = rng.choice([0.0, 0.5, 3.0, 40.0, 300.0], size=(height, 36))
-    mixed = _coefficients(states / 2 + np.eye(4) / 8)
+    mixed = qmath.coefficients(states / 2 + np.eye(4) / 8)
     return {
         "states": (r,),
-        "coefficients": (_states(r) + 1e-3 * _states(rng.standard_normal((height, 16))),),
+        "coefficients": (qmath.states(r) + 1e-3 * qmath.states(rng.standard_normal((height, 16))),),
         "probabilities": (counts, r),
         "ascent": (counts, mixed),
         "gap_bound": (counts, mixed),
@@ -959,7 +971,7 @@ class TestKernels:
         assert np.all(np.abs(got - want) <= 1e-13 * scale)
 
     def test_states_exactly_hermitian(self):
-        rho = _states(kernel_inputs("states")[0])
+        rho = qmath.states(kernel_inputs("states")[0])
         assert np.array_equal(rho, rho.conj().transpose(0, 2, 1))
 
     @pytest.mark.parametrize("height", [1, 2, 7, 250])
@@ -974,7 +986,7 @@ class TestKernels:
 
     @pytest.mark.parametrize("kind", ["sampled", "half-count", "exact"])
     def test_gap_bound_is_lambda_max_minus_n(self, kind):
-        """The bound through the Pauli basis, G = 4 _states(c), equals
+        """The bound through the Pauli basis, G = 4 qmath.states(c), equals
         lambda_max(sum_k w_k E_k) - w.p at the fit's start and at its end."""
         ds = {
             "sampled": simulate_tomography(werner(0.86), 300, seed=7),
@@ -986,7 +998,7 @@ class TestKernels:
         counts = _with_prior(ts.counts[None], ts.exact)
         assert (kind == "half-count") == bool(np.any(counts == 0.5))
         assert (kind == "exact") == bool(np.any(counts == 0.0))
-        start = _coefficients(project_one(linear_inversion(ts))[None])
+        start = qmath.coefficients(project_one(linear_inversion(ts))[None])
         end, *_ = fit_stack(counts, linear_inversions(ts.counts[None]))
         for r in (start, end):
             n = counts.sum()
@@ -1160,7 +1172,7 @@ class TestBootstrap:
         per-state formulas the metrics replaced, kept here as the reference."""
         _, _, draws = tomo_seed7()
         x, *_ = fit_stack(_with_prior(draws, False), linear_inversions(draws))
-        rhos = _states(x)
+        rhos = qmath.states(x)
         psi = ideal_ket()
 
         def reference_negativity(rho):
@@ -1200,6 +1212,35 @@ class TestBootstrap:
         ts = TomographySet.from_dataset(simulate_tomography(werner(5 / 6), 100, seed=2))
         with pytest.raises(ValueError, match=defect):
             bootstrap_metrics(bad, ts, n_replicas=8, seed=1)
+
+    @pytest.mark.parametrize("seed, defect", [
+        (1.5, "seed must be an integer, got 1.5"),
+        ("3", "seed must be an integer, got '3'"),
+        (True, "seed must be an integer, got True"),
+        (-1, "seed must be at least 0, got -1"),
+    ], ids=["float", "string", "bool", "negative"])
+    @pytest.mark.parametrize("draw", ["simulate_tomography", "bootstrap_metrics"])
+    def test_seed_refused_by_name(self, draw, seed, defect):
+        """A seed that is not an integer >= 0 is refused by name, not truncated
+        (1.5 would draw seed 1's records), parsed ("3") or left to numpy."""
+        ts = TomographySet.from_dataset(simulate_tomography(werner(5 / 6), 100, seed=2))
+        with pytest.raises(ValueError, match=re.escape(defect)):
+            if draw == "simulate_tomography":
+                simulate_tomography(ideal_state(), 10, seed=seed)
+            else:
+                bootstrap_metrics(werner(5 / 6), ts, n_replicas=8, seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        """A numpy integer seed is the same seed, and the metadata hold it as an int."""
+        ds = simulate_tomography(ideal_state(), 10, seed=np.int64(3))
+        assert type(ds.metadata["seed"]) is int
+        assert np.array_equal(ds.records, simulate_tomography(ideal_state(), 10, seed=3).records)
+
+    @pytest.mark.parametrize("n_replicas", [2.5, 250.0, "8"])
+    def test_non_integer_replica_count_rejected(self, n_replicas):
+        ts = TomographySet.from_dataset(simulate_tomography(werner(5 / 6), 100, seed=2))
+        with pytest.raises(ValueError, match="n_replicas must be an integer"):
+            bootstrap_metrics(werner(5 / 6), ts, n_replicas=n_replicas, seed=1)
 
     def test_one_replica_rejected(self):
         """One replica has no sample spread: refused, not reported as std 0."""
