@@ -15,9 +15,7 @@ last digits.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import math
 import sys
 from dataclasses import asdict, fields
@@ -165,9 +163,8 @@ def cmd_scan(args, params):
     # records are basis-major, as the settings were listed
     counts = dataset.records.reshape(len(bases), n_points, 4)
     fits = {}
-    fringes = io.StringIO()
-    writer = csv.writer(fringes)
-    writer.writerow(["basis", "detector", "beta", "p", "error"])
+    # the rows csv.writer would write: no field needs quoting, CRLF ends each row
+    fringes = ["basis,detector,beta,p,error\r\n"]
     for b, rows in zip(bases, counts):
         p, events = fringe_scans(rows)
         errors = np.sqrt(p * (1 - p) / events)   # NaN, like p, where there are no events
@@ -180,13 +177,13 @@ def cmd_scan(args, params):
                 raise ValueError(f"{b} APD{d + 1} fringe, events at {np.count_nonzero(seen)} "
                                  f"of {n_points} scan points: {exc}") from None
             fits[b][f"apd{d + 1}"] = asdict(fit)
-            for beta, p_k, err in zip(betas, p[:, d].tolist(), errors[:, d].tolist()):
-                cells = ["", ""] if math.isnan(p_k) else [f"{p_k:.17g}", f"{err:.17g}"]
-                writer.writerow([b, d + 1, f"{beta:.17g}", *cells])
+            fringes += [f"{b},{d + 1},{beta:.17g},,\r\n" if math.isnan(p_k)
+                        else f"{b},{d + 1},{beta:.17g},{p_k:.17g},{err:.17g}\r\n"
+                        for beta, p_k, err in zip(betas, p[:, d].tolist(), errors[:, d].tolist())]
 
     commit({
         **counts_files(dataset, args.out + ".counts.csv"),
-        args.out + ".fringes.csv": fringes.getvalue(),
+        args.out + ".fringes.csv": "".join(fringes),
         args.out + ".metrics.json": json_text({
             "command": "scan",
             "seed": args.seed,

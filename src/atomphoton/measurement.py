@@ -16,18 +16,24 @@ Outcome order in all four-vectors of counts/probabilities:
 
 With the ideal state and atomic sigma_x analysis the exact conditional is
 P(F=1 | APD1, beta) = (1 - cos 2 beta)/2, zero at beta = 0.
+
+Record k of a dataset with seed s draws from the substream keyed by (s, k),
+seeded as numpy's SeedSequence(entropy=s, spawn_key=(k,)) seeds it, in one
+pass over all keys (`substream_states`). The counts CSV is written as
+csv.writer's default dialect would write it, and read through csv.reader.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from numpy.random import SeedSequence, default_rng
+from numpy.random import PCG64, Generator
+from numpy.random.bit_generator import ISeedSequence
 
 from .artifacts import commit, json_text
 from .states import NoiseModel, apply_noise
@@ -141,28 +147,108 @@ def check_integer(name, value, low):
     return int(value)
 
 
-def record_rng(master_seed, index):
-    """Per-record generator: an independent substream keyed by (seed, index),
-    for an integer seed >= 0.
+# numpy.random.SeedSequence's hash constants, and its 32-bit wrap
+_MASK = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_constants(h, mult, n):
+    """The n hash steps from constant h: what each value is xored with, then
+    multiplied by, as uint32 arrays."""
+    hs = np.array([h * pow(mult, j, 1 << 32) & _MASK for j in range(n + 1)], np.uint32)
+    return hs[:-1], hs[1:]
+
+
+_GENERATE = _hash_constants(_INIT_B, _MULT_B, 8)   # generate_state's 8 words of 4 uint64s
+
+
+def substream_states(seed, keys):
+    """(len(keys), 4) uint64: row k is the PCG64 seed state of the substream
+    keyed by (seed, key k), the words SeedSequence(entropy=seed,
+    spawn_key=(k,)).generate_state(4, np.uint64) gives, for an integer seed
+    >= 0 and keys below 2**32. The seed's words are mixed into the pool once;
+    each key is then hashed into it and the pool hashed out, all keys at once."""
+    seed = check_integer("seed", seed, 0)
+    words = [seed >> s & _MASK for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words))   # a spawn key pads the seed to the pool size
+    h = _INIT_A
+
+    def hashmix(value):
+        nonlocal h
+        value ^= h
+        h = h * _MULT_A & _MASK
+        value = value * h & _MASK
+        return value ^ value >> 16
+
+    def mix(x, y):
+        r = (_MIX_L * x - _MIX_R * y) & _MASK
+        return r ^ r >> 16
+
+    pool = [hashmix(w) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    # the key, one more entropy word, hashed into each pool word (uint32 arithmetic wraps)
+    xor, mult = _hash_constants(h, _MULT_A, 4)
+    v = (np.asarray(keys, np.uint32)[:, None] ^ xor) * mult
+    v ^= v >> 16
+    p = np.array(pool, np.uint32) * np.uint32(_MIX_L) - v * np.uint32(_MIX_R)
+    p ^= p >> 16
+    xor, mult = _GENERATE
+    state = (np.tile(p, 2) ^ xor) * mult
+    state ^= state >> 16
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+class _State(ISeedSequence):
+    """A substream's precomputed seed state, for PCG64 to seed itself from:
+    PCG64 asks for generate_state(4, np.uint64)."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def record_rngs(seed, keys):
+    """One generator per key k, on the substream keyed by (seed, k): each
+    draws what default_rng(SeedSequence(entropy=seed, spawn_key=(k,))) draws.
 
     Records can therefore be produced in any order, or in parallel, with
     identical results.
     """
-    seed = check_integer("seed", master_seed, 0)
-    return default_rng(SeedSequence(entropy=seed, spawn_key=(int(index),)))
+    return [Generator(PCG64(_State(words))) for words in substream_states(seed, keys)]
+
+
+def record_rng(master_seed, index):
+    """The generator of record `index`, an integer in [0, 2**32) refused by
+    name otherwise (2.5 is not read as 2): the one-key case of `record_rngs`."""
+    index = check_integer("index", index, 0)
+    if index > _MASK:
+        raise ValueError(f"index must be below 2**32, got {index}")
+    return record_rngs(master_seed, [index])[0]
 
 
 def simulate_settings(rho, settings, n_per_setting, noise=None, seed=0, exact=False):
     """Dataset over a list of settings, one record each. Record k is a
-    multinomial draw of n_per_setting trials from substream record_rng(seed, k);
-    with `exact` the records are the expected counts n_per_setting * p instead
-    (the infinite-statistics mode used to separate systematic from statistical
+    multinomial draw of n_per_setting trials from substream record_rng(seed, k),
+    every record's generator seeded in one `record_rngs` pass; with `exact`
+    the records are the expected counts n_per_setting * p instead (the
+    infinite-statistics mode used to separate systematic from statistical
     checks). Draws need a finite whole n_per_setting >= 1, expected counts a
-    finite one; the metadata holds it as a Python int when whole. The seed
-    must be an integer >= 0 in either mode."""
+    finite one, and a bool or a string is neither; the metadata holds it as a
+    Python int when whole. The seed must be an integer >= 0 in either mode."""
     seed = check_integer("seed", seed, 0)
-    if not (math.isfinite(n_per_setting) and n_per_setting >= 1
-            and (exact or n_per_setting % 1 == 0)):
+    # a bool is not a trial count, nor a string a number (numpy's bool is no Real)
+    if (isinstance(n_per_setting, bool) or not isinstance(n_per_setting, numbers.Real)
+            or not (math.isfinite(n_per_setting) and n_per_setting >= 1
+                    and (exact or n_per_setting % 1 == 0))):
         raise ValueError(f"n_per_setting must be >= 1 and a finite "
                          f"{'number' if exact else 'whole number'}, got {n_per_setting!r}")
     n_per_setting = int(n_per_setting) if n_per_setting % 1 == 0 else float(n_per_setting)
@@ -173,8 +259,9 @@ def simulate_settings(rho, settings, n_per_setting, noise=None, seed=0, exact=Fa
     if exact:
         records = n_per_setting * probs
     else:
-        records = [record_rng(seed, k).multinomial(n_per_setting, p / p.sum())
-                   for k, p in enumerate(probs)]
+        probs = probs / probs.sum(axis=1, keepdims=True)
+        records = [rng.multinomial(n_per_setting, p)
+                   for rng, p in zip(record_rngs(seed, range(len(probs))), probs)]
     return Dataset(
         settings=settings,
         records=records,
@@ -196,6 +283,9 @@ def simulate_settings(rho, settings, n_per_setting, noise=None, seed=0, exact=Fa
 # readers tolerate its absence (linear assumed).
 # ----------------------------------------------------------------------
 
+_CSV_NUMBERS = ("theta", "phi", "beta") + COUNT_COLUMNS
+
+
 def sidecar_path(csv_path):
     return str(csv_path).removesuffix(".csv") + ".meta.json"
 
@@ -203,25 +293,19 @@ def sidecar_path(csv_path):
 def counts_files(dataset: Dataset, path):
     """{path: the records' CSV text, its sidecar's path: the metadata's JSON
     text}, for `artifacts.commit`. Metadata that JSON cannot hold fails here."""
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(("theta", "phi", "beta") + COUNT_COLUMNS + ("photon_basis",))
+    # the rows csv.writer would write: no field needs quoting, CRLF ends each row;
     # Python floats format faster than numpy scalars, to the same text
-    for s, counts in zip(dataset.settings, dataset.records.tolist()):
-        row = [f"{s.atom.theta:.17g}", f"{s.atom.phi:.17g}", f"{s.photon.beta:.17g}"]
-        row += [f"{c:.17g}" for c in counts]
-        row.append("circular" if s.photon.circular else "linear")
-        w.writerow(row)
-    return {path: buf.getvalue(), sidecar_path(path): json_text(dataset.metadata)}
+    rows = [",".join(_CSV_NUMBERS + ("photon_basis",)) + "\r\n"]
+    rows += [f"{s.atom.theta:.17g},{s.atom.phi:.17g},{s.photon.beta:.17g},{a:.17g},{b:.17g},"
+             f"{c:.17g},{d:.17g},{'circular' if s.photon.circular else 'linear'}\r\n"
+             for s, (a, b, c, d) in zip(dataset.settings, dataset.records.tolist())]
+    return {path: "".join(rows), sidecar_path(path): json_text(dataset.metadata)}
 
 
 def write_counts_csv(dataset: Dataset, path):
     """Write the records to path and the metadata to its JSON sidecar in one
     `artifacts.commit`: both land or neither."""
     commit(counts_files(dataset, path))
-
-
-_CSV_NUMBERS = ("theta", "phi", "beta") + COUNT_COLUMNS
 
 
 def _csv_number(path, row_no, row, name):

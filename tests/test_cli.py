@@ -3,6 +3,7 @@
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -15,9 +16,16 @@ import pytest
 import atomphoton
 from atomphoton import cli
 from atomphoton.cli import main
-from atomphoton.measurement import read_counts_csv
-from atomphoton.metrics import fit_fringe
-from atomphoton.states import NoiseModel
+from atomphoton.measurement import (
+    AtomSetting,
+    MeasurementSetting,
+    PhotonSetting,
+    counts_files,
+    read_counts_csv,
+)
+from atomphoton.metrics import fit_fringe, fringe_scans
+from atomphoton.states import NoiseModel, ideal_state
+from atomphoton.tomography import simulate_tomography
 
 
 def run_cli(args):
@@ -116,6 +124,84 @@ class TestScan:
         assert run_cli(["--out", out, "scan", "--bases", "sz"]) == 1
         assert "error:" in capsys.readouterr().err
         assert not os.path.exists(out + ".counts.csv")
+
+
+def writer_counts(dataset):
+    """The counts CSV of a dataset as csv.writer renders its rows."""
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(["theta", "phi", "beta", "n_f2_apd1", "n_f2_apd2", "n_f1_apd1", "n_f1_apd2",
+                "photon_basis"])
+    for s, counts in zip(dataset.settings, dataset.records.tolist()):
+        w.writerow([f"{x:.17g}" for x in (s.atom.theta, s.atom.phi, s.photon.beta, *counts)]
+                   + ["circular" if s.photon.circular else "linear"])
+    return buf.getvalue()
+
+
+def writer_fringes(dataset, bases):
+    """A scan's fringe table as csv.writer renders its rows: basis, detector,
+    beta, and p with its binomial error, two empty cells where no event fell."""
+    betas = dataset.metadata["betas"]
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(["basis", "detector", "beta", "p", "error"])
+    for b, rows in zip(bases, dataset.records.reshape(len(bases), len(betas), 4)):
+        p, events = fringe_scans(rows)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            errors = np.sqrt(p * (1 - p) / events)
+        for d in range(2):
+            for beta, p_k, err in zip(betas, p[:, d].tolist(), errors[:, d].tolist()):
+                cells = ["", ""] if math.isnan(p_k) else [f"{p_k:.17g}", f"{err:.17g}"]
+                w.writerow([b, d + 1, f"{beta:.17g}", *cells])
+    return buf.getvalue()
+
+
+def file_text(path):
+    with open(path, newline="") as fh:
+        return fh.read()
+
+
+class TestCsvRendering:
+    """The CSV artifacts equal csv.writer's rendering of the same cells, byte
+    for byte: no field quoted, CRLF line endings."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--seed", "0", "scan", "--n-per-point", "1"],
+        ["--seed", "1", "scan", "--n-per-point", "1", "--bases", "sy,sx", "--n-points", "12"],
+        ["--seed", "5", "scan", "--eps01", "0.03", "--dephasing", "0.1"],
+        ["--exact", "scan", "--n-per-point", "7"],
+    ], ids=["one-trial", "one-trial-sy-first", "noisy", "exact"])
+    def test_scan_artifacts(self, tmp_path, argv):
+        out = str(tmp_path / "s")
+        assert run_cli(["--out", out, *argv]) == 0
+        ds = read_counts_csv(out + ".counts.csv")   # the 17-digit text reads back losslessly
+        assert file_text(out + ".counts.csv") == writer_counts(ds)
+        fringes = file_text(out + ".fringes.csv")
+        assert fringes == writer_fringes(ds, ds.metadata["bases"])
+        if "1" in argv:   # one trial per point leaves each point without events on one detector
+            assert fringes.count(",,\r\n") == len(ds.settings)
+
+    def test_ingested_negative_angles_and_circular_rows(self, tmp_path):
+        path = str(tmp_path / "lab.counts.csv")
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(
+                [["theta", "phi", "beta", "n_f2_apd1", "n_f2_apd2", "n_f1_apd1", "n_f1_apd2",
+                  "photon_basis"],
+                 [-0.7853981633974483, -1.5707963267948966, -0.0, 3, 0, 1, 2, "linear"],
+                 [-2.5e-17, 0.0, -6.283185307179586, 0, 0, 0, 9, "circular"],
+                 [1e-300, -3.1, 0.3, 1, 1, 1, 1, "circular"],
+                 ["-1", "-2", "-3", "10", "20", "30", "40", "linear"]])
+        ds = read_counts_csv(path)
+        text = counts_files(ds, path)[path]
+        assert text == writer_counts(ds)
+        assert "-0," in text and ",circular\r\n" in text
+
+    def test_exact_fractional_counts(self, tmp_path):
+        ds = simulate_tomography(ideal_state(), 2.5, noise=NoiseModel(depolarizing=0.3),
+                                 exact=True)
+        assert np.any(ds.records % 1)
+        path = str(tmp_path / "x.counts.csv")
+        assert counts_files(ds, path)[path] == writer_counts(ds)
 
 
 class TestTomo:

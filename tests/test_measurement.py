@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,7 +24,9 @@ from atomphoton.measurement import (
     outcome_probabilities,
     read_counts_csv,
     record_rng,
+    record_rngs,
     simulate_settings,
+    substream_states,
     write_counts_csv,
 )
 from atomphoton.metrics import fit_fringe, fringe_scans
@@ -515,6 +518,14 @@ class TestSampleCounts:
         with pytest.raises(ValueError, match="n_per_setting .* finite number, got nan"):
             simulate_settings(ideal_state(), SETTING_GRID[:1], math.nan, exact=True)
 
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("n", [True, np.True_, "10", None], ids=["bool", "numpy-bool", "string", "none"])
+    def test_trial_count_that_is_not_a_number_refused_by_name(self, n, exact):
+        """A bool is not read as 1 trial per setting, nor a string left to
+        numpy's unnamed TypeError."""
+        with pytest.raises(ValueError, match=f"n_per_setting must be .*, got {n!r}"):
+            simulate_settings(ideal_state(), SETTING_GRID[:1], n, seed=0, exact=exact)
+
     @pytest.mark.parametrize("n", [np.int64(300), 300.0, np.float64(300.0)],
                              ids=["int64", "float", "float64"])
     def test_whole_trial_count_kept_as_python_int(self, tmp_path, n):
@@ -590,6 +601,51 @@ SIDECARS = st.dictionaries(
               st.floats(allow_nan=False, allow_infinity=False),
               st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=3)),
     max_size=5)
+
+
+# integer seeds of one to five 32-bit words, at word boundaries
+SUBSTREAM_SEEDS = [0, 1, 7, 2**31 - 2, 2**32 - 1, 2**32, 2**64 + 3, 2**128 - 1, 2**130 + 5]
+
+
+class TestSubstreams:
+    """The one-pass seeding against numpy's SeedSequence, the oracle."""
+
+    @pytest.mark.parametrize("seed", SUBSTREAM_SEEDS)
+    def test_states_equal_seed_sequence(self, seed):
+        keys = [*range(300), 2**32 - 1]
+        want = [np.random.SeedSequence(entropy=seed, spawn_key=(k,)).generate_state(4, np.uint64)
+                for k in keys]
+        got = substream_states(seed, keys)
+        assert got.dtype == np.uint64 and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", SUBSTREAM_SEEDS)
+    def test_first_draws_equal_default_rng(self, seed):
+        keys = [0, 1, 2, 17, 150, 299, 2**32 - 1]
+        for key, rng in zip(keys, record_rngs(seed, keys)):
+            for generator in (rng, record_rng(seed, key)):   # the batch and its one-key case
+                oracle = np.random.default_rng(
+                    np.random.SeedSequence(entropy=seed, spawn_key=(key,)))
+                assert np.array_equal(generator.integers(2**63, size=8),
+                                      oracle.integers(2**63, size=8))
+                assert np.array_equal(generator.multinomial(300, [0.1, 0.2, 0.3, 0.4], size=4),
+                                      oracle.multinomial(300, [0.1, 0.2, 0.3, 0.4], size=4))
+
+    @pytest.mark.parametrize("index, defect", [
+        (2.5, "index must be an integer, got 2.5"),
+        (2.0, "index must be an integer, got 2.0"),
+        ("3", "index must be an integer, got '3'"),
+        (True, "index must be an integer, got True"),
+        (-1, "index must be at least 0, got -1"),
+        (2**32, "index must be below 2**32, got 4294967296"),
+    ], ids=["fraction", "whole-float", "string", "bool", "negative", "two-words"])
+    def test_index_refused_by_name(self, index, defect):
+        """An index that is not an integer key is refused, not truncated:
+        2.5 would draw from index 2's substream."""
+        with pytest.raises(ValueError, match=re.escape(defect)):
+            record_rng(0, index)
+
+    def test_numpy_integer_index_accepted(self):
+        assert np.array_equal(record_rng(3, np.int64(4)).random(4), record_rng(3, 4).random(4))
 
 
 class TestCsvRoundTrip:
