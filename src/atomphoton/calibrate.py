@@ -6,18 +6,20 @@ V = (1-2eps)(1-p)(1-2q), and the tomographic fidelity is
 F = (1 + (1-2eps)(1-p)(3-4q))/4, so at mean target visibility vbar the
 reachable fidelities form the band (1+3vbar)/4 <= F <= (1+vbar)/2. p and
 eps enter every observable only through (1-2eps)(1-p), which the targets
-cannot split, so eps is not searched but left at 0. The model's exact
-inverse on each branch starts a Nelder-Mead refinement of (p, q), bounded
-to the unit square, on the model's closed-form observables; the result is
-measured once through the tomography pipeline. Targets outside the band
-are fit near the frontier, fidelity (the headline tomography scalar)
-weighted FIDELITY_WEIGHT against the visibilities; residuals are reported.
-The weight is finite, so Nelder-Mead trades a little fidelity for
-visibility where the start meets fidelity to 1e-12: fidelity lands 7.1e-5
-above the target at (0.85, 0.87, 0.875) and 7.9e-5 below it at
-(0.78, 0.78, 0.9). The bounds hold q and p at the frontier's exact zeros
-there. Returning the closed form (ROADMAP item 1, step 2) removes these
-residuals. Deeply infeasible targets raise.
+cannot split, so eps is not searched but left at 0. Inside the band the
+model's exact inverse (`closed_form_start`) is returned as it is: it meets
+fidelity and the mean visibility exactly, the best any (p, q) can do, and
+scipy is not imported. Outside it the inverse on the frontier starts a
+Nelder-Mead refinement of (p, q), bounded to the unit square, on the
+model's closed-form observables, fidelity (the headline tomography scalar)
+weighted FIDELITY_WEIGHT against the visibilities. The weight is finite,
+so Nelder-Mead trades a little fidelity for visibility where the start
+meets fidelity to 1e-12: fidelity lands 7.1e-5 above the target at
+(0.85, 0.87, 0.875) and 7.9e-5 below it at (0.78, 0.78, 0.9). The bounds
+hold q and p at the frontier's exact zeros there. Returning the closed
+form off the band too (ROADMAP item 1, step 2) removes these residuals.
+Either way the result is measured once through the tomography pipeline
+and residuals are reported; deeply infeasible targets raise.
 """
 
 from __future__ import annotations
@@ -131,33 +133,36 @@ def closed_form_start(vx, vy, fidelity):
 def calibrate_noise(vx, vy, fidelity) -> CalibrationResult:
     """Noise parameters whose exact-mode observables reach the targets.
 
-    Starts from the model's closed-form inverse (`closed_form_start`) and
+    In the band, returns the model's closed-form inverse (`closed_form_start`)
+    itself, which meets fidelity and mean visibility to rounding, without
+    importing scipy. Off the band, starts from the frontier inverse and
     refines (depolarizing, dephasing) with Nelder-Mead, bounded to [0, 1],
-    on its forward map (`model_observables`), so the result is never worse
-    than the start under the objective. `achieved`, the residuals and the
-    infeasibility check read one measurement through the tomography
-    pipeline (`exact_observables`). Feasible targets are matched to better
-    than 1e-3; near-frontier targets return the best fit under the
-    objective with residuals, fidelity not matched exactly (up to 7.9e-5
-    off on the benchmark targets) and p or q exactly zero where the
-    frontier puts it (see the module docstring); targets further than 0.05
-    from the reachable set raise CalibrationError describing the frontier.
+    on the forward map (`model_observables`), so the result is never worse
+    than the start under the objective: the best fit under the objective,
+    fidelity not matched exactly (up to 7.9e-5 off on the benchmark targets)
+    and p or q exactly zero where the frontier puts it (see the module
+    docstring). `achieved`, the residuals and the infeasibility check read
+    one measurement through the tomography pipeline (`exact_observables`).
+    Targets further than 0.05 from the reachable set raise CalibrationError
+    naming the cause: the vx-vy split the model cannot make, the frontier,
+    or both.
     """
     for name, v in (("vx", vx), ("vy", vy), ("fidelity", fidelity)):
         if not 0.0 <= v <= 1.0:
             raise CalibrationError(f"target {name} must lie in [0, 1], got {v}")
     targets = {"vx": float(vx), "vy": float(vy), "fidelity": float(fidelity)}
 
-    # scipy is only needed here; importing it at module level would load it
-    # for every command.
-    from scipy.optimize import minimize
+    branch, (p, q) = closed_form_start(vx, vy, fidelity)
+    if branch != "in_band":
+        # In the band the start is the objective's minimum; off it the weight
+        # trades fidelity for visibility. scipy is imported here only, so no
+        # other command and no in-band target loads it.
+        from scipy.optimize import minimize
 
-    branch, start = closed_form_start(vx, vy, fidelity)
-    res = minimize(
-        _objective, start, args=(targets,), method="Nelder-Mead",
-        bounds=[(0.0, 1.0)] * 2, options={"xatol": 1e-9, "fatol": 1e-13, "maxiter": 2000},
-    )
-    p, q = res.x
+        p, q = minimize(
+            _objective, (p, q), args=(targets,), method="Nelder-Mead",
+            bounds=[(0.0, 1.0)] * 2, options={"xatol": 1e-9, "fatol": 1e-13, "maxiter": 2000},
+        ).x
     noise = NoiseModel(depolarizing=float(p), dephasing=float(q))
     achieved = exact_observables(noise)
     residuals = {k: achieved[k] - targets[k] for k in targets}
@@ -165,11 +170,19 @@ def calibrate_noise(vx, vy, fidelity) -> CalibrationResult:
                                branch=branch)
 
     if result.max_residual() > RESIDUAL_LIMIT:
-        vbar, low, high = _band(vx, vy)
+        # In the band the model misses by the split alone (at the limit, by
+        # rounding); off it the band is named, and the split where it is over.
+        causes, split = [], abs(vx - vy) / 2
+        if branch == "in_band" or split > RESIDUAL_LIMIT:
+            causes.append(f"the model gives vx = vy, which misses one visibility by "
+                          f"|vx - vy|/2 = {split:.4g}, beyond the limit {RESIDUAL_LIMIT:.4g}")
+        if branch != "in_band":
+            vbar, low, high = _band(vx, vy)
+            causes.append(f"the model frontier pins F between {low:.4g} and {high:.4g} at "
+                          f"mean visibility {vbar:.4g}")
         raise CalibrationError(
             "targets are not reachable by the noise model: requested "
-            f"(vx={vx:.4g}, vy={vy:.4g}, F={fidelity:.4g}) but the model frontier "
-            f"pins F between {low:.4g} and {high:.4g} at mean visibility {vbar:.4g}; closest "
+            f"(vx={vx:.4g}, vy={vy:.4g}, F={fidelity:.4g}) but {', and '.join(causes)}; closest "
             f"achievable (vx={achieved['vx']:.4g}, vy={achieved['vy']:.4g}, "
             f"F={achieved['fidelity']:.4g})"
         )

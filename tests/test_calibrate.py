@@ -1,13 +1,20 @@
 """Noise-model calibration against target observables."""
 
+import os
+import subprocess
+import sys
+
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from atomphoton import calibrate, qmath
+from atomphoton import calibrate, cli, qmath
 from atomphoton.calibrate import (
     _OPERATORS,
     _TOMOGRAPHY,
+    RESIDUAL_LIMIT,
     CalibrationError,
+    _band,
     calibrate_noise,
     closed_form_start,
     exact_observables,
@@ -256,3 +263,100 @@ class TestCalibrateNoise:
     def test_target_range_validation(self):
         with pytest.raises(CalibrationError):
             calibrate_noise(1.2, 0.9, 0.9)
+
+
+def _frozen_in_band_targets(n=240, seed=5):
+    """n in-band (vx, vy, F), each coordinate rounded to 2-16 digits, from one
+    fixed seed: rounded targets are where a search could step off the start."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < n:
+        digits = int(rng.integers(2, 17))
+        vx = rng.uniform()
+        vy = min(max(vx + rng.uniform(-0.09, 0.09), 0.0), 1.0)
+        _, low, high = _band(vx, vy)
+        t = tuple(round(float(x), digits) for x in (vx, vy, low + rng.uniform() * (high - low)))
+        if closed_form_start(*t)[0] == "in_band":
+            out.append(t)
+    return out
+
+
+BENCHMARK_IN_BAND = [(0.9, 0.9, 0.93), (0.8, 0.82, 0.88), (1.0, 1.0, 1.0), (0.95, 0.93, 0.96)]
+BAND_EDGES = [(vx, vy, _band(vx, vy)[k]) for vx, vy in [(0.8, 0.8), (0.85, 0.87), (0.3, 0.35),
+                                                          (0.0, 0.0), (1.0, 0.96)]
+              for k in (1, 2)]
+
+
+class TestInBandClosedForm:
+    @pytest.mark.parametrize("targets", BENCHMARK_IN_BAND + BAND_EDGES + _frozen_in_band_targets())
+    def test_returns_closed_form_exactly(self, targets):
+        """In the band the exact inverse is returned bit for bit and meets
+        fidelity and mean visibility to rounding."""
+        vx, vy, f = targets
+        branch, (p, q) = closed_form_start(vx, vy, f)
+        res = calibrate_noise(vx, vy, f)
+        assert branch == res.branch == "in_band"
+        assert (res.noise.depolarizing, res.noise.dephasing) == (float(p), float(q))
+        assert abs(res.residuals["fidelity"]) <= 1e-12
+        assert abs((res.residuals["vx"] + res.residuals["vy"]) / 2) <= 1e-12
+
+    def test_scipy_imported_off_the_band_only(self):
+        """A fresh interpreter calibrates every in-band target without loading
+        scipy; the first off-band target loads it for Nelder-Mead."""
+        code = f"""
+import sys
+from atomphoton.calibrate import calibrate_noise
+for t in {BENCHMARK_IN_BAND + BAND_EDGES!r}:
+    calibrate_noise(*t)
+assert not [m for m in sys.modules if m.startswith("scipy")], "scipy loaded in band"
+calibrate_noise(0.85, 0.87, 0.875)
+assert "scipy.optimize" in sys.modules, "scipy not loaded below the band"
+"""
+        src = os.path.dirname(os.path.dirname(calibrate.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_off_band_values_unchanged(self):
+        """Off the band Nelder-Mead still refines the frontier start."""
+        below = calibrate_noise(0.85, 0.87, 0.875).noise
+        above = calibrate_noise(0.78, 0.78, 0.9).noise
+        assert abs(below.depolarizing - 0.16657218748610716) <= 1e-12
+        assert abs(above.dephasing - 0.10007936530441952) <= 1e-12
+
+
+class TestRefusal:
+    def _refused(self, tmp_path, capsys, vx, vy, f):
+        out = str(tmp_path / "cal")
+        assert cli.main(["--out", out, "calibrate", "--vx", vx, "--vy", vy,
+                         "--fidelity", f]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not os.path.exists(out + ".noise.json")
+        return err
+
+    def test_split_named_when_it_alone_exceeds_the_limit(self, tmp_path, capsys):
+        # F = 0.86 lies in the band [0.85, 0.9] at vbar = 0.8; the split does not
+        assert abs(0.9 - 0.7) / 2 > RESIDUAL_LIMIT
+        err = self._refused(tmp_path, capsys, "0.9", "0.7", "0.86")
+        assert "|vx - vy|/2 = 0.1, beyond the limit 0.05" in err
+        assert "frontier" not in err
+
+    @pytest.mark.parametrize("vx, vy, f", [("0.9", "0.8", "0.9"), ("0.3", "0.2", "0.5")])
+    def test_split_named_when_rounding_puts_it_over(self, tmp_path, capsys, vx, vy, f):
+        """A split of exactly the limit in the band is refused by rounding; the
+        message still names the split, not an empty cause."""
+        err = self._refused(tmp_path, capsys, vx, vy, f)
+        assert "|vx - vy|/2 = 0.05, beyond the limit 0.05; closest" in err
+
+    def test_band_named_otherwise(self, tmp_path, capsys):
+        err = self._refused(tmp_path, capsys, "0.9", "0.9", "0.5")
+        assert "frontier pins F between 0.925 and 0.95 at mean visibility 0.9" in err
+        assert "vx - vy" not in err
+
+    def test_split_and_band_both_named(self, tmp_path, capsys):
+        err = self._refused(tmp_path, capsys, "0.9", "0.7", "0.5")
+        assert ("|vx - vy|/2 = 0.1, beyond the limit 0.05, and the model frontier pins F "
+                "between 0.85 and 0.9") in err
