@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 from dataclasses import asdict, fields
 
@@ -331,8 +332,9 @@ def main(argv=None):
     try:
         if args.seed < 0:
             raise ValueError(f"--seed must be >= 0, got {args.seed}")
-        if not args.out:   # "" would write hidden files such as .plan.json
-            raise ValueError("--out must name an output prefix, got an empty string")
+        # "", "d/" or "d/." would write hidden files such as d/.plan.json
+        if os.path.basename(args.out) in ("", ".", ".."):
+            raise ValueError(f"--out must end in a file name prefix, got {args.out!r}")
         func, _, keys = _COMMANDS[args.command]
         return func(args, _merged(args, keys))
     except (ValueError, OSError) as exc:   # an interrupt or a bug propagates

@@ -179,8 +179,11 @@ class TestCalibrateNoise:
 
     def test_frontier_zeros_exact(self):
         """The search is bounded to the unit square, so where the frontier
-        puts q (below the band) or p (above it) at zero, it is zero."""
-        assert calibrate_noise(0.85, 0.87, 0.875).noise.dephasing == 0.0
+        puts q (below the band) or p (above it) at zero, it is zero. Below
+        the band the frontier compromise gives away at most 1e-4 in fidelity
+        (7.1e-5 today)."""
+        below = calibrate_noise(0.85, 0.87, 0.875)
+        assert below.noise.dephasing == 0.0 and abs(below.residuals["fidelity"]) <= 1e-4
         assert calibrate_noise(0.78, 0.78, 0.9).noise.depolarizing == 0.0
 
     @pytest.mark.parametrize("targets", [(0.9, 0.9, 0.93), (0.8, 0.82, 0.88),
@@ -193,7 +196,8 @@ class TestCalibrateNoise:
         assert abs((res.achieved["vx"] + res.achieved["vy"]) / 2 - (vx + vy) / 2) <= 1e-8
 
     @pytest.mark.parametrize("targets", [(0.9, 0.9, 0.93), (0.85, 0.87, 0.875),
-                                         (0.78, 0.78, 0.9), (1.0, 1.0, 1.0)])
+                                         (0.78, 0.78, 0.9), (1.0, 1.0, 1.0),
+                                         (0.95, 0.93, 0.96)])
     def test_readout_confusion_not_searched(self, targets):
         """p and eps reach the observables only as (1-2eps)(1-p): eps stays 0."""
         res = calibrate_noise(*targets)

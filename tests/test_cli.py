@@ -32,6 +32,14 @@ def run_cli(args):
     return main(args)
 
 
+def package_env(**extra):
+    """os.environ plus `extra`, with this checkout's package first on
+    PYTHONPATH, for a child interpreter."""
+    src = os.path.dirname(os.path.dirname(atomphoton.__file__))
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def read_state_json(path):
     with open(path) as fh:
         payload = json.load(fh)
@@ -666,13 +674,16 @@ class TestFlagValidation:
     @pytest.mark.parametrize("argv", [["plan"], ["scan"], ["tomo", "--bootstrap", "0"],
                                       ["calibrate"]])
     def test_empty_out_refused(self, tmp_path, monkeypatch, capsys, argv):
-        """An empty prefix would write hidden files such as .plan.json into
-        the working directory."""
+        """A prefix with no file name part would write hidden files such as
+        .plan.json into the working directory, or d/.plan.json and
+        d/..plan.json into d."""
         monkeypatch.chdir(tmp_path)
-        assert run_cli(["--out", "", *argv]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: --out ") and err.count("\n") == 1
-        assert list(tmp_path.iterdir()) == []
+        (tmp_path / "d").mkdir()
+        for out in ("", "d/", "d/.", "d/.."):
+            assert run_cli(["--out", out, *argv]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: --out ") and err.count("\n") == 1
+            assert [p.name for p in tmp_path.rglob("*")] == ["d"]
 
 
 class TestInterruptedRun:
@@ -829,9 +840,44 @@ for argv in (["tomo", "--bootstrap", "5"], ["scan"]):
     assert not new, (argv[0], new)
 assert "numpy.ma" not in sys.modules, "numpy.ma loaded"
 """
-        src = os.path.dirname(os.path.dirname(atomphoton.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
+        proc = subprocess.run([sys.executable, "-c", code], env=package_env(),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
+
+
+class TestHashSeeds:
+    # (prefix, argv): every command, the empty-cell fringe rows of one trial
+    # per point, and a fit of the exact run's counts read back from its CSV
+    RUNS = [
+        ("tomo", ["--seed", "7", "tomo"]),
+        ("scan", ["--seed", "3", "scan"]),
+        ("scan1", ["--seed", "3", "scan", "--n-per-point", "1"]),
+        ("exact", ["--exact", "tomo", "--bootstrap", "0"]),
+        ("input", ["tomo", "--input", "exact.counts.csv", "--bootstrap", "0"]),
+        ("calibrate", ["calibrate"]),
+        ("plan", ["plan"]),
+    ]
+
+    def test_two_processes_write_the_same_bytes(self, tmp_path):
+        """Artifacts follow from the config and seed alone: processes that
+        differ only in PYTHONHASHSEED, which sets the iteration order of a
+        set of strings, write the same bytes and print the same lines."""
+        outputs = []
+        for h in ("0", "1"):
+            (tmp_path / h).mkdir()
+            printed = []
+            for prefix, argv in self.RUNS:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "atomphoton.cli", "--out", prefix, *argv],
+                    cwd=tmp_path / h, env=package_env(PYTHONHASHSEED=h),
+                    capture_output=True, text=True, timeout=120)
+                assert proc.returncode == 0, (prefix, proc.stderr)
+                printed.append(proc.stdout)
+            files = {p.name: p.read_bytes() for p in (tmp_path / h).iterdir()}
+            outputs.append((printed, files))
+        (printed0, files0), (printed1, files1) = outputs
+        assert printed0 == printed1
+        assert sorted(files0) == sorted(files1)
+        assert [name for name in files0 if files0[name] != files1[name]] == []
+        assert {name.split(".")[0] for name in files0} == {prefix for prefix, _ in self.RUNS}
+        assert not list(tmp_path.rglob("*.tmp"))
