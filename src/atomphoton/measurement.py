@@ -19,8 +19,10 @@ P(F=1 | APD1, beta) = (1 - cos 2 beta)/2, zero at beta = 0.
 
 Record k of a dataset with seed s draws from the substream keyed by (s, k),
 seeded as numpy's SeedSequence(entropy=s, spawn_key=(k,)) seeds it, in one
-pass over all keys (`substream_states`). The counts CSV is written as
-csv.writer's default dialect would write it, and read through csv.reader.
+pass over all keys (`substream_states`): numpy's SeedSequence(s) mixes the
+seed's words, and only the key step and generate_state are computed here.
+The counts CSV is written as csv.writer's default dialect would write it,
+and read through csv.reader.
 """
 
 from __future__ import annotations
@@ -167,37 +169,18 @@ def substream_states(seed, keys):
     """(len(keys), 4) uint64: row k is the PCG64 seed state of the substream
     keyed by (seed, key k), the words SeedSequence(entropy=seed,
     spawn_key=(k,)).generate_state(4, np.uint64) gives, for an integer seed
-    >= 0 and keys below 2**32. The seed's words are mixed into the pool once;
-    each key is then hashed into it and the pool hashed out, all keys at once."""
+    >= 0 and keys below 2**32. numpy's SeedSequence(seed) mixes the seed's words
+    into the pool; each key is hashed into it and the pool hashed out here, all keys at once."""
     seed = check_integer("seed", seed, 0)
-    words = [seed >> s & _MASK for s in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (4 - len(words))   # a spawn key pads the seed to the pool size
-    h = _INIT_A
-
-    def hashmix(value):
-        nonlocal h
-        value ^= h
-        h = h * _MULT_A & _MASK
-        value = value * h & _MASK
-        return value ^ value >> 16
-
-    def mix(x, y):
-        r = (_MIX_L * x - _MIX_R * y) & _MASK
-        return r ^ r >> 16
-
-    pool = [hashmix(w) for w in words[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for w in words[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(w))
+    pool = np.random.SeedSequence(seed).pool   # a missing word hashes as 0, as key padding does
+    # the pool's hash steps so far: one per pool word, 12 for the cross mix and
+    # 4 per seed word past the fourth, 4 * max(words, 4) in all
+    h = _INIT_A * pow(_MULT_A, 4 * max(-(-seed.bit_length() // 32), 4), 1 << 32) & _MASK
     # the key, one more entropy word, hashed into each pool word (uint32 arithmetic wraps)
     xor, mult = _hash_constants(h, _MULT_A, 4)
     v = (np.asarray(keys, np.uint32)[:, None] ^ xor) * mult
     v ^= v >> 16
-    p = np.array(pool, np.uint32) * np.uint32(_MIX_L) - v * np.uint32(_MIX_R)
+    p = pool * np.uint32(_MIX_L) - v * np.uint32(_MIX_R)
     p ^= p >> 16
     xor, mult = _GENERATE
     state = (np.tile(p, 2) ^ xor) * mult
@@ -355,9 +338,10 @@ def _csv_record(path, row_no, header, cells):
 def read_counts_csv(path):
     """Dataset from a counts CSV and its sidecar, if present: a JSON object
     whose `exact`, if given, is true or false; unless it is true, counts must
-    be whole numbers. Rows are numbered from 1 after the header, blank lines
-    skipped; errors name the file, row and field. Both files are UTF-8, with
-    or without a BOM."""
+    be whole numbers. Without a sidecar the counts are read as given, a
+    fractional one too, with metadata {"mode": "ingested"}. Rows are numbered
+    from 1 after the header, blank lines skipped; errors name the file, row
+    and field. Both files are UTF-8, with or without a BOM."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import qmath
 
+
 def ideal_ket():
     """(|-1>|s+> + |+1>|s->)/sqrt(2) in the fixed basis: (1,0,0,1)/sqrt(2)."""
     return np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)

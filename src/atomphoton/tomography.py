@@ -435,7 +435,7 @@ def _face_newton(n, x, f, rank, budget, design):
         nr, left = n[rows], np.minimum(budget[rows] - used[rows], MLE_NEWTON_STEPS)
         lam, u = np.linalg.eigh(qmath.states(start[rows]))
         # contiguous: a row alone and a row selected from a stack hand matmul one layout
-        u, theta =np.ascontiguousarray(u[:, :, ::-1]), np.zeros((len(rows), len(a)))
+        u, theta = np.ascontiguousarray(u[:, :, ::-1]), np.zeros((len(rows), len(a)))
         theta[:, a == b] = np.sqrt(np.maximum(lam[:, :-r - 1:-1], 0.0))
         theta /= np.sqrt(np.einsum("ri,ri->r", theta, theta))[:, None]
         lf, xt, ft = _face_point(nr, theta, u, r, design)

@@ -21,6 +21,8 @@ from atomphoton.measurement import (
     MeasurementSetting,
     PhotonSetting,
     counts_files,
+    outcome_operators,
+    outcome_probabilities,
     read_counts_csv,
 )
 from atomphoton.metrics import fit_fringe, fringe_scans
@@ -77,6 +79,23 @@ class TestScan:
         assert "bootstrap" in json.load(open(out1 + "t.metrics.json"))
         for suffix in (".counts.csv", ".counts.meta.json", ".state.json", ".metrics.json"):
             assert open(out1 + "t" + suffix, "rb").read() == open(out2 + "t" + suffix, "rb").read()
+
+    def test_five_word_seed_draws_as_seed_sequence(self, tmp_path):
+        """A seed of five 32-bit words: record k is the multinomial draw that
+        numpy's SeedSequence(entropy=seed, spawn_key=(k,)) gives, and the
+        metrics echo the seed as the integer."""
+        seed = 2**130 + 5
+        out = str(tmp_path / "wide")
+        assert run_cli(["--seed", str(seed), "--out", out, "scan"]) == 0
+        ds = read_counts_csv(out + ".counts.csv")
+        probs = outcome_probabilities(ideal_state(), outcome_operators(ds.settings),
+                                      NoiseModel(**ds.metadata["noise"]))
+        probs /= probs.sum(axis=1, keepdims=True)
+        for k, (record, p) in enumerate(zip(ds.records, probs)):
+            oracle = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
+            assert np.array_equal(record, oracle.multinomial(300, p))
+        assert len(ds.records) == 36
+        assert json.load(open(out + ".metrics.json"))["seed"] == seed
 
     def test_counts_round_trip(self, tmp_path):
         out = str(tmp_path / "rt")

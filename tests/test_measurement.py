@@ -603,8 +603,10 @@ SIDECARS = st.dictionaries(
     max_size=5)
 
 
-# integer seeds of one to five 32-bit words, at word boundaries
-SUBSTREAM_SEEDS = [0, 1, 7, 2**31 - 2, 2**32 - 1, 2**32, 2**64 + 3, 2**128 - 1, 2**130 + 5]
+# integer seeds of one to ten 32-bit words, at word boundaries: past four, each
+# word adds four hash steps before the key's
+SUBSTREAM_SEEDS = [0, 1, 7, 2**31 - 2, 2**32 - 1, 2**32, 2**64 + 3, 2**128 - 1, 2**128,
+                   2**130 + 5, 2**160 + 1, 2**300 + 11]
 
 
 class TestSubstreams:
