@@ -7,8 +7,9 @@ import os
 
 def json_text(payload):
     """payload as JSON text: indent 2, sorted keys, trailing newline. A payload
-    that JSON cannot hold fails here, before any file is opened."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    that JSON cannot hold, NaN and infinities included, fails here, before any
+    file is opened."""
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def commit(files):

@@ -19,8 +19,9 @@ P(F=1 | APD1, beta) = (1 - cos 2 beta)/2, zero at beta = 0.
 
 Record k of a dataset with seed s draws from the substream keyed by (s, k),
 seeded as numpy's SeedSequence(entropy=s, spawn_key=(k,)) seeds it, in one
-pass over all keys (`substream_states`): numpy's SeedSequence(s) mixes the
-seed's words, and only the key step and generate_state are computed here.
+pass over all keys by `record_rngs`, which refuses a key it would misread:
+numpy's SeedSequence(s) mixes the seed's words, and only the key step and
+generate_state are computed here.
 The counts CSV is written as csv.writer's default dialect would write it,
 and read through csv.reader.
 """
@@ -165,29 +166,6 @@ def _hash_constants(h, mult, n):
 _GENERATE = _hash_constants(_INIT_B, _MULT_B, 8)   # generate_state's 8 words of 4 uint64s
 
 
-def substream_states(seed, keys):
-    """(len(keys), 4) uint64: row k is the PCG64 seed state of the substream
-    keyed by (seed, key k), the words SeedSequence(entropy=seed,
-    spawn_key=(k,)).generate_state(4, np.uint64) gives, for an integer seed
-    >= 0 and keys below 2**32. numpy's SeedSequence(seed) mixes the seed's words
-    into the pool; each key is hashed into it and the pool hashed out here, all keys at once."""
-    seed = check_integer("seed", seed, 0)
-    pool = np.random.SeedSequence(seed).pool   # a missing word hashes as 0, as key padding does
-    # the pool's hash steps so far: one per pool word, 12 for the cross mix and
-    # 4 per seed word past the fourth, 4 * max(words, 4) in all
-    h = _INIT_A * pow(_MULT_A, 4 * max(-(-seed.bit_length() // 32), 4), 1 << 32) & _MASK
-    # the key, one more entropy word, hashed into each pool word (uint32 arithmetic wraps)
-    xor, mult = _hash_constants(h, _MULT_A, 4)
-    v = (np.asarray(keys, np.uint32)[:, None] ^ xor) * mult
-    v ^= v >> 16
-    p = pool * np.uint32(_MIX_L) - v * np.uint32(_MIX_R)
-    p ^= p >> 16
-    xor, mult = _GENERATE
-    state = (np.tile(p, 2) ^ xor) * mult
-    state ^= state >> 16
-    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
-
-
 class _State(ISeedSequence):
     """A substream's precomputed seed state, for PCG64 to seed itself from:
     PCG64 asks for generate_state(4, np.uint64)."""
@@ -201,27 +179,37 @@ class _State(ISeedSequence):
 
 def record_rngs(seed, keys):
     """One generator per key k, on the substream keyed by (seed, k): each
-    draws what default_rng(SeedSequence(entropy=seed, spawn_key=(k,))) draws.
-
-    Records can therefore be produced in any order, or in parallel, with
-    identical results.
-    """
-    return [Generator(PCG64(_State(words))) for words in substream_states(seed, keys)]
-
-
-def record_rng(master_seed, index):
-    """The generator of record `index`, an integer in [0, 2**32) refused by
-    name otherwise (2.5 is not read as 2): the one-key case of `record_rngs`."""
-    index = check_integer("index", index, 0)
-    if index > _MASK:
-        raise ValueError(f"index must be below 2**32, got {index}")
-    return record_rngs(master_seed, [index])[0]
+    draws what default_rng(SeedSequence(entropy=seed, spawn_key=(k,))) draws,
+    so records can be produced in any order, or in parallel, with identical
+    results. The seed is an integer >= 0 and each key one in [0, 2**32),
+    refused by name otherwise (2.5 is not read as 2, nor True as 1).
+    numpy's SeedSequence(seed) mixes the seed's words into the pool; each key
+    is hashed into it and the pool hashed out here, all keys at once."""
+    seed = check_integer("seed", seed, 0)
+    keys = [check_integer("key", k, 0) for k in keys]
+    if keys and max(keys) > _MASK:
+        raise ValueError(f"key must be below 2**32, got {max(keys)}")
+    pool = np.random.SeedSequence(seed).pool   # a missing word hashes as 0, as key padding does
+    # the pool's hash steps so far: one per pool word, 12 for the cross mix and
+    # 4 per seed word past the fourth, 4 * max(words, 4) in all
+    h = _INIT_A * pow(_MULT_A, 4 * max(-(-seed.bit_length() // 32), 4), 1 << 32) & _MASK
+    # the key, one more entropy word, hashed into each pool word (uint32 arithmetic wraps)
+    xor, mult = _hash_constants(h, _MULT_A, 4)
+    v = (np.asarray(keys, np.uint32)[:, None] ^ xor) * mult
+    v ^= v >> 16
+    p = pool * np.uint32(_MIX_L) - v * np.uint32(_MIX_R)
+    p ^= p >> 16
+    xor, mult = _GENERATE
+    state = (np.tile(p, 2) ^ xor) * mult
+    state ^= state >> 16
+    words = state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+    return [Generator(PCG64(_State(w))) for w in words]
 
 
 def simulate_settings(rho, settings, n_per_setting, noise=None, seed=0, exact=False):
     """Dataset over a list of settings, one record each. Record k is a
-    multinomial draw of n_per_setting trials from substream record_rng(seed, k),
-    every record's generator seeded in one `record_rngs` pass; with `exact`
+    multinomial draw of n_per_setting trials from the substream keyed by
+    (seed, k), every record's generator seeded in one `record_rngs` pass; with `exact`
     the records are the expected counts n_per_setting * p instead (the
     infinite-statistics mode used to separate systematic from statistical
     checks). Draws need a finite whole n_per_setting >= 1, expected counts a

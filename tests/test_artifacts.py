@@ -26,6 +26,15 @@ def test_failed_serialization_leaves_no_file(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_float_refused_leaves_no_file(tmp_path, value):
+    """NaN and the infinities are not JSON: json.dumps would write NaN,
+    Infinity or -Infinity, which a JSON reader need not accept."""
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        commit({tmp_path / "out.json": json_text({"x": 1.0, "y": value})})
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_failed_serialization_keeps_previous_target(tmp_path):
     target = tmp_path / "out.json"
     target.write_text("previous\n")

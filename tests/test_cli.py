@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,9 +43,12 @@ def package_env(**extra):
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
+def read_json(path):
+    return json.loads(Path(path).read_text())
+
+
 def read_state_json(path):
-    with open(path) as fh:
-        payload = json.load(fh)
+    payload = read_json(path)
     return np.array(payload["real"]) + 1j * np.array(payload["imag"])
 
 
@@ -54,7 +58,7 @@ class TestScan:
         assert run_cli(["--seed", "4", "--out", out, "scan"]) == 0
         for suffix in (".counts.csv", ".counts.meta.json", ".fringes.csv", ".metrics.json"):
             assert os.path.exists(out + suffix)
-        metrics = json.load(open(out + ".metrics.json"))
+        metrics = read_json(out + ".metrics.json")
         for basis in ("sx", "sy"):
             for det in ("apd1", "apd2"):
                 v = metrics["fits"][basis][det]["visibility"]
@@ -63,7 +67,7 @@ class TestScan:
     def test_exact_mode_matches_analytic(self, tmp_path):
         out = str(tmp_path / "exact")
         assert run_cli(["--exact", "--out", out, "scan"]) == 0
-        metrics = json.load(open(out + ".metrics.json"))
+        metrics = read_json(out + ".metrics.json")
         for basis in ("sx", "sy"):
             for det in ("apd1", "apd2"):
                 assert abs(metrics["fits"][basis][det]["visibility"] - 0.86) < 1e-6
@@ -73,12 +77,12 @@ class TestScan:
         assert run_cli(["--seed", "9", "--out", out1, "scan"]) == 0
         assert run_cli(["--seed", "9", "--out", out2, "scan"]) == 0
         for suffix in (".counts.csv", ".fringes.csv", ".metrics.json"):
-            assert open(out1 + suffix, "rb").read() == open(out2 + suffix, "rb").read()
+            assert Path(out1 + suffix).read_bytes() == Path(out2 + suffix).read_bytes()
         for out in (out1, out2):
             assert run_cli(["--seed", "9", "--out", out + "t", "tomo", "--bootstrap", "20"]) == 0
-        assert "bootstrap" in json.load(open(out1 + "t.metrics.json"))
+        assert "bootstrap" in read_json(out1 + "t.metrics.json")
         for suffix in (".counts.csv", ".counts.meta.json", ".state.json", ".metrics.json"):
-            assert open(out1 + "t" + suffix, "rb").read() == open(out2 + "t" + suffix, "rb").read()
+            assert Path(out1 + "t" + suffix).read_bytes() == Path(out2 + "t" + suffix).read_bytes()
 
     def test_five_word_seed_draws_as_seed_sequence(self, tmp_path):
         """A seed of five 32-bit words: record k is the multinomial draw that
@@ -95,7 +99,7 @@ class TestScan:
             oracle = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
             assert np.array_equal(record, oracle.multinomial(300, p))
         assert len(ds.records) == 36
-        assert json.load(open(out + ".metrics.json"))["seed"] == seed
+        assert read_json(out + ".metrics.json")["seed"] == seed
 
     def test_counts_round_trip(self, tmp_path):
         out = str(tmp_path / "rt")
@@ -110,7 +114,7 @@ class TestScan:
         records = read_counts_csv(out + ".counts.csv").records.reshape(2, 18, 4)
         with open(out + ".fringes.csv", newline="") as fh:
             table = list(csv.DictReader(fh))
-        fits = json.load(open(out + ".metrics.json"))["fits"]
+        fits = read_json(out + ".metrics.json")["fits"]
         empty = 0
         for b, rows in zip(("sx", "sy"), records):
             for d in (1, 2):
@@ -236,7 +240,7 @@ class TestTomo:
         out = str(tmp_path / "ideal")
         assert run_cli(["--exact", "--out", out, "tomo",
                         "--depolarizing", "0", "--dephasing", "0"]) == 0
-        metrics = json.load(open(out + ".metrics.json"))
+        metrics = read_json(out + ".metrics.json")
         assert abs(metrics["fidelity"] - 1.0) < 1e-6
         assert abs(metrics["negativity"] - 0.5) < 1e-4
 
@@ -244,7 +248,7 @@ class TestTomo:
         out = str(tmp_path / "werner")
         assert run_cli(["--exact", "--out", out, "tomo",
                         "--depolarizing", "0.14", "--dephasing", "0"]) == 0
-        metrics = json.load(open(out + ".metrics.json"))
+        metrics = read_json(out + ".metrics.json")
         assert abs(metrics["fidelity"] - 0.895) < 1e-4
         assert abs(metrics["negativity"] - 0.395) < 1e-4
 
@@ -254,7 +258,7 @@ class TestTomo:
         rho = read_state_json(out + ".state.json")
         assert abs(np.trace(rho).real - 1.0) < 1e-9
         assert np.min(np.linalg.eigvalsh(rho)) >= -1e-9
-        payload = json.load(open(out + ".state.json"))
+        payload = read_json(out + ".state.json")
         assert "basis" in payload
         assert payload["fit_report"]["converged"]
 
@@ -268,7 +272,7 @@ class TestTomo:
     def test_bootstrap_error_bars(self, tmp_path):
         out = str(tmp_path / "boot")
         assert run_cli(["--seed", "1", "--out", out, "tomo", "--bootstrap", "12"]) == 0
-        metrics = json.load(open(out + ".metrics.json"))
+        metrics = read_json(out + ".metrics.json")
         assert "bootstrap" in metrics
         assert metrics["bootstrap"]["fidelity"]["std"] > 0
 
@@ -281,7 +285,7 @@ class TestTomo:
         assert len(err.splitlines()) == 1
         assert "bootstrap" in err and "sampling spread" in err
         for suffix in (".counts.csv", ".state.json", ".metrics.json"):
-            assert open(plain + suffix, "rb").read() == open(boot + suffix, "rb").read()
+            assert Path(plain + suffix).read_bytes() == Path(boot + suffix).read_bytes()
 
     def test_bootstrap_skip_follows_the_data_not_the_flag(self, tmp_path, capsys):
         """`tomo --input` reads the data's mode from the counts sidecar:
@@ -296,14 +300,14 @@ class TestTomo:
         assert run_cli(["--out", out, "tomo", "--bootstrap", "4",
                         "--input", exact_src + ".counts.csv"]) == 0
         assert "sampling spread" in capsys.readouterr().err
-        metrics = json.load(open(out + ".metrics.json"))
+        metrics = read_json(out + ".metrics.json")
         assert metrics["exact"] is True and "bootstrap" not in metrics
 
         out = str(tmp_path / "sampled_in")
         assert run_cli(["--exact", "--out", out, "tomo", "--bootstrap", "4",
                         "--input", sampled_src + ".counts.csv"]) == 0
         assert capsys.readouterr().err == ""
-        metrics = json.load(open(out + ".metrics.json"))
+        metrics = read_json(out + ".metrics.json")
         assert metrics["exact"] is False
         assert metrics["bootstrap"]["fidelity"]["std"] > 0
 
@@ -328,8 +332,8 @@ class TestTomo:
         out = str(tmp_path / "ingest")
         assert run_cli(["--out", out, "tomo", "--bootstrap", "0",
                         "--input", src + ".counts.csv"]) == 0
-        m_src = json.load(open(src + ".metrics.json"))
-        m_out = json.load(open(out + ".metrics.json"))
+        m_src = read_json(src + ".metrics.json")
+        m_out = read_json(out + ".metrics.json")
         assert abs(m_src["fidelity"] - m_out["fidelity"]) < 1e-9
 
     @pytest.mark.parametrize("argv, flag", [
@@ -373,11 +377,11 @@ class TestTomo:
     def test_incomplete_settings_named(self, tmp_path, capsys):
         src = str(tmp_path / "full")
         assert run_cli(["--seed", "3", "--out", src, "tomo", "--bootstrap", "0"]) == 0
-        lines = open(src + ".counts.csv").read().splitlines()
+        lines = Path(src + ".counts.csv").read_text().splitlines()
         # drop the atomic-y / photonic-z row (row order follows the label order)
         trimmed = [l for i, l in enumerate(lines) if i != 6]
         broken = str(tmp_path / "broken.counts.csv")
-        open(broken, "w").write("\n".join(trimmed) + "\n")
+        Path(broken).write_text("\n".join(trimmed) + "\n")
         out = str(tmp_path / "rec")
         assert run_cli(["--out", out, "tomo", "--input", broken]) == 1
         err = capsys.readouterr().err
@@ -417,13 +421,13 @@ class TestCalibrateCmd:
         out = str(tmp_path / "cal0")
         assert run_cli(["--out", out, "calibrate",
                         "--vx", "1", "--vy", "1", "--fidelity", "1"]) == 0
-        payload = json.load(open(out + ".noise.json"))
+        payload = read_json(out + ".noise.json")
         assert payload["noise"]["depolarizing"] < 1e-6
 
     def test_demonstrated_targets(self, tmp_path, capsys):
         out = str(tmp_path / "cal")
         assert run_cli(["--out", out, "calibrate"]) == 0
-        payload = json.load(open(out + ".noise.json"))
+        payload = read_json(out + ".noise.json")
         assert abs(payload["achieved"]["fidelity"] - 0.875) < 1e-3
         text = capsys.readouterr().out
         assert "depolarizing =" in text   # config-format echo
@@ -440,7 +444,7 @@ class TestPlanCmd:
     def test_default_plan(self, tmp_path, capsys):
         out = str(tmp_path / "plan")
         assert run_cli(["--out", out, "plan"]) == 0
-        payload = json.load(open(out + ".plan.json"))
+        payload = read_json(out + ".plan.json")
         assert abs(payload["report"]["v_atat"] - 0.7396) < 1e-9
         assert payload["report"]["collapse_probability"] > 0.99
         text = capsys.readouterr().out
@@ -616,9 +620,9 @@ class TestConfigFile:
         tomo = read_counts_csv(str(tmp_path / "tomo.counts.csv"))
         assert tomo.records[0].sum() == 50
         assert tomo.metadata["noise"]["depolarizing"] == 0.2
-        assert "bootstrap" not in json.load(open(tmp_path / "tomo.metrics.json"))
-        assert json.load(open(tmp_path / "calibrate.noise.json"))["targets"]["vx"] == 0.86
-        assert json.load(open(tmp_path / "plan.plan.json"))["plan"]["rep_rate"] == 5e5
+        assert "bootstrap" not in read_json(tmp_path / "tomo.metrics.json")
+        assert read_json(tmp_path / "calibrate.noise.json")["targets"]["vx"] == 0.86
+        assert read_json(tmp_path / "plan.plan.json")["plan"]["rep_rate"] == 5e5
 
 
 # every (command, key, type, default) of the command table
@@ -720,10 +724,10 @@ class TestCountsCsvIngest:
         src = str(tmp_path / "src")
         assert run_cli(["--seed", "3", "--out", src, "tomo", "--bootstrap", "0"]) == 0
         bom = tmp_path / "bom.csv"
-        bom.write_bytes(b"\xef\xbb\xbf" + open(src + ".counts.csv", "rb").read())
+        bom.write_bytes(b"\xef\xbb\xbf" + Path(src + ".counts.csv").read_bytes())
         out = str(tmp_path / "bom")
         assert run_cli(["--out", out, "tomo", "--bootstrap", "0", "--input", str(bom)]) == 0
-        assert open(out + ".state.json").read() == open(src + ".state.json").read()
+        assert Path(out + ".state.json").read_text() == Path(src + ".state.json").read_text()
 
     @pytest.mark.parametrize("text, message", [
         ("", "empty file"),
@@ -803,7 +807,7 @@ class TestLabCounts:
         rewrite_counts(seed7 + ".counts.csv", rounded, angle=lambda v: f"{float(v):.6f}")
         out = str(tmp_path / "r6")
         assert run_cli(["--out", out, "tomo", "--bootstrap", "0", "--input", str(rounded)]) == 0
-        got, want = (json.load(open(p + ".metrics.json")) for p in (out, seed7))
+        got, want = (read_json(p + ".metrics.json") for p in (out, seed7))
         assert got["fit_report"]["converged"] and got["fit_report"]["iterations"] == 8
         assert abs(got["fidelity"] - want["fidelity"]) <= 1e-6
 

@@ -23,10 +23,8 @@ from atomphoton.measurement import (
     outcome_operators,
     outcome_probabilities,
     read_counts_csv,
-    record_rng,
     record_rngs,
     simulate_settings,
-    substream_states,
     write_counts_csv,
 )
 from atomphoton.metrics import fit_fringe, fringe_scans
@@ -558,14 +556,15 @@ class TestSimulateScan:
         assert np.array_equal(a.records, b.records)
 
     def test_records_independent_of_evaluation_order(self):
-        # substream per (seed, index): record k is the draw from
-        # record_rng(seed, k) alone, whether or not the others were generated
+        # substream per (seed, key): record k is the draw from
+        # record_rngs(seed, [k]) alone, whether or not the others were generated
         noise = NoiseModel(depolarizing=0.14, dephasing=0.05, eps01=0.02, eps10=0.04)
         grid = SETTING_GRID[::5]
         ds = simulate_settings(werner(0.8), grid, 200, noise=noise, seed=9)
         probs = outcome_probabilities(werner(0.8), outcome_operators(grid), noise)
         for k, p in enumerate(probs):
-            assert np.array_equal(ds.records[k], record_rng(9, k).multinomial(200, p / p.sum()))
+            rng, = record_rngs(9, [k])
+            assert np.array_equal(ds.records[k], rng.multinomial(200, p / p.sum()))
 
     def test_calibrated_visibility_distribution(self):
         # 18 points at ~300 conditioned events per fringe point; the
@@ -617,14 +616,15 @@ class TestSubstreams:
         keys = [*range(300), 2**32 - 1]
         want = [np.random.SeedSequence(entropy=seed, spawn_key=(k,)).generate_state(4, np.uint64)
                 for k in keys]
-        got = substream_states(seed, keys)
-        assert got.dtype == np.uint64 and np.array_equal(got, want)
+        got = [rng.bit_generator.seed_seq.generate_state(4, np.uint64)
+               for rng in record_rngs(seed, keys)]
+        assert all(g.dtype == np.uint64 for g in got) and np.array_equal(got, want)
 
     @pytest.mark.parametrize("seed", SUBSTREAM_SEEDS)
     def test_first_draws_equal_default_rng(self, seed):
         keys = [0, 1, 2, 17, 150, 299, 2**32 - 1]
         for key, rng in zip(keys, record_rngs(seed, keys)):
-            for generator in (rng, record_rng(seed, key)):   # the batch and its one-key case
+            for generator in (rng, record_rngs(seed, [key])[0]):   # the batch and one key
                 oracle = np.random.default_rng(
                     np.random.SeedSequence(entropy=seed, spawn_key=(key,)))
                 assert np.array_equal(generator.integers(2**63, size=8),
@@ -632,22 +632,31 @@ class TestSubstreams:
                 assert np.array_equal(generator.multinomial(300, [0.1, 0.2, 0.3, 0.4], size=4),
                                       oracle.multinomial(300, [0.1, 0.2, 0.3, 0.4], size=4))
 
-    @pytest.mark.parametrize("index, defect", [
-        (2.5, "index must be an integer, got 2.5"),
-        (2.0, "index must be an integer, got 2.0"),
-        ("3", "index must be an integer, got '3'"),
-        (True, "index must be an integer, got True"),
-        (-1, "index must be at least 0, got -1"),
-        (2**32, "index must be below 2**32, got 4294967296"),
-    ], ids=["fraction", "whole-float", "string", "bool", "negative", "two-words"])
-    def test_index_refused_by_name(self, index, defect):
-        """An index that is not an integer key is refused, not truncated:
-        2.5 would draw from index 2's substream."""
+    @pytest.mark.parametrize("keys, defect", [
+        ([2.5], "key must be an integer, got 2.5"),
+        ([2.0], "key must be an integer, got 2.0"),
+        (["3"], "key must be an integer, got '3'"),
+        ([True], "key must be an integer, got True"),
+        ([-1], "key must be at least 0, got -1"),
+        ([2**32], "key must be below 2**32, got 4294967296"),
+        ([1, 2.5], "key must be an integer, got 2.5"),
+    ], ids=["fraction", "whole-float", "string", "bool", "negative", "two-words",
+            "after-a-good-one"])
+    def test_index_refused_by_name(self, keys, defect):
+        """A record index, the substream's key, that is not an integer in
+        [0, 2**32) is refused, not truncated: 2.5 would draw from key 2's
+        substream, True from key 1's. numpy's SeedSequence refuses such a
+        spawn key too."""
         with pytest.raises(ValueError, match=re.escape(defect)):
-            record_rng(0, index)
+            record_rngs(0, keys)
 
     def test_numpy_integer_index_accepted(self):
-        assert np.array_equal(record_rng(3, np.int64(4)).random(4), record_rng(3, 4).random(4))
+        assert np.array_equal(record_rngs(3, [np.int64(4)])[0].random(4),
+                              record_rngs(3, [4])[0].random(4))
+
+    @pytest.mark.parametrize("keys", [[], range(0)])
+    def test_no_keys_no_generators(self, keys):
+        assert record_rngs(7, keys) == []
 
 
 class TestCsvRoundTrip:
@@ -705,6 +714,15 @@ class TestCsvRoundTrip:
         with pytest.raises(TypeError, match="int64"):
             write_counts_csv(bad, tmp_path / "wc.counts.csv")
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_non_finite_metadata_writes_nothing(self, tmp_path):
+        """A NaN in the metadata would write a sidecar that is not JSON: it is
+        refused, and neither file lands."""
+        ds = simulate_tomography(ideal_state(), 10, seed=0)
+        ds.metadata["drift"] = float("nan")
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_counts_csv(ds, tmp_path / "wc.counts.csv")
+        assert list(tmp_path.iterdir()) == []
 
     def test_sidecar_directory_fault_writes_no_csv(self, tmp_path):
         """A sidecar that cannot land (a directory in its place) takes the CSV

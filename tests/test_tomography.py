@@ -20,7 +20,7 @@ from atomphoton.measurement import (
     outcome_operators,
     outcome_probabilities,
     read_counts_csv,
-    record_rng,
+    record_rngs,
     write_counts_csv,
 )
 from atomphoton.metrics import fidelity_to_target, negativity, purity
@@ -894,7 +894,8 @@ class TestGapBound:
             replicas = [*range(50), *{0: (132, 154), 1: (178,)}.get(seed, ())]
             draws = np.concatenate([
                 np.random.default_rng(seed).multinomial(totals, probs, size=(50, 9)),
-                [record_rng(seed, k).multinomial(totals, probs) for k in replicas]]).astype(float)
+                [rng.multinomial(totals, probs) for rng in record_rngs(seed, replicas)],
+            ]).astype(float)
             *_, converged = fit_stack(_with_prior(draws, False), linear_inversions(draws))
             assert converged.all()
 
@@ -1145,7 +1146,7 @@ class TestBootstrap:
         rho, _ = mle_reconstruct(ts)
         probs = outcome_probabilities(rho, CANONICAL.operators, NoiseModel())
         totals = ts.counts.sum(axis=1).astype(np.int64)
-        draws = np.array([record_rng(0, k).multinomial(totals, probs) for k in range(20)],
+        draws = np.array([rng.multinomial(totals, probs) for rng in record_rngs(0, range(20))],
                          dtype=float)
         failed = []
         damped_step = tomography._damped_step
