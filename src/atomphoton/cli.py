@@ -30,6 +30,7 @@ from .measurement import (
     ATOM_SY,
     MeasurementSetting,
     PhotonSetting,
+    check_integer,
     counts_files,
     read_counts_csv,
     simulate_settings,
@@ -104,11 +105,6 @@ def _merged(args, keys):
     return out
 
 
-def _require_at_least(params, key, low):
-    if params[key] < low:
-        raise ValueError(f"{key} must be >= {low}, got {params[key]}")
-
-
 # (key, type, default) of each command. A key is both the flag
 # --<key with dashes> and the config key <key>.
 _NOISE_KEYS = tuple((f.name, float, getattr(DEFAULT_NOISE, f.name)) for f in fields(NoiseModel))
@@ -149,9 +145,8 @@ def cmd_scan(args, params):
     if len(set(bases)) != len(bases):
         raise ValueError(f"bases must list distinct atomic bases (sx, sy), "
                          f"got {params['bases']!r}")
-    _require_at_least(params, "n_points", 4)
-    _require_at_least(params, "n_per_point", 1)
-    n_points = params["n_points"]
+    n_points = check_integer("n_points", params["n_points"], 4)
+    check_integer("n_per_point", params["n_per_point"], 1)
     betas = [k * math.pi / n_points for k in range(n_points)]
 
     settings = [MeasurementSetting(atom=ATOM_BASES[b], photon=PhotonSetting(beta=beta))
@@ -330,8 +325,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        if args.seed < 0:
-            raise ValueError(f"--seed must be >= 0, got {args.seed}")
+        check_integer("--seed", args.seed, 0)
         # "", "d/" or "d/." would write hidden files such as d/.plan.json
         if os.path.basename(args.out) in ("", ".", ".."):
             raise ValueError(f"--out must end in a file name prefix, got {args.out!r}")

@@ -42,6 +42,7 @@ from .artifacts import commit, json_text
 from .states import NoiseModel, apply_noise
 
 COUNT_COLUMNS = ("n_f2_apd1", "n_f2_apd2", "n_f1_apd1", "n_f1_apd2")
+MAX_COUNT = 2**53   # a float64 holds every whole count up to it exactly
 
 
 @dataclass(frozen=True)
@@ -117,7 +118,8 @@ def outcome_probabilities(rho, operators, noise: NoiseModel):
 @dataclass
 class Dataset:
     """Count records: S settings and one (S, 4) array of their counts in
-    outcome order (floats in exact mode), validated as a whole."""
+    outcome order (floats in exact mode), validated as a whole: each cell
+    from 0 to 2**53 (`MAX_COUNT`), each row's total at least 1."""
 
     settings: list
     records: np.ndarray
@@ -131,12 +133,13 @@ class Dataset:
         if self.records.shape != (len(self.settings), 4):
             raise ValueError(f"records must have shape ({len(self.settings)}, 4) to match "
                              f"the settings, got {self.records.shape}")
-        cells_ok = (np.isfinite(self.records) & (self.records >= 0)).all(axis=1)
-        bad = ~cells_ok | (self.records.sum(axis=1) < 1.0 - 1e-9)
+        # NaN fails both comparisons; only rows of good cells are summed, so none overflows
+        cells_ok = ((self.records >= 0) & (self.records <= MAX_COUNT)).all(axis=1)
+        bad = ~cells_ok | (self.records.sum(axis=1, where=cells_ok[:, None]) < 1.0 - 1e-9)
         if bad.any():
             k = int(np.argmax(bad))
-            problem = ("counts must be four finite non-negative cells" if not cells_ok[k]
-                       else "total count must be at least 1")
+            problem = ("counts must be four finite non-negative cells of at most 2**53"
+                       if not cells_ok[k] else "total count must be at least 1")
             raise ValueError(f"row {k + 1}: {problem}")
 
 
@@ -212,15 +215,14 @@ def simulate_settings(rho, settings, n_per_setting, noise=None, seed=0, exact=Fa
     (seed, k), every record's generator seeded in one `record_rngs` pass; with `exact`
     the records are the expected counts n_per_setting * p instead (the
     infinite-statistics mode used to separate systematic from statistical
-    checks). Draws need a finite whole n_per_setting >= 1, expected counts a
-    finite one, and a bool or a string is neither; the metadata holds it as a
-    Python int when whole. The seed must be an integer >= 0 in either mode."""
+    checks). Draws need a whole n_per_setting from 1 to 2**53 (`MAX_COUNT`),
+    expected counts a number in that range, and a bool or a string is neither;
+    the metadata holds it as a Python int when whole. The seed must be an integer >= 0 in either mode."""
     seed = check_integer("seed", seed, 0)
     # a bool is not a trial count, nor a string a number (numpy's bool is no Real)
     if (isinstance(n_per_setting, bool) or not isinstance(n_per_setting, numbers.Real)
-            or not (math.isfinite(n_per_setting) and n_per_setting >= 1
-                    and (exact or n_per_setting % 1 == 0))):
-        raise ValueError(f"n_per_setting must be >= 1 and a finite "
+            or not (1 <= n_per_setting <= MAX_COUNT and (exact or n_per_setting % 1 == 0))):
+        raise ValueError(f"n_per_setting must be >= 1, at most 2**53 and a finite "
                          f"{'number' if exact else 'whole number'}, got {n_per_setting!r}")
     n_per_setting = int(n_per_setting) if n_per_setting % 1 == 0 else float(n_per_setting)
     noise = noise or NoiseModel()
@@ -324,12 +326,13 @@ def _csv_record(path, row_no, header, cells):
 
 
 def read_counts_csv(path):
-    """Dataset from a counts CSV and its sidecar, if present: a JSON object
-    whose `exact`, if given, is true or false; unless it is true, counts must
-    be whole numbers. Without a sidecar the counts are read as given, a
-    fractional one too, with metadata {"mode": "ingested"}. Rows are numbered
-    from 1 after the header, blank lines skipped; errors name the file, row
-    and field. Both files are UTF-8, with or without a BOM."""
+    """Dataset from a counts CSV and its sidecar, if present: a JSON object,
+    with no NaN or infinity, whose `exact`, if given, is true or false; unless
+    it is true, counts must be whole numbers, and none may exceed 2**53.
+    Without a sidecar the counts are read as given, a fractional one too, with
+    metadata {"mode": "ingested"}. Rows are numbered from 1 after the header,
+    blank lines skipped; errors name the file, row and field. Both files are
+    UTF-8, with or without a BOM."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
@@ -350,6 +353,7 @@ def read_counts_csv(path):
     try:
         with open(sidecar, encoding="utf-8-sig") as fh:
             meta = json.load(fh)
+        json_text(meta)   # refuses the NaN and infinities json.load lets through
     except FileNotFoundError:
         return dataset
     except ValueError as exc:   # not JSON, or not UTF-8

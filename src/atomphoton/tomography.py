@@ -25,6 +25,7 @@ from .measurement import (
     ATOM_SX,
     ATOM_SY,
     ATOM_SZ,
+    MAX_COUNT,
     PHOTON_SX,
     PHOTON_SY,
     PHOTON_SZ,
@@ -81,7 +82,7 @@ class Design:
 class TomographySet:
     """Counts of S settings as one (S, 4) array in outcome order, and the
     design of their 4S outcome operators, four per row of counts. Each row is
-    four finite non-negative cells with a positive total."""
+    four cells from 0 to 2**53 (`MAX_COUNT`) with a positive total."""
 
     counts: np.ndarray
     design: Design
@@ -92,12 +93,13 @@ class TomographySet:
         if self.counts.shape != (n := len(self.design.matrix) // 4, 4):
             raise ValueError(f"tomography counts must have shape {(n, 4)}, "
                              f"got {self.counts.shape}")
-        cells_ok = (np.isfinite(self.counts) & (self.counts >= 0)).all(axis=1)
-        bad = np.flatnonzero(~cells_ok | (self.counts.sum(axis=1) <= 0))
+        cells_ok = ((self.counts >= 0) & (self.counts <= MAX_COUNT)).all(axis=1)
+        bad = np.flatnonzero(~cells_ok | (self.counts.sum(axis=1, where=cells_ok[:, None]) <= 0))
         if bad.size:
             k = bad[0]
             raise ValueError(f"setting {k + 1} has no counts" if cells_ok[k] else
-                             f"setting {k + 1}: counts must be four finite non-negative cells")
+                             f"setting {k + 1}: counts must be four finite non-negative "
+                             "cells of at most 2**53")
 
     @classmethod
     def from_dataset(cls, dataset: Dataset):

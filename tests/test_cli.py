@@ -687,11 +687,20 @@ class TestFlagValidation:
         (["scan", "--bases", "sx,"], "bases"),
         (["scan", "--bases", "sx,,sy"], "bases"),
         (["tomo", "--bootstrap", "1"], "bootstrap"),
+        (["scan", "--n-points", "3"], "n_points"),
+        (["--seed", "-1", "plan"], "--seed"),
+        (["--seed", "-1", "calibrate"], "--seed"),
+        (["tomo", "--n-per-setting", str(2**53 + 1), "--bootstrap", "0"], "n_per_setting"),
+        (["--exact", "tomo", "--n-per-setting", str(2**53 + 1)], "n_per_setting"),
+        (["scan", "--n-per-point", str(2**53 + 1)], "n_per_setting"),
+        (["scan", "--n-per-point", "100000000000000000000"], "n_per_setting"),
     ])
     def test_rejected_and_named(self, tmp_path, capsys, argv, name):
         out = str(tmp_path / "bad")
         assert run_cli(["--out", out, *argv]) == 1
-        assert name in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ") and name in captured.err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [["plan"], ["scan"], ["tomo", "--bootstrap", "0"],
@@ -767,6 +776,43 @@ class TestCountsCsvIngest:
         assert run_cli(["--out", out, "tomo", "--input", src + ".counts.csv"]) == 1
         assert capsys.readouterr().err == f"error: {meta}: {message}\n"
         assert not os.path.exists(out + ".state.json")
+
+
+class TestOutOfRangeCountsCsv:
+    """Numbers a counts CSV or its sidecar cannot hold are refused by name,
+    with one error line and no artifact."""
+
+    @pytest.fixture
+    def src(self, tmp_path, capsys):
+        src = str(tmp_path / "src")
+        assert run_cli(["--seed", "7", "--out", src, "tomo", "--bootstrap", "0"]) == 0
+        capsys.readouterr()
+        return src
+
+    def refused(self, tmp_path, capsys, path, error):
+        before = sorted(p.name for p in tmp_path.iterdir())
+        assert run_cli(["--out", str(tmp_path / "o"), "tomo", "--input", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: {error}")
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("value", ["1e300", str(2**53 + 2)])
+    def test_count_beyond_float_exactness_named(self, tmp_path, capsys, src, value):
+        """Cells of 1e300 fit as "converged" through an overflowing gap bound
+        before they were refused."""
+        big = tmp_path / "big.counts.csv"
+        rewrite_counts(src + ".counts.csv", big,
+                       cell=lambda row, name, v: value if row == 2 else v)
+        self.refused(tmp_path, capsys, big, f"{big}: row 2: counts must be four finite "
+                     "non-negative cells of at most 2**53")
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_sidecar_named(self, tmp_path, capsys, src, value):
+        meta = Path(src + ".counts.meta.json")
+        meta.write_text(meta.read_text().replace('"exact": false', f'"exact": false, "x": {value}'))
+        self.refused(tmp_path, capsys, src + ".counts.csv",
+                     f"{meta}: Out of range float values are not JSON compliant")
 
 
 def rewrite_counts(src, dst, angle=None, cell=None):

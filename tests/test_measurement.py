@@ -15,6 +15,7 @@ from atomphoton.measurement import (
     ATOM_SX,
     ATOM_SY,
     ATOM_SZ,
+    MAX_COUNT,
     PHOTON_SZ,
     AtomSetting,
     Dataset,
@@ -440,10 +441,12 @@ class TestDataset:
             Dataset([], np.zeros((0, 4)))
 
     @pytest.mark.parametrize("cell, message", [
-        (math.nan, "counts must be four finite non-negative cells"),
-        (math.inf, "counts must be four finite non-negative cells"),
-        (-1.0, "counts must be four finite non-negative cells"),
+        (math.nan, "counts must be four finite non-negative cells of at most 2**53"),
+        (math.inf, "counts must be four finite non-negative cells of at most 2**53"),
+        (-1.0, "counts must be four finite non-negative cells of at most 2**53"),
         (None, "total count must be at least 1"),
+        (2.0**53 + 2, "counts must be four finite non-negative cells of at most 2**53"),
+        (1e300, "counts must be four finite non-negative cells of at most 2**53"),
     ])
     def test_bad_row_named(self, cell, message):
         records = np.full((3, 4), 10.0)
@@ -452,8 +455,21 @@ class TestDataset:
             records[1] = 0.0
         else:
             records[1, 2] = cell
-        with pytest.raises(ValueError, match=rf"^row 2: {message}$"):
+        with pytest.raises(ValueError, match=rf"^row 2: {re.escape(message)}$"):
             Dataset(self.SETTINGS, records)
+
+    def test_overflowing_row_named(self):
+        """A row whose sum would overflow is refused without summing it (Tier-1
+        fails on numpy's overflow warning)."""
+        records = np.full((3, 4), 10.0)
+        records[1] = 1.7e308
+        with pytest.raises(ValueError, match=r"^row 2: counts must be .* of at most 2\*\*53$"):
+            Dataset(self.SETTINGS, records)
+
+    def test_count_of_2_53_accepted(self):
+        records = np.full((3, 4), float(MAX_COUNT))
+        assert MAX_COUNT == 2**53
+        assert np.array_equal(Dataset(self.SETTINGS, records).records, records)
 
 
 class TestSampleCounts:
@@ -502,6 +518,23 @@ class TestSampleCounts:
         for exact in (False, True):
             with pytest.raises(ValueError, match="n_per_setting must be >= 1"):
                 simulate_settings(ideal_state(), SETTING_GRID[:1], 0, seed=0, exact=exact)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("n", [2**53 + 1, 10**20, 1e300], ids=["2**53+1", "1e20", "1e300"])
+    def test_trial_count_beyond_float_exactness_refused(self, n, exact):
+        """More trials than a float64 record holds exactly are refused by
+        name, not left to numpy's unnamed OverflowError or written as expected
+        counts."""
+        with pytest.raises(ValueError, match=rf"n_per_setting .* at most 2\*\*53 .*, got {re.escape(repr(n))}$"):
+            simulate_settings(ideal_state(), SETTING_GRID[:1], n, seed=0, exact=exact)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_trial_count_of_2_53_drawn(self, exact):
+        ds = simulate_settings(ideal_state(), SETTING_GRID[:2], 2**53, seed=0, exact=exact)
+        assert ds.metadata["n_per_setting"] == 2**53
+        assert np.allclose(ds.records.sum(axis=1), 2**53, rtol=1e-15, atol=0)
+        if not exact:   # whole draws, each row's sum exact
+            assert (ds.records.sum(axis=1) == 2**53).all()
 
     @pytest.mark.parametrize("n", [2.5, math.nan, math.inf])
     def test_trial_count_it_would_change_refused(self, n):
@@ -839,6 +872,16 @@ class TestCsvValidation:
         ds = read_counts_csv(path)
         assert ds.metadata == {"exact": True}
         assert ds.records[0, 1] == 20.5
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_sidecar_named(self, tmp_path, value):
+        """json.load reads NaN and the infinities, which JSON does not hold:
+        the sidecar is refused by name, as `json_text` refuses to write it."""
+        path = tmp_path / "x.counts.csv"
+        path.write_text(self.HEADER + self.GOOD)
+        (tmp_path / "x.counts.meta.json").write_text(f'{{"exact": false, "x": {value}}}')
+        with pytest.raises(ValueError, match=r"x.counts.meta.json: .*not JSON compliant"):
+            read_counts_csv(path)
 
     def test_non_utf8_sidecar_named(self, tmp_path):
         path = tmp_path / "x.counts.csv"

@@ -460,14 +460,23 @@ class TestExtractCorrelations:
         with pytest.raises(ValueError, match="setting 6 has no counts"):
             linear_inversion(TomographySet(counts, CANONICAL))
 
-    @pytest.mark.parametrize("cell", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("cell", [math.nan, math.inf, -1.0, 2.0**53 + 2, 1e300])
     def test_bad_cell_named(self, cell):
-        """A cell that is not a finite non-negative count is refused where the
-        set is built, by setting, in the wording of `Dataset`."""
+        """A cell that is not a finite non-negative count of at most 2**53 is
+        refused where the set is built, by setting, in the wording of
+        `Dataset`: cells of 1e300 once fit as "converged" through an
+        overflowing gap bound."""
         counts = np.ones((9, 4))
         counts[2, 1] = cell
-        with pytest.raises(ValueError,
-                           match="setting 3: counts must be four finite non-negative cells"):
+        with pytest.raises(ValueError, match=re.escape(
+                "setting 3: counts must be four finite non-negative cells of at most 2**53")):
+            TomographySet(counts, CANONICAL)
+
+    def test_overflowing_row_named(self):
+        """A row whose sum would overflow is refused without summing it."""
+        counts = np.ones((9, 4))
+        counts[2] = 1.7e308
+        with pytest.raises(ValueError, match=r"^setting 3: counts must be .* at most 2\*\*53$"):
             TomographySet(counts, CANONICAL)
 
 
