@@ -15,7 +15,6 @@ from .measurement import (
     PhotonSetting,
     read_counts_csv,
     simulate_settings,
-    write_counts_csv,
 )
 from .tomography import (
     TomographySet,

@@ -28,6 +28,7 @@ from .calibrate import calibrate_noise
 from .measurement import (
     ATOM_SX,
     ATOM_SY,
+    MAX_COUNT,
     MeasurementSetting,
     PhotonSetting,
     check_integer,
@@ -146,7 +147,8 @@ def cmd_scan(args, params):
         raise ValueError(f"bases must list distinct atomic bases (sx, sy), "
                          f"got {params['bases']!r}")
     n_points = check_integer("n_points", params["n_points"], 4)
-    check_integer("n_per_point", params["n_per_point"], 1)
+    if check_integer("n_per_point", params["n_per_point"], 1) > MAX_COUNT:
+        raise ValueError(f"n_per_point must be at most 2**53, got {params['n_per_point']}")
     betas = [k * math.pi / n_points for k in range(n_points)]
 
     settings = [MeasurementSetting(atom=ATOM_BASES[b], photon=PhotonSetting(beta=beta))
@@ -324,15 +326,25 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    func, _, keys = _COMMANDS[args.command]
+    params = {}
     try:
         check_integer("--seed", args.seed, 0)
         # "", "d/" or "d/." would write hidden files such as d/.plan.json
         if os.path.basename(args.out) in ("", ".", ".."):
             raise ValueError(f"--out must end in a file name prefix, got {args.out!r}")
-        func, _, keys = _COMMANDS[args.command]
-        return func(args, _merged(args, keys))
-    except (ValueError, OSError) as exc:   # an interrupt or a bug propagates
+        params = _merged(args, keys)
+        return func(args, params)
+    # a refused input, a file fault or a request too large for memory ends in one
+    # error line, with nothing written; an interrupt or a bug propagates
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:   # named by the command's size fields, its integer keys
+        sizes = ", ".join(f"{key} = {params[key]}" for key, caster, _ in keys
+                          if caster is int and key in params)
+        detail = (f" at {sizes}" if sizes else "") + (f" ({exc})" if str(exc) else "")
+        print(f"error: {args.command}: out of memory{detail}", file=sys.stderr)
         return 1
 
 

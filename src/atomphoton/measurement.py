@@ -38,7 +38,7 @@ import numpy as np
 from numpy.random import PCG64, Generator
 from numpy.random.bit_generator import ISeedSequence
 
-from .artifacts import commit, json_text
+from .artifacts import json_text
 from .states import NoiseModel, apply_noise
 
 COUNT_COLUMNS = ("n_f2_apd1", "n_f2_apd2", "n_f1_apd1", "n_f1_apd2")
@@ -273,12 +273,6 @@ def counts_files(dataset: Dataset, path):
              f"{c:.17g},{d:.17g},{'circular' if s.photon.circular else 'linear'}\r\n"
              for s, (a, b, c, d) in zip(dataset.settings, dataset.records.tolist())]
     return {path: "".join(rows), sidecar_path(path): json_text(dataset.metadata)}
-
-
-def write_counts_csv(dataset: Dataset, path):
-    """Write the records to path and the metadata to its JSON sidecar in one
-    `artifacts.commit`: both land or neither."""
-    commit(counts_files(dataset, path))
 
 
 def _csv_number(path, row_no, row, name):

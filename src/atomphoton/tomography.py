@@ -93,18 +93,15 @@ class TomographySet:
         if self.counts.shape != (n := len(self.design.matrix) // 4, 4):
             raise ValueError(f"tomography counts must have shape {(n, 4)}, "
                              f"got {self.counts.shape}")
-        cells_ok = ((self.counts >= 0) & (self.counts <= MAX_COUNT)).all(axis=1)
-        bad = np.flatnonzero(~cells_ok | (self.counts.sum(axis=1, where=cells_ok[:, None]) <= 0))
-        if bad.size:
-            k = bad[0]
-            raise ValueError(f"setting {k + 1} has no counts" if cells_ok[k] else
-                             f"setting {k + 1}: counts must be four finite non-negative "
-                             "cells of at most 2**53")
+        if refused := _refused_row(self.counts):
+            k, problem = refused
+            raise ValueError(f"setting {k + 1}{problem}")
 
     @classmethod
     def from_dataset(cls, dataset: Dataset):
         """One row per distinct setting: records with bitwise-equal outcome
-        operators are summed into the first, in record order. A record with an
+        operators are summed into the first, in record order; a sum refused as a
+        row names the records it adds, numbered from 1. A record with an
         angle that is not finite is refused by `outcome_operators`, and a
         metadata `exact` that is not a boolean is refused by name."""
         if not isinstance(exact := dataset.metadata.get("exact", False), bool):
@@ -116,7 +113,28 @@ class TomographySet:
         counts = np.zeros((len(first), 4))
         np.add.at(counts, rows, dataset.records)   # row by row in record order
         kept = ops[np.unique(rows, return_index=True)[1]].reshape(-1, 4, 4)
-        return cls(counts, Design(kept), exact=exact)
+        design = Design(kept)
+        try:
+            return cls(counts, design, exact=exact)
+        except ValueError:   # a refused sum names the records it adds
+            k, problem = _refused_row(counts)
+            summed = [str(n + 1) for n, row in enumerate(rows) if row == k]
+            if len(summed) == 1:
+                raise
+            raise ValueError(f"setting {k + 1} (rows {', '.join(summed[:-1])} and {summed[-1]} "
+                             f"summed){problem}") from None
+
+
+def _refused_row(counts):
+    """(index, problem) of the first row of counts that is not four cells from
+    0 to 2**53 (`MAX_COUNT`) with a positive total, or None."""
+    cells_ok = ((counts >= 0) & (counts <= MAX_COUNT)).all(axis=1)
+    bad = np.flatnonzero(~cells_ok | (counts.sum(axis=1, where=cells_ok[:, None]) <= 0))
+    if not bad.size:
+        return None
+    k = bad[0]
+    return k, (" has no counts" if cells_ok[k] else
+               ": counts must be four finite non-negative cells of at most 2**53")
 
 
 def _inverted_coefficients(counts, design):

@@ -16,9 +16,11 @@ import pytest
 
 import atomphoton
 from atomphoton import cli
+from atomphoton.artifacts import commit
 from atomphoton.cli import main
 from atomphoton.measurement import (
     AtomSetting,
+    Dataset,
     MeasurementSetting,
     PhotonSetting,
     counts_files,
@@ -28,7 +30,7 @@ from atomphoton.measurement import (
 )
 from atomphoton.metrics import fit_fringe, fringe_scans
 from atomphoton.states import NoiseModel, ideal_state
-from atomphoton.tomography import simulate_tomography
+from atomphoton.tomography import canonical_settings, simulate_tomography
 
 
 def run_cli(args):
@@ -692,8 +694,8 @@ class TestFlagValidation:
         (["--seed", "-1", "calibrate"], "--seed"),
         (["tomo", "--n-per-setting", str(2**53 + 1), "--bootstrap", "0"], "n_per_setting"),
         (["--exact", "tomo", "--n-per-setting", str(2**53 + 1)], "n_per_setting"),
-        (["scan", "--n-per-point", str(2**53 + 1)], "n_per_setting"),
-        (["scan", "--n-per-point", "100000000000000000000"], "n_per_setting"),
+        (["scan", "--n-per-point", str(2**53 + 1)], "n_per_point"),
+        (["scan", "--n-per-point", "100000000000000000000"], "n_per_point"),
     ])
     def test_rejected_and_named(self, tmp_path, capsys, argv, name):
         out = str(tmp_path / "bad")
@@ -716,6 +718,28 @@ class TestFlagValidation:
             err = capsys.readouterr().err
             assert err.startswith("error: --out ") and err.count("\n") == 1
             assert [p.name for p in tmp_path.rglob("*")] == ["d"]
+
+
+class TestOversizeRequest:
+    """A request too large for memory ends in one error line that names the
+    command and its size fields, with exit 1 and no artifact."""
+
+    @pytest.mark.parametrize("target, argv, detail, message", [
+        ("simulate_settings", ["scan", "--n-points", "5", "--n-per-point", "7"], "",
+         "error: scan: out of memory at n_points = 5, n_per_point = 7\n"),
+        ("bootstrap_metrics", ["tomo", "--n-per-setting", "20", "--bootstrap", "3"],
+         "Unable to allocate 8.38 GiB",
+         "error: tomo: out of memory at n_per_setting = 20, bootstrap = 3 "
+         "(Unable to allocate 8.38 GiB)\n"),
+    ], ids=["scan", "tomo"])
+    def test_named_by_size_fields(self, tmp_path, monkeypatch, capsys, target, argv, detail,
+                                  message):
+        def oversize(*args, **kwargs):
+            raise MemoryError(detail)
+        monkeypatch.setattr(cli, target, oversize)
+        assert run_cli(["--out", str(tmp_path / "big"), *argv]) == 1
+        assert capsys.readouterr() == ("", message)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestInterruptedRun:
@@ -806,6 +830,16 @@ class TestOutOfRangeCountsCsv:
                        cell=lambda row, name, v: value if row == 2 else v)
         self.refused(tmp_path, capsys, big, f"{big}: row 2: counts must be four finite "
                      "non-negative cells of at most 2**53")
+
+    def test_refused_sum_names_its_rows(self, tmp_path, capsys):
+        """Rows each within 2**53 whose sum at one setting is beyond it are
+        refused under the rows summed."""
+        settings = canonical_settings()
+        path = tmp_path / "sum.counts.csv"
+        commit(counts_files(Dataset(settings + settings[:1],
+                                    [[2**52, 1, 1, 1]] * 9 + [[2**52 + 2, 0, 0, 0]]), path))
+        self.refused(tmp_path, capsys, path, "setting 1 (rows 1 and 10 summed): counts must "
+                     "be four finite non-negative cells of at most 2**53\n")
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_sidecar_named(self, tmp_path, capsys, src, value):

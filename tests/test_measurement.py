@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from atomphoton import qmath
+from atomphoton.artifacts import commit
 from atomphoton.measurement import (
     ATOM_SX,
     ATOM_SY,
@@ -21,12 +22,12 @@ from atomphoton.measurement import (
     Dataset,
     MeasurementSetting,
     PhotonSetting,
+    counts_files,
     outcome_operators,
     outcome_probabilities,
     read_counts_csv,
     record_rngs,
     simulate_settings,
-    write_counts_csv,
 )
 from atomphoton.metrics import fit_fringe, fringe_scans
 from atomphoton.states import NoiseModel, apply_noise, ideal_state, werner
@@ -565,9 +566,9 @@ class TestSampleCounts:
         same bytes."""
         ds = simulate_settings(ideal_state(), SETTING_GRID, n, seed=3)
         assert type(ds.metadata["n_per_setting"]) is int
-        write_counts_csv(ds, tmp_path / "n.counts.csv")
-        write_counts_csv(simulate_settings(ideal_state(), SETTING_GRID, 300, seed=3),
-                         tmp_path / "int.counts.csv")
+        commit(counts_files(ds, tmp_path / "n.counts.csv"))
+        commit(counts_files(simulate_settings(ideal_state(), SETTING_GRID, 300, seed=3),
+                            tmp_path / "int.counts.csv"))
         for suffix in (".counts.csv", ".counts.meta.json"):
             assert ((tmp_path / f"n{suffix}").read_bytes()
                     == (tmp_path / f"int{suffix}").read_bytes())
@@ -700,7 +701,7 @@ class TestCsvRoundTrip:
         setting_list, counts = zip(*records)
         if np.any(np.asarray(counts) % 1.0):   # only expected counts have fractions
             metadata = {**metadata, "exact": True}
-        write_counts_csv(Dataset(setting_list, counts, metadata=metadata), path)
+        commit(counts_files(Dataset(setting_list, counts, metadata=metadata), path))
         back = read_counts_csv(path)
         assert back.settings == list(setting_list)
         assert np.array_equal(back.records, counts)
@@ -711,7 +712,7 @@ class TestCsvRoundTrip:
         noise = NoiseModel(depolarizing=0.14, eps01=0.01, eps10=0.02)
         ds = simulate_scan(ideal_state(), ATOM_SX, betas, 300, noise=noise, seed=3)
         path = tmp_path / "scan.counts.csv"
-        write_counts_csv(ds, path)
+        commit(counts_files(ds, path))
         back = read_counts_csv(path)
         assert len(back.settings) == len(ds.settings)
         for sa, sb in zip(ds.settings, back.settings):
@@ -727,7 +728,7 @@ class TestCsvRoundTrip:
 
         ds = simulate_tomography(ideal_state(), 100, seed=0)
         path = tmp_path / "tomo.counts.csv"
-        write_counts_csv(ds, path)
+        commit(counts_files(ds, path))
         back = read_counts_csv(path)
         circ = [s.photon.circular for s in back.settings]
         assert sum(circ) == 3   # the three photonic sigma_z settings
@@ -739,13 +740,13 @@ class TestCsvRoundTrip:
         bad = Dataset(other.settings, other.records,
                       metadata={**other.metadata, "run": np.int64(3)})
         with pytest.raises(TypeError, match="int64"):
-            write_counts_csv(bad, tmp_path / "wc.counts.csv")
+            commit(counts_files(bad, tmp_path / "wc.counts.csv"))
         assert list(tmp_path.iterdir()) == []
-        write_counts_csv(ds, tmp_path / "wc.counts.csv")
+        commit(counts_files(ds, tmp_path / "wc.counts.csv"))
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         assert sorted(before) == ["wc.counts.csv", "wc.counts.meta.json"]
         with pytest.raises(TypeError, match="int64"):
-            write_counts_csv(bad, tmp_path / "wc.counts.csv")
+            commit(counts_files(bad, tmp_path / "wc.counts.csv"))
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_non_finite_metadata_writes_nothing(self, tmp_path):
@@ -754,7 +755,7 @@ class TestCsvRoundTrip:
         ds = simulate_tomography(ideal_state(), 10, seed=0)
         ds.metadata["drift"] = float("nan")
         with pytest.raises(ValueError, match="not JSON compliant"):
-            write_counts_csv(ds, tmp_path / "wc.counts.csv")
+            commit(counts_files(ds, tmp_path / "wc.counts.csv"))
         assert list(tmp_path.iterdir()) == []
 
     def test_sidecar_directory_fault_writes_no_csv(self, tmp_path):
@@ -762,14 +763,14 @@ class TestCsvRoundTrip:
         with it: no CSV without its sidecar, and no temporary file."""
         (tmp_path / "wc.counts.meta.json").mkdir()
         with pytest.raises(OSError):
-            write_counts_csv(simulate_tomography(ideal_state(), 10, seed=0),
-                             tmp_path / "wc.counts.csv")
+            commit(counts_files(simulate_tomography(ideal_state(), 10, seed=0),
+                                tmp_path / "wc.counts.csv"))
         assert [p.name for p in tmp_path.iterdir()] == ["wc.counts.meta.json"]
 
     def test_missing_sidecar_marks_ingested(self, tmp_path):
         ds = simulate_scan(ideal_state(), ATOM_SX, [0.0, 0.4, 0.8, 1.2], 50, seed=1)
         path = tmp_path / "x.counts.csv"
-        write_counts_csv(ds, path)
+        commit(counts_files(ds, path))
         (tmp_path / "x.counts.meta.json").unlink()
         back = read_counts_csv(path)
         assert back.metadata["mode"] == "ingested"
@@ -778,7 +779,7 @@ class TestCsvRoundTrip:
         ds = simulate_scan(ideal_state(), ATOM_SX, [0.0, 0.3, 0.7, 1.1], 300,
                            noise=NoiseModel(depolarizing=0.14), seed=0, exact=True)
         path = tmp_path / "exact.counts.csv"
-        write_counts_csv(ds, path)
+        commit(counts_files(ds, path))
         back = read_counts_csv(path)
         assert np.array_equal(ds.records, back.records)
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize
 
 from atomphoton import qmath, tomography
+from atomphoton.artifacts import commit
 from atomphoton.measurement import (
     ATOM_SX,
     ATOM_SY,
@@ -17,11 +18,11 @@ from atomphoton.measurement import (
     Dataset,
     MeasurementSetting,
     PhotonSetting,
+    counts_files,
     outcome_operators,
     outcome_probabilities,
     read_counts_csv,
     record_rngs,
-    write_counts_csv,
 )
 from atomphoton.metrics import fidelity_to_target, negativity, purity
 from atomphoton.states import NoiseModel, ideal_ket, ideal_state, werner
@@ -304,7 +305,7 @@ class TestCanonicalSettings:
                 "beta": (a, PhotonSetting(beta=turn)),
             }[angle])
             path = tmp_path / "turn.counts.csv"
-            write_counts_csv(ds, path)
+            commit(counts_files(ds, path))
             if turn == 2 * math.pi:
                 assert read_counts_csv(path).settings == ds.settings
                 continue
@@ -336,6 +337,20 @@ class TestCanonicalSettings:
         assert np.array_equal(ts.design.operators.reshape(9, 4, 4, 4),
                               CANONICAL.operators.reshape(9, 4, 4, 4)[order])
 
+    @pytest.mark.parametrize("repeats, rows", [
+        ([0], "setting 1 (rows 1 and 10 summed)"),
+        ([4, 4], "setting 5 (rows 5, 10 and 11 summed)"),
+    ])
+    def test_refused_sum_names_its_rows(self, repeats, rows):
+        """Records each within 2**53 whose sum at one setting is beyond it are
+        refused under the rows summed, numbered from 1 in record order."""
+        settings = canonical_settings()
+        records = ([(s, [2.0**52, 1, 1, 1]) for s in settings]
+                   + [(settings[k], [2.0**52 + 2, 0, 0, 0]) for k in repeats])
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"{rows}: counts must be four finite non-negative cells of at most 2**53") + "$"):
+            TomographySet.from_dataset(_dataset(records))
+
     def test_counts_shape_checked(self):
         with pytest.raises(ValueError, match=r"shape \(9, 4\)"):
             TomographySet(np.ones((8, 4)), CANONICAL)
@@ -358,7 +373,7 @@ class TestNonCanonicalRecords:
         records[position] = (MeasurementSetting(atom=ATOM_SX, photon=PhotonSetting(beta=beta)),
                              [10.0, 20.0, 15.0, 5.0])
         path = tmp_path_factory.mktemp("mixed") / "mixed.counts.csv"
-        write_counts_csv(_dataset(records), path)
+        commit(counts_files(_dataset(records), path))
         label = "xyz"[position // 3] + "xyz"[position % 3]
         with pytest.raises(ValueError, match=rf"Pauli coefficients {label} undetermined"):
             TomographySet.from_dataset(read_counts_csv(path))
@@ -374,7 +389,7 @@ class TestNonCanonicalRecords:
         records.insert(position, (MeasurementSetting(atom=ATOM_SX, photon=PhotonSetting(beta=beta)),
                                   [10.0, 20.0, 15.0, 5.0]))
         path = tmp_path_factory.mktemp("mixed") / "mixed.counts.csv"
-        write_counts_csv(_dataset(records), path)
+        commit(counts_files(_dataset(records), path))
         ts = TomographySet.from_dataset(read_counts_csv(path))
         assert ts.counts.shape == (10, 4) and np.array_equal(ts.counts[position], [10, 20, 15, 5])
         rho, report = mle_reconstruct(ts)
