@@ -8,8 +8,10 @@ computes and renders all of its outputs (<prefix>.counts.csv and its
 .plan.json), then commits them at once: they land together or not at all,
 and a failed command leaves the files already at its prefix as they were.
 Outputs are bit-identical for a fixed config and seed on one numpy/BLAS
-build; another build may add in another order and move the fitted state's
-last digits.
+build; another build or BLAS kernel may add in another order. The counts
+files stay byte-identical; on ordinary data the fitted numbers move by at
+most about 1e-12 (log-likelihoods) and 1e-15 (states and metrics), and on
+flat likelihoods the state by up to about 1e-10.
 """
 
 from __future__ import annotations
@@ -340,8 +342,10 @@ def main(argv=None):
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except MemoryError as exc:   # named by the command's size fields, its integer keys
-        sizes = ", ".join(f"{key} = {params[key]}" for key, caster, _ in keys
+    except MemoryError as exc:   # named by the command's size fields, the integer keys it used:
+        # --input simulates nothing, so the simulation keys (all but bootstrap and input) drop out
+        used = [k for k in keys if not (params.get("input") and k in _TOMO_KEYS[:-2])]
+        sizes = ", ".join(f"{key} = {params[key]}" for key, caster, _ in used
                           if caster is int and key in params)
         detail = (f" at {sizes}" if sizes else "") + (f" ({exc})" if str(exc) else "")
         print(f"error: {args.command}: out of memory{detail}", file=sys.stderr)

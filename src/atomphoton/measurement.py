@@ -80,11 +80,15 @@ def outcome_operators(settings):
     """Stacked outcome operators Pi_a (x) Pi_d, four per setting in outcome
     order: shape (4 * len(settings), 4, 4). This is the only place a setting
     is interpreted; tomography builds its design matrix from these operators.
-    A setting with an angle that is not finite is an error naming it
+    A setting with an angle that is not finite, or a `circular` that is not
+    True or False ("false" is not read as true), is an error naming it
     (counted from 1)."""
     for n, s in enumerate(settings):
         if not all(map(math.isfinite, (s.atom.theta, s.atom.phi, s.photon.beta))):
             raise ValueError(f"record {n + 1} ({s.atom}, {s.photon}): angles must be finite")
+        if not isinstance(s.photon.circular, bool):
+            raise ValueError(f"record {n + 1} ({s.atom}, {s.photon}): field 'circular' "
+                             "must be True or False")
     # per setting, the atomic ket transferred to F=2 and the photon ket APD1
     # detects, from scalar math.sin, math.cos and np.exp: the artifacts
     # depend on their last bits
@@ -217,8 +221,11 @@ def simulate_settings(rho, settings, n_per_setting, noise=None, seed=0, exact=Fa
     infinite-statistics mode used to separate systematic from statistical
     checks). Draws need a whole n_per_setting from 1 to 2**53 (`MAX_COUNT`),
     expected counts a number in that range, and a bool or a string is neither;
-    the metadata holds it as a Python int when whole. The seed must be an integer >= 0 in either mode."""
+    the metadata holds it as a Python int when whole. The seed must be an integer >= 0
+    and `exact` True or False in either mode ("no" is not read as true)."""
     seed = check_integer("seed", seed, 0)
+    if not isinstance(exact, bool):
+        raise ValueError(f"exact must be True or False, got {exact!r}")
     # a bool is not a trial count, nor a string a number (numpy's bool is no Real)
     if (isinstance(n_per_setting, bool) or not isinstance(n_per_setting, numbers.Real)
             or not (1 <= n_per_setting <= MAX_COUNT and (exact or n_per_setting % 1 == 0))):
@@ -242,7 +249,7 @@ def simulate_settings(rho, settings, n_per_setting, noise=None, seed=0, exact=Fa
             "seed": seed,
             "noise": asdict(noise),
             "mode": "simulated",
-            "exact": bool(exact),
+            "exact": exact,
             "n_per_setting": n_per_setting,
         },
     )

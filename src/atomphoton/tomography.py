@@ -82,13 +82,16 @@ class Design:
 class TomographySet:
     """Counts of S settings as one (S, 4) array in outcome order, and the
     design of their 4S outcome operators, four per row of counts. Each row is
-    four cells from 0 to 2**53 (`MAX_COUNT`) with a positive total."""
+    four cells from 0 to 2**53 (`MAX_COUNT`) with a positive total; `exact`
+    is True or False, refused by name otherwise ("false" is not read as true)."""
 
     counts: np.ndarray
     design: Design
     exact: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.exact, bool):
+            raise ValueError(f"field 'exact' must be True or False, got {self.exact!r}")
         self.counts = np.asarray(self.counts, dtype=float)
         if self.counts.shape != (n := len(self.design.matrix) // 4, 4):
             raise ValueError(f"tomography counts must have shape {(n, 4)}, "
@@ -101,12 +104,8 @@ class TomographySet:
     def from_dataset(cls, dataset: Dataset):
         """One row per distinct setting: records with bitwise-equal outcome
         operators are summed into the first, in record order; a sum refused as a
-        row names the records it adds, numbered from 1. A record with an
-        angle that is not finite is refused by `outcome_operators`, and a
-        metadata `exact` that is not a boolean is refused by name."""
-        if not isinstance(exact := dataset.metadata.get("exact", False), bool):
-            raise ValueError(f"dataset metadata field 'exact' must be True or False, "
-                             f"got {exact!r}")
+        row names the records it adds, numbered from 1. The records' angles are
+        checked by `outcome_operators`, the metadata's `exact` by the constructor."""
         ops = outcome_operators(dataset.settings).reshape(-1, 4, 4, 4)
         first = {}
         rows = [first.setdefault(op.tobytes(), len(first)) for op in ops]
@@ -115,11 +114,11 @@ class TomographySet:
         kept = ops[np.unique(rows, return_index=True)[1]].reshape(-1, 4, 4)
         design = Design(kept)
         try:
-            return cls(counts, design, exact=exact)
+            return cls(counts, design, exact=dataset.metadata.get("exact", False))
         except ValueError:   # a refused sum names the records it adds
-            k, problem = _refused_row(counts)
+            k, problem = _refused_row(counts) or (None, "")   # None: `exact` was refused
             summed = [str(n + 1) for n, row in enumerate(rows) if row == k]
-            if len(summed) == 1:
+            if len(summed) < 2:
                 raise
             raise ValueError(f"setting {k + 1} (rows {', '.join(summed[:-1])} and {summed[-1]} "
                              f"summed){problem}") from None

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -741,6 +742,22 @@ class TestOversizeRequest:
         assert capsys.readouterr() == ("", message)
         assert list(tmp_path.iterdir()) == []
 
+    def test_input_named_by_bootstrap_alone(self, tmp_path, monkeypatch, capsys):
+        """`--input` simulates nothing, so the line names no `n_per_setting`
+        (its default would be named though the run never used it)."""
+        csv_path = tmp_path / "ci.counts.csv"
+        commit(counts_files(simulate_tomography(ideal_state(), 30, seed=7), csv_path))
+        before = sorted(tmp_path.iterdir())
+
+        def oversize(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8.38 GiB")
+        monkeypatch.setattr(cli, "bootstrap_metrics", oversize)
+        assert run_cli(["--out", str(tmp_path / "big"), "tomo", "--input", str(csv_path),
+                        "--bootstrap", "5"]) == 1
+        assert capsys.readouterr() == (
+            "", "error: tomo: out of memory at bootstrap = 5 (Unable to allocate 8.38 GiB)\n")
+        assert sorted(tmp_path.iterdir()) == before
+
 
 class TestInterruptedRun:
     def test_interrupt_in_bootstrap_leaves_no_artifact(self, tmp_path, monkeypatch):
@@ -984,3 +1001,84 @@ class TestHashSeeds:
         assert [name for name in files0 if files0[name] != files1[name]] == []
         assert {name.split(".")[0] for name in files0} == {prefix for prefix, _ in self.RUNS}
         assert not list(tmp_path.rglob("*.tmp"))
+
+
+def _kernel_switch_unavailable():
+    """Why OPENBLAS_CORETYPE cannot pick another kernel here, or None: it
+    needs x86_64 and an OpenBLAS built with DYNAMIC_ARCH."""
+    if platform.machine() != "x86_64":
+        return f"OPENBLAS_CORETYPE picks x86_64 kernels; this machine is {platform.machine()}"
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return "numpy reports no BLAS build configuration"
+    config = blas.get("openblas configuration") or ""
+    if "DYNAMIC_ARCH" not in config:
+        return f"numpy's BLAS ({blas.get('name')}) is not an OpenBLAS built with DYNAMIC_ARCH"
+    return None
+
+
+def assert_json_close(a, b, where=""):
+    """Same structure, equal strings, booleans and integers, floats within 1e-9."""
+    assert type(a) is type(b), where
+    if isinstance(a, dict):
+        assert list(a) == list(b), where
+        for key in a:
+            assert_json_close(a[key], b[key], f"{where}.{key}")
+    elif isinstance(a, list):
+        assert len(a) == len(b), where
+        for k, (x, y) in enumerate(zip(a, b)):
+            assert_json_close(x, y, f"{where}[{k}]")
+    elif isinstance(a, float):
+        assert abs(a - b) <= 1e-9, (where, a, b)
+    else:
+        assert a == b, where
+
+
+class TestBlasKernels:
+    """The determinism contract across BLAS kernels on one machine: another
+    kernel may add in another order, so the fitted numbers may move in their
+    last digits, but never by more than 1e-9, and the counts, which use no
+    BLAS, not at all."""
+
+    RUNS = [
+        ["--seed", "7", "--out", "scan", "scan"],
+        ["--seed", "7", "--out", "tomo", "tomo", "--bootstrap", "20"],
+        ["--exact", "--out", "exact", "tomo", "--bootstrap", "0"],
+        ["--out", "cal", "calibrate"],
+        ["--out", "offband", "calibrate", "--vx", "0.78", "--vy", "0.78", "--fidelity", "0.9"],
+    ]
+
+    def test_default_and_prescott_kernels_agree(self, tmp_path):
+        """Both processes inherit the caller's BLAS thread setting; one runs
+        numpy's OpenBLAS on the kernel it picks for this CPU, the other on
+        its oldest x86_64 kernel."""
+        if reason := _kernel_switch_unavailable():
+            pytest.skip(reason)
+        code = f"""
+import contextlib, io
+from atomphoton.cli import main
+for argv in {self.RUNS!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+"""
+        env = {k: v for k, v in package_env().items() if k != "OPENBLAS_CORETYPE"}
+        procs = []
+        for kernel, extra in (("default", {}), ("prescott", {"OPENBLAS_CORETYPE": "Prescott"})):
+            (tmp_path / kernel).mkdir()
+            procs.append(subprocess.Popen([sys.executable, "-c", code], cwd=tmp_path / kernel,
+                                          env={**env, **extra}, stdout=subprocess.PIPE,
+                                          stderr=subprocess.PIPE, text=True))
+        for proc in procs:
+            _, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err
+        default, prescott = ({p.name: p for p in (tmp_path / k).iterdir()}
+                             for k in ("default", "prescott"))
+        assert sorted(default) == sorted(prescott)
+        assert {name.split(".")[0] for name in default} == {argv[argv.index("--out") + 1]
+                                                            for argv in self.RUNS}
+        for name, path in default.items():
+            if name.endswith((".csv", ".meta.json")):   # counts and fringes: no BLAS
+                assert path.read_bytes() == prescott[name].read_bytes(), name
+            else:
+                assert_json_close(read_json(path), read_json(prescott[name]), name)

@@ -322,6 +322,15 @@ class TestOutcomeOperators:
                            match=rf"^record 2 \(.*theta={angle}.*\): angles must be finite$"):
             simulate_settings(ideal_state(), settings, 10, exact=exact)
 
+    @pytest.mark.parametrize("circular", ["false", "true", 1, None])
+    def test_circular_that_is_not_a_boolean_refused_by_name(self, circular):
+        """`circular="false"` once got the circular analyzer: it is refused,
+        naming the record, before any operator is built."""
+        settings = [photon_at(), photon_at(circular=circular)]
+        with pytest.raises(ValueError, match=r"^record 2 \(.*circular=" + re.escape(repr(circular))
+                           + r"\)\): field 'circular' must be True or False$"):
+            outcome_operators(settings)
+
 
 def old_loop_confusion(p, eps01, eps10):
     """The per-row loop that readout confusion used to be, kept as the
@@ -556,6 +565,15 @@ class TestSampleCounts:
         """A bool is not read as 1 trial per setting, nor a string left to
         numpy's unnamed TypeError."""
         with pytest.raises(ValueError, match=f"n_per_setting must be .*, got {n!r}"):
+            simulate_settings(ideal_state(), SETTING_GRID[:1], n, seed=0, exact=exact)
+
+    @pytest.mark.parametrize("n", [10, 2.5])
+    @pytest.mark.parametrize("exact", ["no", "false", 1, None])
+    def test_exact_that_is_not_a_boolean_refused_by_name(self, exact, n):
+        """`exact="no"` once returned expected counts and wrote `"exact": true`
+        into the metadata."""
+        with pytest.raises(ValueError, match=f"^exact must be True or False, "
+                                             f"got {re.escape(repr(exact))}$"):
             simulate_settings(ideal_state(), SETTING_GRID[:1], n, seed=0, exact=exact)
 
     @pytest.mark.parametrize("n", [np.int64(300), 300.0, np.float64(300.0)],

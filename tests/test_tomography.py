@@ -355,6 +355,14 @@ class TestCanonicalSettings:
         with pytest.raises(ValueError, match=r"shape \(9, 4\)"):
             TomographySet(np.ones((8, 4)), CANONICAL)
 
+    @pytest.mark.parametrize("exact", ["false", "true", 1, None])
+    def test_constructor_refuses_exact_that_is_not_a_boolean(self, exact):
+        """The constructor is the one gate on the fit mode: `exact="false"`
+        once fit without the half-count prior, as if counts were expected values."""
+        with pytest.raises(ValueError, match=f"^field 'exact' must be True or False, "
+                                             f"got {re.escape(repr(exact))}$"):
+            TomographySet(np.ones((9, 4)), CANONICAL, exact=exact)
+
 
 # A tomography dataset with one fringe-scan point (atomic sigma_x, a linear
 # analyzer angle strictly between the canonical 0 and pi/4).
