@@ -304,7 +304,7 @@ class TestInBandClosedForm:
         assert abs(res.residuals["fidelity"]) <= 1e-12
         assert abs((res.residuals["vx"] + res.residuals["vy"]) / 2) <= 1e-12
 
-    def test_scipy_imported_off_the_band_only(self):
+    def test_scipy_imported_off_the_band_only(self, package_env):
         """A fresh interpreter calibrates every in-band target without loading
         scipy; the first off-band target loads it for Nelder-Mead."""
         code = f"""
@@ -316,10 +316,7 @@ assert not [m for m in sys.modules if m.startswith("scipy")], "scipy loaded in b
 calibrate_noise(0.85, 0.87, 0.875)
 assert "scipy.optimize" in sys.modules, "scipy not loaded below the band"
 """
-        src = os.path.dirname(os.path.dirname(calibrate.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
+        proc = subprocess.run([sys.executable, "-c", code], env=package_env,
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
 

@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import atomphoton
 from atomphoton import cli
 from atomphoton.artifacts import commit
 from atomphoton.cli import main
@@ -36,14 +35,6 @@ from atomphoton.tomography import canonical_settings, simulate_tomography
 
 def run_cli(args):
     return main(args)
-
-
-def package_env(**extra):
-    """os.environ plus `extra`, with this checkout's package first on
-    PYTHONPATH, for a child interpreter."""
-    src = os.path.dirname(os.path.dirname(atomphoton.__file__))
-    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def read_json(path):
@@ -204,7 +195,8 @@ class TestCsvRendering:
         ["--seed", "1", "scan", "--n-per-point", "1", "--bases", "sy,sx", "--n-points", "12"],
         ["--seed", "5", "scan", "--eps01", "0.03", "--dephasing", "0.1"],
         ["--exact", "scan", "--n-per-point", "7"],
-    ], ids=["one-trial", "one-trial-sy-first", "noisy", "exact"])
+        ["--seed", "2", "scan", "--n-per-point", str(2**53)],   # the largest count accepted
+    ], ids=["one-trial", "one-trial-sy-first", "noisy", "exact", "2**53-trials"])
     def test_scan_artifacts(self, tmp_path, argv):
         out = str(tmp_path / "s")
         assert run_cli(["--out", out, *argv]) == 0
@@ -943,7 +935,7 @@ class TestLabCounts:
 
 
 class TestImports:
-    def test_scipy_and_lazy_numpy_modules_stay_off_the_command_path(self, tmp_path):
+    def test_scipy_and_lazy_numpy_modules_stay_off_the_command_path(self, tmp_path, package_env):
         # scipy is for calibrate alone; numpy modules that the first tomo or scan
         # would import lazily are loaded with the package instead, and numpy.ma
         # (12-25 ms, which np.percentile imports) not at all
@@ -960,47 +952,9 @@ for argv in (["tomo", "--bootstrap", "5"], ["scan"]):
     assert not new, (argv[0], new)
 assert "numpy.ma" not in sys.modules, "numpy.ma loaded"
 """
-        proc = subprocess.run([sys.executable, "-c", code], env=package_env(),
+        proc = subprocess.run([sys.executable, "-c", code], env=package_env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-
-
-class TestHashSeeds:
-    # (prefix, argv): every command, the empty-cell fringe rows of one trial
-    # per point, and a fit of the exact run's counts read back from its CSV
-    RUNS = [
-        ("tomo", ["--seed", "7", "tomo"]),
-        ("scan", ["--seed", "3", "scan"]),
-        ("scan1", ["--seed", "3", "scan", "--n-per-point", "1"]),
-        ("exact", ["--exact", "tomo", "--bootstrap", "0"]),
-        ("input", ["tomo", "--input", "exact.counts.csv", "--bootstrap", "0"]),
-        ("calibrate", ["calibrate"]),
-        ("plan", ["plan"]),
-    ]
-
-    def test_two_processes_write_the_same_bytes(self, tmp_path):
-        """Artifacts follow from the config and seed alone: processes that
-        differ only in PYTHONHASHSEED, which sets the iteration order of a
-        set of strings, write the same bytes and print the same lines."""
-        outputs = []
-        for h in ("0", "1"):
-            (tmp_path / h).mkdir()
-            printed = []
-            for prefix, argv in self.RUNS:
-                proc = subprocess.run(
-                    [sys.executable, "-m", "atomphoton.cli", "--out", prefix, *argv],
-                    cwd=tmp_path / h, env=package_env(PYTHONHASHSEED=h),
-                    capture_output=True, text=True, timeout=120)
-                assert proc.returncode == 0, (prefix, proc.stderr)
-                printed.append(proc.stdout)
-            files = {p.name: p.read_bytes() for p in (tmp_path / h).iterdir()}
-            outputs.append((printed, files))
-        (printed0, files0), (printed1, files1) = outputs
-        assert printed0 == printed1
-        assert sorted(files0) == sorted(files1)
-        assert [name for name in files0 if files0[name] != files1[name]] == []
-        assert {name.split(".")[0] for name in files0} == {prefix for prefix, _ in self.RUNS}
-        assert not list(tmp_path.rglob("*.tmp"))
 
 
 def _kernel_switch_unavailable():
@@ -1035,48 +989,75 @@ def assert_json_close(a, b, where=""):
         assert a == b, where
 
 
-class TestBlasKernels:
-    """The determinism contract across BLAS kernels on one machine: another
-    kernel may add in another order, so the fitted numbers may move in their
-    last digits, but never by more than 1e-9, and the counts, which use no
-    BLAS, not at all."""
+class TestCrossProcess:
+    """The determinism contract across processes: one command list, run at once
+    in fresh interpreters that differ only in PYTHONHASHSEED (0 and 1) or only
+    in BLAS kernel (Prescott's), through the path `python -m atomphoton.cli` takes."""
 
+    # (prefix, argv): every command, the empty-cell fringe rows of one trial
+    # per point, a fit of the exact run's counts read back from its CSV, and
+    # a calibration off the reachable band
     RUNS = [
-        ["--seed", "7", "--out", "scan", "scan"],
-        ["--seed", "7", "--out", "tomo", "tomo", "--bootstrap", "20"],
-        ["--exact", "--out", "exact", "tomo", "--bootstrap", "0"],
-        ["--out", "cal", "calibrate"],
-        ["--out", "offband", "calibrate", "--vx", "0.78", "--vy", "0.78", "--fidelity", "0.9"],
+        ("tomo", ["--seed", "7", "tomo"]),
+        ("scan", ["--seed", "3", "scan"]),
+        ("scan1", ["--seed", "3", "scan", "--n-per-point", "1"]),
+        ("exact", ["--exact", "tomo", "--bootstrap", "0"]),
+        ("input", ["tomo", "--input", "exact.counts.csv", "--bootstrap", "0"]),
+        ("calibrate", ["calibrate"]),
+        ("offband", ["calibrate", "--vx", "0.78", "--vy", "0.78", "--fidelity", "0.9"]),
+        ("plan", ["plan"]),
     ]
 
-    def test_default_and_prescott_kernels_agree(self, tmp_path):
-        """Both processes inherit the caller's BLAS thread setting; one runs
-        numpy's OpenBLAS on the kernel it picks for this CPU, the other on
-        its oldest x86_64 kernel."""
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory, package_env):
+        """{interpreter: (its stdout, {file name: path})}."""
+        code = f"""
+import runpy, sys
+for prefix, argv in {self.RUNS!r}:
+    sys.argv = ["atomphoton.cli", "--out", prefix, *argv]
+    try:
+        runpy.run_module("atomphoton.cli", run_name="__main__")
+    except SystemExit as exc:
+        assert exc.code == 0, prefix
+"""
+        env = {k: v for k, v in package_env.items() if k != "OPENBLAS_CORETYPE"}
+        envs = {"hash0": {**env, "PYTHONHASHSEED": "0"}, "hash1": {**env, "PYTHONHASHSEED": "1"}}
+        if _kernel_switch_unavailable() is None:
+            envs["prescott"] = {**envs["hash0"], "OPENBLAS_CORETYPE": "Prescott"}
+        procs = {}
+        for name, child_env in envs.items():
+            where = tmp_path_factory.mktemp(name)
+            procs[name] = where, subprocess.Popen([sys.executable, "-c", code], cwd=where,
+                                                  env=child_env, stdout=subprocess.PIPE,
+                                                  stderr=subprocess.PIPE, text=True)
+        ran = {}
+        for name, (where, proc) in procs.items():
+            out, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, (name, err)
+            ran[name] = out, {p.name: p for p in where.iterdir()}
+        return ran
+
+    def test_hash_seeds_write_the_same_bytes(self, runs):
+        """Artifacts follow from the config and seed alone: processes that
+        differ only in PYTHONHASHSEED, which sets the iteration order of a
+        set of strings, write the same bytes and print the same lines."""
+        (printed0, files0), (printed1, files1) = runs["hash0"], runs["hash1"]
+        assert printed0 == printed1
+        assert sorted(files0) == sorted(files1)
+        assert [name for name in files0
+                if files0[name].read_bytes() != files1[name].read_bytes()] == []
+        assert {name.split(".")[0] for name in files0} == {prefix for prefix, _ in self.RUNS}
+        assert not [name for name in files0 if name.endswith(".tmp")]
+
+    def test_default_and_prescott_kernels_agree(self, runs):
+        """Another kernel, at the caller's BLAS thread setting, may add in
+        another order, so the fitted numbers may move in their last digits,
+        but never by more than 1e-9, and the counts, which use no BLAS, not at all."""
         if reason := _kernel_switch_unavailable():
             pytest.skip(reason)
-        code = f"""
-import contextlib, io
-from atomphoton.cli import main
-for argv in {self.RUNS!r}:
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(argv) == 0, argv
-"""
-        env = {k: v for k, v in package_env().items() if k != "OPENBLAS_CORETYPE"}
-        procs = []
-        for kernel, extra in (("default", {}), ("prescott", {"OPENBLAS_CORETYPE": "Prescott"})):
-            (tmp_path / kernel).mkdir()
-            procs.append(subprocess.Popen([sys.executable, "-c", code], cwd=tmp_path / kernel,
-                                          env={**env, **extra}, stdout=subprocess.PIPE,
-                                          stderr=subprocess.PIPE, text=True))
-        for proc in procs:
-            _, err = proc.communicate(timeout=120)
-            assert proc.returncode == 0, err
-        default, prescott = ({p.name: p for p in (tmp_path / k).iterdir()}
-                             for k in ("default", "prescott"))
+        (_, default), (_, prescott) = runs["hash0"], runs["prescott"]
         assert sorted(default) == sorted(prescott)
-        assert {name.split(".")[0] for name in default} == {argv[argv.index("--out") + 1]
-                                                            for argv in self.RUNS}
+        assert {name.split(".")[0] for name in default} == {prefix for prefix, _ in self.RUNS}
         for name, path in default.items():
             if name.endswith((".csv", ".meta.json")):   # counts and fringes: no BLAS
                 assert path.read_bytes() == prescott[name].read_bytes(), name

@@ -207,6 +207,8 @@ class TestBuildPlan:
             ExperimentPlan(eta_ph=2.0)
         with pytest.raises(ValueError):
             ExperimentPlan(rep_rate=0.0)
+        for field in ("v_atph", "bsm_fidelity", "t_stirap", "n_lifetimes", "measurement_window"):
+            assert getattr(ExperimentPlan(**{field: 0.0}), field) == 0.0   # closed lower ends
 
     def test_json_round_trip(self, tmp_path):
         plan = ExperimentPlan(v_atph=0.9, duty=0.5)

@@ -502,6 +502,11 @@ class TestExtractCorrelations:
         with pytest.raises(ValueError, match=r"^setting 3: counts must be .* at most 2\*\*53$"):
             TomographySet(counts, CANONICAL)
 
+    def test_cell_of_2_53_accepted(self):
+        counts = np.ones((9, 4))
+        counts[2, 1] = 2.0**53
+        assert np.array_equal(TomographySet(counts, CANONICAL).counts, counts)
+
 
 class TestLinearInversion:
     def test_ideal_round_trip(self):
@@ -650,10 +655,10 @@ class TestMleReconstruct:
         assert np.linalg.norm(rho_a - rho_b) < 1e-8
 
     def test_zero_cell_prior_reported_on_sampled_data(self):
-        ds = simulate_tomography(ideal_state(), 40, seed=3)   # zeros guaranteed
-        ts = TomographySet.from_dataset(ds)
-        _, report = mle_reconstruct(ts)
-        assert "half-count" in report.regularization
+        for state, n, text in ((ideal_state(), 40, "half-count prior on 6 empty cells"),
+                               (werner(0.8), 300, "none")):   # no empty cell
+            ds = simulate_tomography(state, n, seed=3)
+            assert mle_reconstruct(TomographySet.from_dataset(ds))[1].regularization == text
 
     def test_finite_count_band_smoke(self):
         # statistical acceptance lives in the acceptance suite; here a
