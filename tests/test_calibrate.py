@@ -1,8 +1,6 @@
 """Noise-model calibration against target observables."""
 
 import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -303,22 +301,6 @@ class TestInBandClosedForm:
         assert (res.noise.depolarizing, res.noise.dephasing) == (float(p), float(q))
         assert abs(res.residuals["fidelity"]) <= 1e-12
         assert abs((res.residuals["vx"] + res.residuals["vy"]) / 2) <= 1e-12
-
-    def test_scipy_imported_off_the_band_only(self, package_env):
-        """A fresh interpreter calibrates every in-band target without loading
-        scipy; the first off-band target loads it for Nelder-Mead."""
-        code = f"""
-import sys
-from atomphoton.calibrate import calibrate_noise
-for t in {BENCHMARK_IN_BAND + BAND_EDGES!r}:
-    calibrate_noise(*t)
-assert not [m for m in sys.modules if m.startswith("scipy")], "scipy loaded in band"
-calibrate_noise(0.85, 0.87, 0.875)
-assert "scipy.optimize" in sys.modules, "scipy not loaded below the band"
-"""
-        proc = subprocess.run([sys.executable, "-c", code], env=package_env,
-                              capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
 
     def test_off_band_values_unchanged(self):
         """Off the band Nelder-Mead still refines the frontier start."""

@@ -934,29 +934,6 @@ class TestLabCounts:
         assert run_cli(["--out", out, "tomo", "--bootstrap", "0", "--input", str(half)]) == 0
 
 
-class TestImports:
-    def test_scipy_and_lazy_numpy_modules_stay_off_the_command_path(self, tmp_path, package_env):
-        # scipy is for calibrate alone; numpy modules that the first tomo or scan
-        # would import lazily are loaded with the package instead, and numpy.ma
-        # (12-25 ms, which np.percentile imports) not at all
-        code = f"""
-import contextlib, io, sys
-import atomphoton.cli as cli
-loaded = set(sys.modules)
-assert not [m for m in loaded if m.startswith("scipy")], "scipy loaded on import"
-for argv in (["tomo", "--bootstrap", "5"], ["scan"]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(["--out", {str(tmp_path / "run")!r}, *argv]) == 0
-    new = sorted(m for m in set(sys.modules) - loaded
-                 if m.startswith(("numpy.", "scipy")))
-    assert not new, (argv[0], new)
-assert "numpy.ma" not in sys.modules, "numpy.ma loaded"
-"""
-        proc = subprocess.run([sys.executable, "-c", code], env=package_env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-
-
 def _kernel_switch_unavailable():
     """Why OPENBLAS_CORETYPE cannot pick another kernel here, or None: it
     needs x86_64 and an OpenBLAS built with DYNAMIC_ARCH."""
@@ -992,33 +969,50 @@ def assert_json_close(a, b, where=""):
 class TestCrossProcess:
     """The determinism contract across processes: one command list, run at once
     in fresh interpreters that differ only in PYTHONHASHSEED (0 and 1) or only
-    in BLAS kernel (Prescott's), through the path `python -m atomphoton.cli` takes."""
+    in BLAS kernel (Prescott's), through the path `python -m atomphoton.cli` takes,
+    exit status included. Each interpreter also records the numpy and scipy
+    modules that `import atomphoton` loads and that each command adds."""
 
     # (prefix, argv): every command, the empty-cell fringe rows of one trial
-    # per point, a fit of the exact run's counts read back from its CSV, and
-    # a calibration off the reachable band
+    # per point, a fit of the exact run's counts read back from its CSV,
+    # calibrations in, below (the default) and above the reachable band, and
+    # a refused scan, which must exit 1 and write nothing
     RUNS = [
         ("tomo", ["--seed", "7", "tomo"]),
         ("scan", ["--seed", "3", "scan"]),
         ("scan1", ["--seed", "3", "scan", "--n-per-point", "1"]),
         ("exact", ["--exact", "tomo", "--bootstrap", "0"]),
         ("input", ["tomo", "--input", "exact.counts.csv", "--bootstrap", "0"]),
+        ("inband", ["calibrate", "--vx", "0.9", "--vy", "0.9", "--fidelity", "0.93"]),
         ("calibrate", ["calibrate"]),
         ("offband", ["calibrate", "--vx", "0.78", "--vy", "0.78", "--fidelity", "0.9"]),
         ("plan", ["plan"]),
+        ("refused", ["scan", "--n-points", "3"]),
     ]
+    WRITERS = {prefix for prefix, _ in RUNS} - {"refused"}
 
     @pytest.fixture(scope="class")
     def runs(self, tmp_path_factory, package_env):
-        """{interpreter: (its stdout, {file name: path})}."""
+        """{interpreter: (its stdout, {file name: path}, {"atomphoton" or prefix:
+        the numpy. and scipy modules it loaded})}."""
         code = f"""
-import runpy, sys
+import json, runpy, sys
+import atomphoton
+def loaded():
+    return {{m for m in sys.modules if m.startswith(("numpy.", "scipy"))}}
+record = {{"atomphoton": sorted(loaded())}}
 for prefix, argv in {self.RUNS!r}:
+    before = loaded()
     sys.argv = ["atomphoton.cli", "--out", prefix, *argv]
     try:
         runpy.run_module("atomphoton.cli", run_name="__main__")
     except SystemExit as exc:
-        assert exc.code == 0, prefix
+        if exc.code != (1 if prefix == "refused" else 0):
+            sys.exit(f"{{prefix}}: exit status {{exc.code}}")
+    else:
+        sys.exit(f"{{prefix}}: no exit status")
+    record[prefix] = sorted(loaded() - before)
+print(json.dumps(record), file=sys.stderr)
 """
         env = {k: v for k, v in package_env.items() if k != "OPENBLAS_CORETYPE"}
         envs = {"hash0": {**env, "PYTHONHASHSEED": "0"}, "hash1": {**env, "PYTHONHASHSEED": "1"}}
@@ -1030,23 +1024,26 @@ for prefix, argv in {self.RUNS!r}:
             procs[name] = where, subprocess.Popen([sys.executable, "-c", code], cwd=where,
                                                   env=child_env, stdout=subprocess.PIPE,
                                                   stderr=subprocess.PIPE, text=True)
+        # reap every interpreter before failing on any
+        done = {name: (where, proc, *proc.communicate(timeout=120))
+                for name, (where, proc) in procs.items()}
         ran = {}
-        for name, (where, proc) in procs.items():
-            out, err = proc.communicate(timeout=120)
+        for name, (where, proc, out, err) in done.items():
             assert proc.returncode == 0, (name, err)
-            ran[name] = out, {p.name: p for p in where.iterdir()}
+            ran[name] = (out, {p.name: p for p in where.iterdir()},
+                         json.loads(err.splitlines()[-1]))
         return ran
 
     def test_hash_seeds_write_the_same_bytes(self, runs):
         """Artifacts follow from the config and seed alone: processes that
         differ only in PYTHONHASHSEED, which sets the iteration order of a
         set of strings, write the same bytes and print the same lines."""
-        (printed0, files0), (printed1, files1) = runs["hash0"], runs["hash1"]
+        (printed0, files0, _), (printed1, files1, _) = runs["hash0"], runs["hash1"]
         assert printed0 == printed1
         assert sorted(files0) == sorted(files1)
         assert [name for name in files0
                 if files0[name].read_bytes() != files1[name].read_bytes()] == []
-        assert {name.split(".")[0] for name in files0} == {prefix for prefix, _ in self.RUNS}
+        assert {name.split(".")[0] for name in files0} == self.WRITERS
         assert not [name for name in files0 if name.endswith(".tmp")]
 
     def test_default_and_prescott_kernels_agree(self, runs):
@@ -1055,11 +1052,23 @@ for prefix, argv in {self.RUNS!r}:
         but never by more than 1e-9, and the counts, which use no BLAS, not at all."""
         if reason := _kernel_switch_unavailable():
             pytest.skip(reason)
-        (_, default), (_, prescott) = runs["hash0"], runs["prescott"]
+        (_, default, _), (_, prescott, _) = runs["hash0"], runs["prescott"]
         assert sorted(default) == sorted(prescott)
-        assert {name.split(".")[0] for name in default} == {prefix for prefix, _ in self.RUNS}
+        assert {name.split(".")[0] for name in default} == self.WRITERS
         for name, path in default.items():
             if name.endswith((".csv", ".meta.json")):   # counts and fringes: no BLAS
                 assert path.read_bytes() == prescott[name].read_bytes(), name
             else:
                 assert_json_close(read_json(path), read_json(prescott[name]), name)
+
+    def test_scipy_and_lazy_numpy_modules_stay_off_the_command_path(self, runs):
+        """scipy is for calibrate off the band alone: the first target below
+        it loads scipy.optimize for Nelder-Mead. The numpy modules that the
+        first tomo or scan would import lazily are loaded with the package
+        instead, and numpy.ma (12-25 ms, which np.percentile imports) not at all."""
+        loaded = runs["hash0"][2]
+        assert not [m for m in loaded["atomphoton"] if m.startswith("scipy")]
+        assert "numpy.ma" not in loaded["atomphoton"]
+        for prefix in ("tomo", "scan", "scan1", "exact", "input", "inband"):
+            assert loaded[prefix] == [], prefix
+        assert "scipy.optimize" in loaded["calibrate"]
