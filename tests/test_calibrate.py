@@ -302,6 +302,14 @@ class TestInBandClosedForm:
         assert abs(res.residuals["fidelity"]) <= 1e-12
         assert abs((res.residuals["vx"] + res.residuals["vy"]) / 2) <= 1e-12
 
+    def test_scipy_imported_off_the_band_only(self, cli_runs):
+        """A fresh interpreter calibrates an in-band target without loading
+        scipy; the first target below the band loads it for Nelder-Mead
+        (`cli_runs` runs `inband` before the below-band default)."""
+        loaded = cli_runs["hash0"][2]
+        assert loaded["inband"] == [], "scipy or a numpy module loaded in band"
+        assert "scipy.optimize" in loaded["calibrate"], "scipy not loaded below the band"
+
     def test_off_band_values_unchanged(self):
         """Off the band Nelder-Mead still refines the frontier start."""
         below = calibrate_noise(0.85, 0.87, 0.875).noise

@@ -7,9 +7,6 @@ import io
 import json
 import math
 import os
-import platform
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -934,19 +931,16 @@ class TestLabCounts:
         assert run_cli(["--out", out, "tomo", "--bootstrap", "0", "--input", str(half)]) == 0
 
 
-def _kernel_switch_unavailable():
-    """Why OPENBLAS_CORETYPE cannot pick another kernel here, or None: it
-    needs x86_64 and an OpenBLAS built with DYNAMIC_ARCH."""
-    if platform.machine() != "x86_64":
-        return f"OPENBLAS_CORETYPE picks x86_64 kernels; this machine is {platform.machine()}"
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (TypeError, KeyError):
-        return "numpy reports no BLAS build configuration"
-    config = blas.get("openblas configuration") or ""
-    if "DYNAMIC_ARCH" not in config:
-        return f"numpy's BLAS ({blas.get('name')}) is not an OpenBLAS built with DYNAMIC_ARCH"
-    return None
+class TestImports:
+    def test_scipy_and_lazy_numpy_modules_stay_off_the_command_path(self, cli_runs):
+        """scipy is for calibrate alone; the numpy modules that the first tomo
+        or scan would import lazily are loaded with the package instead, and
+        numpy.ma (12-25 ms, which np.percentile imports) not at all."""
+        loaded = cli_runs["hash0"][2]
+        assert not [m for m in loaded["atomphoton"] if m.startswith("scipy")]
+        assert "numpy.ma" not in loaded["atomphoton"]
+        for prefix in ("tomo", "scan", "scan1", "exact", "input"):
+            assert loaded[prefix] == [], prefix
 
 
 def assert_json_close(a, b, where=""):
@@ -967,108 +961,38 @@ def assert_json_close(a, b, where=""):
 
 
 class TestCrossProcess:
-    """The determinism contract across processes: one command list, run at once
-    in fresh interpreters that differ only in PYTHONHASHSEED (0 and 1) or only
-    in BLAS kernel (Prescott's), through the path `python -m atomphoton.cli` takes,
-    exit status included. Each interpreter also records the numpy and scipy
-    modules that `import atomphoton` loads and that each command adds."""
+    """The determinism contract across processes, read from `cli_runs`: one
+    command list in fresh interpreters that differ only in PYTHONHASHSEED or
+    only in BLAS kernel, exit statuses included."""
 
-    # (prefix, argv): every command, the empty-cell fringe rows of one trial
-    # per point, a fit of the exact run's counts read back from its CSV,
-    # calibrations in, below (the default) and above the reachable band, and
-    # a refused scan, which must exit 1 and write nothing
-    RUNS = [
-        ("tomo", ["--seed", "7", "tomo"]),
-        ("scan", ["--seed", "3", "scan"]),
-        ("scan1", ["--seed", "3", "scan", "--n-per-point", "1"]),
-        ("exact", ["--exact", "tomo", "--bootstrap", "0"]),
-        ("input", ["tomo", "--input", "exact.counts.csv", "--bootstrap", "0"]),
-        ("inband", ["calibrate", "--vx", "0.9", "--vy", "0.9", "--fidelity", "0.93"]),
-        ("calibrate", ["calibrate"]),
-        ("offband", ["calibrate", "--vx", "0.78", "--vy", "0.78", "--fidelity", "0.9"]),
-        ("plan", ["plan"]),
-        ("refused", ["scan", "--n-points", "3"]),
-    ]
-    WRITERS = {prefix for prefix, _ in RUNS} - {"refused"}
+    @staticmethod
+    def writers(runs):
+        """The prefixes of the commands that ran, less the refused one."""
+        return set(runs["hash0"][2]) - {"atomphoton", "refused"}
 
-    @pytest.fixture(scope="class")
-    def runs(self, tmp_path_factory, package_env):
-        """{interpreter: (its stdout, {file name: path}, {"atomphoton" or prefix:
-        the numpy. and scipy modules it loaded})}."""
-        code = f"""
-import json, runpy, sys
-import atomphoton
-def loaded():
-    return {{m for m in sys.modules if m.startswith(("numpy.", "scipy"))}}
-record = {{"atomphoton": sorted(loaded())}}
-for prefix, argv in {self.RUNS!r}:
-    before = loaded()
-    sys.argv = ["atomphoton.cli", "--out", prefix, *argv]
-    try:
-        runpy.run_module("atomphoton.cli", run_name="__main__")
-    except SystemExit as exc:
-        if exc.code != (1 if prefix == "refused" else 0):
-            sys.exit(f"{{prefix}}: exit status {{exc.code}}")
-    else:
-        sys.exit(f"{{prefix}}: no exit status")
-    record[prefix] = sorted(loaded() - before)
-print(json.dumps(record), file=sys.stderr)
-"""
-        env = {k: v for k, v in package_env.items() if k != "OPENBLAS_CORETYPE"}
-        envs = {"hash0": {**env, "PYTHONHASHSEED": "0"}, "hash1": {**env, "PYTHONHASHSEED": "1"}}
-        if _kernel_switch_unavailable() is None:
-            envs["prescott"] = {**envs["hash0"], "OPENBLAS_CORETYPE": "Prescott"}
-        procs = {}
-        for name, child_env in envs.items():
-            where = tmp_path_factory.mktemp(name)
-            procs[name] = where, subprocess.Popen([sys.executable, "-c", code], cwd=where,
-                                                  env=child_env, stdout=subprocess.PIPE,
-                                                  stderr=subprocess.PIPE, text=True)
-        # reap every interpreter before failing on any
-        done = {name: (where, proc, *proc.communicate(timeout=120))
-                for name, (where, proc) in procs.items()}
-        ran = {}
-        for name, (where, proc, out, err) in done.items():
-            assert proc.returncode == 0, (name, err)
-            ran[name] = (out, {p.name: p for p in where.iterdir()},
-                         json.loads(err.splitlines()[-1]))
-        return ran
-
-    def test_hash_seeds_write_the_same_bytes(self, runs):
+    def test_hash_seeds_write_the_same_bytes(self, cli_runs):
         """Artifacts follow from the config and seed alone: processes that
         differ only in PYTHONHASHSEED, which sets the iteration order of a
         set of strings, write the same bytes and print the same lines."""
-        (printed0, files0, _), (printed1, files1, _) = runs["hash0"], runs["hash1"]
+        (printed0, files0, _), (printed1, files1, _) = cli_runs["hash0"], cli_runs["hash1"]
         assert printed0 == printed1
         assert sorted(files0) == sorted(files1)
         assert [name for name in files0
                 if files0[name].read_bytes() != files1[name].read_bytes()] == []
-        assert {name.split(".")[0] for name in files0} == self.WRITERS
+        assert {name.split(".")[0] for name in files0} == self.writers(cli_runs)
         assert not [name for name in files0 if name.endswith(".tmp")]
 
-    def test_default_and_prescott_kernels_agree(self, runs):
+    def test_default_and_prescott_kernels_agree(self, cli_runs, kernel_switch_unavailable):
         """Another kernel, at the caller's BLAS thread setting, may add in
         another order, so the fitted numbers may move in their last digits,
         but never by more than 1e-9, and the counts, which use no BLAS, not at all."""
-        if reason := _kernel_switch_unavailable():
-            pytest.skip(reason)
-        (_, default, _), (_, prescott, _) = runs["hash0"], runs["prescott"]
+        if kernel_switch_unavailable:
+            pytest.skip(kernel_switch_unavailable)
+        (_, default, _), (_, prescott, _) = cli_runs["hash0"], cli_runs["prescott"]
         assert sorted(default) == sorted(prescott)
-        assert {name.split(".")[0] for name in default} == self.WRITERS
+        assert {name.split(".")[0] for name in default} == self.writers(cli_runs)
         for name, path in default.items():
             if name.endswith((".csv", ".meta.json")):   # counts and fringes: no BLAS
                 assert path.read_bytes() == prescott[name].read_bytes(), name
             else:
                 assert_json_close(read_json(path), read_json(prescott[name]), name)
-
-    def test_scipy_and_lazy_numpy_modules_stay_off_the_command_path(self, runs):
-        """scipy is for calibrate off the band alone: the first target below
-        it loads scipy.optimize for Nelder-Mead. The numpy modules that the
-        first tomo or scan would import lazily are loaded with the package
-        instead, and numpy.ma (12-25 ms, which np.percentile imports) not at all."""
-        loaded = runs["hash0"][2]
-        assert not [m for m in loaded["atomphoton"] if m.startswith("scipy")]
-        assert "numpy.ma" not in loaded["atomphoton"]
-        for prefix in ("tomo", "scan", "scan1", "exact", "input", "inband"):
-            assert loaded[prefix] == [], prefix
-        assert "scipy.optimize" in loaded["calibrate"]
