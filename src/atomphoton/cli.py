@@ -116,11 +116,9 @@ _SCAN_KEYS = _NOISE_KEYS + (
     ("n_per_point", int, 300),
     ("bases", str, "sx,sy"),
 )
-_TOMO_KEYS = _NOISE_KEYS + (
-    ("n_per_setting", int, 300),
-    ("bootstrap", int, 250),
-    ("input", str, None),
-)
+# the keys only a simulated tomo reads: an --input fit uses none of them
+_SIMULATION_KEYS = _NOISE_KEYS + (("n_per_setting", int, 300),)
+_TOMO_KEYS = _SIMULATION_KEYS + (("bootstrap", int, 250), ("input", str, None))
 _CALIBRATE_KEYS = (
     ("vx", float, 0.85),
     ("vy", float, 0.87),
@@ -206,9 +204,9 @@ def cmd_tomo(args, params):
     if params["input"] == "":
         raise ValueError("input must name a counts CSV, got an empty path")
     if params["input"] is not None:
-        # the simulation flags (every key but bootstrap and input) would be dropped,
-        # so they are refused; config values stay, since one file serves every command
-        dropped = [f"--{key.replace('_', '-')}" for key, _, _ in _TOMO_KEYS[:-2]
+        # the simulation flags would be dropped, so they are refused; config
+        # values stay, since one file serves every command
+        dropped = [f"--{key.replace('_', '-')}" for key, _, _ in _SIMULATION_KEYS
                    if getattr(args, key) is not None]
         if dropped:
             raise ValueError(f"--input reads its counts from a file and would ignore "
@@ -343,8 +341,8 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:   # named by the command's size fields, the integer keys it used:
-        # --input simulates nothing, so the simulation keys (all but bootstrap and input) drop out
-        used = [k for k in keys if not (params.get("input") and k in _TOMO_KEYS[:-2])]
+        # --input simulates nothing, so the simulation keys drop out
+        used = [k for k in keys if not (params.get("input") and k in _SIMULATION_KEYS)]
         sizes = ", ".join(f"{key} = {params[key]}" for key, caster, _ in used
                           if caster is int and key in params)
         detail = (f" at {sizes}" if sizes else "") + (f" ({exc})" if str(exc) else "")

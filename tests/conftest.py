@@ -11,11 +11,34 @@ import pytest
 from hypothesis import settings
 
 import atomphoton
+from atomphoton.cli import main
 
 # Property tests are reproducible: examples come from a fixed derivation, no
 # example database is read or written, and slow examples are not failures.
 settings.register_profile("atomphoton", derandomize=True, database=None, deadline=None)
 settings.load_profile("atomphoton")
+
+
+@pytest.fixture
+def refused(tmp_path, capsys):
+    """refused(argv, expected): run the CLI in process and check its refusal
+    contract: exit 1, nothing on stdout, one stderr line that starts with
+    'error: ' and contains `expected`, and every path under tmp_path as it
+    was, bytes and directories alike. Returns that line without its newline."""
+    def tree():
+        return {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
+
+    def check(argv, expected):
+        capsys.readouterr()
+        before = tree()
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1, err
+        assert expected in err, err
+        assert tree() == before
+        return err[:-1]
+    return check
 
 
 @pytest.fixture(scope="session")

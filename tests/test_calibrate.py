@@ -1,12 +1,10 @@
 """Noise-model calibration against target observables."""
 
-import os
-
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from atomphoton import calibrate, cli, qmath
+from atomphoton import calibrate, qmath
 from atomphoton.calibrate import (
     _OPERATORS,
     _TOMOGRAPHY,
@@ -302,6 +300,7 @@ class TestInBandClosedForm:
         assert abs(res.residuals["fidelity"]) <= 1e-12
         assert abs((res.residuals["vx"] + res.residuals["vy"]) / 2) <= 1e-12
 
+    @pytest.mark.threaded_blas
     def test_scipy_imported_off_the_band_only(self, cli_runs):
         """A fresh interpreter calibrates an in-band target without loading
         scipy; the first target below the band loads it for Nelder-Mead
@@ -319,35 +318,27 @@ class TestInBandClosedForm:
 
 
 class TestRefusal:
-    def _refused(self, tmp_path, capsys, vx, vy, f):
-        out = str(tmp_path / "cal")
-        assert cli.main(["--out", out, "calibrate", "--vx", vx, "--vy", vy,
-                         "--fidelity", f]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert not os.path.exists(out + ".noise.json")
-        return err
-
-    def test_split_named_when_it_alone_exceeds_the_limit(self, tmp_path, capsys):
+    def test_split_named_when_it_alone_exceeds_the_limit(self, tmp_path, refused):
         # F = 0.86 lies in the band [0.85, 0.9] at vbar = 0.8; the split does not
         assert abs(0.9 - 0.7) / 2 > RESIDUAL_LIMIT
-        err = self._refused(tmp_path, capsys, "0.9", "0.7", "0.86")
-        assert "|vx - vy|/2 = 0.1, beyond the limit 0.05" in err
+        err = refused(["--out", str(tmp_path / "cal"), "calibrate", "--vx", "0.9", "--vy", "0.7",
+                       "--fidelity", "0.86"], "|vx - vy|/2 = 0.1, beyond the limit 0.05")
         assert "frontier" not in err
 
     @pytest.mark.parametrize("vx, vy, f", [("0.9", "0.8", "0.9"), ("0.3", "0.2", "0.5")])
-    def test_split_named_when_rounding_puts_it_over(self, tmp_path, capsys, vx, vy, f):
+    def test_split_named_when_rounding_puts_it_over(self, tmp_path, refused, vx, vy, f):
         """A split of exactly the limit in the band is refused by rounding; the
         message still names the split, not an empty cause."""
-        err = self._refused(tmp_path, capsys, vx, vy, f)
-        assert "|vx - vy|/2 = 0.05, beyond the limit 0.05; closest" in err
+        refused(["--out", str(tmp_path / "cal"), "calibrate", "--vx", vx, "--vy", vy,
+                 "--fidelity", f], "|vx - vy|/2 = 0.05, beyond the limit 0.05; closest")
 
-    def test_band_named_otherwise(self, tmp_path, capsys):
-        err = self._refused(tmp_path, capsys, "0.9", "0.9", "0.5")
-        assert "frontier pins F between 0.925 and 0.95 at mean visibility 0.9" in err
+    def test_band_named_otherwise(self, tmp_path, refused):
+        err = refused(["--out", str(tmp_path / "cal"), "calibrate", "--vx", "0.9", "--vy", "0.9",
+                       "--fidelity", "0.5"],
+                      "frontier pins F between 0.925 and 0.95 at mean visibility 0.9")
         assert "vx - vy" not in err
 
-    def test_split_and_band_both_named(self, tmp_path, capsys):
-        err = self._refused(tmp_path, capsys, "0.9", "0.7", "0.5")
-        assert ("|vx - vy|/2 = 0.1, beyond the limit 0.05, and the model frontier pins F "
-                "between 0.85 and 0.9") in err
+    def test_split_and_band_both_named(self, tmp_path, refused):
+        refused(["--out", str(tmp_path / "cal"), "calibrate", "--vx", "0.9", "--vy", "0.7",
+                 "--fidelity", "0.5"], "|vx - vy|/2 = 0.1, beyond the limit 0.05, and the model "
+                "frontier pins F between 0.85 and 0.9")

@@ -30,10 +30,6 @@ from atomphoton.states import NoiseModel, ideal_state
 from atomphoton.tomography import canonical_settings, simulate_tomography
 
 
-def run_cli(args):
-    return main(args)
-
-
 def read_json(path):
     return json.loads(Path(path).read_text())
 
@@ -46,7 +42,7 @@ def read_state_json(path):
 class TestScan:
     def test_default_scan_artifacts(self, tmp_path, capsys):
         out = str(tmp_path / "run")
-        assert run_cli(["--seed", "4", "--out", out, "scan"]) == 0
+        assert main(["--seed", "4", "--out", out, "scan"]) == 0
         for suffix in (".counts.csv", ".counts.meta.json", ".fringes.csv", ".metrics.json"):
             assert os.path.exists(out + suffix)
         metrics = read_json(out + ".metrics.json")
@@ -57,7 +53,7 @@ class TestScan:
 
     def test_exact_mode_matches_analytic(self, tmp_path):
         out = str(tmp_path / "exact")
-        assert run_cli(["--exact", "--out", out, "scan"]) == 0
+        assert main(["--exact", "--out", out, "scan"]) == 0
         metrics = read_json(out + ".metrics.json")
         for basis in ("sx", "sy"):
             for det in ("apd1", "apd2"):
@@ -65,12 +61,12 @@ class TestScan:
 
     def test_same_seed_identical_bytes(self, tmp_path):
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
-        assert run_cli(["--seed", "9", "--out", out1, "scan"]) == 0
-        assert run_cli(["--seed", "9", "--out", out2, "scan"]) == 0
+        assert main(["--seed", "9", "--out", out1, "scan"]) == 0
+        assert main(["--seed", "9", "--out", out2, "scan"]) == 0
         for suffix in (".counts.csv", ".fringes.csv", ".metrics.json"):
             assert Path(out1 + suffix).read_bytes() == Path(out2 + suffix).read_bytes()
         for out in (out1, out2):
-            assert run_cli(["--seed", "9", "--out", out + "t", "tomo", "--bootstrap", "20"]) == 0
+            assert main(["--seed", "9", "--out", out + "t", "tomo", "--bootstrap", "20"]) == 0
         assert "bootstrap" in read_json(out1 + "t.metrics.json")
         for suffix in (".counts.csv", ".counts.meta.json", ".state.json", ".metrics.json"):
             assert Path(out1 + "t" + suffix).read_bytes() == Path(out2 + "t" + suffix).read_bytes()
@@ -81,7 +77,7 @@ class TestScan:
         metrics echo the seed as the integer."""
         seed = 2**130 + 5
         out = str(tmp_path / "wide")
-        assert run_cli(["--seed", str(seed), "--out", out, "scan"]) == 0
+        assert main(["--seed", str(seed), "--out", out, "scan"]) == 0
         ds = read_counts_csv(out + ".counts.csv")
         probs = outcome_probabilities(ideal_state(), outcome_operators(ds.settings),
                                       NoiseModel(**ds.metadata["noise"]))
@@ -94,14 +90,14 @@ class TestScan:
 
     def test_counts_round_trip(self, tmp_path):
         out = str(tmp_path / "rt")
-        assert run_cli(["--seed", "2", "--out", out, "scan"]) == 0
+        assert main(["--seed", "2", "--out", out, "scan"]) == 0
         ds = read_counts_csv(out + ".counts.csv")
         assert len(ds.records) == 36   # 18 points x 2 bases
         assert ds.metadata["seed"] == 2
 
     def test_low_count_points_drop_out(self, tmp_path):
         out = str(tmp_path / "low")
-        assert run_cli(["--seed", "0", "--out", out, "scan", "--n-per-point", "1"]) == 0
+        assert main(["--seed", "0", "--out", out, "scan", "--n-per-point", "1"]) == 0
         records = read_counts_csv(out + ".counts.csv").records.reshape(2, 18, 4)
         with open(out + ".fringes.csv", newline="") as fh:
             table = list(csv.DictReader(fh))
@@ -119,33 +115,22 @@ class TestScan:
                 assert fits[b][f"apd{d}"] == dataclasses.asdict(fit_fringe(*zip(*kept)))
         assert empty == 36   # one trial per point: an event on exactly one detector
 
-    def test_too_few_points_with_events_named(self, tmp_path, capsys):
-        out = str(tmp_path / "few")
-        assert run_cli(["--seed", "0", "--out", out, "scan", "--n-per-point", "1",
-                        "--n-points", "5"]) == 1
-        err = capsys.readouterr().err
-        assert "sx APD1 fringe, events at 3 of 5 scan points" in err
+    def test_too_few_points_with_events_named(self, tmp_path, refused):
+        err = refused(["--seed", "0", "--out", str(tmp_path / "few"), "scan", "--n-per-point", "1",
+                       "--n-points", "5"], "sx APD1 fringe, events at 3 of 5 scan points")
         assert "at least 4 points" in err
-        for suffix in (".counts.csv", ".fringes.csv", ".metrics.json"):
-            assert not os.path.exists(out + suffix)
 
-    def test_refused_scan_keeps_earlier_files(self, tmp_path, capsys):
+    def test_refused_scan_keeps_earlier_files(self, tmp_path, refused):
         """A scan refused at the prefix of an earlier scan leaves that scan's
         four files as they were, and no temporary file."""
         out = str(tmp_path / "x")
-        assert run_cli(["--out", out, "scan"]) == 0
-        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-        assert len(before) == 4
-        assert run_cli(["--seed", "0", "--out", out, "scan", "--n-points", "4",
-                        "--n-per-point", "1"]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
-        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        assert main(["--out", out, "scan"]) == 0
+        assert len(list(tmp_path.iterdir())) == 4
+        refused(["--seed", "0", "--out", out, "scan", "--n-points", "4", "--n-per-point", "1"],
+                "fringe")
 
-    def test_invalid_basis_rejected(self, tmp_path, capsys):
-        out = str(tmp_path / "bad")
-        assert run_cli(["--out", out, "scan", "--bases", "sz"]) == 1
-        assert "error:" in capsys.readouterr().err
-        assert not os.path.exists(out + ".counts.csv")
+    def test_invalid_basis_rejected(self, tmp_path, refused):
+        refused(["--out", str(tmp_path / "bad"), "scan", "--bases", "sz"], "unknown atomic bases")
 
 
 def writer_counts(dataset):
@@ -196,7 +181,7 @@ class TestCsvRendering:
     ], ids=["one-trial", "one-trial-sy-first", "noisy", "exact", "2**53-trials"])
     def test_scan_artifacts(self, tmp_path, argv):
         out = str(tmp_path / "s")
-        assert run_cli(["--out", out, *argv]) == 0
+        assert main(["--out", out, *argv]) == 0
         ds = read_counts_csv(out + ".counts.csv")   # the 17-digit text reads back losslessly
         assert file_text(out + ".counts.csv") == writer_counts(ds)
         fringes = file_text(out + ".fringes.csv")
@@ -230,23 +215,23 @@ class TestCsvRendering:
 class TestTomo:
     def test_ideal_exact(self, tmp_path):
         out = str(tmp_path / "ideal")
-        assert run_cli(["--exact", "--out", out, "tomo",
-                        "--depolarizing", "0", "--dephasing", "0"]) == 0
+        assert main(["--exact", "--out", out, "tomo",
+                     "--depolarizing", "0", "--dephasing", "0"]) == 0
         metrics = read_json(out + ".metrics.json")
         assert abs(metrics["fidelity"] - 1.0) < 1e-6
         assert abs(metrics["negativity"] - 0.5) < 1e-4
 
     def test_werner_exact(self, tmp_path):
         out = str(tmp_path / "werner")
-        assert run_cli(["--exact", "--out", out, "tomo",
-                        "--depolarizing", "0.14", "--dephasing", "0"]) == 0
+        assert main(["--exact", "--out", out, "tomo",
+                     "--depolarizing", "0.14", "--dephasing", "0"]) == 0
         metrics = read_json(out + ".metrics.json")
         assert abs(metrics["fidelity"] - 0.895) < 1e-4
         assert abs(metrics["negativity"] - 0.395) < 1e-4
 
     def test_state_json_round_trip(self, tmp_path):
         out = str(tmp_path / "state")
-        assert run_cli(["--seed", "5", "--out", out, "tomo", "--bootstrap", "0"]) == 0
+        assert main(["--seed", "5", "--out", out, "tomo", "--bootstrap", "0"]) == 0
         rho = read_state_json(out + ".state.json")
         assert abs(np.trace(rho).real - 1.0) < 1e-9
         assert np.min(np.linalg.eigvalsh(rho)) >= -1e-9
@@ -256,23 +241,23 @@ class TestTomo:
 
     def test_real_part_table_printed(self, tmp_path, capsys):
         out = str(tmp_path / "tbl")
-        assert run_cli(["--exact", "--out", out, "tomo"]) == 0
+        assert main(["--exact", "--out", out, "tomo"]) == 0
         text = capsys.readouterr().out
         assert "real part" in text
         assert "+0.4650" in text   # corner entry of the exact Werner(0.86) pattern
 
     def test_bootstrap_error_bars(self, tmp_path):
         out = str(tmp_path / "boot")
-        assert run_cli(["--seed", "1", "--out", out, "tomo", "--bootstrap", "12"]) == 0
+        assert main(["--seed", "1", "--out", out, "tomo", "--bootstrap", "12"]) == 0
         metrics = read_json(out + ".metrics.json")
         assert "bootstrap" in metrics
         assert metrics["bootstrap"]["fidelity"]["std"] > 0
 
     def test_exact_mode_bootstrap_skip_reported(self, tmp_path, capsys):
         plain, boot = str(tmp_path / "plain"), str(tmp_path / "boot")
-        assert run_cli(["--exact", "--out", plain, "tomo", "--bootstrap", "0"]) == 0
+        assert main(["--exact", "--out", plain, "tomo", "--bootstrap", "0"]) == 0
         assert capsys.readouterr().err == ""
-        assert run_cli(["--exact", "--out", boot, "tomo", "--bootstrap", "5"]) == 0
+        assert main(["--exact", "--out", boot, "tomo", "--bootstrap", "5"]) == 0
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert "bootstrap" in err and "sampling spread" in err
@@ -284,46 +269,39 @@ class TestTomo:
         expected counts skip the bootstrap without --exact, sampled counts
         get it with --exact, and metrics.json records the data's mode."""
         exact_src, sampled_src = str(tmp_path / "exact_src"), str(tmp_path / "sampled_src")
-        assert run_cli(["--exact", "--out", exact_src, "tomo", "--bootstrap", "0"]) == 0
-        assert run_cli(["--seed", "3", "--out", sampled_src, "tomo", "--bootstrap", "0"]) == 0
+        assert main(["--exact", "--out", exact_src, "tomo", "--bootstrap", "0"]) == 0
+        assert main(["--seed", "3", "--out", sampled_src, "tomo", "--bootstrap", "0"]) == 0
         capsys.readouterr()
 
         out = str(tmp_path / "exact_in")
-        assert run_cli(["--out", out, "tomo", "--bootstrap", "4",
-                        "--input", exact_src + ".counts.csv"]) == 0
+        assert main(["--out", out, "tomo", "--bootstrap", "4",
+                     "--input", exact_src + ".counts.csv"]) == 0
         assert "sampling spread" in capsys.readouterr().err
         metrics = read_json(out + ".metrics.json")
         assert metrics["exact"] is True and "bootstrap" not in metrics
 
         out = str(tmp_path / "sampled_in")
-        assert run_cli(["--exact", "--out", out, "tomo", "--bootstrap", "4",
-                        "--input", sampled_src + ".counts.csv"]) == 0
+        assert main(["--exact", "--out", out, "tomo", "--bootstrap", "4",
+                     "--input", sampled_src + ".counts.csv"]) == 0
         assert capsys.readouterr().err == ""
         metrics = read_json(out + ".metrics.json")
         assert metrics["exact"] is False
         assert metrics["bootstrap"]["fidelity"]["std"] > 0
 
-    def test_negative_bootstrap_flag_rejected(self, tmp_path, capsys):
-        out = str(tmp_path / "neg")
-        assert run_cli(["--out", out, "tomo", "--bootstrap", "-5"]) == 1
-        assert "bootstrap" in capsys.readouterr().err
-        assert not os.path.exists(out + ".metrics.json")
-        assert not os.path.exists(out + ".counts.csv")
+    def test_negative_bootstrap_flag_rejected(self, tmp_path, refused):
+        refused(["--out", str(tmp_path / "neg"), "tomo", "--bootstrap", "-5"], "bootstrap")
 
-    def test_negative_bootstrap_config_rejected(self, tmp_path, capsys):
+    def test_negative_bootstrap_config_rejected(self, tmp_path, refused):
         cfg = tmp_path / "neg.cfg"
         cfg.write_text("bootstrap = -2\n")
-        out = str(tmp_path / "neg")
-        assert run_cli(["--config", str(cfg), "--out", out, "tomo"]) == 1
-        assert "bootstrap" in capsys.readouterr().err
-        assert not os.path.exists(out + ".metrics.json")
+        refused(["--config", str(cfg), "--out", str(tmp_path / "neg"), "tomo"], "bootstrap")
 
     def test_ingest_external_counts(self, tmp_path):
         src = str(tmp_path / "src")
-        assert run_cli(["--seed", "3", "--out", src, "tomo", "--bootstrap", "0"]) == 0
+        assert main(["--seed", "3", "--out", src, "tomo", "--bootstrap", "0"]) == 0
         out = str(tmp_path / "ingest")
-        assert run_cli(["--out", out, "tomo", "--bootstrap", "0",
-                        "--input", src + ".counts.csv"]) == 0
+        assert main(["--out", out, "tomo", "--bootstrap", "0",
+                     "--input", src + ".counts.csv"]) == 0
         m_src = read_json(src + ".metrics.json")
         m_out = read_json(out + ".metrics.json")
         assert abs(m_src["fidelity"] - m_out["fidelity"]) < 1e-9
@@ -335,53 +313,43 @@ class TestTomo:
         (["--eps01", "0.3"], "--eps01"),
         (["--eps10", "0.3"], "--eps10"),
     ])
-    def test_simulation_flags_refused_with_input(self, tmp_path, capsys, argv, flag):
+    def test_simulation_flags_refused_with_input(self, tmp_path, refused, argv, flag):
         """`--input` counts ignore every simulation flag, so one passed beside
         it is an error that names it (and any other passed), with no artifact."""
         src = str(tmp_path / "src")
-        assert run_cli(["--seed", "3", "--out", src, "tomo", "--bootstrap", "0"]) == 0
-        capsys.readouterr()
-        before = sorted(tmp_path.iterdir())
+        assert main(["--seed", "3", "--out", src, "tomo", "--bootstrap", "0"]) == 0
         out = str(tmp_path / "in")
-        assert run_cli(["--out", out, "tomo", "--bootstrap", "0",
-                        "--input", src + ".counts.csv", *argv]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: --input ") and err.count("\n") == 1 and flag in err
-        assert sorted(tmp_path.iterdir()) == before
-        assert run_cli(["--out", out, "tomo", "--input", src + ".counts.csv",
-                        "--eps10", "0", *argv]) == 1
-        err = capsys.readouterr().err
-        assert flag in err and "--eps10" in err
+        assert refused(["--out", out, "tomo", "--bootstrap", "0", "--input", src + ".counts.csv",
+                        *argv], flag).startswith("error: --input ")
+        assert "--eps10" in refused(["--out", out, "tomo", "--input", src + ".counts.csv",
+                                     "--eps10", "0", *argv], flag)
 
     def test_config_simulation_values_accepted_with_input(self, tmp_path):
         """One config file serves every command, so its simulation values do
         not stop a fit of `--input` counts."""
         src = str(tmp_path / "src")
-        assert run_cli(["--seed", "3", "--out", src, "tomo", "--bootstrap", "0"]) == 0
+        assert main(["--seed", "3", "--out", src, "tomo", "--bootstrap", "0"]) == 0
         cfg = tmp_path / "shared.cfg"
         cfg.write_text("depolarizing = 0.5\nn_per_setting = 0\nbootstrap = 0\n")
         out = str(tmp_path / "in")
-        assert run_cli(["--config", str(cfg), "--out", out, "tomo",
-                        "--input", src + ".counts.csv"]) == 0
+        assert main(["--config", str(cfg), "--out", out, "tomo",
+                     "--input", src + ".counts.csv"]) == 0
         assert (tmp_path / "in.state.json").read_bytes() == \
             (tmp_path / "src.state.json").read_bytes()
 
-    def test_incomplete_settings_named(self, tmp_path, capsys):
+    def test_incomplete_settings_named(self, tmp_path, refused):
         src = str(tmp_path / "full")
-        assert run_cli(["--seed", "3", "--out", src, "tomo", "--bootstrap", "0"]) == 0
+        assert main(["--seed", "3", "--out", src, "tomo", "--bootstrap", "0"]) == 0
         lines = Path(src + ".counts.csv").read_text().splitlines()
         # drop the atomic-y / photonic-z row (row order follows the label order)
         trimmed = [l for i, l in enumerate(lines) if i != 6]
         broken = str(tmp_path / "broken.counts.csv")
         Path(broken).write_text("\n".join(trimmed) + "\n")
-        out = str(tmp_path / "rec")
-        assert run_cli(["--out", out, "tomo", "--input", broken]) == 1
-        err = capsys.readouterr().err
-        assert "error: the settings leave the Pauli coefficients yz undetermined" in err
-        assert not os.path.exists(out + ".state.json")
+        refused(["--out", str(tmp_path / "rec"), "tomo", "--input", broken],
+                "error: the settings leave the Pauli coefficients yz undetermined")
 
     @pytest.mark.parametrize("source", ["flag", "config"])
-    def test_empty_input_refused(self, tmp_path, capsys, source):
+    def test_empty_input_refused(self, tmp_path, refused, source):
         """An empty `input` is an error naming it, not a simulated run."""
         out = str(tmp_path / "empty")
         if source == "flag":
@@ -390,82 +358,65 @@ class TestTomo:
             cfg = tmp_path / "run.cfg"
             cfg.write_text("input =\n")
             argv = ["--config", str(cfg), "--out", out, "tomo"]
-        assert run_cli(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: input ") and err.count("\n") == 1
-        assert os.listdir(tmp_path) == ([] if source == "flag" else ["run.cfg"])
+        assert refused(argv, "input ").startswith("error: input ")
 
-    def test_scan_counts_rejected_by_record(self, tmp_path, capsys):
+    def test_scan_counts_rejected_by_record(self, tmp_path, refused):
         scan = str(tmp_path / "scan")
-        assert run_cli(["--seed", "1", "--out", scan, "scan"]) == 0
-        capsys.readouterr()
-        out = str(tmp_path / "tomo")
-        assert run_cli(["--out", out, "tomo", "--input", scan + ".counts.csv"]) == 1
+        assert main(["--seed", "1", "--out", scan, "scan"]) == 0
         # sigma_x and sigma_y atoms with linear photons: rank 9, nothing of z
-        err = capsys.readouterr().err
+        err = refused(["--out", str(tmp_path / "tomo"), "tomo", "--input", scan + ".counts.csv"],
+                      "design rank 9")
         assert err == ("error: the settings leave the Pauli coefficients iz, xz, yz, zi, zx, zy, "
-                       "zz undetermined (design rank 9)\n")
-        assert not os.path.exists(out + ".state.json")
+                       "zz undetermined (design rank 9)")
 
 
 class TestCalibrateCmd:
     def test_trivial_targets(self, tmp_path):
         out = str(tmp_path / "cal0")
-        assert run_cli(["--out", out, "calibrate",
-                        "--vx", "1", "--vy", "1", "--fidelity", "1"]) == 0
+        assert main(["--out", out, "calibrate",
+                     "--vx", "1", "--vy", "1", "--fidelity", "1"]) == 0
         payload = read_json(out + ".noise.json")
         assert payload["noise"]["depolarizing"] < 1e-6
 
     def test_demonstrated_targets(self, tmp_path, capsys):
         out = str(tmp_path / "cal")
-        assert run_cli(["--out", out, "calibrate"]) == 0
+        assert main(["--out", out, "calibrate"]) == 0
         payload = read_json(out + ".noise.json")
         assert abs(payload["achieved"]["fidelity"] - 0.875) < 1e-3
         text = capsys.readouterr().out
         assert "depolarizing =" in text   # config-format echo
 
-    def test_infeasible_targets_exit_nonzero(self, tmp_path, capsys):
-        out = str(tmp_path / "bad")
-        assert run_cli(["--out", out, "calibrate",
-                        "--vx", "0.9", "--vy", "0.9", "--fidelity", "0.5"]) == 1
-        assert "frontier" in capsys.readouterr().err
-        assert not os.path.exists(out + ".noise.json")
+    def test_infeasible_targets_exit_nonzero(self, tmp_path, refused):
+        refused(["--out", str(tmp_path / "bad"), "calibrate",
+                 "--vx", "0.9", "--vy", "0.9", "--fidelity", "0.5"], "frontier")
 
 
 class TestPlanCmd:
     def test_default_plan(self, tmp_path, capsys):
         out = str(tmp_path / "plan")
-        assert run_cli(["--out", out, "plan"]) == 0
+        assert main(["--out", out, "plan"]) == 0
         payload = read_json(out + ".plan.json")
         assert abs(payload["report"]["v_atat"] - 0.7396) < 1e-9
         assert payload["report"]["collapse_probability"] > 0.99
         text = capsys.readouterr().out
         assert "reference" in text
 
-    def test_subthreshold_exit_nonzero(self, tmp_path, capsys):
-        out = str(tmp_path / "sub")
-        assert run_cli(["--out", out, "plan", "--v-atph", "0.5"]) == 1
-        assert "no violation" in capsys.readouterr().err
-        assert not os.path.exists(out + ".plan.json")
+    def test_subthreshold_exit_nonzero(self, tmp_path, refused):
+        refused(["--out", str(tmp_path / "sub"), "plan", "--v-atph", "0.5"], "no violation")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("field", [key for key, _, _ in cli._PLAN_KEYS])
-    def test_non_finite_field_named(self, tmp_path, capsys, field, value):
-        out = str(tmp_path / "nf")
-        assert run_cli(["--out", out, "plan", f"--{field.replace('_', '-')}={value}"]) == 1
-        assert f"{field} must be a finite number" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
+    def test_non_finite_field_named(self, tmp_path, refused, field, value):
+        refused(["--out", str(tmp_path / "nf"), "plan", f"--{field.replace('_', '-')}={value}"],
+                f"{field} must be a finite number")
 
     @pytest.mark.parametrize("flags, field", [
         (["--n-lifetimes", "1e308", "--lifetime-tau", "10"], "min_separation"),
         (["--rep-rate", "1e-300"], "duration"),
         (["--target-sigmas", "1e200"], "pairs_needed"),
     ])
-    def test_overflowing_report_field_named(self, tmp_path, capsys, flags, field):
-        out = str(tmp_path / "of")
-        assert run_cli(["--out", out, "plan", *flags]) == 1
-        assert f"{field} overflows" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
+    def test_overflowing_report_field_named(self, tmp_path, refused, flags, field):
+        refused(["--out", str(tmp_path / "of"), "plan", *flags], f"{field} overflows")
 
     @pytest.mark.parametrize("flags, message", [
         (["--eta-ph", "0"], "eta_ph must lie in (0, 1], got 0.0"),
@@ -475,11 +426,8 @@ class TestPlanCmd:
         (["--target-sigmas", "0"], "target_sigmas must be positive, got 0.0"),
         (["--eta-ph", "1e-200"], "pair_rate underflows to 0"),
     ])
-    def test_zero_rate_field_named(self, tmp_path, capsys, flags, message):
-        out = str(tmp_path / "zr")
-        assert run_cli(["--out", out, "plan", *flags]) == 1
-        assert f"error: {message}" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
+    def test_zero_rate_field_named(self, tmp_path, refused, flags, message):
+        refused(["--out", str(tmp_path / "zr"), "plan", *flags], f"error: {message}")
 
     @pytest.mark.parametrize("field, value, rule", [
         ("v_atph", "1.5", "lie in [0, 1]"),
@@ -490,13 +438,11 @@ class TestPlanCmd:
         ("n_lifetimes", "-1", "be non-negative"),
         ("measurement_window", "-1e-6", "be non-negative"),
     ])
-    def test_out_of_range_field_named(self, tmp_path, capsys, field, value, rule):
+    def test_out_of_range_field_named(self, tmp_path, refused, field, value, rule):
         """`ExperimentPlan` is the one gate on every field: the helpers
         `build_plan` calls do not check them again."""
-        out = str(tmp_path / "or")
-        assert run_cli(["--out", out, "plan", f"--{field.replace('_', '-')}={value}"]) == 1
-        assert f"error: {field} must {rule}, got {float(value)}" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
+        refused(["--out", str(tmp_path / "or"), "plan", f"--{field.replace('_', '-')}={value}"],
+                f"error: {field} must {rule}, got {float(value)}")
 
 
 class TestConfigFile:
@@ -510,32 +456,27 @@ class TestConfigFile:
             "bases = sx\n"
         )
         out = str(tmp_path / "cfg")
-        assert run_cli(["--config", str(cfg), "--seed", "8", "--out", out, "scan"]) == 0
+        assert main(["--config", str(cfg), "--seed", "8", "--out", out, "scan"]) == 0
         ds = read_counts_csv(out + ".counts.csv")
         assert len(ds.records) == 9
         assert ds.records[0].sum() == 120
         assert ds.metadata["noise"]["depolarizing"] == 0.2
         # flag overrides the file value
         out2 = str(tmp_path / "cfg2")
-        assert run_cli(["--config", str(cfg), "--seed", "8", "--out", out2, "scan",
-                        "--n-points", "6"]) == 0
+        assert main(["--config", str(cfg), "--seed", "8", "--out", out2, "scan",
+                     "--n-points", "6"]) == 0
         assert len(read_counts_csv(out2 + ".counts.csv").records) == 6
 
-    def test_malformed_config_rejected(self, tmp_path, capsys):
+    def test_malformed_config_rejected(self, tmp_path, refused):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("depolarizing 0.2\n")
-        assert run_cli(["--config", str(cfg), "--out", str(tmp_path / "x"), "scan"]) == 1
-        assert "key = value" in capsys.readouterr().err
+        refused(["--config", str(cfg), "--out", str(tmp_path / "x"), "scan"], "key = value")
 
-    def test_unknown_key_named_with_file_and_line(self, tmp_path, capsys):
+    def test_unknown_key_named_with_file_and_line(self, tmp_path, refused):
         cfg = tmp_path / "typo.cfg"
         cfg.write_text("n_points = 9\ndepolarising = 0.3\n")
-        out = str(tmp_path / "typo")
-        assert run_cli(["--config", str(cfg), "--out", out, "scan"]) == 1
-        err = capsys.readouterr().err
-        assert f"{cfg}:2:" in err
+        err = refused(["--config", str(cfg), "--out", str(tmp_path / "typo"), "scan"], f"{cfg}:2:")
         assert "depolarising" in err
-        assert not os.path.exists(out + ".counts.csv")
 
     @pytest.mark.parametrize("line, command", [
         ("bootstrap = 2.5", "tomo"),
@@ -543,55 +484,48 @@ class TestConfigFile:
         ("vx = 0.9.1", "calibrate"),
         ("rep_rate = fast", "plan"),
     ])
-    def test_unparsable_value_named_with_file_key_and_value(self, tmp_path, capsys, line,
+    def test_unparsable_value_named_with_file_key_and_value(self, tmp_path, refused, line,
                                                             command):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"# values\n{line}\n")
-        out = str(tmp_path / "bad")
-        assert run_cli(["--config", str(cfg), "--out", out, command]) == 1
         key, value = (part.strip() for part in line.split("="))
-        assert f"{cfg}:2: {key} = {value!r} is not a valid" in capsys.readouterr().err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg"]
+        refused(["--config", str(cfg), "--out", str(tmp_path / "bad"), command],
+                f"{cfg}:2: {key} = {value!r} is not a valid")
 
-    def test_repeated_key_named_with_both_lines(self, tmp_path, capsys):
+    def test_repeated_key_named_with_both_lines(self, tmp_path, refused):
         cfg = tmp_path / "twice.cfg"
         cfg.write_text("depolarizing = 0.1\nn_points = 9\ndepolarizing = 0.3\n")
-        out = str(tmp_path / "twice")
-        assert run_cli(["--config", str(cfg), "--out", out, "scan"]) == 1
-        err = capsys.readouterr().err
-        assert f"{cfg}:3: config key 'depolarizing' repeated, first set on line 1" in err
-        assert not os.path.exists(out + ".counts.csv")
+        refused(["--config", str(cfg), "--out", str(tmp_path / "twice"), "scan"],
+                f"{cfg}:3: config key 'depolarizing' repeated, first set on line 1")
 
     def test_byte_order_mark_accepted(self, tmp_path):
         text = "depolarizing = 0.2\nn_points = 6\n"
         (tmp_path / "plain.cfg").write_text(text, encoding="utf-8")
         (tmp_path / "bom.cfg").write_text(text, encoding="utf-8-sig")
         for name in ("plain", "bom"):
-            assert run_cli(["--config", str(tmp_path / f"{name}.cfg"), "--seed", "4",
-                            "--out", str(tmp_path / name), "scan"]) == 0
+            assert main(["--config", str(tmp_path / f"{name}.cfg"), "--seed", "4",
+                         "--out", str(tmp_path / name), "scan"]) == 0
         for suffix in (".counts.csv", ".fringes.csv", ".metrics.json"):
             assert (tmp_path / f"bom{suffix}").read_bytes() == \
                 (tmp_path / f"plain{suffix}").read_bytes()
 
-    def test_undecodable_config_named(self, tmp_path, capsys):
+    def test_undecodable_config_named(self, tmp_path, refused):
         cfg = tmp_path / "latin1.cfg"
         cfg.write_bytes(b"# d\xe9phasage\ndephasing = 0.1\n")
-        assert run_cli(["--config", str(cfg), "--out", str(tmp_path / "x"), "scan"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {cfg}: ") and "can't decode byte 0xe9" in err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["latin1.cfg"]
+        assert refused(["--config", str(cfg), "--out", str(tmp_path / "x"), "scan"],
+                       "can't decode byte 0xe9").startswith(f"error: {cfg}: ")
 
     def test_hash_inside_value_kept(self, tmp_path):
         """A '#' opens a comment only at a line's start or after a space or
         tab; inside a value it is part of the value."""
         (tmp_path / "d#1").mkdir()
         src = str(tmp_path / "d#1" / "x#y")
-        assert run_cli(["--seed", "3", "--out", src, "tomo", "--bootstrap", "0"]) == 0
+        assert main(["--seed", "3", "--out", src, "tomo", "--bootstrap", "0"]) == 0
         cfg = tmp_path / "hash.cfg"
         cfg.write_text(f"# ingest\ninput = {src}.counts.csv  # trailing comment\n"
                        "bootstrap = 0\t# after a tab\n")
         out = str(tmp_path / "fit")
-        assert run_cli(["--config", str(cfg), "--out", out, "tomo"]) == 0
+        assert main(["--config", str(cfg), "--out", out, "tomo"]) == 0
         assert (tmp_path / "fit.state.json").read_bytes() == \
             (tmp_path / "d#1" / "x#y.state.json").read_bytes()
 
@@ -607,7 +541,7 @@ class TestConfigFile:
         )
         for command in ("scan", "tomo", "calibrate", "plan"):
             out = str(tmp_path / command)
-            assert run_cli(["--config", str(cfg), "--out", out, command]) == 0
+            assert main(["--config", str(cfg), "--out", out, command]) == 0
         assert len(read_counts_csv(str(tmp_path / "scan.counts.csv")).records) == 12
         tomo = read_counts_csv(str(tmp_path / "tomo.counts.csv"))
         assert tomo.records[0].sum() == 50
@@ -687,27 +621,19 @@ class TestFlagValidation:
         (["scan", "--n-per-point", str(2**53 + 1)], "n_per_point"),
         (["scan", "--n-per-point", "100000000000000000000"], "n_per_point"),
     ])
-    def test_rejected_and_named(self, tmp_path, capsys, argv, name):
-        out = str(tmp_path / "bad")
-        assert run_cli(["--out", out, *argv]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.count("\n") == 1
-        assert captured.err.startswith("error: ") and name in captured.err
-        assert list(tmp_path.iterdir()) == []
+    def test_rejected_and_named(self, tmp_path, refused, argv, name):
+        refused(["--out", str(tmp_path / "bad"), *argv], name)
 
     @pytest.mark.parametrize("argv", [["plan"], ["scan"], ["tomo", "--bootstrap", "0"],
                                       ["calibrate"]])
-    def test_empty_out_refused(self, tmp_path, monkeypatch, capsys, argv):
+    def test_empty_out_refused(self, tmp_path, monkeypatch, refused, argv):
         """A prefix with no file name part would write hidden files such as
         .plan.json into the working directory, or d/.plan.json and
         d/..plan.json into d."""
         monkeypatch.chdir(tmp_path)
         (tmp_path / "d").mkdir()
         for out in ("", "d/", "d/.", "d/.."):
-            assert run_cli(["--out", out, *argv]) == 1
-            err = capsys.readouterr().err
-            assert err.startswith("error: --out ") and err.count("\n") == 1
-            assert [p.name for p in tmp_path.rglob("*")] == ["d"]
+            assert refused(["--out", out, *argv], "--out ").startswith("error: --out ")
 
 
 class TestOversizeRequest:
@@ -716,36 +642,31 @@ class TestOversizeRequest:
 
     @pytest.mark.parametrize("target, argv, detail, message", [
         ("simulate_settings", ["scan", "--n-points", "5", "--n-per-point", "7"], "",
-         "error: scan: out of memory at n_points = 5, n_per_point = 7\n"),
+         "error: scan: out of memory at n_points = 5, n_per_point = 7"),
         ("bootstrap_metrics", ["tomo", "--n-per-setting", "20", "--bootstrap", "3"],
          "Unable to allocate 8.38 GiB",
          "error: tomo: out of memory at n_per_setting = 20, bootstrap = 3 "
-         "(Unable to allocate 8.38 GiB)\n"),
+         "(Unable to allocate 8.38 GiB)"),
     ], ids=["scan", "tomo"])
-    def test_named_by_size_fields(self, tmp_path, monkeypatch, capsys, target, argv, detail,
+    def test_named_by_size_fields(self, tmp_path, monkeypatch, refused, target, argv, detail,
                                   message):
         def oversize(*args, **kwargs):
             raise MemoryError(detail)
         monkeypatch.setattr(cli, target, oversize)
-        assert run_cli(["--out", str(tmp_path / "big"), *argv]) == 1
-        assert capsys.readouterr() == ("", message)
-        assert list(tmp_path.iterdir()) == []
+        assert refused(["--out", str(tmp_path / "big"), *argv], message) == message
 
-    def test_input_named_by_bootstrap_alone(self, tmp_path, monkeypatch, capsys):
+    def test_input_named_by_bootstrap_alone(self, tmp_path, monkeypatch, refused):
         """`--input` simulates nothing, so the line names no `n_per_setting`
         (its default would be named though the run never used it)."""
         csv_path = tmp_path / "ci.counts.csv"
         commit(counts_files(simulate_tomography(ideal_state(), 30, seed=7), csv_path))
-        before = sorted(tmp_path.iterdir())
 
         def oversize(*args, **kwargs):
             raise MemoryError("Unable to allocate 8.38 GiB")
         monkeypatch.setattr(cli, "bootstrap_metrics", oversize)
-        assert run_cli(["--out", str(tmp_path / "big"), "tomo", "--input", str(csv_path),
-                        "--bootstrap", "5"]) == 1
-        assert capsys.readouterr() == (
-            "", "error: tomo: out of memory at bootstrap = 5 (Unable to allocate 8.38 GiB)\n")
-        assert sorted(tmp_path.iterdir()) == before
+        message = "error: tomo: out of memory at bootstrap = 5 (Unable to allocate 8.38 GiB)"
+        assert refused(["--out", str(tmp_path / "big"), "tomo", "--input", str(csv_path),
+                        "--bootstrap", "5"], message) == message
 
 
 class TestInterruptedRun:
@@ -754,18 +675,18 @@ class TestInterruptedRun:
             raise KeyboardInterrupt
         monkeypatch.setattr(cli, "bootstrap_metrics", interrupted)
         with pytest.raises(KeyboardInterrupt):
-            run_cli(["--seed", "7", "--out", str(tmp_path / "run"), "tomo", "--bootstrap", "5"])
+            main(["--seed", "7", "--out", str(tmp_path / "run"), "tomo", "--bootstrap", "5"])
         assert list(tmp_path.iterdir()) == []
 
 
 class TestCountsCsvIngest:
     def test_byte_order_mark_accepted(self, tmp_path):
         src = str(tmp_path / "src")
-        assert run_cli(["--seed", "3", "--out", src, "tomo", "--bootstrap", "0"]) == 0
+        assert main(["--seed", "3", "--out", src, "tomo", "--bootstrap", "0"]) == 0
         bom = tmp_path / "bom.csv"
         bom.write_bytes(b"\xef\xbb\xbf" + Path(src + ".counts.csv").read_bytes())
         out = str(tmp_path / "bom")
-        assert run_cli(["--out", out, "tomo", "--bootstrap", "0", "--input", str(bom)]) == 0
+        assert main(["--out", out, "tomo", "--bootstrap", "0", "--input", str(bom)]) == 0
         assert Path(out + ".state.json").read_text() == Path(src + ".state.json").read_text()
 
     @pytest.mark.parametrize("text, message", [
@@ -773,86 +694,79 @@ class TestCountsCsvIngest:
         ("theta,phi,beta,n_f2_apd1,n_f2_apd2,n_f1_apd1,n_f1_apd2,photon_basis\n",
          "no records"),
     ])
-    def test_empty_csv_names_file(self, tmp_path, capsys, text, message):
+    def test_empty_csv_names_file(self, tmp_path, refused, text, message):
         path = tmp_path / "empty.csv"
         path.write_text(text)
-        assert run_cli(["--out", str(tmp_path / "o"), "tomo", "--input", str(path)]) == 1
-        err = capsys.readouterr().err
-        assert str(path) in err and message in err
+        assert str(path) in refused(["--out", str(tmp_path / "o"), "tomo", "--input", str(path)],
+                                    message)
 
     @pytest.mark.parametrize("row, message", [
         (b"0.78\xff,0,0,10,20,30,40,linear\n", "can't decode byte 0xff"),
         (b"0,0,0,10,20,30,40," + b"x" * 131_073 + b"\n", "field larger than field limit"),
     ], ids=["non-utf8-byte", "oversized-field"])
-    def test_unreadable_csv_refused(self, tmp_path, capsys, row, message):
+    def test_unreadable_csv_refused(self, tmp_path, refused, row, message):
         path = tmp_path / "bad.counts.csv"
         path.write_bytes(b"theta,phi,beta,n_f2_apd1,n_f2_apd2,n_f1_apd1,n_f1_apd2,photon_basis\n"
                          + row)
-        assert run_cli(["--out", str(tmp_path / "o"), "tomo", "--input", str(path)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}: ") and message in err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.counts.csv"]
+        assert refused(["--out", str(tmp_path / "o"), "tomo", "--input", str(path)],
+                       message).startswith(f"error: {path}: ")
 
     @pytest.mark.parametrize("sidecar, message", [
         ('{"exact": "false"}', "field 'exact' must be true or false, got \"false\""),
         ("[1, 2]", "expected a JSON object, got [1, 2]"),
     ], ids=["string-exact", "array"])
-    def test_bad_sidecar_refused(self, tmp_path, capsys, sidecar, message):
+    def test_bad_sidecar_refused(self, tmp_path, refused, sidecar, message):
         src = str(tmp_path / "src")
-        assert run_cli(["--out", src, "tomo", "--bootstrap", "0"]) == 0
+        assert main(["--out", src, "tomo", "--bootstrap", "0"]) == 0
         meta = tmp_path / "src.counts.meta.json"
         meta.write_text(sidecar)
-        out = str(tmp_path / "o")
-        assert run_cli(["--out", out, "tomo", "--input", src + ".counts.csv"]) == 1
-        assert capsys.readouterr().err == f"error: {meta}: {message}\n"
-        assert not os.path.exists(out + ".state.json")
+        assert refused(["--out", str(tmp_path / "o"), "tomo", "--input", src + ".counts.csv"],
+                       message) == f"error: {meta}: {message}"
+
+
+@pytest.fixture
+def seed7(tmp_path):
+    """The prefix of a `--seed 7 tomo --bootstrap 0` run in tmp_path."""
+    src = str(tmp_path / "s7")
+    assert main(["--seed", "7", "--out", src, "tomo", "--bootstrap", "0"]) == 0
+    return src
 
 
 class TestOutOfRangeCountsCsv:
     """Numbers a counts CSV or its sidecar cannot hold are refused by name,
     with one error line and no artifact."""
 
-    @pytest.fixture
-    def src(self, tmp_path, capsys):
-        src = str(tmp_path / "src")
-        assert run_cli(["--seed", "7", "--out", src, "tomo", "--bootstrap", "0"]) == 0
-        capsys.readouterr()
-        return src
-
-    def refused(self, tmp_path, capsys, path, error):
-        before = sorted(p.name for p in tmp_path.iterdir())
-        assert run_cli(["--out", str(tmp_path / "o"), "tomo", "--input", str(path)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.count("\n") == 1
-        assert captured.err.startswith(f"error: {error}")
-        assert sorted(p.name for p in tmp_path.iterdir()) == before
-
     @pytest.mark.parametrize("value", ["1e300", str(2**53 + 2)])
-    def test_count_beyond_float_exactness_named(self, tmp_path, capsys, src, value):
+    def test_count_beyond_float_exactness_named(self, tmp_path, refused, seed7, value):
         """Cells of 1e300 fit as "converged" through an overflowing gap bound
         before they were refused."""
         big = tmp_path / "big.counts.csv"
-        rewrite_counts(src + ".counts.csv", big,
+        rewrite_counts(seed7 + ".counts.csv", big,
                        cell=lambda row, name, v: value if row == 2 else v)
-        self.refused(tmp_path, capsys, big, f"{big}: row 2: counts must be four finite "
-                     "non-negative cells of at most 2**53")
+        error = (f"error: {big}: row 2: counts must be four finite non-negative cells of at "
+                 "most 2**53")
+        assert refused(["--out", str(tmp_path / "o"), "tomo", "--input", str(big)],
+                       error).startswith(error)
 
-    def test_refused_sum_names_its_rows(self, tmp_path, capsys):
+    def test_refused_sum_names_its_rows(self, tmp_path, refused):
         """Rows each within 2**53 whose sum at one setting is beyond it are
         refused under the rows summed."""
         settings = canonical_settings()
         path = tmp_path / "sum.counts.csv"
         commit(counts_files(Dataset(settings + settings[:1],
                                     [[2**52, 1, 1, 1]] * 9 + [[2**52 + 2, 0, 0, 0]]), path))
-        self.refused(tmp_path, capsys, path, "setting 1 (rows 1 and 10 summed): counts must "
-                     "be four finite non-negative cells of at most 2**53\n")
+        error = ("error: setting 1 (rows 1 and 10 summed): counts must be four finite "
+                 "non-negative cells of at most 2**53")
+        assert refused(["--out", str(tmp_path / "o"), "tomo", "--input", str(path)],
+                       error) == error
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
-    def test_non_finite_sidecar_named(self, tmp_path, capsys, src, value):
-        meta = Path(src + ".counts.meta.json")
+    def test_non_finite_sidecar_named(self, tmp_path, refused, seed7, value):
+        meta = Path(seed7 + ".counts.meta.json")
         meta.write_text(meta.read_text().replace('"exact": false', f'"exact": false, "x": {value}'))
-        self.refused(tmp_path, capsys, src + ".counts.csv",
-                     f"{meta}: Out of range float values are not JSON compliant")
+        error = f"error: {meta}: Out of range float values are not JSON compliant"
+        assert refused(["--out", str(tmp_path / "o"), "tomo", "--input", seed7 + ".counts.csv"],
+                       error).startswith(error)
 
 
 def rewrite_counts(src, dst, angle=None, cell=None):
@@ -881,57 +795,46 @@ class TestLabCounts:
     """Counts CSVs as a lab writes them: rounded angles are fit through their
     own design; degrees and fractional sampled counts are refused."""
 
-    @pytest.fixture
-    def seed7(self, tmp_path, capsys):
-        src = str(tmp_path / "s7")
-        assert run_cli(["--seed", "7", "--out", src, "tomo", "--bootstrap", "0"]) == 0
-        capsys.readouterr()
-        return src
-
     def test_six_digit_angles_accepted(self, tmp_path, seed7):
         rounded = tmp_path / "r6.counts.csv"
         rewrite_counts(seed7 + ".counts.csv", rounded, angle=lambda v: f"{float(v):.6f}")
         out = str(tmp_path / "r6")
-        assert run_cli(["--out", out, "tomo", "--bootstrap", "0", "--input", str(rounded)]) == 0
+        assert main(["--out", out, "tomo", "--bootstrap", "0", "--input", str(rounded)]) == 0
         got, want = (read_json(p + ".metrics.json") for p in (out, seed7))
         assert got["fit_report"]["converged"] and got["fit_report"]["iterations"] == 8
         assert abs(got["fidelity"] - want["fidelity"]) <= 1e-6
 
-    def test_degrees_refused(self, tmp_path, capsys, seed7):
+    def test_degrees_refused(self, tmp_path, refused, seed7):
         degrees = tmp_path / "deg.counts.csv"
         rewrite_counts(seed7 + ".counts.csv", degrees,
                        angle=lambda v: repr(math.degrees(float(v))))
-        out = str(tmp_path / "deg")
-        assert run_cli(["--out", out, "tomo", "--input", str(degrees)]) == 1
-        assert capsys.readouterr().err == (f"error: {degrees}: row 1: field 'theta' is 45.0, "
-                                           "beyond 2 pi in magnitude: angles are radians\n")
-        assert list(tmp_path.glob("deg.*")) == [degrees]
+        error = (f"error: {degrees}: row 1: field 'theta' is 45.0, beyond 2 pi in magnitude: "
+                 "angles are radians")
+        assert refused(["--out", str(tmp_path / "deg"), "tomo", "--input", str(degrees)],
+                       error) == error
 
-    def test_fractional_sampled_count_refused(self, tmp_path, capsys, seed7):
+    def test_fractional_sampled_count_refused(self, tmp_path, refused, seed7):
         half = seed7 + ".counts.csv"
         rewrite_counts(half, half, cell=add_half)   # in place, next to its sampled sidecar
-        out = str(tmp_path / "half")
-        assert run_cli(["--out", out, "tomo", "--input", str(half)]) == 1
-        err = capsys.readouterr().err
+        err = refused(["--out", str(tmp_path / "half"), "tomo", "--input", str(half)],
+                      "not a whole number of counts")
         assert err.startswith(f"error: {half}: row 3: field 'n_f1_apd1' is ")
         sidecar = tmp_path / "s7.counts.meta.json"
         assert err.endswith(f'not a whole number of counts, and {sidecar} does not say "exact": '
-                            'true\n')
-        assert not list(tmp_path.glob("half.*"))
+                            'true')
 
-    def test_fractional_counts_without_sidecar_not_resampled(self, tmp_path, capsys, seed7):
+    def test_fractional_counts_without_sidecar_not_resampled(self, tmp_path, refused, seed7):
         """Without a sidecar the counts are fit as given; the bootstrap, which
         draws whole numbers of trials, refuses them and nothing is written."""
         half = tmp_path / "half.counts.csv"
         rewrite_counts(seed7 + ".counts.csv", half, cell=add_half)
         out = str(tmp_path / "out")
-        assert run_cli(["--out", out, "tomo", "--input", str(half)]) == 1
-        assert "error: bootstrap: setting totals" in capsys.readouterr().err
-        assert not list(tmp_path.glob("out.*"))
-        assert run_cli(["--out", out, "tomo", "--bootstrap", "0", "--input", str(half)]) == 0
+        refused(["--out", out, "tomo", "--input", str(half)], "error: bootstrap: setting totals")
+        assert main(["--out", out, "tomo", "--bootstrap", "0", "--input", str(half)]) == 0
 
 
 class TestImports:
+    @pytest.mark.threaded_blas
     def test_scipy_and_lazy_numpy_modules_stay_off_the_command_path(self, cli_runs):
         """scipy is for calibrate alone; the numpy modules that the first tomo
         or scan would import lazily are loaded with the package instead, and
@@ -960,6 +863,7 @@ def assert_json_close(a, b, where=""):
         assert a == b, where
 
 
+@pytest.mark.threaded_blas
 class TestCrossProcess:
     """The determinism contract across processes, read from `cli_runs`: one
     command list in fresh interpreters that differ only in PYTHONHASHSEED or

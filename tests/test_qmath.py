@@ -165,6 +165,7 @@ class TestPartialTranspose:
         with pytest.raises(ValueError, match="subsystem must be 'atom' or 'photon'"):
             qmath.partial_transpose(ideal_state(), sub)
 
+    @pytest.mark.threaded_blas
     def test_stack_rows_transposed_alone(self):
         rng = np.random.default_rng(7)
         stack = np.array([random_density_matrix(rng) for _ in range(6)]).reshape(2, 3, 4, 4)

@@ -866,6 +866,7 @@ class TestAgainstLbfgsReference:
         assert not report.converged and report.iterations < tomography.MLE_MAX_ITER
         assert at_or_below(-report.log_likelihood, lbfgs_reference_nll(ts.counts))
 
+    @pytest.mark.threaded_blas
     def test_high_count_fit_reports_its_bound_truthfully(self):
         """The ideal state at 10^6 counts, seed 2, where the half-count cells
         make the fit crawl: whether it certifies or stalls, `converged` is the
@@ -879,7 +880,7 @@ class TestAgainstLbfgsReference:
         assert report.converged == (report.gap_bound ** 2 <= tomography.MLE_GAP_TOL * n * abs(f))
         assert at_or_below(f, lbfgs_reference_nll(ts.counts))
 
-
+    @pytest.mark.threaded_blas
     def test_high_count_fit_certifies(self):
         """The same data: the Newton finish on the face of the nearly pure
         optimum certifies the fit, well before MLE_MAX_ITER, at or below
@@ -890,6 +891,7 @@ class TestAgainstLbfgsReference:
         assert at_or_below(-report.log_likelihood, lbfgs_reference_nll(ts.counts))
 
 
+@pytest.mark.threaded_blas
 class TestGapBound:
     def test_bound_covers_excess_over_long_run(self, monkeypatch):
         """Each fit's excess over the lower of two references, L-BFGS-B and a
@@ -1012,6 +1014,7 @@ class TestKernels:
         rho = qmath.states(kernel_inputs("states")[0])
         assert np.array_equal(rho, rho.conj().transpose(0, 2, 1))
 
+    @pytest.mark.threaded_blas
     @pytest.mark.parametrize("height", [1, 2, 7, 250])
     @pytest.mark.parametrize("name", ORACLES)
     def test_rows_equal_rows_alone(self, name, height):
@@ -1066,6 +1069,7 @@ class TestBootstrap:
     def test_percentile_matches_numpy_bit_for_bit(self, values, q):
         assert _percentile(sorted(values), q) == float(np.percentile(values, q))
 
+    @pytest.mark.threaded_blas
     def test_deterministic_and_order_independent(self):
         ds = simulate_tomography(werner(5 / 6), 200, seed=5)
         ts = TomographySet.from_dataset(ds)
@@ -1083,6 +1087,7 @@ class TestBootstrap:
         assert 0.003 < out["fidelity"]["std"] < 0.04
         assert out["fidelity"]["ci95"][0] < out["fidelity"]["mean"] < out["fidelity"]["ci95"][1]
 
+    @pytest.mark.threaded_blas
     def test_replicas_are_standalone_refits_of_one_draw(self, monkeypatch):
         """The replicas are the rows, in order, of one multinomial draw from
         default_rng(seed), the first R replicas of an (R + 3)-replica
@@ -1123,6 +1128,7 @@ class TestBootstrap:
         }
         assert out == expected
 
+    @pytest.mark.threaded_blas
     def test_stack_rows_equal_standalone_fits(self):
         """Rows that stop at different iterations leave the stack at
         different times; each still equals its fit alone, bit for bit. The
@@ -1139,6 +1145,7 @@ class TestBootstrap:
                                          linear_inversions(stack[k:k + 1]))
             assert np.array_equal(xk[0], x[k]) and fk[0] == f[k] and ik[0] == iterations[k]
 
+    @pytest.mark.threaded_blas
     def test_mixed_faces_stack_rows_equal_rows_alone(self, monkeypatch):
         """A stack whose rows finish on faces of rank 3 and of rank 4, with a
         row whose first Newton finish fails and hands back to projected
@@ -1171,6 +1178,7 @@ class TestBootstrap:
             assert np.array_equal(xk[0], x[k]) and fk[0] == f[k]
             assert ik[0] == iterations[k] and ck[0] == converged[k]
 
+    @pytest.mark.threaded_blas
     def test_failed_line_search_rows_equal_rows_alone(self, monkeypatch):
         """With _MIN_DAMPING = 1 a Newton step that misses the Armijo decrease
         at full length fails its line search at once, which hands the row
@@ -1204,6 +1212,7 @@ class TestBootstrap:
             assert np.array_equal(xk[0], x[k]) and fk[0] == f[k]
             assert ik[0] == iterations[k] and ck[0] == converged[k]
 
+    @pytest.mark.threaded_blas
     def test_stacked_metrics_equal_rows_alone(self):
         """Each metric of an (R, 4, 4) stack equals, bit for bit, the metric of
         each row alone, as a stack of one and as one 4x4 state, and the
