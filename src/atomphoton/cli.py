@@ -53,7 +53,6 @@ from .tomography import (
     bootstrap_metrics,
     mle_reconstruct,
     simulate_tomography,
-    state_payload,
 )
 
 # Noise preset reproducing the demonstrated source: depolarizing weight
@@ -61,6 +60,8 @@ from .tomography import (
 DEFAULT_NOISE = NoiseModel(depolarizing=0.14)
 
 ATOM_BASES = {"sx": ATOM_SX, "sy": ATOM_SY}
+# the basis of the density matrix in <prefix>.state.json
+BASIS_CONVENTION = "atom (|mF=-1>,|mF=+1>) x photon (|sigma+>,|sigma->)"
 
 
 def parse_config(path):
@@ -235,7 +236,12 @@ def cmd_tomo(args, params):
     elif params["bootstrap"] > 0:
         metrics["bootstrap"] = bootstrap_metrics(
             rho_hat, ts, n_replicas=params["bootstrap"], seed=args.seed)
-    files[args.out + ".state.json"] = json_text(state_payload(rho_hat, report))
+    files[args.out + ".state.json"] = json_text({
+        "real": np.real(rho_hat).tolist(),
+        "imag": np.imag(rho_hat).tolist(),
+        "basis": BASIS_CONVENTION,
+        "fit_report": metrics["fit_report"],
+    })
     files[args.out + ".metrics.json"] = json_text({"command": "tomo", "seed": args.seed,
                                                    "exact": ts.exact, **metrics})
     commit(files)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,8 +41,6 @@ from .states import NoiseModel
 
 PAULI_LABELS = np.array([a + b for a in "ixyz" for b in "ixyz"])   # "ii" .. "zz": atom, photon
 _RANKS = np.arange(1.0, 5.0)   # the ranks 1 .. 4 `_projection` divides by
-
-BASIS_CONVENTION = "atom (|mF=-1>,|mF=+1>) x photon (|sigma+>,|sigma->)"
 
 
 def canonical_settings():
@@ -575,17 +573,3 @@ def _percentile(ranked, q):
     lo = math.floor(h)
     a, b, g = ranked[lo], ranked[min(lo + 1, len(ranked) - 1)], h - lo
     return a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g)
-
-
-# ----------------------------------------------------------------------
-# Reconstructed-state JSON
-# ----------------------------------------------------------------------
-
-def state_payload(rho, fit_report):
-    """The payload of a <prefix>.state.json: rho in BASIS_CONVENTION, and the fit report."""
-    return {
-        "real": np.real(rho).tolist(),
-        "imag": np.imag(rho).tolist(),
-        "basis": BASIS_CONVENTION,
-        "fit_report": asdict(fit_report),
-    }

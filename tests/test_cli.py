@@ -39,6 +39,14 @@ def read_state_json(path):
     return np.array(payload["real"]) + 1j * np.array(payload["imag"])
 
 
+@pytest.fixture
+def seed7(tmp_path):
+    """The prefix of a `--seed 7 tomo --bootstrap 0` run in tmp_path."""
+    src = str(tmp_path / "s7")
+    assert main(["--seed", "7", "--out", src, "tomo", "--bootstrap", "0"]) == 0
+    return src
+
+
 class TestScan:
     def test_default_scan_artifacts(self, tmp_path, capsys):
         out = str(tmp_path / "run")
@@ -236,7 +244,9 @@ class TestTomo:
         assert abs(np.trace(rho).real - 1.0) < 1e-9
         assert np.min(np.linalg.eigvalsh(rho)) >= -1e-9
         payload = read_json(out + ".state.json")
-        assert "basis" in payload
+        assert payload.keys() == {"basis", "fit_report", "imag", "real"}
+        assert payload["basis"] == "atom (|mF=-1>,|mF=+1>) x photon (|sigma+>,|sigma->)"
+        assert payload["fit_report"] == read_json(out + ".metrics.json")["fit_report"]
         assert payload["fit_report"]["converged"]
 
     def test_real_part_table_printed(self, tmp_path, capsys):
@@ -264,13 +274,12 @@ class TestTomo:
         for suffix in (".counts.csv", ".state.json", ".metrics.json"):
             assert Path(plain + suffix).read_bytes() == Path(boot + suffix).read_bytes()
 
-    def test_bootstrap_skip_follows_the_data_not_the_flag(self, tmp_path, capsys):
+    def test_bootstrap_skip_follows_the_data_not_the_flag(self, tmp_path, capsys, seed7):
         """`tomo --input` reads the data's mode from the counts sidecar:
         expected counts skip the bootstrap without --exact, sampled counts
         get it with --exact, and metrics.json records the data's mode."""
-        exact_src, sampled_src = str(tmp_path / "exact_src"), str(tmp_path / "sampled_src")
+        exact_src = str(tmp_path / "exact_src")
         assert main(["--exact", "--out", exact_src, "tomo", "--bootstrap", "0"]) == 0
-        assert main(["--seed", "3", "--out", sampled_src, "tomo", "--bootstrap", "0"]) == 0
         capsys.readouterr()
 
         out = str(tmp_path / "exact_in")
@@ -282,7 +291,7 @@ class TestTomo:
 
         out = str(tmp_path / "sampled_in")
         assert main(["--exact", "--out", out, "tomo", "--bootstrap", "4",
-                     "--input", sampled_src + ".counts.csv"]) == 0
+                     "--input", seed7 + ".counts.csv"]) == 0
         assert capsys.readouterr().err == ""
         metrics = read_json(out + ".metrics.json")
         assert metrics["exact"] is False
@@ -296,13 +305,11 @@ class TestTomo:
         cfg.write_text("bootstrap = -2\n")
         refused(["--config", str(cfg), "--out", str(tmp_path / "neg"), "tomo"], "bootstrap")
 
-    def test_ingest_external_counts(self, tmp_path):
-        src = str(tmp_path / "src")
-        assert main(["--seed", "3", "--out", src, "tomo", "--bootstrap", "0"]) == 0
+    def test_ingest_external_counts(self, tmp_path, seed7):
         out = str(tmp_path / "ingest")
         assert main(["--out", out, "tomo", "--bootstrap", "0",
-                     "--input", src + ".counts.csv"]) == 0
-        m_src = read_json(src + ".metrics.json")
+                     "--input", seed7 + ".counts.csv"]) == 0
+        m_src = read_json(seed7 + ".metrics.json")
         m_out = read_json(out + ".metrics.json")
         assert abs(m_src["fidelity"] - m_out["fidelity"]) < 1e-9
 
@@ -313,34 +320,28 @@ class TestTomo:
         (["--eps01", "0.3"], "--eps01"),
         (["--eps10", "0.3"], "--eps10"),
     ])
-    def test_simulation_flags_refused_with_input(self, tmp_path, refused, argv, flag):
+    def test_simulation_flags_refused_with_input(self, tmp_path, refused, seed7, argv, flag):
         """`--input` counts ignore every simulation flag, so one passed beside
         it is an error that names it (and any other passed), with no artifact."""
-        src = str(tmp_path / "src")
-        assert main(["--seed", "3", "--out", src, "tomo", "--bootstrap", "0"]) == 0
         out = str(tmp_path / "in")
-        assert refused(["--out", out, "tomo", "--bootstrap", "0", "--input", src + ".counts.csv",
+        assert refused(["--out", out, "tomo", "--bootstrap", "0", "--input", seed7 + ".counts.csv",
                         *argv], flag).startswith("error: --input ")
-        assert "--eps10" in refused(["--out", out, "tomo", "--input", src + ".counts.csv",
+        assert "--eps10" in refused(["--out", out, "tomo", "--input", seed7 + ".counts.csv",
                                      "--eps10", "0", *argv], flag)
 
-    def test_config_simulation_values_accepted_with_input(self, tmp_path):
+    def test_config_simulation_values_accepted_with_input(self, tmp_path, seed7):
         """One config file serves every command, so its simulation values do
         not stop a fit of `--input` counts."""
-        src = str(tmp_path / "src")
-        assert main(["--seed", "3", "--out", src, "tomo", "--bootstrap", "0"]) == 0
         cfg = tmp_path / "shared.cfg"
         cfg.write_text("depolarizing = 0.5\nn_per_setting = 0\nbootstrap = 0\n")
         out = str(tmp_path / "in")
         assert main(["--config", str(cfg), "--out", out, "tomo",
-                     "--input", src + ".counts.csv"]) == 0
+                     "--input", seed7 + ".counts.csv"]) == 0
         assert (tmp_path / "in.state.json").read_bytes() == \
-            (tmp_path / "src.state.json").read_bytes()
+            (tmp_path / "s7.state.json").read_bytes()
 
-    def test_incomplete_settings_named(self, tmp_path, refused):
-        src = str(tmp_path / "full")
-        assert main(["--seed", "3", "--out", src, "tomo", "--bootstrap", "0"]) == 0
-        lines = Path(src + ".counts.csv").read_text().splitlines()
+    def test_incomplete_settings_named(self, tmp_path, refused, seed7):
+        lines = Path(seed7 + ".counts.csv").read_text().splitlines()
         # drop the atomic-y / photonic-z row (row order follows the label order)
         trimmed = [l for i, l in enumerate(lines) if i != 6]
         broken = str(tmp_path / "broken.counts.csv")
@@ -680,14 +681,12 @@ class TestInterruptedRun:
 
 
 class TestCountsCsvIngest:
-    def test_byte_order_mark_accepted(self, tmp_path):
-        src = str(tmp_path / "src")
-        assert main(["--seed", "3", "--out", src, "tomo", "--bootstrap", "0"]) == 0
+    def test_byte_order_mark_accepted(self, tmp_path, seed7):
         bom = tmp_path / "bom.csv"
-        bom.write_bytes(b"\xef\xbb\xbf" + Path(src + ".counts.csv").read_bytes())
+        bom.write_bytes(b"\xef\xbb\xbf" + Path(seed7 + ".counts.csv").read_bytes())
         out = str(tmp_path / "bom")
         assert main(["--out", out, "tomo", "--bootstrap", "0", "--input", str(bom)]) == 0
-        assert Path(out + ".state.json").read_text() == Path(src + ".state.json").read_text()
+        assert Path(out + ".state.json").read_text() == Path(seed7 + ".state.json").read_text()
 
     @pytest.mark.parametrize("text, message", [
         ("", "empty file"),
@@ -715,21 +714,11 @@ class TestCountsCsvIngest:
         ('{"exact": "false"}', "field 'exact' must be true or false, got \"false\""),
         ("[1, 2]", "expected a JSON object, got [1, 2]"),
     ], ids=["string-exact", "array"])
-    def test_bad_sidecar_refused(self, tmp_path, refused, sidecar, message):
-        src = str(tmp_path / "src")
-        assert main(["--out", src, "tomo", "--bootstrap", "0"]) == 0
-        meta = tmp_path / "src.counts.meta.json"
+    def test_bad_sidecar_refused(self, tmp_path, refused, seed7, sidecar, message):
+        meta = tmp_path / "s7.counts.meta.json"
         meta.write_text(sidecar)
-        assert refused(["--out", str(tmp_path / "o"), "tomo", "--input", src + ".counts.csv"],
+        assert refused(["--out", str(tmp_path / "o"), "tomo", "--input", seed7 + ".counts.csv"],
                        message) == f"error: {meta}: {message}"
-
-
-@pytest.fixture
-def seed7(tmp_path):
-    """The prefix of a `--seed 7 tomo --bootstrap 0` run in tmp_path."""
-    src = str(tmp_path / "s7")
-    assert main(["--seed", "7", "--out", src, "tomo", "--bootstrap", "0"]) == 0
-    return src
 
 
 class TestOutOfRangeCountsCsv:

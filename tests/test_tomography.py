@@ -63,6 +63,25 @@ def linear_inversions(counts):
     return _inverted_coefficients(counts, CANONICAL)
 
 
+def fit_sampled(counts):
+    """The fit of sampled count rows from their linear inversions."""
+    return fit_stack(_with_prior(counts, False), linear_inversions(counts))
+
+
+def assert_rows_equal_rows_alone(fn, *stacks):
+    """The stack contract: fn on stacks of rows gives, in every output, the
+    bytes of each row that fn gives on that row alone (stacks of one). fn
+    runs on the whole stacks first, then on each row; returns its output on
+    the whole stacks."""
+    out = fn(*stacks)
+    outs = out if isinstance(out, tuple) else (out,)
+    for k in range(len(stacks[0])):
+        alone = fn(*(s[k:k + 1] for s in stacks))
+        for a, s in zip(alone if isinstance(alone, tuple) else (alone,), outs, strict=True):
+            assert a.tobytes() == s[k:k + 1].tobytes()
+    return out
+
+
 def random_physical_state(rng):
     """Random state generated by normalizing T^dagger T."""
     t = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -843,7 +862,7 @@ class TestAgainstLbfgsReference:
         ts, report, draws = tomo_seed7()
         assert report.converged
         assert at_or_below(-report.log_likelihood, lbfgs_reference_nll(ts.counts))
-        _, f, _, _, converged = fit_stack(_with_prior(draws, False), linear_inversions(draws))
+        _, f, _, _, converged = fit_sampled(draws)
         assert converged.all()
         reference = np.array([lbfgs_reference_nll(c) for c in draws])
         assert at_or_below(f, reference).all()
@@ -905,7 +924,7 @@ class TestGapBound:
         gap_tol = tomography.MLE_GAP_TOL
         monkeypatch.setattr(tomography, "MLE_GAP_TOL", 1e-18)
         monkeypatch.setattr(tomography, "MLE_REL_TOL", 1e-15)
-        _, tight, _, _, converged = fit_stack(_with_prior(stack, False), linear_inversions(stack))
+        _, tight, _, _, converged = fit_sampled(stack)
         assert converged.all()
         best = np.minimum(tight, lbfgs)
         for (_, report), f_best, n in zip(fits, best, _with_prior(stack, False).sum(axis=1)):
@@ -935,7 +954,7 @@ class TestGapBound:
                 np.random.default_rng(seed).multinomial(totals, probs, size=(50, 9)),
                 [rng.multinomial(totals, probs) for rng in record_rngs(seed, replicas)],
             ]).astype(float)
-            *_, converged = fit_stack(_with_prior(draws, False), linear_inversions(draws))
+            *_, converged = fit_sampled(draws)
             assert converged.all()
 
     def test_bound_vanishes_at_exact_optimum(self):
@@ -1019,11 +1038,7 @@ class TestKernels:
     @pytest.mark.parametrize("name", ORACLES)
     def test_rows_equal_rows_alone(self, name, height):
         kernel, _ = ORACLES[name]
-        args = kernel_inputs(name, height)
-        stack = kernel(*args)
-        for k in range(height):
-            alone = kernel(*(a[k:k + 1] for a in args))
-            assert alone.tobytes() == stack[k:k + 1].tobytes()
+        assert_rows_equal_rows_alone(kernel, *kernel_inputs(name, height))
 
     @pytest.mark.parametrize("kind", ["sampled", "half-count", "exact"])
     def test_gap_bound_is_lambda_max_minus_n(self, kind):
@@ -1138,12 +1153,8 @@ class TestBootstrap:
         high = [TomographySet.from_dataset(simulate_tomography(ideal_state(), 10**6, seed=s)).counts
                 for s in range(4)]
         stack = np.concatenate([draws, [c for c, exact in frozen_datasets() if not exact], high])
-        x, f, _, iterations, _ = fit_stack(_with_prior(stack, False), linear_inversions(stack))
+        _, _, _, iterations, _ = assert_rows_equal_rows_alone(fit_sampled, stack)
         assert len(set(iterations)) > 10
-        for k in range(len(stack)):
-            xk, fk, _, ik, _ = fit_stack(_with_prior(stack[k:k + 1], False),
-                                         linear_inversions(stack[k:k + 1]))
-            assert np.array_equal(xk[0], x[k]) and fk[0] == f[k] and ik[0] == iterations[k]
 
     @pytest.mark.threaded_blas
     def test_mixed_faces_stack_rows_equal_rows_alone(self, monkeypatch):
@@ -1167,13 +1178,11 @@ class TestBootstrap:
         alone = []
         for k in range(len(stack)):
             finishes.append([])
-            alone.append(fit_stack(_with_prior(stack[k:k + 1], False),
-                                   linear_inversions(stack[k:k + 1])))
+            alone.append(fit_sampled(stack[k:k + 1]))
         assert {3, 4} <= {rank for row in finishes for rank, ok in row if ok}
         certified = [ok for _, ok in finishes[-1]]
         assert not certified[0] and certified[-1]
-        x, f, _, iterations, converged = fit_stack(_with_prior(stack, False),
-                                                   linear_inversions(stack))
+        x, f, _, iterations, converged = fit_sampled(stack)
         for k, (xk, fk, _, ik, ck) in enumerate(alone):
             assert np.array_equal(xk[0], x[k]) and fk[0] == f[k]
             assert ik[0] == iterations[k] and ck[0] == converged[k]
@@ -1193,24 +1202,22 @@ class TestBootstrap:
         totals = ts.counts.sum(axis=1).astype(np.int64)
         draws = np.array([rng.multinomial(totals, probs) for rng in record_rngs(0, range(20))],
                          dtype=float)
-        failed = []
+        failed = []   # per fit: the line searches that failed
         damped_step = tomography._damped_step
 
         def spy(*args):
             out = damped_step(*args)
-            failed.append(int(out[4].sum()))
+            failed[-1] += int(out[4].sum())
             return out
 
+        def fit(counts):
+            failed.append(0)
+            return fit_sampled(counts)
+
         monkeypatch.setattr(tomography, "_damped_step", spy)
-        x, f, f0, iterations, converged = fit_stack(_with_prior(draws, False),
-                                                    linear_inversions(draws))
-        assert sum(failed) > 0   # the precondition: searches failed
+        _, f, f0, _, converged = assert_rows_equal_rows_alone(fit, draws)
+        assert failed[0] > 0   # the precondition: searches of the stack's fit failed
         assert converged.all() and (f <= f0).all()
-        for k in range(len(draws)):
-            xk, fk, _, ik, ck = fit_stack(_with_prior(draws[k:k + 1], False),
-                                          linear_inversions(draws[k:k + 1]))
-            assert np.array_equal(xk[0], x[k]) and fk[0] == f[k]
-            assert ik[0] == iterations[k] and ck[0] == converged[k]
 
     @pytest.mark.threaded_blas
     def test_stacked_metrics_equal_rows_alone(self):
@@ -1218,7 +1225,7 @@ class TestBootstrap:
         each row alone, as a stack of one and as one 4x4 state, and the
         per-state formulas the metrics replaced, kept here as the reference."""
         _, _, draws = tomo_seed7()
-        x, *_ = fit_stack(_with_prior(draws, False), linear_inversions(draws))
+        x, *_ = fit_sampled(draws)
         rhos = qmath.states(x)
         psi = ideal_ket()
 
@@ -1233,17 +1240,20 @@ class TestBootstrap:
             purity: lambda rho: float(np.real(np.trace(rho @ rho))),
         }
         for fn, ref in reference.items():
-            stack = fn(rhos)
+            stack = assert_rows_equal_rows_alone(fn, rhos)
             assert stack.shape == (250,)
             alone = [fn(rho) for rho in rhos]
             assert all(type(v) is np.float64 for v in alone)
             assert np.array(alone).tobytes() == stack.tobytes()
             assert np.array([ref(rho) for rho in rhos]).tobytes() == stack.tobytes()
-            assert np.array([fn(rhos[k:k + 1])[0] for k in range(250)]).tobytes() == stack.tobytes()
+
+    @pytest.fixture
+    def ts(self):
+        """The data the input-refusal tests would resample."""
+        return TomographySet.from_dataset(simulate_tomography(werner(5 / 6), 100, seed=2))
 
     @pytest.mark.parametrize("n_replicas", [0, -3])
-    def test_replica_count_below_one_rejected(self, n_replicas):
-        ts = TomographySet.from_dataset(simulate_tomography(werner(5 / 6), 100, seed=2))
+    def test_replica_count_below_one_rejected(self, ts, n_replicas):
         with pytest.raises(ValueError, match="n_replicas"):
             bootstrap_metrics(werner(5 / 6), ts, n_replicas=n_replicas, seed=1)
 
@@ -1252,11 +1262,10 @@ class TestBootstrap:
         (2 * ideal_state(), "trace is 2"),
         (ideal_state() + np.diag([0, np.nan, 0, 0]), "non-finite"),
     ], ids=["not PSD", "trace is 2", "non-finite"])
-    def test_non_state_refused_by_defect(self, bad, defect):
+    def test_non_state_refused_by_defect(self, ts, bad, defect):
         """The resampling state passes the density-matrix gate: a trace-1
         matrix with a negative eigenvalue, twice the ideal state and a NaN
         entry are each refused by name, not clipped into rows or drawn from."""
-        ts = TomographySet.from_dataset(simulate_tomography(werner(5 / 6), 100, seed=2))
         with pytest.raises(ValueError, match=defect):
             bootstrap_metrics(bad, ts, n_replicas=8, seed=1)
 
@@ -1267,10 +1276,9 @@ class TestBootstrap:
         (-1, "seed must be at least 0, got -1"),
     ], ids=["float", "string", "bool", "negative"])
     @pytest.mark.parametrize("draw", ["simulate_tomography", "bootstrap_metrics"])
-    def test_seed_refused_by_name(self, draw, seed, defect):
+    def test_seed_refused_by_name(self, ts, draw, seed, defect):
         """A seed that is not an integer >= 0 is refused by name, not truncated
         (1.5 would draw seed 1's records), parsed ("3") or left to numpy."""
-        ts = TomographySet.from_dataset(simulate_tomography(werner(5 / 6), 100, seed=2))
         with pytest.raises(ValueError, match=re.escape(defect)):
             if draw == "simulate_tomography":
                 simulate_tomography(ideal_state(), 10, seed=seed)
@@ -1284,13 +1292,11 @@ class TestBootstrap:
         assert np.array_equal(ds.records, simulate_tomography(ideal_state(), 10, seed=3).records)
 
     @pytest.mark.parametrize("n_replicas", [2.5, 250.0, "8"])
-    def test_non_integer_replica_count_rejected(self, n_replicas):
-        ts = TomographySet.from_dataset(simulate_tomography(werner(5 / 6), 100, seed=2))
+    def test_non_integer_replica_count_rejected(self, ts, n_replicas):
         with pytest.raises(ValueError, match="n_replicas must be an integer"):
             bootstrap_metrics(werner(5 / 6), ts, n_replicas=n_replicas, seed=1)
 
-    def test_one_replica_rejected(self):
+    def test_one_replica_rejected(self, ts):
         """One replica has no sample spread: refused, not reported as std 0."""
-        ts = TomographySet.from_dataset(simulate_tomography(werner(5 / 6), 100, seed=2))
         with pytest.raises(ValueError, match="n_replicas must be at least 2, got 1"):
             bootstrap_metrics(werner(5 / 6), ts, n_replicas=1, seed=1)
